@@ -20,15 +20,24 @@ column is lost) are recomputed in memory, never read. Both decoders accept
 None placeholders in the columns they do not read and report exactly which
 columns they read.
 
-Grids are lists of rows; erasures are given as column indices.
+Grids are lists of rows; erasures are given as column indices. A cell is a
+Python int that packs one byte per lane, lane i in byte i (little-endian),
+so one call encodes or decodes many independent codewords that share an
+erasure pattern: the simulator batches every instance with the same pattern
+into one call. Adding cells is XOR; multiplying by a GF(2^8) constant
+translates the cell's bytes through that constant's table. RDP needs only
+XOR, so it never looks at the lane count; RS takes it as `lanes`, and a
+plain byte is the 1-lane case. The RS parity matrix is cached per (k, delta)
+and the decode inverse per erasure pattern.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import ParamError, TooManyErasures
-from .gf256 import gf_div, gf_inv, gf_mat_inv, gf_mul
+from .gf256 import gf_div, gf_inv, gf_mat_inv, gf_mul_table
 
 DATA = "D"
 
@@ -80,15 +89,17 @@ class HorizontalCode:
             raise ParamError("only the rdp code has a prime parameter")
         return self.k - 1
 
-    def encode(self, data: list[list[int]]) -> list[list[int]]:
+    def encode(self, data: list[list[int]], lanes: int = 1) -> list[list[int]]:
         if self.kind == "rdp":
             return rdp_encode(data, self.p)
-        return rs_encode(data, self.k, self.delta)
+        return rs_encode(data, self.k, self.delta, lanes)
 
-    def decode(self, rows: list[list[int]], erased) -> tuple[list[list[int]], tuple[int, ...]]:
+    def decode(
+        self, rows: list[list[int]], erased, lanes: int = 1
+    ) -> tuple[list[list[int]], tuple[int, ...]]:
         if self.kind == "rdp":
             return rdp_decode(rows, self.p, erased)
-        return rs_decode(rows, self.k, self.delta, erased)
+        return rs_decode(rows, self.k, self.delta, erased, lanes)
 
 
 def rdp_code(p: int) -> HorizontalCode:
@@ -289,31 +300,61 @@ def rs_parity_matrix(k: int, delta: int) -> list[list[int]]:
     ]
 
 
-def rs_encode(data: list[list[int]], k: int, delta: int) -> list[list[int]]:
-    """Append delta parity columns to rows of k-delta data symbols."""
+@lru_cache(maxsize=64)
+def _cached_parity_matrix(k: int, delta: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(map(tuple, rs_parity_matrix(k, delta)))
+
+
+@lru_cache(maxsize=1024)
+def _decode_inverse(
+    k: int, delta: int, unknown_data: tuple[int, ...], parity_rows: tuple[int, ...]
+) -> tuple[tuple[int, ...], ...]:
+    """Inverse of the parity rows' coefficients on the unknown data columns."""
+    matrix = _cached_parity_matrix(k, delta)
+    system = [[matrix[i][c] for c in unknown_data] for i in parity_rows]
+    return tuple(map(tuple, gf_mat_inv(system)))
+
+
+def _combine(coeffs, cells, lanes: int) -> int:
+    """Sum of coeffs[j] * cells[j] over GF(2^8), lane by lane."""
+    acc = 0
+    for coeff, cell in zip(coeffs, cells):
+        if coeff == 1:
+            acc ^= cell
+        elif coeff:
+            scaled = cell.to_bytes(lanes, "little").translate(gf_mul_table(coeff))
+            acc ^= int.from_bytes(scaled, "little")
+    return acc
+
+
+def _check_lanes(lanes: int):
+    if not isinstance(lanes, int) or lanes < 1:
+        raise ParamError(f"lanes must be a positive integer, got {lanes!r}")
+
+
+def rs_encode(data: list[list[int]], k: int, delta: int, lanes: int = 1) -> list[list[int]]:
+    """Append delta parity columns to rows of k-delta data cells."""
     rs_code(k, delta)  # validates k and delta
+    _check_lanes(lanes)
     if any(len(row) != k - delta for row in data):
         raise ParamError(f"data rows must have {k - delta} symbols")
-    matrix = rs_parity_matrix(k, delta)
-    out = []
-    for row in data:
-        parities = []
-        for i in range(delta):
-            acc = 0
-            for j, value in enumerate(row):
-                acc ^= gf_mul(matrix[i][j], value)
-            parities.append(acc)
-        out.append(list(row) + parities)
-    return out
+    matrix = _cached_parity_matrix(k, delta)
+    return [
+        list(row) + [_combine(coeffs, row, lanes) for coeffs in matrix]
+        for row in data
+    ]
 
 
-def rs_decode(rows: list[list[int]], k: int, delta: int, erased) -> tuple[list[list[int]], tuple[int, ...]]:
+def rs_decode(
+    rows: list[list[int]], k: int, delta: int, erased, lanes: int = 1
+) -> tuple[list[list[int]], tuple[int, ...]]:
     """Recover up to delta erased columns; returns (codeword, columns read).
 
     Input cells in erased or unread columns may be None; only the columns the
     reconstruction rule names are consulted.
     """
     rs_code(k, delta)
+    _check_lanes(lanes)
     erased = sorted(set(erased))
     if len(erased) > delta:
         raise TooManyErasures(f"rs with delta={delta} recovers at most {delta} columns")
@@ -329,32 +370,25 @@ def rs_decode(rows: list[list[int]], k: int, delta: int, erased) -> tuple[list[l
         if any(row[c] is None for row in rows):
             raise ParamError(f"column {c} must be readable but holds None")
 
-    matrix = rs_parity_matrix(k, delta)
-    unknown_data = [c for c in range(k - delta) if c not in read_set]
-    parity_rows = [c - (k - delta) for c in read if c >= k - delta]
+    data_cols = k - delta
+    matrix = _cached_parity_matrix(k, delta)
+    unknown_data = tuple(c for c in range(data_cols) if c not in read_set)
     out = [[row[c] if c in read_set else None for c in range(k)] for row in rows]
     if unknown_data:
-        system = [[matrix[i][c] for c in unknown_data] for i in parity_rows]
-        inverse = gf_mat_inv(system)
-        for row_in, row_out in zip(rows, out):
-            rhs = []
-            for i in parity_rows:
-                acc = row_in[k - delta + i]
-                for c in range(k - delta):
-                    if c in read_set:
-                        acc ^= gf_mul(matrix[i][c], row_in[c])
-                rhs.append(acc)
-            for pos, c in enumerate(unknown_data):
-                acc = 0
-                for j, value in enumerate(rhs):
-                    acc ^= gf_mul(inverse[pos][j], value)
-                row_out[c] = acc
+        known_data = [c for c in range(data_cols) if c in read_set]
+        parity_rows = tuple(c - data_cols for c in read if c >= data_cols)
+        inverse = _decode_inverse(k, delta, unknown_data, parity_rows)
+        known_coeffs = [[matrix[i][c] for c in known_data] for i in parity_rows]
+        for row in out:
+            known = [row[c] for c in known_data]
+            rhs = [
+                row[data_cols + i] ^ _combine(coeffs, known, lanes)
+                for i, coeffs in zip(parity_rows, known_coeffs)
+            ]
+            for c, coeffs in zip(unknown_data, inverse):
+                row[c] = _combine(coeffs, rhs, lanes)
     for row in out:
         for i in range(delta):
-            col = k - delta + i
-            if row[col] is None:
-                acc = 0
-                for c in range(k - delta):
-                    acc ^= gf_mul(matrix[i][c], row[c])
-                row[col] = acc
+            if row[data_cols + i] is None:
+                row[data_cols + i] = _combine(matrix[i], row[:data_cols], lanes)
     return out, tuple(read)

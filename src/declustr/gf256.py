@@ -3,9 +3,15 @@
 Multiplication uses log/antilog tables generated from the primitive element
 x (0x02). Addition is XOR. A small Gauss-Jordan inverter for matrices over
 the field is included for erasure decoding.
+
+For bulk work, gf_mul_table(c) is the 256-byte table of x -> c*x, so
+bytes.translate multiplies every byte of a buffer by c in one call. Each
+table is built on first use and cached; importing the module builds none.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .errors import ParamError
 
@@ -37,6 +43,17 @@ def gf_mul(a: int, b: int) -> int:
     if a == 0 or b == 0:
         return 0
     return EXP[LOG[a] + LOG[b]]
+
+
+@lru_cache(maxsize=256)
+def gf_mul_table(c: int) -> bytes:
+    """Translation table of multiplication by the constant c."""
+    if not 0 <= c <= 255:
+        raise ParamError(f"{c} is not an element of GF(2^8)")
+    if c == 0:
+        return bytes(256)
+    log_c = LOG[c]
+    return bytes([0] + [EXP[log_c + LOG[x]] for x in range(1, 256)])
 
 
 def gf_inv(a: int) -> int:

@@ -257,9 +257,11 @@ def deserialize_layout(text) -> DeclusteredLayout:
         )
     placements_raw = obj["placements"]
     if not isinstance(placements_raw, list) or any(
-        not isinstance(p, list) for p in placements_raw
+        not isinstance(p, list)
+        or any(not isinstance(d, int) or isinstance(d, bool) for d in p)
+        for p in placements_raw
     ):
-        raise FormatError("layout field 'placements' must be a list of lists")
+        raise FormatError("layout field 'placements' must be a list of integer lists")
     if len(placements_raw) != len(design.blocks):
         raise InvariantError(
             f"{len(placements_raw)} placements for {len(design.blocks)} blocks"
@@ -271,7 +273,7 @@ def deserialize_layout(text) -> DeclusteredLayout:
             raise InvariantError(
                 f"placement {index} stores two columns of one group on one disk: {disks}"
             )
-        if any(not isinstance(d, int) or not 0 <= d < n for d in disks):
+        if any(not 0 <= d < n for d in disks):
             raise InvariantError(f"placement {index} names disks outside 0..{n - 1}")
         if tuple(sorted(disks)) != block:
             raise InvariantError(

@@ -1,10 +1,15 @@
 """Byte-level materialization, failure injection, and recovery checking.
 
 A layout becomes an array of n byte vectors (one byte per unit). Every group
-instance is filled and encoded independently; on failure, each affected
-instance is decoded from exactly the columns the reconstruction rule names,
-and the rebuilt bytes go to fresh replacement disks. Measured reads must
-match the analysis module's enumeration unit for unit.
+instance holds its own codewords, but the simulator moves them in bulk: a
+cell handed to the codec packs one byte per instance (a lane), so one encode
+call per extended row fills every instance at once. On failure, the affected
+instances are grouped by the positions they lost; each group's extended rows
+are planned with the reconstruction rule, and every (group, extended row)
+that leaves the same canonical erasure pattern is decoded by one multi-lane
+call that reads exactly the columns the rule names. Rebuilt bytes go to fresh
+replacement disks. Measured reads must match the analysis module's
+enumeration unit for unit.
 
 Data bytes come from a 64-bit xorshift stream (shifts 13, 7, 17; low byte of
 each state is emitted), so fixtures are portable: same seed, same array.
@@ -15,7 +20,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 from .erasure_codes import DATA, parity_index, reconstruction_rule
 from .errors import InvariantError, ParamError, TooManyFailures
@@ -122,22 +127,31 @@ def materialize(layout: DeclusteredLayout, seed: int) -> DiskArray:
     group = layout.group
     code = group.code
     k, delta, r, m = group.k, group.delta, group.r, group.m
-    disks = [bytearray(layout.rows_per_disk) for _ in range(layout.n)]
-    stream = byte_stream(seed)
+    data_cols = k - delta
+    lanes = len(layout.placements)
+    per_instance = m * data_cols
+    fill = bytes(islice(byte_stream(seed), lanes * per_instance))
     canon = [_canonical_columns(row, k, delta) for row in group.extended_rows]
-    base = [0] * layout.n
-    for placement in layout.placements:
-        for e, row in enumerate(group.extended_rows):
-            data = [
-                [next(stream) for _ in range(k - delta)] for _ in range(r)
+    # units[pos] holds the column-unit at position pos of every instance,
+    # one after another in block order.
+    units = [bytearray(lanes * m) for _ in range(k)]
+    for e, columns in enumerate(canon):
+        data = [
+            [
+                int.from_bytes(fill[(e * r + j) * data_cols + s :: per_instance], "little")
+                for s in range(data_cols)
             ]
-            codeword = code.encode(data)
-            for pos, disk in enumerate(placement):
-                column = canon[e][pos]
-                offset = base[disk] + e * r
-                for j in range(r):
-                    disks[disk][offset + j] = codeword[j][column]
-        for disk in placement:
+            for j in range(r)
+        ]
+        codeword = code.encode(data, lanes)
+        for pos, column in enumerate(columns):
+            for j in range(r):
+                units[pos][e * r + j :: m] = codeword[j][column].to_bytes(lanes, "little")
+    disks = [bytearray(layout.rows_per_disk) for _ in range(layout.n)]
+    base = [0] * layout.n
+    for index, placement in enumerate(layout.placements):
+        for pos, disk in enumerate(placement):
+            disks[disk][base[disk] : base[disk] + m] = units[pos][index * m : (index + 1) * m]
             base[disk] += m
     return DiskArray(layout, disks)
 
@@ -171,6 +185,21 @@ def check_parity_invariant(array: DiskArray) -> bool:
     return True
 
 
+@dataclass(slots=True)
+class _LostGroup:
+    """Affected instances that lost the same positions: one batch of lanes.
+
+    A member is an instance's placement and its column-unit offset on each
+    of its disks. units holds, for each position read, the members'
+    column-units one after another (m bytes each); rebuilt does the same for
+    each lost position and is filled by the decodes.
+    """
+
+    members: list[tuple[tuple[int, ...], list[int]]]
+    units: dict[int, bytes]
+    rebuilt: dict[int, bytearray]
+
+
 def fail_and_reconstruct(array: DiskArray, failed) -> tuple[DiskArray, IOStats]:
     """Rebuild the failed disks onto replacements, reading per the rule.
 
@@ -191,57 +220,104 @@ def fail_and_reconstruct(array: DiskArray, failed) -> tuple[DiskArray, IOStats]:
         raise ParamError(
             f"failed disks must be in 0..{layout.n - 1}, got {sorted(failed)}"
         )
+    disks = array.disks
     recovered = DiskArray(
         layout,
         [
-            bytearray(layout.rows_per_disk) if d in failed else bytearray(array.disks[d])
+            bytearray(layout.rows_per_disk) if d in failed else bytearray(disks[d])
             for d in range(layout.n)
         ],
     )
     reads = {d: 0 for d in range(layout.n) if d not in failed}
     writes = {d: 0 for d in failed}
-    canon = [_canonical_columns(row, k, delta) for row in group.extended_rows]
-    rule_cache: dict[tuple[str, ...], frozenset[str]] = {}
+
+    by_lost: dict[tuple[int, ...], _LostGroup] = {}
     base = [0] * layout.n
     for placement in layout.placements:
-        failed_positions = tuple(
-            pos for pos, disk in enumerate(placement) if disk in failed
-        )
-        if failed_positions:
-            for e, row in enumerate(group.extended_rows):
-                lost = tuple(sorted(row[pos] for pos in failed_positions))
-                need = rule_cache.get(lost)
-                if need is None:
-                    need = reconstruction_rule(delta, lost)
-                    rule_cache[lost] = need
-                grid: list[list[int | None]] = [[None] * k for _ in range(r)]
-                filled = []
-                for pos, disk in enumerate(placement):
-                    if disk in failed or row[pos] not in need:
-                        continue
-                    column = canon[e][pos]
-                    filled.append(column)
-                    offset = base[disk] + e * r
-                    for j in range(r):
-                        grid[j][column] = array.disks[disk][offset + j]
-                    reads[disk] += r
-                erased = sorted(set(range(k)) - set(filled))
-                out, decoder_reads = code.decode(grid, erased)
-                if sorted(decoder_reads) != sorted(filled):
-                    raise InvariantError(
-                        f"decoder read columns {sorted(decoder_reads)}, "
-                        f"planned {sorted(filled)}"
-                    )
-                for pos in failed_positions:
-                    disk = placement[pos]
-                    column = canon[e][pos]
-                    offset = base[disk] + e * r
-                    for j in range(r):
-                        recovered.disks[disk][offset + j] = out[j][column]
-                    writes[disk] += r
+        if not failed.isdisjoint(placement):
+            lost = tuple(pos for pos, disk in enumerate(placement) if disk in failed)
+            if lost not in by_lost:
+                by_lost[lost] = _LostGroup([], {}, {})
+            by_lost[lost].members.append((placement, [base[d] for d in placement]))
         for disk in placement:
             base[disk] += m
+
+    canon = [_canonical_columns(row, k, delta) for row in group.extended_rows]
+    rule_cache: dict[tuple[str, ...], frozenset[str]] = {}
+    # Canonical erasure pattern -> the (extended row, group) pairs that leave it.
+    by_pattern: dict[tuple[int, ...], list[tuple[int, _LostGroup]]] = {}
+    for lost, batch in by_lost.items():
+        members = batch.members
+        read_counts = [0] * k
+        batch.rebuilt = {pos: bytearray(len(members) * m) for pos in lost}
+        for e, row in enumerate(group.extended_rows):
+            labels = tuple(sorted([row[pos] for pos in lost]))
+            need = rule_cache.get(labels)
+            if need is None:
+                need = rule_cache[labels] = reconstruction_rule(delta, labels)
+            given = set()
+            for pos in range(k):
+                if pos not in lost and row[pos] in need:
+                    if pos not in batch.units:
+                        batch.units[pos] = b"".join([
+                            disks[placement[pos]][offsets[pos] : offsets[pos] + m]
+                            for placement, offsets in members
+                        ])
+                    given.add(canon[e][pos])
+                    read_counts[pos] += r
+            erased = tuple(c for c in range(k) if c not in given)
+            by_pattern.setdefault(erased, []).append((e, batch))
+        counted = [(pos, count) for pos, count in enumerate(read_counts) if count]
+        for placement, _ in members:
+            for pos, count in counted:
+                reads[placement[pos]] += count
+            for pos in lost:
+                writes[placement[pos]] += m
+
+    for erased, contributors in by_pattern.items():
+        _decode_pattern(code, erased, contributors, canon, r, m)
+
+    for batch in by_lost.values():
+        for pos, unit in batch.rebuilt.items():
+            view = memoryview(unit)
+            for i, (placement, offsets) in enumerate(batch.members):
+                start = offsets[pos]
+                recovered.disks[placement[pos]][start : start + m] = view[i * m : (i + 1) * m]
     return recovered, IOStats(reads=reads, writes=writes)
+
+
+def _decode_pattern(code, erased: tuple[int, ...], contributors, canon, r: int, m: int):
+    """Decode every (extended row, group) with this erasure pattern in one call.
+
+    The call's lanes are the groups' instances, in contributor order. Inner
+    row j of a column gathers byte e*r+j of each instance's column-unit with
+    one strided slice per contributor; rebuilt columns are scattered back the
+    same way.
+    """
+    k = code.k
+    planned = [c for c in range(k) if c not in erased]
+    lanes = sum(len(batch.members) for _, batch in contributors)
+    grid: list[list[int | None]] = [[None] * k for _ in range(r)]
+    for c in planned:
+        sources = [
+            (batch.units[canon[e].index(c)], e * r) for e, batch in contributors
+        ]
+        for j in range(r):
+            gathered = b"".join([unit[base + j :: m] for unit, base in sources])
+            grid[j][c] = int.from_bytes(gathered, "little")
+    out, decoder_reads = code.decode(grid, erased, lanes)
+    if sorted(decoder_reads) != planned:
+        raise InvariantError(
+            f"decoder read columns {sorted(decoder_reads)}, planned {planned}"
+        )
+    for j in range(r):
+        rebuilt = {c: out[j][c].to_bytes(lanes, "little") for c in erased}
+        start = 0
+        for e, batch in contributors:
+            end = start + len(batch.members)
+            for pos, unit in batch.rebuilt.items():
+                unit[e * r + j :: m] = rebuilt[canon[e][pos]][start:end]
+            start = end
 
 
 def exhaustive_verify(

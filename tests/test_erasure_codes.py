@@ -4,6 +4,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from declustr import (
     DATA,
@@ -137,6 +139,71 @@ def test_rs_rejects_too_many_erasures():
 def test_rs_rejects_bad_params(k, delta):
     with pytest.raises(ParamError):
         rs_code(k, delta)
+
+
+# ------------------------------------------------------------------ lanes
+
+def pack(grids):
+    """One grid whose cells hold lane i's cell in byte i (little-endian)."""
+    return [
+        [
+            int.from_bytes(bytes(grid[i][j] for grid in grids), "little")
+            for j in range(len(grids[0][0]))
+        ]
+        for i in range(len(grids[0]))
+    ]
+
+
+def unpack(grid, lanes):
+    return [
+        [[cell.to_bytes(lanes, "little")[lane] for cell in row] for row in grid]
+        for lane in range(lanes)
+    ]
+
+
+@st.composite
+def multi_lane_cases(draw):
+    if draw(st.booleans()):
+        code = rdp_code(draw(st.sampled_from([3, 5, 7])))
+    else:
+        k = draw(st.integers(2, 9))
+        code = rs_code(k, draw(st.integers(1, min(3, k - 1))))
+    lanes = draw(st.integers(1, 9))
+    data = [
+        [
+            [draw(st.integers(0, 255)) for _ in range(code.k - code.delta)]
+            for _ in range(code.r)
+        ]
+        for _ in range(lanes)
+    ]
+    erased = draw(
+        st.lists(st.integers(0, code.k - 1), max_size=code.delta, unique=True)
+    )
+    return code, data, sorted(erased)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(multi_lane_cases())
+def test_one_multi_lane_call_equals_one_call_per_lane(case):
+    code, data, erased = case
+    lanes = len(data)
+    singles = [code.encode(grid) for grid in data]
+    packed = code.encode(pack(data), lanes)
+    assert unpack(packed, lanes) == singles
+
+    out, reads = code.decode(erase(packed, erased), erased, lanes)
+    assert unpack(out, lanes) == singles
+    for single in singles:
+        single_out, single_reads = code.decode(erase(single, erased), erased)
+        assert single_out == single
+        assert single_reads == reads
+
+
+def test_rs_rejects_bad_lane_counts():
+    code = rs_code(4, 2)
+    for lanes in (0, -1, 1.5):
+        with pytest.raises(ParamError):
+            code.encode([[1, 2]], lanes)
 
 
 # ------------------------------------------------------------------- rule

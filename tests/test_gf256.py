@@ -1,9 +1,23 @@
 """GF(2^8) table arithmetic against an independent carry-less oracle."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from declustr.errors import ParamError
-from declustr.gf256 import EXP, LOG, gf_add, gf_div, gf_inv, gf_mat_inv, gf_mul
+from declustr.gf256 import (
+    EXP,
+    LOG,
+    gf_add,
+    gf_div,
+    gf_inv,
+    gf_mat_inv,
+    gf_mul,
+    gf_mul_table,
+)
 
 POLY = 0x11D
 
@@ -24,6 +38,30 @@ def test_mul_matches_clmul_oracle_for_all_pairs():
     for a in range(256):
         for b in range(256):
             assert gf_mul(a, b) == clmul_mod(a, b)
+
+
+def test_mul_tables_translate_like_mul():
+    every_byte = bytes(range(256))
+    for c in range(256):
+        assert list(every_byte.translate(gf_mul_table(c))) == [
+            clmul_mod(c, x) for x in range(256)
+        ]
+    with pytest.raises(ParamError):
+        gf_mul_table(256)
+
+
+def test_importing_the_cli_builds_no_mul_table():
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        "import declustr.cli; from declustr.gf256 import gf_mul_table; "
+        "print(gf_mul_table.cache_info().currsize)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, timeout=60, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.stdout.strip() == "0"
 
 
 def test_add_is_xor():

@@ -216,6 +216,16 @@ def test_deserialize_rejects_duplicate_disk_in_placement(reference_layout):
         deserialize_layout(json.dumps(obj))
 
 
+@pytest.mark.parametrize("placement", [[False, 1, 2, 3], [0, True, 2, 3], [0, 1, 2, "3"], [0, 1, 2, 3.0]])
+def test_deserialize_rejects_non_integer_disks(reference_layout, placement):
+    # JSON false/true are Python bools, which pass isinstance(..., int) and
+    # compare equal to 0/1, so without a type check they would match block 0.
+    obj = json.loads(serialize_layout(reference_layout))
+    obj["placements"][0] = placement
+    with pytest.raises(FormatError, match="placements"):
+        deserialize_layout(json.dumps(obj))
+
+
 def test_deserialize_rejects_placement_block_mismatch(reference_layout):
     obj = json.loads(serialize_layout(reference_layout))
     obj["placements"][0] = [0, 1, 2, 4]

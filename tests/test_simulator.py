@@ -1,10 +1,13 @@
 """Byte-level fill, failure injection, recovery, and measured I/O counts."""
 
+import hashlib
 from itertools import combinations, islice
 
 import pytest
 
 from declustr import (
+    DATA,
+    HorizontalCode,
     balance_horizontal_code,
     build_layout,
     byte_stream,
@@ -12,15 +15,19 @@ from declustr import (
     complete_design,
     exhaustive_verify,
     fail_and_reconstruct,
+    group_family,
     materialize,
     measured_matches_predicted,
+    parity_index,
     rdp_code,
+    reconstruction_rule,
     reconstruction_workload,
+    rs_code,
     single_arrangement_group,
     unit_provenance,
 )
 from declustr.simulator import dump_disk
-from declustr.errors import ParamError, TooManyFailures
+from declustr.errors import InvariantError, ParamError, TooManyFailures
 
 
 # -------------------------------------------------------------- byte source
@@ -57,6 +64,37 @@ def test_materialize_seed_zero_yields_zero_disks(reference_layout):
     assert check_parity_invariant(array)
 
 
+# sha256 of the concatenated disks of materialize(layout, 7). The digests
+# pin the fill order: instances in block order, extended rows, inner rows,
+# data slots, drawn from one xorshift stream.
+@pytest.mark.parametrize(
+    "build,digest",
+    [
+        (
+            lambda ref: ref,
+            "23ef85145949ee18e5c2b73eba1467ae559cbce0411ba3b483d0f0c8a9015995",
+        ),
+        (
+            lambda ref: build_layout(
+                group_family(rs_code(6, 2), "full"), complete_design(9, 6, 3)
+            ),
+            "ddc27b8f1669c590deef37038c0638362e27285a6dec9bf9eb83c5fe441ea25f",
+        ),
+        (
+            lambda ref: build_layout(
+                group_family(rs_code(5, 3), "full"), complete_design(7, 5, 4)
+            ),
+            "0075cd29cdc9a01d4e08793e799768e63aa88357782ebb240958a6654fe2e255",
+        ),
+    ],
+    ids=["3-(8,4,1)-rdp3", "complete(9,6,3)-rs(6,2)", "complete(7,5,4)-rs(5,3)"],
+)
+def test_materialize_bytes_are_pinned(reference_layout, build, digest):
+    array = materialize(build(reference_layout), 7)
+    assert hashlib.sha256(b"".join(array.disks)).hexdigest() == digest
+    assert check_parity_invariant(array)
+
+
 def test_parity_invariant_detects_corruption(reference_layout):
     array = materialize(reference_layout, 7)
     assert check_parity_invariant(array)
@@ -84,6 +122,91 @@ def test_every_failure_set_recovers_and_matches_prediction(reference_layout):
         assert stats.writes == {disk: 168 for disk in failed}
     # the input array is never mutated by injection
     assert [bytes(d) for d in array.disks] == pristine
+
+
+# (code, design) pairs with t = delta + 1, small enough to sweep every
+# failure set of size <= delta.
+CODES_AND_DESIGNS = {
+    "rdp3": (lambda: rdp_code(3), lambda: complete_design(6, 4, 3)),
+    "rdp5": (lambda: rdp_code(5), lambda: complete_design(7, 6, 3)),
+    "rs(4,1)": (lambda: rs_code(4, 1), lambda: complete_design(5, 4, 2)),
+    "rs(5,2)": (lambda: rs_code(5, 2), lambda: complete_design(6, 5, 3)),
+    "rs(5,3)": (lambda: rs_code(5, 3), lambda: complete_design(7, 5, 4)),
+}
+
+
+@pytest.mark.parametrize("family", ["full", "single", "rotations"])
+@pytest.mark.parametrize("name", sorted(CODES_AND_DESIGNS))
+def test_every_code_and_family_recovers_with_predicted_reads(name, family):
+    # The unbalanced families leave one group of instances with several
+    # erasure patterns, so one rebuild mixes patterns across decode calls.
+    make_code, make_design = CODES_AND_DESIGNS[name]
+    code = make_code()
+    layout = build_layout(group_family(code, family), make_design())
+    array = materialize(layout, 5)
+    for s in range(code.delta + 1):
+        for failed in combinations(range(layout.n), s):
+            rebuilt, stats = fail_and_reconstruct(array, failed)
+            assert rebuilt.disks == array.disks, failed
+            assert stats.reads == reconstruction_workload(layout, failed).reads, failed
+            assert stats.writes == {d: layout.rows_per_disk for d in failed}
+
+
+def _canonical_erasure_patterns(layout, failed) -> set[tuple[int, ...]]:
+    """Distinct sets of codeword columns a decoder is not given, per the rule."""
+    group = layout.group
+    k, delta = group.k, group.delta
+    patterns = set()
+    for placement in layout.placements:
+        lost = [pos for pos, disk in enumerate(placement) if disk in failed]
+        if not lost:
+            continue
+        for row in group.extended_rows:
+            need = reconstruction_rule(delta, [row[pos] for pos in lost])
+            data_seen = 0
+            given = set()
+            for pos, label in enumerate(row):
+                if label == DATA:
+                    column = data_seen
+                    data_seen += 1
+                else:
+                    column = k - delta + parity_index(label) - 1
+                if pos not in lost and label in need:
+                    given.add(column)
+            patterns.add(tuple(c for c in range(k) if c not in given))
+    return patterns
+
+
+def test_rebuild_decodes_once_per_erasure_pattern(monkeypatch):
+    layout = build_layout(group_family(rs_code(6, 2), "full"), complete_design(9, 6, 3))
+    array = materialize(layout, 7)
+    failed = (2, 5)
+    calls = []
+    decode = HorizontalCode.decode
+
+    def counting(self, rows, erased, lanes=1):
+        calls.append(tuple(erased))
+        return decode(self, rows, erased, lanes)
+
+    monkeypatch.setattr(HorizontalCode, "decode", counting)
+    rebuilt, _ = fail_and_reconstruct(array, failed)
+    assert rebuilt.disks == array.disks
+    patterns = _canonical_erasure_patterns(layout, failed)
+    # One call per extended row of each affected instance would be 77 * 30 = 2,310.
+    assert 1 <= len(calls) <= len(patterns) < 20
+
+
+def test_decoder_reading_other_columns_is_an_invariant_error(reference_layout, monkeypatch):
+    array = materialize(reference_layout, 7)
+    decode = HorizontalCode.decode
+
+    def misreporting(self, rows, erased, lanes=1):
+        out, read = decode(self, rows, erased, lanes)
+        return out, read[1:]
+
+    monkeypatch.setattr(HorizontalCode, "decode", misreporting)
+    with pytest.raises(InvariantError, match="decoder read columns"):
+        fail_and_reconstruct(array, (0,))
 
 
 def test_empty_failure_set_is_a_no_op(reference_layout):
