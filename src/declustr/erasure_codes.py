@@ -24,11 +24,12 @@ Grids are lists of rows; erasures are given as column indices. A cell is a
 Python int that packs one byte per lane, lane i in byte i (little-endian),
 so one call encodes or decodes many independent codewords that share an
 erasure pattern: the simulator batches every instance with the same pattern
-into one call. Adding cells is XOR; multiplying by a GF(2^8) constant
-translates the cell's bytes through that constant's table. RDP needs only
-XOR, so it never looks at the lane count; RS takes it as `lanes`, and a
-plain byte is the 1-lane case. The RS parity matrix is cached per (k, delta)
-and the decode inverse per erasure pattern.
+into one call. Adding cells is XOR; multiplying a wider cell by a GF(2^8)
+constant translates its bytes through that constant's table, and a plain
+byte, the 1-lane case, is multiplied with gf_mul. Neither code needs to know
+the lane count: lanes above a cell's highest set byte are zero, and zero
+stays zero under every product. The RS parity matrix is cached per
+(k, delta) and the decode inverse per erasure pattern.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ParamError, TooManyErasures
-from .gf256 import gf_div, gf_inv, gf_mat_inv, gf_mul_table
+from .gf256 import gf_div, gf_inv, gf_mat_inv, gf_mul, gf_mul_table
 
 DATA = "D"
 
@@ -89,17 +90,15 @@ class HorizontalCode:
             raise ParamError("only the rdp code has a prime parameter")
         return self.k - 1
 
-    def encode(self, data: list[list[int]], lanes: int = 1) -> list[list[int]]:
+    def encode(self, data: list[list[int]]) -> list[list[int]]:
         if self.kind == "rdp":
             return rdp_encode(data, self.p)
-        return rs_encode(data, self.k, self.delta, lanes)
+        return rs_encode(data, self.k, self.delta)
 
-    def decode(
-        self, rows: list[list[int]], erased, lanes: int = 1
-    ) -> tuple[list[list[int]], tuple[int, ...]]:
+    def decode(self, rows: list[list[int]], erased) -> tuple[list[list[int]], tuple[int, ...]]:
         if self.kind == "rdp":
             return rdp_decode(rows, self.p, erased)
-        return rs_decode(rows, self.k, self.delta, erased, lanes)
+        return rs_decode(rows, self.k, self.delta, erased)
 
 
 def rdp_code(p: int) -> HorizontalCode:
@@ -315,46 +314,39 @@ def _decode_inverse(
     return tuple(map(tuple, gf_mat_inv(system)))
 
 
-def _combine(coeffs, cells, lanes: int) -> int:
+def _combine(coeffs, cells) -> int:
     """Sum of coeffs[j] * cells[j] over GF(2^8), lane by lane."""
     acc = 0
     for coeff, cell in zip(coeffs, cells):
-        if coeff == 1:
+        if cell < 256:
+            acc ^= gf_mul(coeff, cell)
+        elif coeff == 1:
             acc ^= cell
         elif coeff:
-            scaled = cell.to_bytes(lanes, "little").translate(gf_mul_table(coeff))
-            acc ^= int.from_bytes(scaled, "little")
+            raw = cell.to_bytes((cell.bit_length() + 7) // 8, "little")
+            acc ^= int.from_bytes(raw.translate(gf_mul_table(coeff)), "little")
     return acc
 
 
-def _check_lanes(lanes: int):
-    if not isinstance(lanes, int) or lanes < 1:
-        raise ParamError(f"lanes must be a positive integer, got {lanes!r}")
-
-
-def rs_encode(data: list[list[int]], k: int, delta: int, lanes: int = 1) -> list[list[int]]:
+def rs_encode(data: list[list[int]], k: int, delta: int) -> list[list[int]]:
     """Append delta parity columns to rows of k-delta data cells."""
     rs_code(k, delta)  # validates k and delta
-    _check_lanes(lanes)
     if any(len(row) != k - delta for row in data):
         raise ParamError(f"data rows must have {k - delta} symbols")
     matrix = _cached_parity_matrix(k, delta)
     return [
-        list(row) + [_combine(coeffs, row, lanes) for coeffs in matrix]
+        list(row) + [_combine(coeffs, row) for coeffs in matrix]
         for row in data
     ]
 
 
-def rs_decode(
-    rows: list[list[int]], k: int, delta: int, erased, lanes: int = 1
-) -> tuple[list[list[int]], tuple[int, ...]]:
+def rs_decode(rows: list[list[int]], k: int, delta: int, erased) -> tuple[list[list[int]], tuple[int, ...]]:
     """Recover up to delta erased columns; returns (codeword, columns read).
 
     Input cells in erased or unread columns may be None; only the columns the
     reconstruction rule names are consulted.
     """
     rs_code(k, delta)
-    _check_lanes(lanes)
     erased = sorted(set(erased))
     if len(erased) > delta:
         raise TooManyErasures(f"rs with delta={delta} recovers at most {delta} columns")
@@ -382,13 +374,13 @@ def rs_decode(
         for row in out:
             known = [row[c] for c in known_data]
             rhs = [
-                row[data_cols + i] ^ _combine(coeffs, known, lanes)
+                row[data_cols + i] ^ _combine(coeffs, known)
                 for i, coeffs in zip(parity_rows, known_coeffs)
             ]
             for c, coeffs in zip(unknown_data, inverse):
-                row[c] = _combine(coeffs, rhs, lanes)
+                row[c] = _combine(coeffs, rhs)
     for row in out:
         for i in range(delta):
             if row[data_cols + i] is None:
-                row[data_cols + i] = _combine(matrix[i], row[:data_cols], lanes)
+                row[data_cols + i] = _combine(matrix[i], row[:data_cols])
     return out, tuple(read)

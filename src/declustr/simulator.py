@@ -143,7 +143,7 @@ def materialize(layout: DeclusteredLayout, seed: int) -> DiskArray:
             ]
             for j in range(r)
         ]
-        codeword = code.encode(data, lanes)
+        codeword = code.encode(data)
         for pos, column in enumerate(columns):
             for j in range(r):
                 units[pos][e * r + j :: m] = codeword[j][column].to_bytes(lanes, "little")
@@ -305,7 +305,7 @@ def _decode_pattern(code, erased: tuple[int, ...], contributors, canon, r: int, 
         for j in range(r):
             gathered = b"".join([unit[base + j :: m] for unit, base in sources])
             grid[j][c] = int.from_bytes(gathered, "little")
-    out, decoder_reads = code.decode(grid, erased, lanes)
+    out, decoder_reads = code.decode(grid, erased)
     if sorted(decoder_reads) != planned:
         raise InvariantError(
             f"decoder read columns {sorted(decoder_reads)}, planned {planned}"

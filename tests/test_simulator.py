@@ -184,9 +184,9 @@ def test_rebuild_decodes_once_per_erasure_pattern(monkeypatch):
     calls = []
     decode = HorizontalCode.decode
 
-    def counting(self, rows, erased, lanes=1):
+    def counting(self, rows, erased):
         calls.append(tuple(erased))
-        return decode(self, rows, erased, lanes)
+        return decode(self, rows, erased)
 
     monkeypatch.setattr(HorizontalCode, "decode", counting)
     rebuilt, _ = fail_and_reconstruct(array, failed)
@@ -200,8 +200,8 @@ def test_decoder_reading_other_columns_is_an_invariant_error(reference_layout, m
     array = materialize(reference_layout, 7)
     decode = HorizontalCode.decode
 
-    def misreporting(self, rows, erased, lanes=1):
-        out, read = decode(self, rows, erased, lanes)
+    def misreporting(self, rows, erased):
+        out, read = decode(self, rows, erased)
         return out, read[1:]
 
     monkeypatch.setattr(HorizontalCode, "decode", misreporting)
