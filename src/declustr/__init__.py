@@ -69,11 +69,13 @@ from .parity_groups import (
     ArrangementCounts,
     BalanceReport,
     ParityGroup,
+    ReconstructionPlan,
     arrangement_counts,
     balance_horizontal_code,
     cyclic_rotation_group,
     expected_full_depth,
     group_family,
+    reconstruction_plan,
     single_arrangement_group,
     tau,
     verify_balance,

@@ -3,9 +3,9 @@
 Workload is counted the way the balance conditions define it: when a group
 instance loses columns, every surviving column of that instance is either
 read in full (all r rows of an extended row whose label the reconstruction
-rule names) or left untouched. Enumeration walks every instance and extended
-row; the closed forms combine the design's block-counting numbers with the
-group's per-instance read counts and must agree exactly.
+rule names) or left untouched. Enumeration sums the group's memoized plan
+per affected instance; the closed forms combine the design's block-counting
+numbers with the group's per-instance read counts and must agree exactly.
 
 All arithmetic is in exact integers and Fractions; rounding happens only in
 display helpers.
@@ -17,10 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .designs import Design, DesignParams, count_lambda
-from .erasure_codes import reconstruction_rule
-from .errors import ParamError, TooManyFailures
-from .layout import DeclusteredLayout, build_layout
-from .parity_groups import ParityGroup, tau
+from .errors import ParamError
+from .layout import DeclusteredLayout, build_layout, check_failed
+from .parity_groups import ParityGroup, reconstruction_plan, tau
 
 #: Named (k -> lambda) tables for the trade-off report. The "fig13" preset is
 #: fixture data: the smallest published design index for each k at n=20,
@@ -79,17 +78,6 @@ class CounterexampleReport:
     uniform_entries: bool
 
 
-def _check_failed(failed, n: int, delta: int) -> frozenset[int]:
-    failed = frozenset(failed)
-    if len(failed) > delta:
-        raise TooManyFailures(
-            f"{len(failed)} failed disks exceed the tolerance delta={delta}"
-        )
-    if any(not isinstance(d, int) or not 0 <= d < n for d in failed):
-        raise ParamError(f"failed disks must be in 0..{n - 1}, got {sorted(failed)}")
-    return failed
-
-
 def reconstruction_workload(layout: DeclusteredLayout, failed) -> WorkloadReport:
     """Count units read per surviving disk, by exhaustive enumeration.
 
@@ -99,25 +87,15 @@ def reconstruction_workload(layout: DeclusteredLayout, failed) -> WorkloadReport
     over the disk size.
     """
     group = layout.group
-    failed = _check_failed(failed, layout.n, group.delta)
+    failed = check_failed(layout, failed)
     reads = {d: 0 for d in range(layout.n) if d not in failed}
     r = group.r
-    rule_cache: dict[tuple[str, ...], frozenset[str]] = {}
     for placement in layout.placements:
-        failed_positions = tuple(
-            pos for pos, disk in enumerate(placement) if disk in failed
-        )
-        if not failed_positions:
+        if failed.isdisjoint(placement):
             continue
-        for row in group.extended_rows:
-            lost = tuple(sorted(row[pos] for pos in failed_positions))
-            need = rule_cache.get(lost)
-            if need is None:
-                need = reconstruction_rule(group.delta, lost)
-                rule_cache[lost] = need
-            for pos, disk in enumerate(placement):
-                if disk not in failed and row[pos] in need:
-                    reads[disk] += r
+        lost = tuple(pos for pos, disk in enumerate(placement) if disk in failed)
+        for pos, rows in reconstruction_plan(group, lost).reads.items():
+            reads[placement[pos]] += r * rows
     counts = set(reads.values())
     uniform = len(counts) <= 1
     fraction = (
@@ -242,34 +220,23 @@ def counterexample_report(
     show up as unequal per-disk tallies.
     """
     layout = build_layout(group, design)
-    failed = _check_failed(failed, layout.n, group.delta)
+    failed = check_failed(layout, failed)
     r = group.r
     labels: dict[tuple[int, int], str] = {}
     accessed: dict[tuple[int, int], bool] = {}
     units_accessed = {d: 0 for d in range(layout.n) if d not in failed}
     entries_read = {d: 0 for d in range(layout.n) if d not in failed}
     for index, placement in enumerate(layout.placements):
-        failed_positions = tuple(
-            pos for pos, disk in enumerate(placement) if disk in failed
-        )
-        rows_read = [0] * group.k
-        for row in group.extended_rows:
-            if failed_positions:
-                lost = tuple(sorted(row[pos] for pos in failed_positions))
-                need = reconstruction_rule(group.delta, lost)
-                for pos in range(group.k):
-                    if pos not in failed_positions and row[pos] in need:
-                        rows_read[pos] += 1
+        lost = tuple(pos for pos, disk in enumerate(placement) if disk in failed)
+        rows_read = reconstruction_plan(group, lost).reads if lost else {}
         for pos, disk in enumerate(placement):
             seen = {row[pos] for row in group.extended_rows}
             labels[index, disk] = seen.pop() if len(seen) == 1 else "mixed"
-            if disk in failed:
-                accessed[index, disk] = bool(failed_positions)
-            else:
-                accessed[index, disk] = rows_read[pos] > 0
-                if rows_read[pos]:
-                    units_accessed[disk] += 1
-                    entries_read[disk] += r * rows_read[pos]
+            rows = rows_read.get(pos, 0)
+            accessed[index, disk] = disk in failed or rows > 0
+            if rows:
+                units_accessed[disk] += 1
+                entries_read[disk] += r * rows
     return CounterexampleReport(
         failed=failed,
         n=layout.n,

@@ -26,13 +26,14 @@ from .designs import (
     design_to_json,
     validate_design,
 )
-from .erasure_codes import DATA, rdp_code, rs_code
+from .erasure_codes import rdp_code, rs_code
 from .errors import (
     DeclustrError,
     FormatError,
     InvariantError,
     MismatchError,
     ParamError,
+    TooManyFailures,
 )
 from .parity_groups import FAMILIES, ParityGroup, group_family
 
@@ -67,6 +68,16 @@ class LayoutGeometry:
     parity_uniform: bool
     data_disks: Fraction
     parity_disks: Fraction
+
+
+def check_failed(layout: DeclusteredLayout, failed) -> frozenset[int]:
+    """Validate a failure set against the layout's disks and tolerance."""
+    failed, n, delta = frozenset(failed), layout.n, layout.group.delta
+    if len(failed) > delta:
+        raise TooManyFailures(f"{len(failed)} failed disks exceed the tolerance delta={delta}")
+    if any(isinstance(d, bool) or not isinstance(d, int) or not 0 <= d < n for d in failed):
+        raise ParamError(f"failed disks must be in 0..{n - 1}, got {sorted(failed)}")
+    return failed
 
 
 def build_layout(group: ParityGroup, design: Design) -> DeclusteredLayout:
@@ -130,16 +141,13 @@ def disk_column_units(layout: DeclusteredLayout, disk: int) -> list[tuple[int, i
 def layout_geometry(layout: DeclusteredLayout) -> LayoutGeometry:
     """Tally units per disk and derive the exact data/parity disk counts."""
     group = layout.group
-    parity_rows_per_column = [
-        group.r * sum(1 for row in group.extended_rows if row[c] != DATA)
-        for c in range(group.k)
-    ]
+    parity_per_column = group.parity_per_column
     unit_counts = [0] * layout.n
     parity_counts = [0] * layout.n
     for placement in layout.placements:
         for position, disk in enumerate(placement):
             unit_counts[disk] += 1
-            parity_counts[disk] += parity_rows_per_column[position]
+            parity_counts[disk] += parity_per_column[position]
     if len(set(unit_counts)) != 1:
         raise InvariantError(f"column-unit counts differ per disk: {unit_counts}")
     rows_per_disk = group.m * unit_counts[0]

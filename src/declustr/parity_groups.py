@@ -14,7 +14,8 @@ cyclic rotations of the canonical one) used to demonstrate skew.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations, permutations
 from math import comb, factorial
 
@@ -22,6 +23,7 @@ from .erasure_codes import (
     DATA,
     HorizontalCode,
     canonical_labels,
+    parity_index,
     parity_label,
     reconstruction_rule,
 )
@@ -37,6 +39,9 @@ class ParityGroup:
     code: HorizontalCode
     extended_rows: tuple[tuple[str, ...], ...]
     family: str = "custom"
+    # reconstruction_plan's memo: derived from the fields above, so it takes no
+    # part in equality or hashing. Concurrent misses may build a plan twice.
+    _plans: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def k(self) -> int:
@@ -53,6 +58,59 @@ class ParityGroup:
     @property
     def m(self) -> int:
         return self.r * len(self.extended_rows)
+
+    @property
+    def parity_per_column(self) -> tuple[int, ...]:
+        """Parity entries in each column: r times the rows with parity there."""
+        return tuple(
+            self.r * sum(1 for row in self.extended_rows if row[c] != DATA)
+            for c in range(self.k)
+        )
+
+    @cached_property
+    def canonical_columns(self) -> tuple[tuple[int, ...], ...]:
+        """Codeword column held at each position, per extended row."""
+        first_parity = self.k - self.delta - 1
+        out = []
+        for row in self.extended_rows:
+            data = iter(range(self.k))
+            out.append(tuple(
+                next(data) if label == DATA else first_parity + parity_index(label)
+                for label in row
+            ))
+        return tuple(out)
+
+
+@dataclass(frozen=True)
+class ReconstructionPlan:
+    """How an instance rebuilds after losing one tuple of positions.
+
+    needs[e] is the label set the rule names for extended row e; reads maps
+    each surviving position to the number of extended rows reading it (r
+    entries each). The decoder's view, sources and erased, is built lazily.
+    Plans are shared by every caller through the group's memo: read only.
+    """
+
+    needs: tuple[frozenset[str], ...]
+    reads: dict[int, int]
+    rows: tuple[tuple[str, ...], ...] = field(repr=False)
+    columns: tuple[tuple[int, ...], ...] = field(repr=False)
+
+    @cached_property
+    def sources(self) -> tuple[tuple[int, ...], ...]:
+        """Per extended row, the position holding each column read, in column order."""
+        return tuple(
+            tuple(sorted((pos for pos in self.reads if row[pos] in need), key=columns.__getitem__))
+            for row, columns, need in zip(self.rows, self.columns, self.needs)
+        )
+
+    @cached_property
+    def erased(self) -> tuple[tuple[int, ...], ...]:
+        """Per extended row, the canonical columns the decoder is not given."""
+        return tuple(
+            tuple(sorted(set(range(len(columns))) - {columns[pos] for pos in read}))
+            for columns, read in zip(self.columns, self.sources)
+        )
 
 
 @dataclass(frozen=True)
@@ -158,18 +216,31 @@ def _check_arrangements(group: ParityGroup):
             )
 
 
-def _row_read_counts(group: ParityGroup, failed: tuple[int, ...], rule) -> dict[int, int]:
-    """Extended rows that read each surviving column when `failed` columns are lost."""
-    counts = {c: 0 for c in range(group.k) if c not in failed}
+def reconstruction_plan(group: ParityGroup, lost: tuple[int, ...]) -> ReconstructionPlan:
+    """The memoized plan for an instance that lost the sorted positions `lost`.
+
+    A cold plan costs one reconstruction_rule call per extended row.
+    """
+    if lost in group._plans:
+        return group._plans[lost]
+    k = group.k
+    if list(lost) != sorted(set(lost) & set(range(k))):
+        raise ParamError(f"lost positions must be sorted and distinct in 0..{k - 1}, got {lost}")
+    reads = {pos: 0 for pos in range(k) if pos not in lost}
+    needs, per_row = {}, []
     for row in group.extended_rows:
-        need = rule(group.delta, [row[c] for c in failed])
-        for c in counts:
-            if row[c] in need:
-                counts[c] += 1
-    return counts
+        need = reconstruction_rule(group.delta, [row[pos] for pos in lost])
+        per_row.append(needs.setdefault(need, need))
+        for pos in reads:
+            if row[pos] in need:
+                reads[pos] += 1
+    plan = group._plans[lost] = ReconstructionPlan(
+        tuple(per_row), reads, group.extended_rows, group.canonical_columns
+    )
+    return plan
 
 
-def verify_balance(group: ParityGroup, max_s: int, rule=reconstruction_rule) -> BalanceReport:
+def verify_balance(group: ParityGroup, max_s: int) -> BalanceReport:
     """Evaluate the four balance conditions up to failure size max_s.
 
     The first two conditions are structural. Every arrangement is a column
@@ -182,33 +253,21 @@ def verify_balance(group: ParityGroup, max_s: int, rule=reconstruction_rule) -> 
     if not 1 <= max_s <= group.delta:
         raise ParamError(f"need 1 <= max_s <= delta={group.delta}, got {max_s}")
     _check_arrangements(group)
-    k, r, m = group.k, group.r, group.m
-    c1 = True
-    c2 = True
-
-    parity_per_column = tuple(
-        r * sum(1 for row in group.extended_rows if row[c] != DATA) for c in range(k)
-    )
-    c4 = len(set(parity_per_column)) == 1
-
+    parity_per_column = group.parity_per_column
     row_reads: dict[tuple[tuple[int, ...], int], int] = {}
     taus: dict[int, int | None] = {}
-    c3 = True
     for s in range(1, max_s + 1):
         size_values = set()
-        for failed in combinations(range(k), s):
-            counts = _row_read_counts(group, failed, rule)
-            for c, rows_read in counts.items():
-                row_reads[(failed, c)] = rows_read
-                size_values.add(rows_read)
-        if len(size_values) == 1:
-            taus[s] = r * size_values.pop()
-        else:
-            taus[s] = None
-            c3 = False
+        for failed in combinations(range(group.k), s):
+            reads = reconstruction_plan(group, failed).reads
+            row_reads.update(((failed, c), rows) for c, rows in reads.items())
+            size_values.update(reads.values())
+        taus[s] = group.r * size_values.pop() if len(size_values) == 1 else None
     return BalanceReport(
-        c1=c1, c2=c2, c3=c3, c4=c4,
-        k=k, delta=group.delta, r=r, m=m,
+        c1=True, c2=True,
+        c3=None not in taus.values(),
+        c4=len(set(parity_per_column)) == 1,
+        k=group.k, delta=group.delta, r=group.r, m=group.m,
         parity_per_column=parity_per_column,
         row_reads=row_reads,
         taus=taus,
@@ -230,7 +289,7 @@ def arrangement_counts(group: ParityGroup, i: int, j: int) -> ArrangementCounts:
     return ArrangementCounts(r_dq=r_dq, r_pq=r_pq, r_qp=r_qp)
 
 
-def tau(group: ParityGroup, s: int, rule=reconstruction_rule) -> int:
+def tau(group: ParityGroup, s: int) -> int:
     """Entries read from each surviving column when any s columns are lost.
 
     Raises UnbalancedGroup when the count depends on the failure set or the
@@ -241,7 +300,7 @@ def tau(group: ParityGroup, s: int, rule=reconstruction_rule) -> int:
     _check_arrangements(group)
     values = set()
     for failed in combinations(range(group.k), s):
-        values.update(_row_read_counts(group, failed, rule).values())
+        values.update(reconstruction_plan(group, failed).reads.values())
     if len(values) != 1:
         raise UnbalancedGroup(
             f"per-column read counts differ across size-{s} failures: {sorted(values)}"

@@ -4,12 +4,13 @@ A layout becomes an array of n byte vectors (one byte per unit). Every group
 instance holds its own codewords, but the simulator moves them in bulk: a
 cell handed to the codec packs one byte per instance (a lane), so one encode
 call per extended row fills every instance at once. On failure, the affected
-instances are grouped by the positions they lost; each group's extended rows
-are planned with the reconstruction rule, and every (group, extended row)
-that leaves the same canonical erasure pattern is decoded by one multi-lane
-call that reads exactly the columns the rule names. Rebuilt bytes go to fresh
-replacement disks. Measured reads must match the analysis module's
-enumeration unit for unit.
+instances are grouped by the positions they lost; each group follows the
+parity group's memoized reconstruction plan for those positions (the same
+plan the analysis tallies), and every (group, extended row) that leaves the
+same canonical erasure pattern is decoded by one multi-lane call that reads
+exactly the columns the rule names. Rebuilt bytes go to fresh replacement
+disks. Measured reads must match the analysis module's enumeration unit for
+unit.
 
 Data bytes come from a 64-bit xorshift stream (shifts 13, 7, 17; low byte of
 each state is emitted), so fixtures are portable: same seed, same array.
@@ -22,9 +23,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations, islice
 
-from .erasure_codes import DATA, parity_index, reconstruction_rule
-from .errors import InvariantError, ParamError, TooManyFailures
-from .layout import DeclusteredLayout
+from .errors import InvariantError, ParamError
+from .layout import DeclusteredLayout, check_failed
+from .parity_groups import ReconstructionPlan, reconstruction_plan
 from .analysis import reconstruction_workload
 
 _MASK64 = (1 << 64) - 1
@@ -104,19 +105,6 @@ class UnitProvenance:
     label: str
 
 
-def _canonical_columns(row, k: int, delta: int) -> list[int]:
-    """Map each position of an arrangement to its codeword column."""
-    columns = []
-    data_seen = 0
-    for label in row:
-        if label == DATA:
-            columns.append(data_seen)
-            data_seen += 1
-        else:
-            columns.append(k - delta + parity_index(label) - 1)
-    return columns
-
-
 def materialize(layout: DeclusteredLayout, seed: int) -> DiskArray:
     """Fill every instance from the seeded stream and encode it.
 
@@ -131,11 +119,10 @@ def materialize(layout: DeclusteredLayout, seed: int) -> DiskArray:
     lanes = len(layout.placements)
     per_instance = m * data_cols
     fill = bytes(islice(byte_stream(seed), lanes * per_instance))
-    canon = [_canonical_columns(row, k, delta) for row in group.extended_rows]
     # units[pos] holds the column-unit at position pos of every instance,
     # one after another in block order.
     units = [bytearray(lanes * m) for _ in range(k)]
-    for e, columns in enumerate(canon):
+    for e, columns in enumerate(group.canonical_columns):
         data = [
             [
                 int.from_bytes(fill[(e * r + j) * data_cols + s :: per_instance], "little")
@@ -172,7 +159,7 @@ def check_parity_invariant(array: DiskArray) -> bool:
     layout = array.layout
     group = layout.group
     code = group.code
-    canon = [_canonical_columns(row, group.k, group.delta) for row in group.extended_rows]
+    canon = group.canonical_columns
     base = [0] * layout.n
     for placement in layout.placements:
         for e in range(len(group.extended_rows)):
@@ -190,12 +177,13 @@ class _LostGroup:
     """Affected instances that lost the same positions: one batch of lanes.
 
     A member is an instance's placement and its column-unit offset on each
-    of its disks. units holds, for each position read, the members'
+    of its disks. units holds, per position the plan reads, the members'
     column-units one after another (m bytes each); rebuilt does the same for
     each lost position and is filled by the decodes.
     """
 
     members: list[tuple[tuple[int, ...], list[int]]]
+    plan: ReconstructionPlan
     units: dict[int, bytes]
     rebuilt: dict[int, bytearray]
 
@@ -209,17 +197,8 @@ def fail_and_reconstruct(array: DiskArray, failed) -> tuple[DiskArray, IOStats]:
     """
     layout = array.layout
     group = layout.group
-    code = group.code
-    k, delta, r, m = group.k, group.delta, group.r, group.m
-    failed = frozenset(failed)
-    if len(failed) > delta:
-        raise TooManyFailures(
-            f"{len(failed)} failed disks exceed the tolerance delta={delta}"
-        )
-    if any(not isinstance(d, int) or not 0 <= d < layout.n for d in failed):
-        raise ParamError(
-            f"failed disks must be in 0..{layout.n - 1}, got {sorted(failed)}"
-        )
+    r, m = group.r, group.m
+    failed = check_failed(layout, failed)
     disks = array.disks
     recovered = DiskArray(
         layout,
@@ -237,45 +216,29 @@ def fail_and_reconstruct(array: DiskArray, failed) -> tuple[DiskArray, IOStats]:
         if not failed.isdisjoint(placement):
             lost = tuple(pos for pos, disk in enumerate(placement) if disk in failed)
             if lost not in by_lost:
-                by_lost[lost] = _LostGroup([], {}, {})
+                by_lost[lost] = _LostGroup([], reconstruction_plan(group, lost), {}, {})
             by_lost[lost].members.append((placement, [base[d] for d in placement]))
         for disk in placement:
             base[disk] += m
 
-    canon = [_canonical_columns(row, k, delta) for row in group.extended_rows]
-    rule_cache: dict[tuple[str, ...], frozenset[str]] = {}
     # Canonical erasure pattern -> the (extended row, group) pairs that leave it.
     by_pattern: dict[tuple[int, ...], list[tuple[int, _LostGroup]]] = {}
     for lost, batch in by_lost.items():
-        members = batch.members
-        read_counts = [0] * k
+        members, plan = batch.members, batch.plan
+        for pos, rows in plan.reads.items():
+            if rows:
+                batch.units[pos] = b"".join([
+                    disks[placement[pos]][offsets[pos] : offsets[pos] + m]
+                    for placement, offsets in members
+                ])
+                for placement, _ in members:
+                    reads[placement[pos]] += r * rows
         batch.rebuilt = {pos: bytearray(len(members) * m) for pos in lost}
-        for e, row in enumerate(group.extended_rows):
-            labels = tuple(sorted([row[pos] for pos in lost]))
-            need = rule_cache.get(labels)
-            if need is None:
-                need = rule_cache[labels] = reconstruction_rule(delta, labels)
-            given = set()
-            for pos in range(k):
-                if pos not in lost and row[pos] in need:
-                    if pos not in batch.units:
-                        batch.units[pos] = b"".join([
-                            disks[placement[pos]][offsets[pos] : offsets[pos] + m]
-                            for placement, offsets in members
-                        ])
-                    given.add(canon[e][pos])
-                    read_counts[pos] += r
-            erased = tuple(c for c in range(k) if c not in given)
+        for e, erased in enumerate(plan.erased):
             by_pattern.setdefault(erased, []).append((e, batch))
-        counted = [(pos, count) for pos, count in enumerate(read_counts) if count]
-        for placement, _ in members:
-            for pos, count in counted:
-                reads[placement[pos]] += count
-            for pos in lost:
-                writes[placement[pos]] += m
 
     for erased, contributors in by_pattern.items():
-        _decode_pattern(code, erased, contributors, canon, r, m)
+        _decode_pattern(group.code, erased, contributors, r, m)
 
     for batch in by_lost.values():
         for pos, unit in batch.rebuilt.items():
@@ -283,10 +246,11 @@ def fail_and_reconstruct(array: DiskArray, failed) -> tuple[DiskArray, IOStats]:
             for i, (placement, offsets) in enumerate(batch.members):
                 start = offsets[pos]
                 recovered.disks[placement[pos]][start : start + m] = view[i * m : (i + 1) * m]
+                writes[placement[pos]] += m
     return recovered, IOStats(reads=reads, writes=writes)
 
 
-def _decode_pattern(code, erased: tuple[int, ...], contributors, canon, r: int, m: int):
+def _decode_pattern(code, erased: tuple[int, ...], contributors, r: int, m: int):
     """Decode every (extended row, group) with this erasure pattern in one call.
 
     The call's lanes are the groups' instances, in contributor order. Inner
@@ -298,10 +262,8 @@ def _decode_pattern(code, erased: tuple[int, ...], contributors, canon, r: int, 
     planned = [c for c in range(k) if c not in erased]
     lanes = sum(len(batch.members) for _, batch in contributors)
     grid: list[list[int | None]] = [[None] * k for _ in range(r)]
-    for c in planned:
-        sources = [
-            (batch.units[canon[e].index(c)], e * r) for e, batch in contributors
-        ]
+    for i, c in enumerate(planned):
+        sources = [(batch.units[batch.plan.sources[e][i]], e * r) for e, batch in contributors]
         for j in range(r):
             gathered = b"".join([unit[base + j :: m] for unit, base in sources])
             grid[j][c] = int.from_bytes(gathered, "little")
@@ -316,7 +278,7 @@ def _decode_pattern(code, erased: tuple[int, ...], contributors, canon, r: int, 
         for e, batch in contributors:
             end = start + len(batch.members)
             for pos, unit in batch.rebuilt.items():
-                unit[e * r + j :: m] = rebuilt[canon[e][pos]][start:end]
+                unit[e * r + j :: m] = rebuilt[batch.plan.columns[e][pos]][start:end]
             start = end
 
 
@@ -343,7 +305,7 @@ def exhaustive_verify(
         counts = stats.reads.values()
         return SetResult(
             failed=failed,
-            recovered=rebuilt.disks == array.disks,
+            recovered=all(rebuilt.disks[d] == array.disks[d] for d in failed),
             min_reads=min(counts),
             max_reads=max(counts),
         )

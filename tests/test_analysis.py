@@ -66,6 +66,9 @@ def test_too_many_failures_rejected(reference_layout):
 def test_unknown_disk_rejected(reference_layout):
     with pytest.raises(ParamError):
         reconstruction_workload(reference_layout, {8})
+    # True == 1, but a flag is not a disk number.
+    with pytest.raises(ParamError):
+        reconstruction_workload(reference_layout, [True])
 
 
 def test_unbalanced_family_shows_uneven_reads(reference_design):

@@ -1,0 +1,178 @@
+"""The memoized per-group reconstruction plan and the consumers that share it."""
+
+import random
+import sys
+from itertools import combinations
+
+import pytest
+
+import declustr.parity_groups as parity_groups
+from declustr import (
+    build_layout,
+    complete_design,
+    counterexample_report,
+    exhaustive_verify,
+    fail_and_reconstruct,
+    group_family,
+    hadamard_3design,
+    materialize,
+    rdp_code,
+    reconstruction_rule,
+    reconstruction_workload,
+    reduce_design,
+    rs_code,
+    serialize_layout,
+    tau,
+    validate_design,
+    verify_balance,
+)
+from declustr.errors import ParamError
+from declustr.parity_groups import reconstruction_plan
+
+
+def naive_reads(layout, failed):
+    """Per-instance, per-extended-row walk of the rule: entries and units read."""
+    group = layout.group
+    entries = {d: 0 for d in range(layout.n) if d not in failed}
+    units = dict.fromkeys(entries, 0)
+    for placement in layout.placements:
+        lost = [pos for pos, disk in enumerate(placement) if disk in failed]
+        if not lost:
+            continue
+        touched = set()
+        for row in group.extended_rows:
+            need = reconstruction_rule(group.delta, [row[pos] for pos in lost])
+            for pos, disk in enumerate(placement):
+                if disk not in failed and row[pos] in need:
+                    entries[disk] += group.r
+                    touched.add(disk)
+        for disk in touched:
+            units[disk] += 1
+    return entries, units
+
+
+def relabeled(rng, design):
+    """The same design under a random point relabeling and block order."""
+    points = list(range(design.n))
+    rng.shuffle(points)
+    blocks = [tuple(points[x] for x in block) for block in design.blocks]
+    rng.shuffle(blocks)
+    p = design.params
+    return validate_design(blocks, p.t, p.n, p.k, p.lam)
+
+
+# (code, design) pairs with t = delta + 1 over small complete and Hadamard
+# designs, small enough to try every failure set of size <= delta.
+CASES = {
+    "rdp3/hadamard(8)": (lambda: rdp_code(3), lambda: hadamard_3design(8)),
+    "rdp3/complete(6,4,3)": (lambda: rdp_code(3), lambda: complete_design(6, 4, 3)),
+    "rdp5/complete(7,6,3)": (lambda: rdp_code(5), lambda: complete_design(7, 6, 3)),
+    "rs(3,1)/complete(5,3,2)": (lambda: rs_code(3, 1), lambda: complete_design(5, 3, 2)),
+    "rs(4,1)/hadamard(8)": (
+        lambda: rs_code(4, 1), lambda: reduce_design(hadamard_3design(8), 2)
+    ),
+    "rs(4,2)/hadamard(8)": (lambda: rs_code(4, 2), lambda: hadamard_3design(8)),
+    "rs(5,2)/complete(6,5,3)": (lambda: rs_code(5, 2), lambda: complete_design(6, 5, 3)),
+    "rs(4,3)/complete(5,4,4)": (lambda: rs_code(4, 3), lambda: complete_design(5, 4, 4)),
+    "rs(5,3)/complete(6,5,4)": (lambda: rs_code(5, 3), lambda: complete_design(6, 5, 4)),
+}
+
+
+@pytest.mark.parametrize("family", ["full", "single", "rotations"])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_plan_consumers_match_a_naive_rule_walk(name, family):
+    rng = random.Random(f"{name}/{family}")
+    make_code, make_design = CASES[name]
+    code = make_code()
+    group = group_family(code, family)
+    design = relabeled(rng, make_design())
+    layout = build_layout(group, design)
+    array = materialize(layout, rng.randrange(1, 1 << 16))
+    for s in range(code.delta + 1):
+        for failed in combinations(range(layout.n), s):
+            entries, units = naive_reads(layout, failed)
+            assert reconstruction_workload(layout, failed).reads == entries, failed
+            report = counterexample_report(group, design, failed)
+            assert report.entries_read == entries, failed
+            assert report.units_accessed == units, failed
+            rebuilt, stats = fail_and_reconstruct(array, failed)
+            assert stats.reads == entries, failed
+            assert all(rebuilt.disks[d] == array.disks[d] for d in failed), failed
+
+
+def test_rule_calls_depend_on_lost_tuples_not_blocks(monkeypatch):
+    layout = build_layout(group_family(rs_code(6, 2), "full"), complete_design(12, 6, 3))
+    rows = len(layout.group.extended_rows)
+    assert rows == 30
+    calls = []
+    rule = parity_groups.reconstruction_rule
+
+    def counting(delta, lost):
+        calls.append(tuple(lost))
+        return rule(delta, lost)
+
+    monkeypatch.setattr(parity_groups, "reconstruction_rule", counting)
+    failed = (3, 8)
+    affected = sum(1 for p in layout.placements if set(p) & set(failed))
+    # The query plans the lost tuples its instances have, and the attached
+    # closed form (tau_1, tau_2) the rest: at most C(6,1) + C(6,2) = 21.
+    first = reconstruction_workload(layout, failed)
+    assert first.closed_form is not None
+    assert 0 < len(calls) == len(layout.group._plans) * rows <= 21 * rows < affected * rows
+    calls.clear()
+    assert reconstruction_workload(layout, failed) == first
+    assert calls == []
+    # The simulator reads the same memo, so a rebuild plans nothing anew.
+    array = materialize(layout, 9)
+    _, stats = fail_and_reconstruct(array, failed)
+    assert stats.reads == first.reads
+    assert calls == []
+
+
+def test_memo_takes_no_part_in_equality_hash_or_layout_json():
+    design = hadamard_3design(8)
+    fresh = group_family(rdp_code(3), "full")
+    used = group_family(rdp_code(3), "full")
+    layout = build_layout(used, design)
+    before = serialize_layout(layout)
+    tau(used, 2)
+    verify_balance(used, 2)
+    reconstruction_workload(layout, (1, 6))
+    assert used._plans and not fresh._plans
+    assert used == fresh
+    assert hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh)
+    assert serialize_layout(layout) == before
+    assert build_layout(fresh, design) == layout
+
+
+def test_threads_filling_a_cold_memo_agree_with_a_serial_sweep():
+    def layout():
+        return build_layout(group_family(rdp_code(3), "rotations"), hadamard_3design(8))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        parallel = exhaustive_verify(layout(), 2, seed=4, jobs=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert parallel == exhaustive_verify(layout(), 2, seed=4)
+
+
+def test_plan_reads_the_rule_columns_of_each_extended_row():
+    group = group_family(rdp_code(3), "full")
+    plan = reconstruction_plan(group, (0,))
+    assert plan is reconstruction_plan(group, (0,))
+    # Every survivor is read in 8 of the 12 extended rows: tau_1 = 2 * 8.
+    assert plan.reads == {1: 8, 2: 8, 3: 8}
+    assert tau(group, 1) == 16
+    for columns, erased, sources in zip(group.canonical_columns, plan.erased, plan.sources):
+        given = [c for c in range(group.k) if c not in erased]
+        assert [columns[pos] for pos in sources] == given
+        assert columns[0] in erased
+
+
+@pytest.mark.parametrize("lost", [(1, 0), (0, 0), (4,), (-1,)])
+def test_plan_rejects_malformed_lost_tuples(lost):
+    with pytest.raises(ParamError):
+        reconstruction_plan(group_family(rdp_code(3), "full"), lost)

@@ -223,6 +223,8 @@ def test_too_many_failures_rejected(reference_layout):
         fail_and_reconstruct(array, (0, 1, 2))
     with pytest.raises(ParamError):
         fail_and_reconstruct(array, (9,))
+    with pytest.raises(ParamError):
+        fail_and_reconstruct(array, (True,))
 
 
 def test_measured_matches_predicted_even_when_unbalanced(reference_layout):
