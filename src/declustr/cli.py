@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -113,20 +112,6 @@ def _fraction_json(value: Fraction | None):
 
 def _depth_str(value: Fraction) -> str:
     return str(value.numerator) if value.denominator == 1 else str(value)
-
-
-def _resolve_jobs(args) -> int:
-    if args.jobs is not None:
-        jobs = args.jobs
-    else:
-        raw = os.environ.get("DECLUSTR_JOBS", "1")
-        try:
-            jobs = int(raw)
-        except ValueError as exc:
-            raise UsageError(f"DECLUSTR_JOBS must be an integer, got {raw!r}") from exc
-    if jobs < 1:
-        raise UsageError(f"--jobs must be >= 1, got {jobs}")
-    return jobs
 
 
 def _design_summary(design: Design) -> str:
@@ -511,9 +496,7 @@ def _cmd_simulate(args) -> int:
         raise UsageError("simulate needs exactly one of --fail or --exhaustive")
     layout = _load_layout(args.layout)
     if args.exhaustive is not None:
-        summary = exhaustive_verify(
-            layout, args.exhaustive, seed=args.seed, jobs=_resolve_jobs(args)
-        )
+        summary = exhaustive_verify(layout, args.exhaustive, seed=args.seed)
         if summary.uniform:
             verdict = (
                 f"{summary.passed}/{summary.total} recovered, "
@@ -696,7 +679,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fail", help="comma-separated disk indices")
     p.add_argument("--exhaustive", type=int, help="sweep all failure sets of this size")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--jobs", type=int, help="default from DECLUSTR_JOBS, else 1")
     _add_format(p)
     p.set_defaults(handler=_cmd_simulate)
 

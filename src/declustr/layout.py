@@ -17,6 +17,7 @@ import json
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .designs import (
     Design,
@@ -56,6 +57,36 @@ class DeclusteredLayout:
     @property
     def rows_per_disk(self) -> int:
         return self.group.m * self.units_per_disk
+
+    @cached_property
+    def stacks(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per disk, the (placement index, position) of each column-unit it holds.
+
+        A disk stacks its column-units bottom up in ascending block index.
+        """
+        stacks = [[] for _ in range(self.n)]
+        for index, placement in enumerate(self.placements):
+            for pos, disk in enumerate(placement):
+                stacks[disk].append((index, pos))
+        return tuple(map(tuple, stacks))
+
+    @cached_property
+    def unit_offsets(self) -> tuple[tuple[int, ...], ...]:
+        """Per placement, the offset of its column-unit on each of its disks.
+
+        This is the stacking order of `stacks` with m bytes per unit; it is
+        walked on its own so that a fill does not build `stacks`.
+        """
+        m = self.group.m
+        base = [0] * self.n
+        offsets = []
+        for placement in self.placements:
+            row = []
+            for disk in placement:
+                row.append(base[disk])
+                base[disk] += m
+            offsets.append(tuple(row))
+        return tuple(offsets)
 
 
 @dataclass(frozen=True)
@@ -130,12 +161,7 @@ def rotate_layout(layout: DeclusteredLayout) -> DeclusteredLayout:
 
 def disk_column_units(layout: DeclusteredLayout, disk: int) -> list[tuple[int, int]]:
     """(block index, column position) pairs stored on a disk, in stack order."""
-    units = []
-    for index, placement in enumerate(layout.placements):
-        for position, d in enumerate(placement):
-            if d == disk:
-                units.append((index, position))
-    return units
+    return list(layout.stacks[disk]) if 0 <= disk < layout.n else []
 
 
 def layout_geometry(layout: DeclusteredLayout) -> LayoutGeometry:

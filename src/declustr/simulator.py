@@ -12,6 +12,15 @@ exactly the columns the rule names. Rebuilt bytes go to fresh replacement
 disks. Measured reads must match the analysis module's enumeration unit for
 unit.
 
+One rebuild core serves a single failure set and an exhaustive sweep alike.
+In a sweep, the grouping spans every set: an instance's rebuilt units depend
+only on its own stored bytes and the positions it lost, and all sets start
+from the same array, so each (instance, lost tuple) is gathered and decoded
+once however many sets produce it. What is shared is only that decode. Each
+set still gets its own replacement disks, assembled from the rebuilt units,
+and is recovered only if they equal the originals byte for byte, so a wrong
+rebuilt unit fails every set that uses it.
+
 Data bytes come from a 64-bit xorshift stream (shifts 13, 7, 17; low byte of
 each state is emitted), so fixtures are portable: same seed, same array.
 Seed 0 is the generator's fixed point and yields the all-zero fill.
@@ -19,7 +28,6 @@ Seed 0 is the generator's fixed point and yields the all-zero fill.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations, islice
 
@@ -135,20 +143,18 @@ def materialize(layout: DeclusteredLayout, seed: int) -> DiskArray:
             for j in range(r):
                 units[pos][e * r + j :: m] = codeword[j][column].to_bytes(lanes, "little")
     disks = [bytearray(layout.rows_per_disk) for _ in range(layout.n)]
-    base = [0] * layout.n
-    for index, placement in enumerate(layout.placements):
+    for index, (placement, offsets) in enumerate(zip(layout.placements, layout.unit_offsets)):
         for pos, disk in enumerate(placement):
-            disks[disk][base[disk] : base[disk] + m] = units[pos][index * m : (index + 1) * m]
-            base[disk] += m
+            disks[disk][offsets[pos] : offsets[pos] + m] = units[pos][index * m : (index + 1) * m]
     return DiskArray(layout, disks)
 
 
-def _instance_grid(array: DiskArray, placement, base, e: int, columns) -> list[list[int]]:
+def _instance_grid(array: DiskArray, placement, offsets, e: int, columns) -> list[list[int]]:
     """Pull one extended row's full codeword back out of the disks."""
     group = array.layout.group
     grid = [[0] * group.k for _ in range(group.r)]
     for pos, disk in enumerate(placement):
-        offset = base[disk] + e * group.r
+        offset = offsets[pos] + e * group.r
         for j in range(group.r):
             grid[j][columns[pos]] = array.disks[disk][offset + j]
     return grid
@@ -160,15 +166,12 @@ def check_parity_invariant(array: DiskArray) -> bool:
     group = layout.group
     code = group.code
     canon = group.canonical_columns
-    base = [0] * layout.n
-    for placement in layout.placements:
+    for placement, offsets in zip(layout.placements, layout.unit_offsets):
         for e in range(len(group.extended_rows)):
-            grid = _instance_grid(array, placement, base, e, canon[e])
+            grid = _instance_grid(array, placement, offsets, e, canon[e])
             data = [grid_row[: group.k - group.delta] for grid_row in grid]
             if code.encode(data) != grid:
                 return False
-        for disk in placement:
-            base[disk] += group.m
     return True
 
 
@@ -176,91 +179,59 @@ def check_parity_invariant(array: DiskArray) -> bool:
 class _LostGroup:
     """Affected instances that lost the same positions: one batch of lanes.
 
-    A member is an instance's placement and its column-unit offset on each
-    of its disks. units holds, per position the plan reads, the members'
-    column-units one after another (m bytes each); rebuilt does the same for
-    each lost position and is filled by the decodes.
+    lanes maps each member instance (its index in the layout) to its lane.
+    While the batch's decode round runs, units holds, per position the plan
+    reads, the members' column-units one after another in lane order (m
+    bytes each). rebuilt does the same for each lost position; the decodes
+    fill it and it lives until every set is assembled.
     """
 
-    members: list[tuple[tuple[int, ...], list[int]]]
     plan: ReconstructionPlan
+    lanes: dict[int, int]
     units: dict[int, bytes]
     rebuilt: dict[int, bytearray]
 
 
-def fail_and_reconstruct(array: DiskArray, failed) -> tuple[DiskArray, IOStats]:
-    """Rebuild the failed disks onto replacements, reading per the rule.
+def _gather(array: DiskArray, batch: _LostGroup):
+    """Read the column-units the batch's plan names, in lane order."""
+    disks, layout = array.disks, array.layout
+    placements, offsets, m = layout.placements, layout.unit_offsets, layout.group.m
+    for pos, rows in batch.plan.reads.items():
+        if rows:
+            batch.units[pos] = b"".join([
+                disks[placements[i][pos]][offsets[i][pos] : offsets[i][pos] + m]
+                for i in batch.lanes
+            ])
 
-    Returns the recovered array (surviving disks copied, failed disks
-    rebuilt) and per-disk read/write unit counts. Instances that lost no
-    column are never touched.
-    """
-    layout = array.layout
-    group = layout.group
-    r, m = group.r, group.m
-    failed = check_failed(layout, failed)
-    disks = array.disks
-    recovered = DiskArray(
-        layout,
-        [
-            bytearray(layout.rows_per_disk) if d in failed else bytearray(disks[d])
-            for d in range(layout.n)
-        ],
-    )
-    reads = {d: 0 for d in range(layout.n) if d not in failed}
-    writes = {d: 0 for d in failed}
 
-    by_lost: dict[tuple[int, ...], _LostGroup] = {}
-    base = [0] * layout.n
-    for placement in layout.placements:
-        if not failed.isdisjoint(placement):
-            lost = tuple(pos for pos, disk in enumerate(placement) if disk in failed)
-            if lost not in by_lost:
-                by_lost[lost] = _LostGroup([], reconstruction_plan(group, lost), {}, {})
-            by_lost[lost].members.append((placement, [base[d] for d in placement]))
-        for disk in placement:
-            base[disk] += m
-
-    # Canonical erasure pattern -> the (extended row, group) pairs that leave it.
+def _decode_round(array: DiskArray, round_: list[tuple[tuple[int, ...], _LostGroup]]):
+    """Gather, decode and release one round of (lost tuple, batch) pairs."""
+    group = array.layout.group
+    m = group.m
+    # Canonical erasure pattern -> the (extended row, batch) pairs that leave it.
     by_pattern: dict[tuple[int, ...], list[tuple[int, _LostGroup]]] = {}
-    for lost, batch in by_lost.items():
-        members, plan = batch.members, batch.plan
-        for pos, rows in plan.reads.items():
-            if rows:
-                batch.units[pos] = b"".join([
-                    disks[placement[pos]][offsets[pos] : offsets[pos] + m]
-                    for placement, offsets in members
-                ])
-                for placement, _ in members:
-                    reads[placement[pos]] += r * rows
-        batch.rebuilt = {pos: bytearray(len(members) * m) for pos in lost}
-        for e, erased in enumerate(plan.erased):
+    for lost, batch in round_:
+        _gather(array, batch)
+        batch.rebuilt = {pos: bytearray(len(batch.lanes) * m) for pos in lost}
+        for e, erased in enumerate(batch.plan.erased):
             by_pattern.setdefault(erased, []).append((e, batch))
-
     for erased, contributors in by_pattern.items():
-        _decode_pattern(group.code, erased, contributors, r, m)
-
-    for batch in by_lost.values():
-        for pos, unit in batch.rebuilt.items():
-            view = memoryview(unit)
-            for i, (placement, offsets) in enumerate(batch.members):
-                start = offsets[pos]
-                recovered.disks[placement[pos]][start : start + m] = view[i * m : (i + 1) * m]
-                writes[placement[pos]] += m
-    return recovered, IOStats(reads=reads, writes=writes)
+        _decode_pattern(group.code, erased, contributors, group.r, m)
+    for _, batch in round_:
+        batch.units = {}
 
 
 def _decode_pattern(code, erased: tuple[int, ...], contributors, r: int, m: int):
-    """Decode every (extended row, group) with this erasure pattern in one call.
+    """Decode every (extended row, batch) with this erasure pattern in one call.
 
-    The call's lanes are the groups' instances, in contributor order. Inner
+    The call's lanes are the batches' instances, in contributor order. Inner
     row j of a column gathers byte e*r+j of each instance's column-unit with
     one strided slice per contributor; rebuilt columns are scattered back the
     same way.
     """
     k = code.k
     planned = [c for c in range(k) if c not in erased]
-    lanes = sum(len(batch.members) for _, batch in contributors)
+    lanes = sum(len(batch.lanes) for _, batch in contributors)
     grid: list[list[int | None]] = [[None] * k for _ in range(r)]
     for i, c in enumerate(planned):
         sources = [(batch.units[batch.plan.sources[e][i]], e * r) for e, batch in contributors]
@@ -276,45 +247,121 @@ def _decode_pattern(code, erased: tuple[int, ...], contributors, r: int, m: int)
         rebuilt = {c: out[j][c].to_bytes(lanes, "little") for c in erased}
         start = 0
         for e, batch in contributors:
-            end = start + len(batch.members)
+            end = start + len(batch.lanes)
             for pos, unit in batch.rebuilt.items():
                 unit[e * r + j :: m] = rebuilt[batch.plan.columns[e][pos]][start:end]
             start = end
 
 
-def exhaustive_verify(
-    layout: DeclusteredLayout, s: int, seed: int = 1, jobs: int = 1
-) -> VerifySummary:
-    """Run fail_and_reconstruct over every size-s failure set.
+def _losses(layout: DeclusteredLayout, failed: frozenset[int]):
+    """(instance index, sorted lost positions) of each affected instance, in block order."""
+    lost: dict[int, list[int]] = {}
+    for disk in failed:
+        for index, pos in layout.stacks[disk]:
+            lost.setdefault(index, []).append(pos)
+    return [(index, tuple(sorted(lost[index]))) for index in sorted(lost)]
 
-    Each set is checked for byte-exact recovery and its per-disk read range
-    recorded; the sweep is uniform when every set reads the same count from
-    every survivor. Sets are independent, so jobs > 1 spreads them over a
-    thread pool; the result order is always the sorted failure-set order.
+
+def _rebuild(array: DiskArray, failure_sets: list[frozenset[int]]):
+    """Rebuild each set's failed disks; yield (replacements, reads, writes) per set.
+
+    An instance's rebuild depends only on its stored bytes and the positions
+    it lost, so affected instances are grouped by lost-position tuple across
+    all the sets, and each (instance, lost tuple) is gathered and decoded
+    once. Batches are decoded in rounds whose gathered units fit in one copy
+    of the array (n * rows_per_disk bytes); a single set always fits in one
+    round, because its gathered units are distinct units of the array, and
+    so does any one batch, whose members are distinct instances. Then each
+    set's replacement disks are assembled from the rebuilt units and its
+    reads are counted from the plans of its affected instances.
+    """
+    layout = array.layout
+    group = layout.group
+    r, m, rows_per_disk = group.r, group.m, layout.rows_per_disk
+    offsets = layout.unit_offsets
+    batches: dict[tuple[int, ...], _LostGroup] = {}
+    for failed in failure_sets:
+        for index, lost in _losses(layout, failed):
+            batch = batches.get(lost)
+            if batch is None:
+                batch = batches[lost] = _LostGroup(reconstruction_plan(group, lost), {}, {}, {})
+            batch.lanes.setdefault(index, len(batch.lanes))
+
+    budget = layout.n * rows_per_disk
+    round_, size = [], 0
+    for lost, batch in batches.items():
+        need = len(batch.lanes) * m * sum(1 for rows in batch.plan.reads.values() if rows)
+        if round_ and size + need > budget:
+            _decode_round(array, round_)
+            round_, size = [], 0
+        round_.append((lost, batch))
+        size += need
+    if round_:
+        _decode_round(array, round_)
+
+    # Each set's lost tuples are found again rather than kept: a sweep has
+    # far more (set, instance) pairs than (instance, lost tuple) pairs.
+    for failed in failure_sets:
+        reads = {d: 0 for d in range(layout.n) if d not in failed}
+        writes = dict.fromkeys(failed, 0)
+        replacements = {d: bytearray(rows_per_disk) for d in failed}
+        for index, lost in _losses(layout, failed):
+            batch = batches[lost]
+            lane = batch.lanes[index]
+            placement = layout.placements[index]
+            for pos, rows in batch.plan.reads.items():
+                reads[placement[pos]] += r * rows
+            for pos, unit in batch.rebuilt.items():
+                start = offsets[index][pos]
+                replacements[placement[pos]][start : start + m] = unit[lane * m : (lane + 1) * m]
+                writes[placement[pos]] += m
+        yield replacements, reads, writes
+
+
+def fail_and_reconstruct(array: DiskArray, failed) -> tuple[DiskArray, IOStats]:
+    """Rebuild the failed disks onto replacements, reading per the rule.
+
+    Returns the recovered array (surviving disks copied, failed disks
+    rebuilt) and per-disk read/write unit counts. Instances that lost no
+    column are never touched.
+    """
+    failed = check_failed(array.layout, failed)
+    [(replacements, reads, writes)] = _rebuild(array, [failed])
+    disks = [
+        replacements[d] if d in failed else bytearray(disk) for d, disk in enumerate(array.disks)
+    ]
+    return DiskArray(array.layout, disks), IOStats(reads=reads, writes=writes)
+
+
+def exhaustive_verify(layout: DeclusteredLayout, s: int, seed: int = 1) -> VerifySummary:
+    """Rebuild every size-s failure set of one seeded fill and check each.
+
+    The sets share one rebuild: each (instance, lost tuple) that any set
+    produces is gathered and decoded once, in batches whose lanes come from
+    all the sets (see _rebuild). Sharing is sound because an instance's
+    rebuilt units depend only on its own stored bytes and the positions it
+    lost, and every set starts from the same array. Each set still gets its
+    own replacement disks, assembled from the rebuilt units, and counts as
+    recovered only if those disks equal the originals byte for byte; its
+    per-disk read range comes from the plans of its own affected instances.
+    The sweep is uniform when every set reads the same count from every
+    survivor. Results are in sorted failure-set order.
     """
     delta = layout.group.delta
-    if not 0 <= s <= delta:
-        raise ParamError(f"need 0 <= s <= delta={delta}, got {s}")
-    if jobs < 1:
-        raise ParamError(f"jobs must be >= 1, got {jobs}")
+    if isinstance(s, bool) or not isinstance(s, int) or not 0 <= s <= delta:
+        raise ParamError(f"need 0 <= s <= delta={delta}, got {s!r}")
     array = materialize(layout, seed)
     failure_sets = list(combinations(range(layout.n), s))
-
-    def check(failed: tuple[int, ...]) -> SetResult:
-        rebuilt, stats = fail_and_reconstruct(array, failed)
-        counts = stats.reads.values()
-        return SetResult(
+    rebuilt = _rebuild(array, [frozenset(failed) for failed in failure_sets])
+    results = [
+        SetResult(
             failed=failed,
-            recovered=all(rebuilt.disks[d] == array.disks[d] for d in failed),
-            min_reads=min(counts),
-            max_reads=max(counts),
+            recovered=all(disk == array.disks[d] for d, disk in replacements.items()),
+            min_reads=min(reads.values()),
+            max_reads=max(reads.values()),
         )
-
-    if jobs == 1:
-        results = [check(failed) for failed in failure_sets]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(check, failure_sets))
+        for failed, (replacements, reads, _) in zip(failure_sets, rebuilt)
+    ]
     low = min(result.min_reads for result in results)
     high = max(result.max_reads for result in results)
     return VerifySummary(
@@ -339,11 +386,7 @@ def unit_provenance(layout: DeclusteredLayout, disk: int, offset: int) -> UnitPr
         )
     stack_index, rem = divmod(offset, group.m)
     e, j = divmod(rem, group.r)
-    holders = [
-        index for index, placement in enumerate(layout.placements) if disk in placement
-    ]
-    block_index = holders[stack_index]
-    pos = layout.placements[block_index].index(disk)
+    block_index, pos = layout.stacks[disk][stack_index]
     return UnitProvenance(
         block_index=block_index,
         extended_row=e,

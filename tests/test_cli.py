@@ -496,30 +496,6 @@ def test_simulate_fail_xor_exhaustive(capsys, layout_file):
     assert code == 2
 
 
-def test_simulate_jobs_flag_and_env(capsys, layout_file, monkeypatch):
-    argv = ("simulate", "--layout", layout_file, "--exhaustive", "2")
-    _, serial, _ = cli(capsys, *argv, "--jobs", "1")
-    _, parallel, _ = cli(capsys, *argv, "--jobs", "4")
-    assert serial == parallel
-    monkeypatch.setenv("DECLUSTR_JOBS", "4")
-    code, from_env, _ = cli(capsys, *argv)
-    assert code == 0
-    assert from_env == serial
-    monkeypatch.setenv("DECLUSTR_JOBS", "lots")
-    code, _, err = cli(capsys, *argv)
-    assert code == 2
-    assert "DECLUSTR_JOBS" in err
-
-
-def test_simulate_jobs_must_be_positive(capsys, layout_file):
-    code, _, err = cli(
-        capsys,
-        "simulate", "--layout", layout_file, "--exhaustive", "2", "--jobs", "0",
-    )
-    assert code == 2
-    assert err.startswith("usage error:")
-
-
 def test_simulate_sweep_too_deep(capsys, layout_file):
     code, _, err = cli(
         capsys, "simulate", "--layout", layout_file, "--exhaustive", "3"

@@ -2,6 +2,7 @@
 
 import random
 import sys
+import threading
 from itertools import combinations
 
 import pytest
@@ -22,6 +23,7 @@ from declustr import (
     reduce_design,
     rs_code,
     serialize_layout,
+    SetResult,
     tau,
     validate_design,
     verify_balance,
@@ -150,13 +152,39 @@ def test_threads_filling_a_cold_memo_agree_with_a_serial_sweep():
     def layout():
         return build_layout(group_family(rdp_code(3), "rotations"), hadamard_3design(8))
 
+    shared = layout()
+    array = materialize(shared, 4)
+    sets = list(combinations(range(shared.n), 2))
+    results, errors = {}, []
+
+    def rebuild(share):
+        try:
+            for failed in share:
+                rebuilt, stats = fail_and_reconstruct(array, failed)
+                counts = stats.reads.values()
+                results[failed] = SetResult(
+                    failed,
+                    all(rebuilt.disks[d] == array.disks[d] for d in failed),
+                    min(counts),
+                    max(counts),
+                )
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=rebuild, args=(sets[i::4],)) for i in range(4)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        parallel = exhaustive_verify(layout(), 2, seed=4, jobs=4)
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
-    assert parallel == exhaustive_verify(layout(), 2, seed=4)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    serial = exhaustive_verify(layout(), 2, seed=4)
+    assert tuple(results[failed] for failed in sets) == serial.results
 
 
 def test_plan_reads_the_rule_columns_of_each_extended_row():

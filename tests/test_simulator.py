@@ -16,6 +16,7 @@ from declustr import (
     exhaustive_verify,
     fail_and_reconstruct,
     group_family,
+    hadamard_3design,
     materialize,
     measured_matches_predicted,
     parity_index,
@@ -26,7 +27,8 @@ from declustr import (
     single_arrangement_group,
     unit_provenance,
 )
-from declustr.simulator import dump_disk
+import declustr.simulator as simulator
+from declustr.simulator import SetResult, VerifySummary, dump_disk
 from declustr.errors import InvariantError, ParamError, TooManyFailures
 
 
@@ -152,13 +154,13 @@ def test_every_code_and_family_recovers_with_predicted_reads(name, family):
             assert stats.writes == {d: layout.rows_per_disk for d in failed}
 
 
-def _canonical_erasure_patterns(layout, failed) -> set[tuple[int, ...]]:
-    """Distinct sets of codeword columns a decoder is not given, per the rule."""
+def _lost_patterns(layout, failed) -> set[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Distinct (lost positions, canonical columns the decoder is not given), per the rule."""
     group = layout.group
     k, delta = group.k, group.delta
-    patterns = set()
+    pairs = set()
     for placement in layout.placements:
-        lost = [pos for pos, disk in enumerate(placement) if disk in failed]
+        lost = tuple(pos for pos, disk in enumerate(placement) if disk in failed)
         if not lost:
             continue
         for row in group.extended_rows:
@@ -173,8 +175,13 @@ def _canonical_erasure_patterns(layout, failed) -> set[tuple[int, ...]]:
                     column = k - delta + parity_index(label) - 1
                 if pos not in lost and label in need:
                     given.add(column)
-            patterns.add(tuple(c for c in range(k) if c not in given))
-    return patterns
+            pairs.add((lost, tuple(c for c in range(k) if c not in given)))
+    return pairs
+
+
+def _canonical_erasure_patterns(layout, failed) -> set[tuple[int, ...]]:
+    """Distinct sets of codeword columns a decoder is not given, per the rule."""
+    return {pattern for _, pattern in _lost_patterns(layout, failed)}
 
 
 def test_rebuild_decodes_once_per_erasure_pattern(monkeypatch):
@@ -261,10 +268,112 @@ def test_exhaustive_sweep_zero_failures(reference_layout):
     assert summary.reads_per_disk == 0
 
 
-def test_sweep_parallel_equals_serial(reference_layout):
-    serial = exhaustive_verify(reference_layout, 2, seed=7, jobs=1)
-    parallel = exhaustive_verify(reference_layout, 2, seed=7, jobs=4)
-    assert serial == parallel
+def _reference_sweep(layout, s, seed) -> VerifySummary:
+    """exhaustive_verify's contract, one fail_and_reconstruct call per set."""
+    array = materialize(layout, seed)
+    results = []
+    for failed in combinations(range(layout.n), s):
+        rebuilt, stats = fail_and_reconstruct(array, failed)
+        counts = stats.reads.values()
+        results.append(SetResult(
+            failed=failed,
+            recovered=rebuilt.disks == array.disks,
+            min_reads=min(counts),
+            max_reads=max(counts),
+        ))
+    low = min(result.min_reads for result in results)
+    high = max(result.max_reads for result in results)
+    return VerifySummary(
+        s=s,
+        total=len(results),
+        passed=sum(result.recovered for result in results),
+        results=tuple(results),
+        min_reads=low,
+        max_reads=high,
+        uniform=low == high,
+    )
+
+
+SWEEP_CASES = {
+    "rdp3-hadamard8": (lambda: rdp_code(3), lambda: hadamard_3design(8)),
+    "rdp7-hadamard16": (lambda: rdp_code(7), lambda: hadamard_3design(16)),
+    "rs(4,1)-complete(7,4,2)": (lambda: rs_code(4, 1), lambda: complete_design(7, 4, 2)),
+    "rs(4,2)-complete(8,4,3)": (lambda: rs_code(4, 2), lambda: complete_design(8, 4, 3)),
+    "rs(5,3)-complete(7,5,4)": (lambda: rs_code(5, 3), lambda: complete_design(7, 5, 4)),
+}
+
+
+@pytest.mark.parametrize("family", ["full", "single", "rotations"])
+@pytest.mark.parametrize("name", list(SWEEP_CASES))
+def test_sweep_equals_one_rebuild_per_set(name, family):
+    make_code, make_design = SWEEP_CASES[name]
+    code = make_code()
+    layout = build_layout(group_family(code, family), make_design())
+    for s in range(code.delta + 1):
+        assert exhaustive_verify(layout, s, seed=3) == _reference_sweep(layout, s, 3), s
+
+
+def test_sweep_fails_exactly_the_sets_whose_rebuild_hits_a_faulty_pattern(monkeypatch):
+    layout = build_layout(group_family(rdp_code(3), "rotations"), hadamard_3design(8))
+    sets = list(combinations(range(layout.n), 2))
+    users = {}
+    for failed in sets:
+        for pattern in _canonical_erasure_patterns(layout, failed):
+            users.setdefault(pattern, set()).add(failed)
+    faulty = min(users, key=lambda pattern: (len(users[pattern]), pattern))
+    assert 0 < len(users[faulty]) < len(sets)
+    decode = HorizontalCode.decode
+
+    def flipping(self, rows, erased):
+        out, read = decode(self, rows, erased)
+        if tuple(erased) == faulty:
+            # Flip the low bit of inner row 0 of one rebuilt column in each
+            # lane the cells span, so the instances decoded with this pattern
+            # come back wrong; the assertions below check that none escaped.
+            width = max((cell.bit_length() + 7) // 8 for row in out for cell in row)
+            out[0][erased[0]] ^= int.from_bytes(b"\x01" * width, "little")
+        return out, read
+
+    monkeypatch.setattr(HorizontalCode, "decode", flipping)
+    summary = exhaustive_verify(layout, 2, seed=3)
+    assert {r.failed for r in summary.results if not r.recovered} == users[faulty]
+    assert summary.passed == len(sets) - len(users[faulty])
+
+
+def test_sweep_gathers_each_instance_and_lost_tuple_once(monkeypatch):
+    layout = build_layout(group_family(rdp_code(3), "full"), hadamard_3design(8))
+    k = layout.group.k
+    gathered, decodes = [], []
+    gather, decode = simulator._gather, HorizontalCode.decode
+
+    def counting_gather(array, batch):
+        lost = tuple(pos for pos in range(k) if pos not in batch.plan.reads)
+        gathered.extend((index, lost) for index in batch.lanes)
+        return gather(array, batch)
+
+    def counting_decode(self, rows, erased):
+        decodes.append(tuple(erased))
+        return decode(self, rows, erased)
+
+    monkeypatch.setattr(simulator, "_gather", counting_gather)
+    monkeypatch.setattr(HorizontalCode, "decode", counting_decode)
+    summary = exhaustive_verify(layout, 2, seed=3)
+    assert summary.passed == summary.total == 28
+
+    sets = list(combinations(range(layout.n), 2))
+    expected = {
+        (index, tuple(pos for pos, disk in enumerate(placement) if disk in failed))
+        for failed in sets
+        for index, placement in enumerate(layout.placements)
+        if set(failed) & set(placement)
+    }
+    affected = sum(
+        1 for failed in sets for placement in layout.placements if set(failed) & set(placement)
+    )
+    assert sorted(gathered) == sorted(expected)
+    assert len(expected) < affected
+    lost_patterns = set().union(*(_lost_patterns(layout, failed) for failed in sets))
+    assert 1 <= len(decodes) <= len(lost_patterns)
 
 
 def test_sweep_reports_non_uniform_reads(reference_design):
@@ -281,8 +390,10 @@ def test_sweep_rejects_bad_arguments(reference_layout):
         exhaustive_verify(reference_layout, 3)
     with pytest.raises(ParamError):
         exhaustive_verify(reference_layout, -1)
-    with pytest.raises(ParamError):
-        exhaustive_verify(reference_layout, 1, jobs=0)
+    # bool is an int subclass: True must not run as s=1
+    for s in (True, False, 1.0, "1", None):
+        with pytest.raises(ParamError):
+            exhaustive_verify(reference_layout, s)
 
 
 def test_degenerate_single_block_array_recovers():
