@@ -16,6 +16,7 @@ from .analysis import (
     closed_form_workload,
     counterexample_report,
     double_failure_fraction,
+    measured_matches_predicted,
     reconstruction_workload,
     round_half_up,
     single_failure_fraction,
@@ -92,7 +93,6 @@ from .simulator import (
     exhaustive_verify,
     fail_and_reconstruct,
     materialize,
-    measured_matches_predicted,
     unit_provenance,
 )
 

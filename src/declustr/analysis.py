@@ -18,8 +18,9 @@ from fractions import Fraction
 
 from .designs import Design, DesignParams, count_lambda
 from .errors import ParamError
-from .layout import DeclusteredLayout, build_layout, check_failed
+from .layout import DeclusteredLayout, build_layout, check_failed, losses
 from .parity_groups import ParityGroup, reconstruction_plan, tau
+from .simulator import DiskArray, fail_and_reconstruct
 
 #: Named (k -> lambda) tables for the trade-off report. The "fig13" preset is
 #: fixture data: the smallest published design index for each k at n=20,
@@ -90,10 +91,8 @@ def reconstruction_workload(layout: DeclusteredLayout, failed) -> WorkloadReport
     failed = check_failed(layout, failed)
     reads = {d: 0 for d in range(layout.n) if d not in failed}
     r = group.r
-    for placement in layout.placements:
-        if failed.isdisjoint(placement):
-            continue
-        lost = tuple(pos for pos, disk in enumerate(placement) if disk in failed)
+    for index, lost in losses(layout, failed):
+        placement = layout.placements[index]
         for pos, rows in reconstruction_plan(group, lost).reads.items():
             reads[placement[pos]] += r * rows
     counts = set(reads.values())
@@ -118,6 +117,12 @@ def reconstruction_workload(layout: DeclusteredLayout, failed) -> WorkloadReport
         closed_form=closed_form,
         fraction=fraction,
     )
+
+
+def measured_matches_predicted(array: DiskArray, failed) -> bool:
+    """True iff simulated reads equal the enumeration's predicted counts."""
+    _, stats = fail_and_reconstruct(array, failed)
+    return stats.reads == reconstruction_workload(array.layout, failed).reads
 
 
 def closed_form_workload(params: DesignParams, group: ParityGroup, s: int) -> int:
@@ -226,8 +231,9 @@ def counterexample_report(
     accessed: dict[tuple[int, int], bool] = {}
     units_accessed = {d: 0 for d in range(layout.n) if d not in failed}
     entries_read = {d: 0 for d in range(layout.n) if d not in failed}
+    lost_by_index = dict(losses(layout, failed))
     for index, placement in enumerate(layout.placements):
-        lost = tuple(pos for pos, disk in enumerate(placement) if disk in failed)
+        lost = lost_by_index.get(index)
         rows_read = reconstruction_plan(group, lost).reads if lost else {}
         for pos, disk in enumerate(placement):
             seen = {row[pos] for row in group.extended_rows}

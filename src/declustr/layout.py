@@ -111,6 +111,18 @@ def check_failed(layout: DeclusteredLayout, failed) -> frozenset[int]:
     return failed
 
 
+def losses(layout: DeclusteredLayout, failed: frozenset[int]) -> list[tuple[int, tuple[int, ...]]]:
+    """(placement index, sorted lost positions) of each affected instance, in block order.
+
+    Walks only the failed disks' stacks, so unaffected instances cost nothing.
+    """
+    lost: dict[int, list[int]] = {}
+    for disk in failed:
+        for index, pos in layout.stacks[disk]:
+            lost.setdefault(index, []).append(pos)
+    return [(index, tuple(sorted(lost[index]))) for index in sorted(lost)]
+
+
 def build_layout(group: ParityGroup, design: Design) -> DeclusteredLayout:
     """Instantiate the group once per block, columns on sorted block elements."""
     if group.k != design.k:
@@ -224,16 +236,23 @@ def group_from_descriptor(obj) -> ParityGroup:
         if kind == "rdp":
             if "p" not in obj:
                 raise FormatError("rdp group descriptor needs field 'p'")
-            code = rdp_code(obj["p"])
+            code = rdp_code(_descriptor_int(obj, "p"))
         elif kind == "rs":
             if "k" not in obj or "delta" not in obj:
                 raise FormatError("rs group descriptor needs fields 'k' and 'delta'")
-            code = rs_code(obj["k"], obj["delta"])
+            code = rs_code(_descriptor_int(obj, "k"), _descriptor_int(obj, "delta"))
         else:
             raise FormatError(f"unknown code kind {kind!r}")
     except ParamError as exc:
         raise FormatError(f"bad group descriptor: {exc}") from exc
     return group_family(code, family)
+
+
+def _descriptor_int(obj: dict, field: str) -> int:
+    value = obj[field]
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise FormatError(f"group descriptor field {field!r} must be an integer, got {value!r}")
+    return value
 
 
 def serialize_layout(layout: DeclusteredLayout) -> str:
@@ -257,7 +276,7 @@ def deserialize_layout(text) -> DeclusteredLayout:
     if isinstance(text, (str, bytes)):
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise FormatError(f"layout file is not valid JSON: {exc}") from exc
     else:
         obj = text

@@ -10,7 +10,7 @@ plan the analysis tallies), and every (group, extended row) that leaves the
 same canonical erasure pattern is decoded by one multi-lane call that reads
 exactly the columns the rule names. Rebuilt bytes go to fresh replacement
 disks. Measured reads must match the analysis module's enumeration unit for
-unit.
+unit (analysis.measured_matches_predicted checks that).
 
 One rebuild core serves a single failure set and an exhaustive sweep alike.
 In a sweep, the grouping spans every set: an instance's rebuilt units depend
@@ -32,9 +32,8 @@ from dataclasses import dataclass
 from itertools import combinations, islice
 
 from .errors import InvariantError, ParamError
-from .layout import DeclusteredLayout, check_failed
+from .layout import DeclusteredLayout, check_failed, losses
 from .parity_groups import ReconstructionPlan, reconstruction_plan
-from .analysis import reconstruction_workload
 
 _MASK64 = (1 << 64) - 1
 
@@ -253,15 +252,6 @@ def _decode_pattern(code, erased: tuple[int, ...], contributors, r: int, m: int)
             start = end
 
 
-def _losses(layout: DeclusteredLayout, failed: frozenset[int]):
-    """(instance index, sorted lost positions) of each affected instance, in block order."""
-    lost: dict[int, list[int]] = {}
-    for disk in failed:
-        for index, pos in layout.stacks[disk]:
-            lost.setdefault(index, []).append(pos)
-    return [(index, tuple(sorted(lost[index]))) for index in sorted(lost)]
-
-
 def _rebuild(array: DiskArray, failure_sets: list[frozenset[int]]):
     """Rebuild each set's failed disks; yield (replacements, reads, writes) per set.
 
@@ -281,7 +271,7 @@ def _rebuild(array: DiskArray, failure_sets: list[frozenset[int]]):
     offsets = layout.unit_offsets
     batches: dict[tuple[int, ...], _LostGroup] = {}
     for failed in failure_sets:
-        for index, lost in _losses(layout, failed):
+        for index, lost in losses(layout, failed):
             batch = batches.get(lost)
             if batch is None:
                 batch = batches[lost] = _LostGroup(reconstruction_plan(group, lost), {}, {}, {})
@@ -305,7 +295,7 @@ def _rebuild(array: DiskArray, failure_sets: list[frozenset[int]]):
         reads = {d: 0 for d in range(layout.n) if d not in failed}
         writes = dict.fromkeys(failed, 0)
         replacements = {d: bytearray(rows_per_disk) for d in failed}
-        for index, lost in _losses(layout, failed):
+        for index, lost in losses(layout, failed):
             batch = batches[lost]
             lane = batch.lanes[index]
             placement = layout.placements[index]
@@ -406,9 +396,3 @@ def dump_disk(array: DiskArray, disk: int) -> str:
             f"label={who.label}"
         )
     return "\n".join(lines)
-
-
-def measured_matches_predicted(array: DiskArray, failed) -> bool:
-    """True iff simulated reads equal the enumeration's predicted counts."""
-    _, stats = fail_and_reconstruct(array, failed)
-    return stats.reads == reconstruction_workload(array.layout, failed).reads

@@ -530,3 +530,34 @@ def test_unknown_command_is_usage_error(capsys):
 def test_missing_required_flag_is_usage_error(capsys):
     assert cli(capsys, "analyze", "tradeoff")[0] == 2
     assert cli(capsys, "design", "validate")[0] == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("design", "validate", "--file"),
+        ("design", "reduce", "--s", "2", "--file"),
+        ("layout", "inspect", "--layout"),
+        ("simulate", "--exhaustive", "1", "--layout"),
+        ("analyze", "counterexample", "--code", "rdp", "--p", "3", "--fail", "0",
+         "--design"),
+    ],
+)
+def test_non_utf8_input_is_a_one_line_error(capsys, tmp_path, argv):
+    raw = tmp_path / "latin1.json"
+    raw.write_bytes(b'{"t": 3, "n": 8, "note": "caf\xe9"}')
+    code, out, err = cli(capsys, *argv, str(raw))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "not UTF-8 text" in err
+    assert err.count("\n") == 1
+
+
+def test_non_integer_group_descriptor_is_a_one_line_error(capsys, tmp_path, reference_layout):
+    obj = json.loads(serialize_layout(reference_layout))
+    obj["group"] = {"code": "rdp", "p": 3.0}
+    path = tmp_path / "float_p.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = cli(capsys, "layout", "inspect", "--layout", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: group descriptor field 'p' must be an integer, got 3.0\n"

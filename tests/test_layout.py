@@ -262,3 +262,26 @@ def test_deserialize_rejects_strength_mismatch(reference_layout, bibd_design):
     obj["group"] = {"code": "rs", "k": 4, "delta": 1}
     with pytest.raises(InvariantError):
         deserialize_layout(json.dumps(obj))
+
+
+@pytest.mark.parametrize("raw", [b"\xff\xfe\x80", b'{"n": 8, "design": "\xe9"}'])
+def test_deserialize_rejects_undecodable_bytes(raw):
+    with pytest.raises(FormatError, match="not valid JSON"):
+        deserialize_layout(raw)
+
+
+@pytest.mark.parametrize(
+    "group, field",
+    [
+        ({"code": "rdp", "p": 3.0}, "p"),
+        ({"code": "rdp", "p": True}, "p"),
+        ({"code": "rs", "k": 4.0, "delta": 2}, "k"),
+        ({"code": "rs", "k": 4, "delta": "2"}, "delta"),
+        ({"code": "rs", "k": 4, "delta": None}, "delta"),
+    ],
+)
+def test_deserialize_rejects_non_integer_code_parameters(reference_layout, group, field):
+    obj = json.loads(serialize_layout(reference_layout))
+    obj["group"] = group
+    with pytest.raises(FormatError, match=f"'{field}' must be an integer"):
+        deserialize_layout(json.dumps(obj))
