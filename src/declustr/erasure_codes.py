@@ -157,20 +157,10 @@ def _column_label(col: int, k: int, delta: int) -> str:
     return parity_label(col - (k - delta) + 1)
 
 
-def _plan_reads(k: int, delta: int, erased: list[int]) -> tuple[frozenset[str], list[int]]:
-    """Apply the reconstruction rule to erased column indices.
-
-    Returns the rule's label set and the surviving column indices to read.
-    The d lost data columns pull in exactly the d lowest surviving parity
-    columns, so the read list never includes a parity column the rule skips.
-    """
-    lost_labels = [_column_label(c, k, delta) for c in erased]
-    need = reconstruction_rule(delta, lost_labels)
-    data_losses = sum(1 for lab in lost_labels if lab == DATA)
-    surviving_parity = [c for c in range(k - delta, k) if c not in erased]
-    read = [c for c in range(k - delta) if c not in erased and DATA in need]
-    read += surviving_parity[:data_losses]
-    return need, read
+def _plan_reads(k: int, delta: int, erased: list[int]) -> list[int]:
+    """The surviving column indices whose labels the reconstruction rule names."""
+    need = reconstruction_rule(delta, [_column_label(c, k, delta) for c in erased])
+    return [c for c in range(k) if c not in erased and _column_label(c, k, delta) in need]
 
 
 def rdp_encode(data: list[list[int]], p: int) -> list[list[int]]:
@@ -212,7 +202,7 @@ def rdp_decode(rows: list[list[int]], p: int, erased) -> tuple[list[list[int]], 
     _check_grid(rows, r, k)
     if not erased:
         return [list(row) for row in rows], ()
-    _, read = _plan_reads(k, 2, erased)
+    read = _plan_reads(k, 2, erased)
     out = [[rows[i][c] if c in read else None for c in range(k)] for i in range(r)]
     for c in read:
         if any(out[i][c] is None for i in range(r)):
@@ -356,7 +346,7 @@ def rs_decode(rows: list[list[int]], k: int, delta: int, erased) -> tuple[list[l
         raise ParamError(f"expected rows of {k} symbols")
     if not erased:
         return [list(row) for row in rows], ()
-    _, read = _plan_reads(k, delta, erased)
+    read = _plan_reads(k, delta, erased)
     read_set = set(read)
     for c in read:
         if any(row[c] is None for row in rows):

@@ -8,18 +8,19 @@ instances are grouped by the positions they lost; each group follows the
 parity group's memoized reconstruction plan for those positions (the same
 plan the analysis tallies), and every (group, extended row) that leaves the
 same canonical erasure pattern is decoded by one multi-lane call that reads
-exactly the columns the rule names. Rebuilt bytes go to fresh replacement
-disks. Measured reads must match the analysis module's enumeration unit for
-unit (analysis.measured_matches_predicted checks that).
+exactly the columns the rule names. Measured reads must match the analysis
+module's enumeration unit for unit (analysis.measured_matches_predicted).
 
 One rebuild core serves a single failure set and an exhaustive sweep alike.
-In a sweep, the grouping spans every set: an instance's rebuilt units depend
-only on its own stored bytes and the positions it lost, and all sets start
-from the same array, so each (instance, lost tuple) is gathered and decoded
-once however many sets produce it. What is shared is only that decode. Each
-set still gets its own replacement disks, assembled from the rebuilt units,
-and is recovered only if they equal the originals byte for byte, so a wrong
-rebuilt unit fails every set that uses it.
+It tallies each set's reads while it groups the affected instances, then
+streams the rebuilt units one decode round at a time; a single rebuild
+writes them to fresh replacement disks. In a sweep, the grouping spans every
+set: an instance's rebuilt units depend only on its own stored bytes and the
+positions it lost, and all sets start from the same array, so each
+(instance, lost tuple) is decoded once however many sets produce it. The
+sweep compares each streamed unit with the original bytes where it lives
+and keeps only the wrong (instance, lost tuple) keys, so a wrong unit fails
+every set that uses it; no set gets replacement disks.
 
 Data bytes come from a 64-bit xorshift stream (shifts 13, 7, 17; low byte of
 each state is emitted), so fixtures are portable: same seed, same array.
@@ -178,15 +179,15 @@ def check_parity_invariant(array: DiskArray) -> bool:
 class _LostGroup:
     """Affected instances that lost the same positions: one batch of lanes.
 
-    lanes maps each member instance (its index in the layout) to its lane.
-    While the batch's decode round runs, units holds, per position the plan
-    reads, the members' column-units one after another in lane order (m
-    bytes each). rebuilt does the same for each lost position; the decodes
-    fill it and it lives until every set is assembled.
+    lanes holds the member instances (indices in the layout) in lane order.
+    The byte maps live only during the batch's decode round: units holds,
+    per position the plan reads, the members' column-units one after another
+    in lane order (m bytes each); rebuilt does the same for each lost
+    position, and is dropped once the round has passed its units on.
     """
 
     plan: ReconstructionPlan
-    lanes: dict[int, int]
+    lanes: dict[int, None]
     units: dict[int, bytes]
     rebuilt: dict[int, bytearray]
 
@@ -204,8 +205,9 @@ def _gather(array: DiskArray, batch: _LostGroup):
 
 
 def _decode_round(array: DiskArray, round_: list[tuple[tuple[int, ...], _LostGroup]]):
-    """Gather, decode and release one round of (lost tuple, batch) pairs."""
-    group = array.layout.group
+    """Decode one round of (lost tuple, batch) pairs; yield, then drop, its rebuilt units."""
+    layout = array.layout
+    group, placements, unit_offsets = layout.group, layout.placements, layout.unit_offsets
     m = group.m
     # Canonical erasure pattern -> the (extended row, batch) pairs that leave it.
     by_pattern: dict[tuple[int, ...], list[tuple[int, _LostGroup]]] = {}
@@ -216,8 +218,13 @@ def _decode_round(array: DiskArray, round_: list[tuple[tuple[int, ...], _LostGro
             by_pattern.setdefault(erased, []).append((e, batch))
     for erased, contributors in by_pattern.items():
         _decode_pattern(group.code, erased, contributors, group.r, m)
-    for _, batch in round_:
+    for lost, batch in round_:
         batch.units = {}
+        for lane, index in enumerate(batch.lanes):
+            placement, offsets = placements[index], unit_offsets[index]
+            for pos, unit in batch.rebuilt.items():
+                yield index, lost, placement[pos], offsets[pos], unit[lane * m : (lane + 1) * m]
+        batch.rebuilt = {}
 
 
 def _decode_pattern(code, erased: tuple[int, ...], contributors, r: int, m: int):
@@ -253,104 +260,96 @@ def _decode_pattern(code, erased: tuple[int, ...], contributors, r: int, m: int)
 
 
 def _rebuild(array: DiskArray, failure_sets: list[frozenset[int]]):
-    """Rebuild each set's failed disks; yield (replacements, reads, writes) per set.
+    """Return each set's (reads, lost units) and a stream of the rebuilt units.
 
     An instance's rebuild depends only on its stored bytes and the positions
     it lost, so affected instances are grouped by lost-position tuple across
     all the sets, and each (instance, lost tuple) is gathered and decoded
-    once. Batches are decoded in rounds whose gathered units fit in one copy
-    of the array (n * rows_per_disk bytes); a single set always fits in one
-    round, because its gathered units are distinct units of the array, and
-    so does any one batch, whose members are distinct instances. Then each
-    set's replacement disks are assembled from the rebuilt units and its
-    reads are counted from the plans of its affected instances.
+    once. The losses walk that builds the batches also counts each set's
+    units read per survivor and column-units lost. The stream decodes the
+    batches in rounds whose gathered units fit in one copy of the array
+    (n * rows_per_disk bytes): one set's gathered units are distinct units
+    of the array, and so are one batch's, so either fits in one round. It
+    yields each rebuilt unit as (instance, lost tuple, disk, offset, bytes).
     """
     layout = array.layout
     group = layout.group
-    r, m, rows_per_disk = group.r, group.m, layout.rows_per_disk
-    offsets = layout.unit_offsets
     batches: dict[tuple[int, ...], _LostGroup] = {}
+    tallies = []
     for failed in failure_sets:
+        reads, lost_units = {d: 0 for d in range(layout.n) if d not in failed}, 0
         for index, lost in losses(layout, failed):
             batch = batches.get(lost)
             if batch is None:
                 batch = batches[lost] = _LostGroup(reconstruction_plan(group, lost), {}, {}, {})
-            batch.lanes.setdefault(index, len(batch.lanes))
-
-    budget = layout.n * rows_per_disk
-    round_, size = [], 0
-    for lost, batch in batches.items():
-        need = len(batch.lanes) * m * sum(1 for rows in batch.plan.reads.values() if rows)
-        if round_ and size + need > budget:
-            _decode_round(array, round_)
-            round_, size = [], 0
-        round_.append((lost, batch))
-        size += need
-    if round_:
-        _decode_round(array, round_)
-
-    # Each set's lost tuples are found again rather than kept: a sweep has
-    # far more (set, instance) pairs than (instance, lost tuple) pairs.
-    for failed in failure_sets:
-        reads = {d: 0 for d in range(layout.n) if d not in failed}
-        writes = dict.fromkeys(failed, 0)
-        replacements = {d: bytearray(rows_per_disk) for d in failed}
-        for index, lost in losses(layout, failed):
-            batch = batches[lost]
-            lane = batch.lanes[index]
+            batch.lanes[index] = None
             placement = layout.placements[index]
             for pos, rows in batch.plan.reads.items():
-                reads[placement[pos]] += r * rows
-            for pos, unit in batch.rebuilt.items():
-                start = offsets[index][pos]
-                replacements[placement[pos]][start : start + m] = unit[lane * m : (lane + 1) * m]
-                writes[placement[pos]] += m
-        yield replacements, reads, writes
+                reads[placement[pos]] += group.r * rows
+            lost_units += len(lost)
+        tallies.append((reads, lost_units))
+    budget = layout.n * layout.rows_per_disk
+    rounds, size = [[]], 0
+    for lost, batch in batches.items():
+        need = len(batch.lanes) * group.m * sum(map(bool, batch.plan.reads.values()))
+        if rounds[-1] and size + need > budget:
+            rounds.append([])
+            size = 0
+        rounds[-1].append((lost, batch))
+        size += need
+    return tallies, (unit for round_ in rounds for unit in _decode_round(array, round_))
 
 
 def fail_and_reconstruct(array: DiskArray, failed) -> tuple[DiskArray, IOStats]:
     """Rebuild the failed disks onto replacements, reading per the rule.
 
-    Returns the recovered array (surviving disks copied, failed disks
-    rebuilt) and per-disk read/write unit counts. Instances that lost no
-    column are never touched.
+    Returns the recovered array (surviving disks copied, failed disks written
+    from the rebuilt-unit stream) and per-disk read/write unit counts.
+    Instances that lost no column are never touched.
     """
     failed = check_failed(array.layout, failed)
-    [(replacements, reads, writes)] = _rebuild(array, [failed])
-    disks = [
-        replacements[d] if d in failed else bytearray(disk) for d, disk in enumerate(array.disks)
-    ]
+    [(reads, _)], units = _rebuild(array, [failed])
+    m, writes = array.layout.group.m, dict.fromkeys(failed, 0)
+    disks = [bytearray(len(disk) if d in failed else disk) for d, disk in enumerate(array.disks)]
+    for _, _, disk, offset, unit in units:
+        disks[disk][offset : offset + m] = unit
+        writes[disk] += m
     return DiskArray(array.layout, disks), IOStats(reads=reads, writes=writes)
 
 
 def exhaustive_verify(layout: DeclusteredLayout, s: int, seed: int = 1) -> VerifySummary:
     """Rebuild every size-s failure set of one seeded fill and check each.
 
-    The sets share one rebuild: each (instance, lost tuple) that any set
-    produces is gathered and decoded once, in batches whose lanes come from
-    all the sets (see _rebuild). Sharing is sound because an instance's
+    The sets share one rebuild (see _rebuild): each (instance, lost tuple)
+    that any set produces is decoded once, which is sound because its
     rebuilt units depend only on its own stored bytes and the positions it
-    lost, and every set starts from the same array. Each set still gets its
-    own replacement disks, assembled from the rebuilt units, and counts as
-    recovered only if those disks equal the originals byte for byte; its
-    per-disk read range comes from the plans of its own affected instances.
-    The sweep is uniform when every set reads the same count from every
-    survivor. Results are in sorted failure-set order.
+    lost. No set gets replacement disks. Each rebuilt unit is compared with
+    the original bytes at its own (disk, offset) as its round passes it on,
+    and a wrong one fails every set that produces its (instance, lost
+    tuple); only then are the sets' losses walked again. A set whose
+    instances lost other than s disks' worth of column-units fails too, as
+    some unit it lost was never rebuilt. A set's read range comes from the
+    plans of its own affected instances; the sweep is uniform when every set
+    reads the same count from every survivor. Results are in sorted
+    failure-set order.
     """
     delta = layout.group.delta
     if isinstance(s, bool) or not isinstance(s, int) or not 0 <= s <= delta:
         raise ParamError(f"need 0 <= s <= delta={delta}, got {s!r}")
     array = materialize(layout, seed)
     failure_sets = list(combinations(range(layout.n), s))
-    rebuilt = _rebuild(array, [frozenset(failed) for failed in failure_sets])
+    tallies, units = _rebuild(array, [frozenset(failed) for failed in failure_sets])
+    disks, m, lost_per_set = array.disks, layout.group.m, s * layout.units_per_disk
+    wrong = {(i, lost) for i, lost, disk, at, unit in units if unit != disks[disk][at : at + m]}
     results = [
         SetResult(
             failed=failed,
-            recovered=all(disk == array.disks[d] for d, disk in replacements.items()),
+            recovered=lost_units == lost_per_set
+            and not (wrong and wrong.intersection(losses(layout, frozenset(failed)))),
             min_reads=min(reads.values()),
             max_reads=max(reads.values()),
         )
-        for failed, (replacements, reads, _) in zip(failure_sets, rebuilt)
+        for failed, (reads, lost_units) in zip(failure_sets, tallies)
     ]
     low = min(result.min_reads for result in results)
     high = max(result.max_reads for result in results)

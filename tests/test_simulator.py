@@ -1,6 +1,7 @@
 """Byte-level fill, failure injection, recovery, and measured I/O counts."""
 
 import hashlib
+import tracemalloc
 from itertools import combinations, islice
 
 import pytest
@@ -374,6 +375,52 @@ def test_sweep_gathers_each_instance_and_lost_tuple_once(monkeypatch):
     assert len(expected) < affected
     lost_patterns = set().union(*(_lost_patterns(layout, failed) for failed in sets))
     assert 1 <= len(decodes) <= len(lost_patterns)
+
+
+def test_sweep_fails_a_set_whose_lost_unit_nobody_rebuilds(monkeypatch):
+    layout = build_layout(group_family(rdp_code(3), "full"), hadamard_3design(8))
+    walk = simulator.losses
+
+    def dropping(layout, failed):
+        affected = walk(layout, failed)
+        return affected[1:] if failed == {0, 1} else affected
+
+    monkeypatch.setattr(simulator, "losses", dropping)
+    summary = exhaustive_verify(layout, 2, seed=3)
+    assert [r.failed for r in summary.results if not r.recovered] == [(0, 1)]
+    assert summary.passed == summary.total - 1 == 27
+
+
+def test_sweep_walks_each_sets_losses_once_when_every_unit_matches(monkeypatch):
+    layout = build_layout(group_family(rdp_code(3), "full"), hadamard_3design(8))
+    walked = []
+    walk = simulator.losses
+
+    def counting(layout, failed):
+        walked.append(tuple(sorted(failed)))
+        return walk(layout, failed)
+
+    monkeypatch.setattr(simulator, "losses", counting)
+    summary = exhaustive_verify(layout, 2, seed=3)
+    assert summary.passed == summary.total == 28
+    assert walked == list(combinations(range(layout.n), 2))
+
+
+def test_sweep_memory_stays_within_a_few_arrays():
+    # Timing-free: the tracemalloc peak of a warm s=2 sweep (plans memoized)
+    # against the array's own bytes. Keeping every rebuilt unit and building
+    # each set's replacement disks peaked near 12 arrays here.
+    layout = build_layout(group_family(rdp_code(7), "full"), hadamard_3design(16))
+    array_bytes = layout.n * layout.rows_per_disk
+    exhaustive_verify(layout, 2, seed=1)
+    tracemalloc.start()
+    try:
+        summary = exhaustive_verify(layout, 2, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert summary.passed == summary.total == 120
+    assert peak <= 8 * array_bytes, peak / array_bytes
 
 
 def test_sweep_reports_non_uniform_reads(reference_design):
