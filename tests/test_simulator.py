@@ -89,8 +89,19 @@ def test_materialize_seed_zero_yields_zero_disks(reference_layout):
             ),
             "0075cd29cdc9a01d4e08793e799768e63aa88357782ebb240958a6654fe2e255",
         ),
+        (
+            lambda ref: build_layout(
+                group_family(rs_code(6, 2), "full"), complete_design(12, 6, 3)
+            ),
+            "56c7aad266616aaea46fd9b3aa87de00dbd9a825fe35f701e264e4268bb55bd4",
+        ),
     ],
-    ids=["3-(8,4,1)-rdp3", "complete(9,6,3)-rs(6,2)", "complete(7,5,4)-rs(5,3)"],
+    ids=[
+        "3-(8,4,1)-rdp3",
+        "complete(9,6,3)-rs(6,2)",
+        "complete(7,5,4)-rs(5,3)",
+        "complete(12,6,3)-rs(6,2)",
+    ],
 )
 def test_materialize_bytes_are_pinned(reference_layout, build, digest):
     array = materialize(build(reference_layout), 7)
