@@ -25,6 +25,12 @@ every set that uses it; no set gets replacement disks.
 Data bytes come from a 64-bit xorshift stream (shifts 13, 7, 17; low byte of
 each state is emitted), so fixtures are portable: same seed, same array.
 Seed 0 is the generator's fixed point and yields the all-zero fill.
+`byte_stream` is the reference, one byte per step. `materialize` takes the
+same bytes from the stream's linear recurrence instead: the xorshift step is
+linear over GF(2) (Marsaglia, "Xorshift RNGs", J. Stat. Softw. 2003), so
+every output bit obeys one 24-tap XOR recurrence of degree 64, and so does
+every block of S bytes when S is a power of two. Only the first 64 blocks
+are drawn from `byte_stream`; each later block is the XOR of 24 earlier ones.
 """
 
 from __future__ import annotations
@@ -38,6 +44,14 @@ from .parity_groups import ReconstructionPlan, reconstruction_plan
 
 _MASK64 = (1 << 64) - 1
 
+# Exponents of the stream's characteristic polynomial p(x) = 1 + sum x^j
+# (found by Berlekamp-Massey on its output bits): y_i = XOR of y_{i-j} for j
+# in _TAPS, for every bit of every byte. Over GF(2), p(x)^S = p(x^S) when S
+# is a power of two, so S-byte blocks obey the same taps.
+_TAPS = (
+    8, 11, 12, 13, 14, 15, 17, 18, 20, 22, 25, 27, 31, 32, 34, 36, 37, 41, 44, 48, 51, 52, 55, 64
+)
+
 
 def byte_stream(seed: int):
     """Endless deterministic byte generator (xorshift64, low byte)."""
@@ -47,6 +61,36 @@ def byte_stream(seed: int):
         state ^= state >> 7
         state ^= (state << 17) & _MASK64
         yield state & 0xFF
+
+
+def _block_size(length: int) -> int:
+    """Recurrence block size for a fill of `length` bytes: a power of two
+    near sqrt(length), balancing the 64 blocks drawn byte by byte against
+    the number of blocks XORed."""
+    return 1 << max(3, length.bit_length() // 2 - 1)
+
+
+def _fill_bytes(seed: int, length: int) -> bytes:
+    """The first `length` bytes of `byte_stream(seed)`, block by block.
+
+    Blocks 0..63 come from the stream; block q >= 64, read as an int, is the
+    XOR of blocks q - j for j in _TAPS. Only the last 64 blocks are kept as
+    ints; the bytes go straight into one preallocated buffer.
+    """
+    size = _block_size(length)
+    head = 64 * size
+    if length <= head:
+        return bytes(islice(byte_stream(seed), length))
+    out = bytearray(length)
+    out[:head] = bytes(islice(byte_stream(seed), head))
+    ring = [int.from_bytes(out[q * size : (q + 1) * size], "little") for q in range(64)]
+    for q, start in enumerate(range(head, length, size), 64):
+        block = 0
+        for j in _TAPS:
+            block ^= ring[(q - j) & 63]
+        ring[q & 63] = block
+        out[start : start + size] = block.to_bytes(size, "little")[: length - start]
+    return bytes(out)
 
 
 @dataclass
@@ -126,7 +170,7 @@ def materialize(layout: DeclusteredLayout, seed: int) -> DiskArray:
     data_cols = k - delta
     lanes = len(layout.placements)
     per_instance = m * data_cols
-    fill = bytes(islice(byte_stream(seed), lanes * per_instance))
+    fill = _fill_bytes(seed, lanes * per_instance)
     # units[pos] holds the column-unit at position pos of every instance,
     # one after another in block order.
     units = [bytearray(lanes * m) for _ in range(k)]

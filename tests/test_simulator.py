@@ -1,6 +1,7 @@
 """Byte-level fill, failure injection, recovery, and measured I/O counts."""
 
 import hashlib
+import random
 import tracemalloc
 from itertools import combinations, islice
 
@@ -48,6 +49,99 @@ def test_byte_stream_seed_zero_is_all_zero():
 
 def test_byte_stream_seeds_differ():
     assert list(islice(byte_stream(1), 32)) != list(islice(byte_stream(2), 32))
+
+
+# Every block size the fill picks for lengths up to 1 MiB.
+FILL_BLOCK_SIZES = sorted({simulator._block_size(n) for n in range(1, 1 << 20, 97)})
+
+
+def _fill_lengths(limit: int) -> list[int]:
+    """0, 1, 64·S - 1, 64·S and 64·S + 1 at every block size S, lengths that
+    are not multiples of the block size, and the 110,880-byte
+    complete(12,6,3) + RS(6,2) fill, up to `limit`."""
+    lengths = {0, 1, 7, 100, 1000, 5000, 8200, 20_001, 50_000, 110_880, 131_075, 524_293}
+    for size in FILL_BLOCK_SIZES:
+        lengths |= {64 * size - 1, 64 * size, 64 * size + 1}
+    return sorted(n for n in lengths if n <= limit)
+
+
+@pytest.mark.parametrize(
+    "seed,limit",
+    [(0, 110_880), (1, 1 << 20), (2**64 - 1, 110_880), (2**64, 110_880), (2**64 + 5, 110_880)]
+    + [
+        (random.Random(index).randrange(1 << 69, 1 << 100), 1 << 20 if index == 0 else 110_880)
+        for index in range(4)
+    ],
+)
+def test_fill_bytes_equals_the_byte_stream(seed, limit):
+    lengths = _fill_lengths(limit)
+    reference = bytes(islice(byte_stream(seed), lengths[-1]))
+    for n in lengths:
+        assert simulator._fill_bytes(seed, n) == reference[:n], n
+
+
+def test_fill_lengths_run_the_recurrence_at_every_block_size():
+    # Each block size the fill can pick is exercised past its first 64 blocks.
+    deep = {
+        simulator._block_size(n)
+        for n in _fill_lengths(1 << 20)
+        if n > 64 * simulator._block_size(n)
+    }
+    assert FILL_BLOCK_SIZES == [8, 16, 32, 64, 128, 256, 512]
+    # At S = 8 (fills under 512 bytes) the whole fill comes from the stream.
+    assert deep == set(FILL_BLOCK_SIZES) - {8}
+
+
+def _berlekamp_massey(bits: list[int]) -> list[int]:
+    """Shortest connection polynomial c (c[0] = 1) with
+    bits[i] = XOR of c[j] & bits[i - j], j = 1..L, over GF(2)."""
+    c, b = [1], [1]
+    length, shift = 0, 1
+    for n, bit in enumerate(bits):
+        discrepancy = bit
+        for j in range(1, length + 1):
+            discrepancy ^= c[j] & bits[n - j]
+        if not discrepancy:
+            shift += 1
+            continue
+        previous = c[:]
+        c += [0] * (len(b) + shift - len(c))
+        for j, coefficient in enumerate(b):
+            c[j + shift] ^= coefficient
+        if 2 * length <= n:
+            length, b, shift = n + 1 - length, previous, 1
+        else:
+            shift += 1
+    return c[: length + 1]
+
+
+def test_fill_taps_are_the_streams_recurrence():
+    # 256 output bits fix a degree-64 recurrence uniquely; every bit of the
+    # byte gives the same one.
+    stream = list(islice(byte_stream(0x9E3779B97F4A7C15), 256))
+    for bit in range(8):
+        c = _berlekamp_massey([byte >> bit & 1 for byte in stream])
+        assert len(c) == 65
+        assert tuple(j for j in range(1, 65) if c[j]) == simulator._TAPS
+
+
+def test_materialize_draws_only_the_first_64_blocks_byte_by_byte(monkeypatch):
+    # Timing-free guard: the 110,880-byte fill may take no more than 64
+    # blocks from the per-byte generator.
+    layout = build_layout(group_family(rs_code(6, 2), "full"), complete_design(12, 6, 3))
+    group = layout.group
+    length = len(layout.placements) * group.m * (group.k - group.delta)
+    assert length == 110_880
+    drawn = [0]
+
+    def counting(seed):
+        for byte in byte_stream(seed):
+            drawn[0] += 1
+            yield byte
+
+    monkeypatch.setattr(simulator, "byte_stream", counting)
+    materialize(layout, 7)
+    assert 0 < drawn[0] <= 64 * simulator._block_size(length) == 8192
 
 
 # ------------------------------------------------------------------- fill
