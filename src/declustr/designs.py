@@ -18,6 +18,10 @@ from .errors import BlockSizeError, CoverageError, FormatError, ParamError
 
 DESIGN_JSON_FIELDS = ("t", "n", "k", "lambda", "blocks")
 
+# Most t-subsets validate_design will count. Every design it checks tallies
+# all C(n,t) of them in one dict, so this caps that dict near 10^6 entries.
+MAX_COVERAGE_SUBSETS = 10**6
+
 
 @dataclass(frozen=True)
 class DesignParams:
@@ -75,9 +79,16 @@ def validate_design(blocks, t: int, n: int, k: int, lam: int) -> Design:
 
     Every block must be a k-subset of {0,...,n-1} and every t-subset of the
     point set must occur in exactly lam blocks (all C(n,t) subsets are
-    checked).
+    checked). A design with more than MAX_COVERAGE_SUBSETS t-subsets is
+    refused before any of them is built.
     """
     params = DesignParams(t=t, n=n, k=k, lam=lam)
+    subsets = comb(n, t)
+    if subsets > MAX_COVERAGE_SUBSETS:
+        raise ParamError(
+            f"validating C({n},{t}) = {subsets} {t}-subsets exceeds the limit "
+            f"of {MAX_COVERAGE_SUBSETS}"
+        )
     normalized = []
     for block in blocks:
         members = tuple(sorted(block))

@@ -1,6 +1,7 @@
 """End-to-end command-line checks: output text, file round-trips, exit codes."""
 
 import json
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -561,3 +562,21 @@ def test_non_integer_group_descriptor_is_a_one_line_error(capsys, tmp_path, refe
     code, out, err = cli(capsys, "layout", "inspect", "--layout", str(path))
     assert (code, out) == (1, "")
     assert err == "error: group descriptor field 'p' must be an integer, got 3.0\n"
+
+
+@pytest.mark.parametrize("kind", ["design", "layout"])
+def test_huge_point_count_is_a_one_line_error(capsys, tmp_path, reference_layout, kind):
+    if kind == "design":
+        obj = json.loads(Path(REFERENCE_DESIGN).read_text())
+        obj["n"] = 10**30
+        argv = ["design", "validate", "--file"]
+    else:
+        obj = json.loads(serialize_layout(reference_layout))
+        obj["design"]["n"] = 10**30
+        argv = ["layout", "inspect", "--layout"]
+    path = tmp_path / "huge_n.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = cli(capsys, *argv, str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"validating C({10**30},3) = {comb(10**30, 3)} 3-subsets exceeds" in err

@@ -1,6 +1,7 @@
 """Design validation, construction, and block counting."""
 
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -16,6 +17,7 @@ from declustr import (
     reduce_design,
     validate_design,
 )
+from declustr.designs import MAX_COVERAGE_SUBSETS
 from declustr.errors import BlockSizeError, CoverageError, FormatError, ParamError
 from conftest import BIBD_BLOCKS_2_5_4_3, REFERENCE_BLOCKS_3_8_4_1
 
@@ -84,6 +86,15 @@ def test_bad_blocks_rejected(block):
 def test_bad_params_rejected(t, n, k, lam):
     with pytest.raises(ParamError):
         DesignParams(t=t, n=n, k=k, lam=lam)
+
+
+def test_too_many_coverage_subsets_refused_from_the_count():
+    assert comb(182, 3) <= MAX_COVERAGE_SUBSETS < comb(200, 3)
+    with pytest.raises(ParamError, match=r"C\(200,3\) = 1313400 3-subsets"):
+        validate_design(REFERENCE_BLOCKS_3_8_4_1, t=3, n=200, k=4, lam=1)
+    # Within the limit, coverage is checked as usual.
+    with pytest.raises(CoverageError):
+        validate_design(REFERENCE_BLOCKS_3_8_4_1, t=3, n=182, k=4, lam=1)
 
 
 # ----------------------------------------------------------- construction
@@ -253,6 +264,13 @@ def test_json_structural_errors(reference_design, mutate):
     obj = design_to_json(reference_design)
     mutate(obj)
     with pytest.raises(FormatError):
+        design_from_json(obj)
+
+
+def test_json_huge_point_count_is_a_param_error(reference_design):
+    obj = design_to_json(reference_design)
+    obj["n"] = 10**30
+    with pytest.raises(ParamError, match=f"= {comb(10**30, 3)} 3-subsets"):
         design_from_json(obj)
 
 
