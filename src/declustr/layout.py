@@ -74,8 +74,7 @@ class DeclusteredLayout:
     def unit_offsets(self) -> tuple[tuple[int, ...], ...]:
         """Per placement, the offset of its column-unit on each of its disks.
 
-        This is the stacking order of `stacks` with m bytes per unit; it is
-        walked on its own so that a fill does not build `stacks`.
+        This is the stacking order of `stacks` with m bytes per unit.
         """
         m = self.group.m
         base = [0] * self.n

@@ -29,14 +29,18 @@ Seed 0 is the generator's fixed point and yields the all-zero fill.
 same bytes from the stream's linear recurrence instead: the xorshift step is
 linear over GF(2) (Marsaglia, "Xorshift RNGs", J. Stat. Softw. 2003), so
 every output bit obeys one 24-tap XOR recurrence of degree 64, and so does
-every block of S bytes when S is a power of two. Only the first 64 blocks
-are drawn from `byte_stream`; each later block is the XOR of 24 earlier ones.
+every block of S bytes when S is a power of two. Each block after the first
+64 is the XOR of 24 earlier ones, and those 64 blocks are themselves filled
+the same way at half the block size, down to a head of at most 512 bytes
+drawn from `byte_stream`. Each disk is then one join of its stacked
+column-units.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, islice
+from operator import getitem, itemgetter
 
 from .errors import InvariantError, ParamError
 from .layout import DeclusteredLayout, check_failed, losses
@@ -64,25 +68,27 @@ def byte_stream(seed: int):
 
 
 def _block_size(length: int) -> int:
-    """Recurrence block size for a fill of `length` bytes: a power of two
-    near sqrt(length), balancing the 64 blocks drawn byte by byte against
-    the number of blocks XORed."""
-    return 1 << max(3, length.bit_length() // 2 - 1)
+    """Recurrence block size for a fill of `length` bytes: the largest power
+    of two S with 128 * S <= length, at least 8, so the 64-block head is at
+    most half the fill."""
+    return 1 << max(3, (length >> 7).bit_length() - 1)
 
 
 def _fill_bytes(seed: int, length: int) -> bytes:
     """The first `length` bytes of `byte_stream(seed)`, block by block.
 
-    Blocks 0..63 come from the stream; block q >= 64, read as an int, is the
-    XOR of blocks q - j for j in _TAPS. Only the last 64 blocks are kept as
-    ints; the bytes go straight into one preallocated buffer.
+    The head, blocks 0..63, is itself a fill: of 64 * S bytes, at half the
+    block size, and so on down until a head of at most 512 bytes is drawn
+    from `byte_stream`. Block q >= 64, read as an int, is the XOR of blocks
+    q - j for j in _TAPS. Only the last 64 blocks are kept as ints; the bytes
+    go straight into one preallocated buffer.
     """
     size = _block_size(length)
     head = 64 * size
     if length <= head:
         return bytes(islice(byte_stream(seed), length))
     out = bytearray(length)
-    out[:head] = bytes(islice(byte_stream(seed), head))
+    out[:head] = _fill_bytes(seed, head)
     ring = [int.from_bytes(out[q * size : (q + 1) * size], "little") for q in range(64)]
     for q, start in enumerate(range(head, length, size), 64):
         block = 0
@@ -162,8 +168,11 @@ def materialize(layout: DeclusteredLayout, seed: int) -> DiskArray:
 
     Fill order is fixed: instances in block order, extended rows top to
     bottom, inner rows in order, data slots left to right. A disk stacks its
-    column-units contiguously in ascending block index, m bytes each.
+    column-units contiguously in ascending block index, m bytes each. The
+    seed must be an int; it is taken mod 2^64.
     """
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ParamError(f"seed must be an int, got {seed!r}")
     group = layout.group
     code = group.code
     k, delta, r, m = group.k, group.delta, group.r, group.m
@@ -186,10 +195,19 @@ def materialize(layout: DeclusteredLayout, seed: int) -> DiskArray:
         for pos, column in enumerate(columns):
             for j in range(r):
                 units[pos][e * r + j :: m] = codeword[j][column].to_bytes(lanes, "little")
-    disks = [bytearray(layout.rows_per_disk) for _ in range(layout.n)]
-    for index, (placement, offsets) in enumerate(zip(layout.placements, layout.unit_offsets)):
-        for pos, disk in enumerate(placement):
-            disks[disk][offsets[pos] : offsets[pos] + m] = units[pos][index * m : (index + 1) * m]
+    # A disk is its stack's column-units joined in order: unit (index, pos)
+    # is units[pos][slices[index]].
+    slices = [slice(index * m, (index + 1) * m) for index in range(lanes)]
+    disks = [
+        bytearray().join(
+            map(
+                getitem,
+                map(units.__getitem__, map(itemgetter(1), stack)),
+                map(slices.__getitem__, map(itemgetter(0), stack)),
+            )
+        )
+        for stack in layout.stacks
+    ]
     return DiskArray(layout, disks)
 
 
@@ -318,6 +336,7 @@ def _rebuild(array: DiskArray, failure_sets: list[frozenset[int]]):
     """
     layout = array.layout
     group = layout.group
+    r = group.r
     batches: dict[tuple[int, ...], _LostGroup] = {}
     tallies = []
     for failed in failure_sets:
@@ -329,7 +348,7 @@ def _rebuild(array: DiskArray, failure_sets: list[frozenset[int]]):
             batch.lanes[index] = None
             placement = layout.placements[index]
             for pos, rows in batch.plan.reads.items():
-                reads[placement[pos]] += group.r * rows
+                reads[placement[pos]] += r * rows
             lost_units += len(lost)
         tallies.append((reads, lost_units))
     budget = layout.n * layout.rows_per_disk
@@ -408,15 +427,17 @@ def exhaustive_verify(layout: DeclusteredLayout, s: int, seed: int = 1) -> Verif
     )
 
 
+def _check_index(name: str, value, size: int) -> None:
+    """Refuse anything but an int in 0..size-1; a bool indexes like 0 or 1 but is neither."""
+    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < size:
+        raise ParamError(f"{name} must be an int in 0..{size - 1}, got {value!r}")
+
+
 def unit_provenance(layout: DeclusteredLayout, disk: int, offset: int) -> UnitProvenance:
     """Group coordinates of the byte at (disk, offset)."""
     group = layout.group
-    if not 0 <= disk < layout.n:
-        raise ParamError(f"disk must be in 0..{layout.n - 1}, got {disk}")
-    if not 0 <= offset < layout.rows_per_disk:
-        raise ParamError(
-            f"offset must be in 0..{layout.rows_per_disk - 1}, got {offset}"
-        )
+    _check_index("disk", disk, layout.n)
+    _check_index("offset", offset, layout.rows_per_disk)
     stack_index, rem = divmod(offset, group.m)
     e, j = divmod(rem, group.r)
     block_index, pos = layout.stacks[disk][stack_index]

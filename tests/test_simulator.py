@@ -32,6 +32,7 @@ from declustr import (
 import declustr.simulator as simulator
 from declustr.simulator import SetResult, VerifySummary, dump_disk
 from declustr.errors import InvariantError, ParamError, TooManyFailures
+from test_reconstruction_plan import CASES, relabeled
 
 
 # -------------------------------------------------------------- byte source
@@ -56,13 +57,22 @@ FILL_BLOCK_SIZES = sorted({simulator._block_size(n) for n in range(1, 1 << 20, 9
 
 
 def _fill_lengths(limit: int) -> list[int]:
-    """0, 1, 64·S - 1, 64·S and 64·S + 1 at every block size S, lengths that
-    are not multiples of the block size, and the 110,880-byte
+    """0, 1, and 64·S - 1, 64·S, 64·S + 1 and 128·S - 1, 128·S, 128·S + 1 at
+    every block size S (where the head and the block size change), lengths
+    that are not multiples of the block size, and the 110,880-byte
     complete(12,6,3) + RS(6,2) fill, up to `limit`."""
     lengths = {0, 1, 7, 100, 1000, 5000, 8200, 20_001, 50_000, 110_880, 131_075, 524_293}
     for size in FILL_BLOCK_SIZES:
         lengths |= {64 * size - 1, 64 * size, 64 * size + 1}
+        lengths |= {128 * size - 1, 128 * size, 128 * size + 1}
     return sorted(n for n in lengths if n <= limit)
+
+
+def _fill_depth(n: int) -> int:
+    """How many heads a fill of n bytes builds by recurrence before the one
+    drawn from `byte_stream`."""
+    head = 64 * simulator._block_size(n)
+    return 0 if n <= head else 1 + _fill_depth(head)
 
 
 @pytest.mark.parametrize(
@@ -81,15 +91,19 @@ def test_fill_bytes_equals_the_byte_stream(seed, limit):
 
 
 def test_fill_lengths_run_the_recurrence_at_every_block_size():
-    # Each block size the fill can pick is exercised past its first 64 blocks.
+    # Each block size the fill can pick is exercised past its first 64
+    # blocks, and so is every depth of heads built from smaller blocks.
+    lengths = _fill_lengths(1 << 20)
     deep = {
         simulator._block_size(n)
-        for n in _fill_lengths(1 << 20)
+        for n in lengths
         if n > 64 * simulator._block_size(n)
     }
-    assert FILL_BLOCK_SIZES == [8, 16, 32, 64, 128, 256, 512]
-    # At S = 8 (fills under 512 bytes) the whole fill comes from the stream.
-    assert deep == set(FILL_BLOCK_SIZES) - {8}
+    assert FILL_BLOCK_SIZES == [8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096]
+    assert deep == set(FILL_BLOCK_SIZES)
+    # Each head is at most half its fill, so 1 MiB needs at most 10 levels.
+    assert {_fill_depth(n) for n in lengths} == set(range(11))
+    assert _fill_depth(110_880) == 7
 
 
 def _berlekamp_massey(bits: list[int]) -> list[int]:
@@ -125,13 +139,8 @@ def test_fill_taps_are_the_streams_recurrence():
         assert tuple(j for j in range(1, 65) if c[j]) == simulator._TAPS
 
 
-def test_materialize_draws_only_the_first_64_blocks_byte_by_byte(monkeypatch):
-    # Timing-free guard: the 110,880-byte fill may take no more than 64
-    # blocks from the per-byte generator.
-    layout = build_layout(group_family(rs_code(6, 2), "full"), complete_design(12, 6, 3))
-    group = layout.group
-    length = len(layout.placements) * group.m * (group.k - group.delta)
-    assert length == 110_880
+def _count_byte_stream(monkeypatch) -> list[int]:
+    """Patch `simulator.byte_stream` to count the bytes drawn from it."""
     drawn = [0]
 
     def counting(seed):
@@ -140,8 +149,25 @@ def test_materialize_draws_only_the_first_64_blocks_byte_by_byte(monkeypatch):
             yield byte
 
     monkeypatch.setattr(simulator, "byte_stream", counting)
+    return drawn
+
+
+def test_materialize_draws_at_most_1024_bytes_byte_by_byte(monkeypatch):
+    # Timing-free guard: the 110,880-byte fill takes only its last head from
+    # the per-byte generator.
+    layout = build_layout(group_family(rs_code(6, 2), "full"), complete_design(12, 6, 3))
+    group = layout.group
+    length = len(layout.placements) * group.m * (group.k - group.delta)
+    assert length == 110_880
+    drawn = _count_byte_stream(monkeypatch)
     materialize(layout, 7)
-    assert 0 < drawn[0] <= 64 * simulator._block_size(length) == 8192
+    assert 0 < drawn[0] <= 1024
+
+
+def test_fill_of_1_mib_draws_at_most_1024_bytes_byte_by_byte(monkeypatch):
+    drawn = _count_byte_stream(monkeypatch)
+    assert len(simulator._fill_bytes(5, 1 << 20)) == 1 << 20
+    assert 0 < drawn[0] <= 1024
 
 
 # ------------------------------------------------------------------- fill
@@ -201,6 +227,43 @@ def test_materialize_bytes_are_pinned(reference_layout, build, digest):
     array = materialize(build(reference_layout), 7)
     assert hashlib.sha256(b"".join(array.disks)).hexdigest() == digest
     assert check_parity_invariant(array)
+
+
+def _placed_unit_by_unit(layout, seed) -> list[bytearray]:
+    """Oracle for materialize: encode each instance's codewords on its own
+    from the reference stream, then place its column-units one slice
+    assignment at a time (the placement loop materialize used to run)."""
+    group = layout.group
+    k, delta, r, m = group.k, group.delta, group.r, group.m
+    data_cols = k - delta
+    per_instance = m * data_cols
+    fill = bytes(islice(byte_stream(seed), len(layout.placements) * per_instance))
+    disks = [bytearray(layout.rows_per_disk) for _ in range(layout.n)]
+    for index, (placement, offsets) in enumerate(zip(layout.placements, layout.unit_offsets)):
+        base = index * per_instance
+        units = [bytearray(m) for _ in range(k)]
+        for e, columns in enumerate(group.canonical_columns):
+            data = [
+                [fill[base + (e * r + j) * data_cols + s] for s in range(data_cols)]
+                for j in range(r)
+            ]
+            codeword = group.code.encode(data)
+            for pos, column in enumerate(columns):
+                for j in range(r):
+                    units[pos][e * r + j] = codeword[j][column]
+        for pos, disk in enumerate(placement):
+            disks[disk][offsets[pos] : offsets[pos] + m] = units[pos]
+    return disks
+
+
+@pytest.mark.parametrize("family", ["full", "single", "rotations"])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_materialize_matches_unit_by_unit_placement(name, family):
+    rng = random.Random(f"placement/{name}/{family}")
+    make_code, make_design = CASES[name]
+    layout = build_layout(group_family(make_code(), family), relabeled(rng, make_design()))
+    for seed in (rng.randrange(1, 1 << 16), rng.randrange(1 << 64, 1 << 80)):
+        assert materialize(layout, seed).disks == _placed_unit_by_unit(layout, seed), seed
 
 
 def test_parity_invariant_detects_corruption(reference_layout):
@@ -580,6 +643,32 @@ def test_unit_provenance_rejects_out_of_range(reference_layout):
         unit_provenance(reference_layout, 8, 0)
     with pytest.raises(ParamError):
         unit_provenance(reference_layout, 0, 168)
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.5, 1.0, "1", None])
+def test_unit_provenance_and_dump_disk_reject_non_int_indices(reference_layout, bad):
+    # A bool is not a disk or an offset, though it indexes like 0 or 1.
+    with pytest.raises(ParamError):
+        unit_provenance(reference_layout, bad, 0)
+    with pytest.raises(ParamError):
+        unit_provenance(reference_layout, 0, bad)
+    with pytest.raises(ParamError):
+        dump_disk(materialize(reference_layout, 7), bad)
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.5, 3.0, "3", None])
+def test_materialize_rejects_a_non_int_seed(reference_layout, bad):
+    with pytest.raises(ParamError, match="seed"):
+        materialize(reference_layout, bad)
+    with pytest.raises(ParamError, match="seed"):
+        exhaustive_verify(reference_layout, 1, seed=bad)
+
+
+def test_seed_is_taken_mod_2_64(reference_layout):
+    array = materialize(reference_layout, 5)
+    assert materialize(reference_layout, 5 + 2**64).disks == array.disks
+    assert materialize(reference_layout, 5 - 2**64).disks == array.disks
+    assert materialize(reference_layout, -1).disks == materialize(reference_layout, 2**64 - 1).disks
 
 
 def test_dump_disk_lists_every_offset(reference_layout):
