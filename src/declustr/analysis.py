@@ -3,9 +3,12 @@
 Workload is counted the way the balance conditions define it: when a group
 instance loses columns, every surviving column of that instance is either
 read in full (all r rows of an extended row whose label the reconstruction
-rule names) or left untouched. Enumeration sums the group's memoized plan
-per affected instance; the closed forms combine the design's block-counting
-numbers with the group's per-instance read counts and must agree exactly.
+rule names) or left untouched. Enumeration takes the affected instances
+grouped by the positions they lost (`layout.losses`) and applies the group's
+memoized plan once per such group (`layout.survivor_reads`, which the
+simulator shares); the closed forms combine the design's block-counting
+numbers with the group's per-instance read counts, memoized per failure
+size, and must agree exactly.
 
 All arithmetic is in exact integers and Fractions; rounding happens only in
 display helpers.
@@ -18,7 +21,7 @@ from fractions import Fraction
 
 from .designs import Design, DesignParams, count_lambda
 from .errors import ParamError
-from .layout import DeclusteredLayout, build_layout, check_failed, losses
+from .layout import DeclusteredLayout, build_layout, check_failed, losses, survivor_reads
 from .parity_groups import ParityGroup, reconstruction_plan, tau
 from .simulator import DiskArray, fail_and_reconstruct
 
@@ -89,12 +92,7 @@ def reconstruction_workload(layout: DeclusteredLayout, failed) -> WorkloadReport
     """
     group = layout.group
     failed = check_failed(layout, failed)
-    reads = {d: 0 for d in range(layout.n) if d not in failed}
-    r = group.r
-    for index, lost in losses(layout, failed):
-        placement = layout.placements[index]
-        for pos, rows in reconstruction_plan(group, lost).reads.items():
-            reads[placement[pos]] += r * rows
+    reads = survivor_reads(layout, failed, losses(layout, failed))
     counts = set(reads.values())
     uniform = len(counts) <= 1
     fraction = (
@@ -138,8 +136,8 @@ def closed_form_workload(params: DesignParams, group: ParityGroup, s: int) -> in
         raise ParamError(
             f"closed-form workload needs a design of strength 3, got t={params.t}"
         )
-    if s not in (1, 2):
-        raise ParamError(f"closed-form workload covers 1 or 2 failures, got {s}")
+    if isinstance(s, bool) or not isinstance(s, int) or s not in (1, 2):
+        raise ParamError(f"closed-form workload covers 1 or 2 failures, got {s!r}")
     if group.delta != 2:
         raise ParamError(
             f"closed-form workload needs a two-parity group, got delta={group.delta}"
@@ -226,23 +224,26 @@ def counterexample_report(
     """
     layout = build_layout(group, design)
     failed = check_failed(layout, failed)
-    r = group.r
+    placements, affected = layout.placements, losses(layout, failed)
+    label_at = []
+    for pos in range(group.k):
+        seen = {row[pos] for row in group.extended_rows}
+        label_at.append(seen.pop() if len(seen) == 1 else "mixed")
     labels: dict[tuple[int, int], str] = {}
     accessed: dict[tuple[int, int], bool] = {}
-    units_accessed = {d: 0 for d in range(layout.n) if d not in failed}
-    entries_read = {d: 0 for d in range(layout.n) if d not in failed}
-    lost_by_index = dict(losses(layout, failed))
-    for index, placement in enumerate(layout.placements):
-        lost = lost_by_index.get(index)
-        rows_read = reconstruction_plan(group, lost).reads if lost else {}
+    for index, placement in enumerate(placements):
         for pos, disk in enumerate(placement):
-            seen = {row[pos] for row in group.extended_rows}
-            labels[index, disk] = seen.pop() if len(seen) == 1 else "mixed"
-            rows = rows_read.get(pos, 0)
-            accessed[index, disk] = disk in failed or rows > 0
-            if rows:
-                units_accessed[disk] += 1
-                entries_read[disk] += r * rows
+            labels[index, disk] = label_at[pos]
+            accessed[index, disk] = disk in failed
+    units_accessed = {d: 0 for d in range(layout.n) if d not in failed}
+    for lost, indices in affected.items():
+        for positions in reconstruction_plan(group, lost).by_rows.values():
+            for index in indices:
+                placement = placements[index]
+                for pos in positions:
+                    accessed[index, placement[pos]] = True
+                    units_accessed[placement[pos]] += 1
+    entries_read = survivor_reads(layout, failed, affected)
     return CounterexampleReport(
         failed=failed,
         n=layout.n,

@@ -6,6 +6,13 @@ block index. With a design of strength matching the group (t = delta + 1),
 every disk ends up holding the same number of column-units and the same
 number of parity entries.
 
+Each layout caches a per-disk index: for every disk and position, the
+placements that put that position there, plus each disk's member set and
+bit mask. A failure's affected instances are read off it already grouped by
+the positions they lost (`losses`), and `survivor_reads` counts what each
+group's reconstruction plan reads from every surviving disk, a group at a
+time; the analysis and the simulator share that one tally.
+
 The delta=1 path mirrors classic single-parity declustering: a one-row group
 whose parity column is last, hence placed on the largest block element, with
 an optional cyclic rotation step to even out parity placement.
@@ -15,9 +22,12 @@ from __future__ import annotations
 
 import json
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, combinations, filterfalse
+from operator import itemgetter
 
 from .designs import (
     Design,
@@ -36,7 +46,7 @@ from .errors import (
     ParamError,
     TooManyFailures,
 )
-from .parity_groups import FAMILIES, ParityGroup, group_family
+from .parity_groups import FAMILIES, ParityGroup, group_family, reconstruction_plan
 
 LAYOUT_JSON_FIELDS = ("n", "design", "group", "placements")
 
@@ -69,6 +79,26 @@ class DeclusteredLayout:
             for pos, disk in enumerate(placement):
                 stacks[disk].append((index, pos))
         return tuple(map(tuple, stacks))
+
+    @cached_property
+    def at_position(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Per disk and position, the ascending indices of the placements
+        that put that position on that disk."""
+        index = [[[] for _ in range(self.group.k)] for _ in range(self.n)]
+        for i, placement in enumerate(self.placements):
+            for pos, disk in enumerate(placement):
+                index[disk][pos].append(i)
+        return tuple(tuple(map(tuple, per_disk)) for per_disk in index)
+
+    @cached_property
+    def members(self) -> tuple[frozenset[int], ...]:
+        """Per disk, the indices of the placements that use it."""
+        return tuple(frozenset(chain.from_iterable(per_disk)) for per_disk in self.at_position)
+
+    @cached_property
+    def member_masks(self) -> tuple[int, ...]:
+        """Per disk, `members` as a bit mask: bit i is set when placement i uses the disk."""
+        return tuple(sum(map((1).__lshift__, indices)) for indices in self.members)
 
     @cached_property
     def unit_offsets(self) -> tuple[tuple[int, ...], ...]:
@@ -110,16 +140,77 @@ def check_failed(layout: DeclusteredLayout, failed) -> frozenset[int]:
     return failed
 
 
-def losses(layout: DeclusteredLayout, failed: frozenset[int]) -> list[tuple[int, tuple[int, ...]]]:
-    """(placement index, sorted lost positions) of each affected instance, in block order.
+def check_index(name: str, value, size: int) -> None:
+    """Refuse anything but an int in 0..size-1; a bool indexes like 0 or 1 but is neither."""
+    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < size:
+        raise ParamError(f"{name} must be an int in 0..{size - 1}, got {value!r}")
 
-    Walks only the failed disks' stacks, so unaffected instances cost nothing.
+
+def losses(
+    layout: DeclusteredLayout, failed: frozenset[int]
+) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Affected instances grouped by lost positions: {sorted lost tuple:
+    ascending placement indices}.
+
+    One failed disk's groups are read straight off `at_position`. With more,
+    the few instances on two or more failed disks (about lambda_2 per pair)
+    are found by intersecting the disks' member sets and placed one by one;
+    every other affected instance lost exactly one position and is read off
+    `at_position` with those few filtered out.
     """
-    lost: dict[int, list[int]] = {}
+    at_position = layout.at_position
+    if len(failed) == 1:
+        [disk] = failed
+        return {(pos,): indices for pos, indices in enumerate(at_position[disk]) if indices}
+    members = layout.members
+    multi = set()
+    for a, b in combinations(failed, 2):
+        multi |= members[a] & members[b]
+    groups: dict[tuple[int, ...], list[int]] = {}
     for disk in failed:
-        for index, pos in layout.stacks[disk]:
-            lost.setdefault(index, []).append(pos)
-    return [(index, tuple(sorted(lost[index]))) for index in sorted(lost)]
+        for pos, indices in enumerate(at_position[disk]):
+            if indices:
+                groups.setdefault((pos,), []).extend(filterfalse(multi.__contains__, indices))
+    placements = layout.placements
+    for index in sorted(multi):
+        placement = placements[index]
+        lost = tuple(sorted([placement.index(d) for d in failed if index in members[d]]))
+        groups.setdefault(lost, []).append(index)
+    return {lost: tuple(sorted(indices)) for lost, indices in groups.items() if indices}
+
+
+def survivor_reads(layout: DeclusteredLayout, failed: frozenset[int], affected) -> dict[int, int]:
+    """Entries read from each surviving disk to rebuild the `losses` groups.
+
+    Each group's plan is taken per distinct read count, which is scaled by
+    r * rows. A count that covers every surviving position reads whole
+    placements: its members are pooled into one bit mask, and a disk's count
+    is the size of its overlap with that disk's `member_masks`. Otherwise the
+    disks at the read positions of every member are collected at C level and
+    counted at once.
+    """
+    group, placements = layout.group, layout.placements
+    whole: dict[int, int] = {}
+    picked: dict[int, list[int]] = {}
+    for lost, indices in affected.items():
+        for rows, positions in reconstruction_plan(group, lost).by_rows.items():
+            if len(positions) + len(lost) == group.k:
+                whole[rows] = whole.get(rows, 0) | sum(map((1).__lshift__, indices))
+            else:
+                disks = map(itemgetter(*positions), map(placements.__getitem__, indices))
+                picked.setdefault(rows, []).extend(
+                    chain.from_iterable(disks) if len(positions) > 1 else disks
+                )
+    reads = {d: 0 for d in range(layout.n) if d not in failed}
+    for rows, mask in whole.items():
+        weight, masks = group.r * rows, layout.member_masks
+        for disk in reads:
+            reads[disk] += weight * (mask & masks[disk]).bit_count()
+    for rows, disks in picked.items():
+        weight = group.r * rows
+        for disk, count in Counter(disks).items():
+            reads[disk] += weight * count
+    return reads
 
 
 def build_layout(group: ParityGroup, design: Design) -> DeclusteredLayout:
@@ -172,7 +263,8 @@ def rotate_layout(layout: DeclusteredLayout) -> DeclusteredLayout:
 
 def disk_column_units(layout: DeclusteredLayout, disk: int) -> list[tuple[int, int]]:
     """(block index, column position) pairs stored on a disk, in stack order."""
-    return list(layout.stacks[disk]) if 0 <= disk < layout.n else []
+    check_index("disk", disk, layout.n)
+    return list(layout.stacks[disk])
 
 
 def layout_geometry(layout: DeclusteredLayout) -> LayoutGeometry:

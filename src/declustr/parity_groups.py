@@ -39,9 +39,11 @@ class ParityGroup:
     code: HorizontalCode
     extended_rows: tuple[tuple[str, ...], ...]
     family: str = "custom"
-    # reconstruction_plan's memo: derived from the fields above, so it takes no
-    # part in equality or hashing. Concurrent misses may build a plan twice.
+    # reconstruction_plan's and tau's memos: derived from the fields above, so
+    # they take no part in equality or hashing. Concurrent misses may build an
+    # entry twice.
     _plans: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _taus: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def k(self) -> int:
@@ -87,7 +89,8 @@ class ReconstructionPlan:
 
     needs[e] is the label set the rule names for extended row e; reads maps
     each surviving position to the number of extended rows reading it (r
-    entries each). The decoder's view, sources and erased, is built lazily.
+    entries each), and by_rows groups the positions read by that number. The
+    decoder's view, sources and erased, is built lazily.
     Plans are shared by every caller through the group's memo: read only.
     """
 
@@ -95,6 +98,15 @@ class ReconstructionPlan:
     reads: dict[int, int]
     rows: tuple[tuple[str, ...], ...] = field(repr=False)
     columns: tuple[tuple[int, ...], ...] = field(repr=False)
+
+    @cached_property
+    def by_rows(self) -> dict[int, tuple[int, ...]]:
+        """Each nonzero read count, mapped to the ascending positions read that often."""
+        out: dict[int, list[int]] = {}
+        for pos, rows in self.reads.items():
+            if rows:
+                out.setdefault(rows, []).append(pos)
+        return {rows: tuple(positions) for rows, positions in out.items()}
 
     @cached_property
     def sources(self) -> tuple[tuple[int, ...], ...]:
@@ -240,6 +252,12 @@ def reconstruction_plan(group: ParityGroup, lost: tuple[int, ...]) -> Reconstruc
     return plan
 
 
+def _check_size(name: str, s, delta: int) -> None:
+    """Refuse a failure size that is not an int in 1..delta; a bool is not a size."""
+    if isinstance(s, bool) or not isinstance(s, int) or not 1 <= s <= delta:
+        raise ParamError(f"need 1 <= {name} <= delta={delta}, got {s!r}")
+
+
 def verify_balance(group: ParityGroup, max_s: int) -> BalanceReport:
     """Evaluate the four balance conditions up to failure size max_s.
 
@@ -250,8 +268,7 @@ def verify_balance(group: ParityGroup, max_s: int) -> BalanceReport:
     enumeration of failure sets, the parity-placement condition by a
     per-column tally.
     """
-    if not 1 <= max_s <= group.delta:
-        raise ParamError(f"need 1 <= max_s <= delta={group.delta}, got {max_s}")
+    _check_size("max_s", max_s, group.delta)
     _check_arrangements(group)
     parity_per_column = group.parity_per_column
     row_reads: dict[tuple[tuple[int, ...], int], int] = {}
@@ -293,19 +310,22 @@ def tau(group: ParityGroup, s: int) -> int:
     """Entries read from each surviving column when any s columns are lost.
 
     Raises UnbalancedGroup when the count depends on the failure set or the
-    column, in which case no single number exists.
+    column, in which case no single number exists. The read counts seen are
+    memoized per s on the group, so each size is enumerated once.
     """
-    if not 1 <= s <= group.delta:
-        raise ParamError(f"need 1 <= s <= delta={group.delta}, got {s}")
-    _check_arrangements(group)
-    values = set()
-    for failed in combinations(range(group.k), s):
-        values.update(reconstruction_plan(group, failed).reads.values())
+    _check_size("s", s, group.delta)
+    values = group._taus.get(s)
+    if values is None:
+        _check_arrangements(group)
+        values = set()
+        for failed in combinations(range(group.k), s):
+            values.update(reconstruction_plan(group, failed).reads.values())
+        values = group._taus[s] = tuple(sorted(values))
     if len(values) != 1:
         raise UnbalancedGroup(
-            f"per-column read counts differ across size-{s} failures: {sorted(values)}"
+            f"per-column read counts differ across size-{s} failures: {list(values)}"
         )
-    return group.r * values.pop()
+    return group.r * values[0]
 
 
 def expected_full_depth(code: HorizontalCode) -> int:

@@ -8,19 +8,23 @@ instances are grouped by the positions they lost; each group follows the
 parity group's memoized reconstruction plan for those positions (the same
 plan the analysis tallies), and every (group, extended row) that leaves the
 same canonical erasure pattern is decoded by one multi-lane call that reads
-exactly the columns the rule names. Measured reads must match the analysis
-module's enumeration unit for unit (analysis.measured_matches_predicted).
+exactly the columns the rule names. Reads are tallied by the same function
+as the analysis's enumeration (`layout.survivor_reads`), so they match it
+unit for unit (analysis.measured_matches_predicted); what backs them is the
+check, once per erasure pattern, that the decoder read exactly the planned
+columns.
 
 One rebuild core serves a single failure set and an exhaustive sweep alike.
-It tallies each set's reads while it groups the affected instances, then
-streams the rebuilt units one decode round at a time; a single rebuild
-writes them to fresh replacement disks. In a sweep, the grouping spans every
-set: an instance's rebuilt units depend only on its own stored bytes and the
-positions it lost, and all sets start from the same array, so each
-(instance, lost tuple) is decoded once however many sets produce it. The
-sweep compares each streamed unit with the original bytes where it lives
-and keeps only the wrong (instance, lost tuple) keys, so a wrong unit fails
-every set that uses it; no set gets replacement disks.
+It takes each set's affected instances already grouped by lost positions
+(`layout.losses`), tallies the set's reads from those groups, then merges
+the groups into batches and streams the rebuilt units one decode round at a
+time; a single rebuild writes them to fresh replacement disks. In a sweep,
+the grouping spans every set: an instance's rebuilt units depend only on its
+own stored bytes and the positions it lost, and all sets start from the same
+array, so each (instance, lost tuple) is decoded once however many sets
+produce it. The sweep compares each streamed unit with the original bytes
+where it lives and keeps only the wrong (instance, lost tuple) keys, so a
+wrong unit fails every set that uses it; no set gets replacement disks.
 
 Data bytes come from a 64-bit xorshift stream (shifts 13, 7, 17; low byte of
 each state is emitted), so fixtures are portable: same seed, same array.
@@ -39,11 +43,11 @@ column-units.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 from operator import getitem, itemgetter
 
 from .errors import InvariantError, ParamError
-from .layout import DeclusteredLayout, check_failed, losses
+from .layout import DeclusteredLayout, check_failed, check_index, losses, survivor_reads
 from .parity_groups import ReconstructionPlan, reconstruction_plan
 
 _MASK64 = (1 << 64) - 1
@@ -327,8 +331,9 @@ def _rebuild(array: DiskArray, failure_sets: list[frozenset[int]]):
     An instance's rebuild depends only on its stored bytes and the positions
     it lost, so affected instances are grouped by lost-position tuple across
     all the sets, and each (instance, lost tuple) is gathered and decoded
-    once. The losses walk that builds the batches also counts each set's
-    units read per survivor and column-units lost. The stream decodes the
+    once. Each set's `losses` groups are tallied by `survivor_reads` and
+    counted as column-units lost, then merged into one batch per lost tuple
+    (lanes in order of first appearance). The stream decodes the
     batches in rounds whose gathered units fit in one copy of the array
     (n * rows_per_disk bytes): one set's gathered units are distinct units
     of the array, and so are one batch's, so either fits in one round. It
@@ -336,21 +341,21 @@ def _rebuild(array: DiskArray, failure_sets: list[frozenset[int]]):
     """
     layout = array.layout
     group = layout.group
-    r = group.r
-    batches: dict[tuple[int, ...], _LostGroup] = {}
+    parts: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     tallies = []
     for failed in failure_sets:
-        reads, lost_units = {d: 0 for d in range(layout.n) if d not in failed}, 0
-        for index, lost in losses(layout, failed):
-            batch = batches.get(lost)
-            if batch is None:
-                batch = batches[lost] = _LostGroup(reconstruction_plan(group, lost), {}, {}, {})
-            batch.lanes[index] = None
-            placement = layout.placements[index]
-            for pos, rows in batch.plan.reads.items():
-                reads[placement[pos]] += r * rows
-            lost_units += len(lost)
-        tallies.append((reads, lost_units))
+        affected = losses(layout, failed)
+        lost_units = 0
+        for lost, indices in affected.items():
+            parts.setdefault(lost, []).append(indices)
+            lost_units += len(lost) * len(indices)
+        tallies.append((survivor_reads(layout, failed, affected), lost_units))
+    batches = {
+        lost: _LostGroup(
+            reconstruction_plan(group, lost), dict.fromkeys(chain.from_iterable(groups)), {}, {}
+        )
+        for lost, groups in parts.items()
+    }
     budget = layout.n * layout.rows_per_disk
     rounds, size = [[]], 0
     for lost, batch in batches.items():
@@ -408,7 +413,11 @@ def exhaustive_verify(layout: DeclusteredLayout, s: int, seed: int = 1) -> Verif
         SetResult(
             failed=failed,
             recovered=lost_units == lost_per_set
-            and not (wrong and wrong.intersection(losses(layout, frozenset(failed)))),
+            and not (wrong and wrong.intersection(
+                (index, lost)
+                for lost, indices in losses(layout, frozenset(failed)).items()
+                for index in indices
+            )),
             min_reads=min(reads.values()),
             max_reads=max(reads.values()),
         )
@@ -427,17 +436,11 @@ def exhaustive_verify(layout: DeclusteredLayout, s: int, seed: int = 1) -> Verif
     )
 
 
-def _check_index(name: str, value, size: int) -> None:
-    """Refuse anything but an int in 0..size-1; a bool indexes like 0 or 1 but is neither."""
-    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < size:
-        raise ParamError(f"{name} must be an int in 0..{size - 1}, got {value!r}")
-
-
 def unit_provenance(layout: DeclusteredLayout, disk: int, offset: int) -> UnitProvenance:
     """Group coordinates of the byte at (disk, offset)."""
     group = layout.group
-    _check_index("disk", disk, layout.n)
-    _check_index("offset", offset, layout.rows_per_disk)
+    check_index("disk", disk, layout.n)
+    check_index("offset", offset, layout.rows_per_disk)
     stack_index, rem = divmod(offset, group.m)
     e, j = divmod(rem, group.r)
     block_index, pos = layout.stacks[disk][stack_index]

@@ -128,6 +128,12 @@ def test_closed_form_rejects_unsupported_inputs(params_args, code, s):
         closed_form_workload(params, group, s)
 
 
+@pytest.mark.parametrize("s", [2.0, 1.0, True, "2"])
+def test_closed_form_rejects_non_int_sizes(reference_layout, s):
+    with pytest.raises(ParamError):
+        closed_form_workload(reference_layout.design.params, reference_layout.group, s)
+
+
 def test_fraction_formulas():
     assert single_failure_fraction(8, 4) == Fraction(2, 7)
     assert double_failure_fraction(8, 4) == Fraction(22, 42)

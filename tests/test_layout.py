@@ -54,6 +54,12 @@ def test_groups_stack_in_block_order(reference_layout):
         assert tuple(index for index, _ in units) == groups
 
 
+@pytest.mark.parametrize("disk", [True, 1.5, "1", 8, 99, -1])
+def test_disk_column_units_rejects_bad_disks(reference_layout, disk):
+    with pytest.raises(ParamError):
+        disk_column_units(reference_layout, disk)
+
+
 def test_columns_map_to_sorted_block_elements(reference_layout):
     for placement, block in zip(
         reference_layout.placements, reference_layout.design.blocks

@@ -180,6 +180,23 @@ def test_tau_rejects_out_of_range_sizes():
         tau(group, 3)
 
 
+@pytest.mark.parametrize("size", [1.0, "1", True, 2.0, None])
+def test_failure_sizes_must_be_ints(size):
+    group = balance_horizontal_code(rs_code(4, 2))
+    with pytest.raises(ParamError):
+        tau(group, size)
+    with pytest.raises(ParamError):
+        verify_balance(group, size)
+    assert group._taus == {}
+
+
+def test_unbalanced_tau_keeps_raising_from_its_memo():
+    group = cyclic_rotation_group(rdp_code(5))
+    for _ in range(2):
+        with pytest.raises(UnbalancedGroup):
+            tau(group, 1)
+
+
 # ----------------------------------------------------------------- misc
 
 def test_group_family_dispatch():

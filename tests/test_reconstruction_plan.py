@@ -7,9 +7,11 @@ from itertools import combinations
 
 import pytest
 
+import declustr.layout as layout_module
 import declustr.parity_groups as parity_groups
 from declustr import (
     build_layout,
+    closed_form_workload,
     complete_design,
     counterexample_report,
     exhaustive_verify,
@@ -29,6 +31,7 @@ from declustr import (
     verify_balance,
 )
 from declustr.errors import ParamError
+from declustr.layout import losses
 from declustr.parity_groups import reconstruction_plan
 
 
@@ -100,6 +103,51 @@ def test_plan_consumers_match_a_naive_rule_walk(name, family):
             rebuilt, stats = fail_and_reconstruct(array, failed)
             assert stats.reads == entries, failed
             assert all(rebuilt.disks[d] == array.disks[d] for d in failed), failed
+
+
+def walked_losses(layout, failed):
+    """Per-placement walk: affected instances grouped by sorted lost positions."""
+    groups = {}
+    for index, placement in enumerate(layout.placements):
+        lost = tuple(pos for pos, disk in enumerate(placement) if disk in failed)
+        if lost:
+            groups.setdefault(lost, []).append(index)
+    return {lost: tuple(indices) for lost, indices in groups.items()}
+
+
+@pytest.mark.parametrize("family", ["full", "single", "rotations"])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_grouped_losses_match_a_per_placement_walk(name, family):
+    rng = random.Random(f"losses/{name}/{family}")
+    make_code, make_design = CASES[name]
+    code = make_code()
+    layout = build_layout(group_family(code, family), relabeled(rng, make_design()))
+    for s in range(code.delta + 1):
+        for failed in combinations(range(layout.n), s):
+            assert losses(layout, frozenset(failed)) == walked_losses(layout, failed), failed
+
+
+def test_a_query_plans_each_lost_tuple_once_and_tau_once_per_size(monkeypatch):
+    layout = build_layout(group_family(rs_code(6, 2), "full"), complete_design(12, 6, 3))
+    group = layout.group
+    lookups = []
+    plan = parity_groups.reconstruction_plan
+
+    def counting(group, lost):
+        lookups.append(lost)
+        return plan(group, lost)
+
+    monkeypatch.setattr(layout_module, "reconstruction_plan", counting)
+    monkeypatch.setattr(parity_groups, "reconstruction_plan", counting)
+    # tau enumerates each size once: C(6,1) + C(6,2) lookups, then none.
+    for _ in range(3):
+        assert closed_form_workload(layout.design.params, group, 2) > 0
+        assert len(lookups) == 6 + 15
+    for failed in [(3,), (3, 8), (0, 11), (5,)]:
+        lookups.clear()
+        report = reconstruction_workload(layout, failed)
+        assert report.closed_form is not None
+        assert sorted(lookups) == sorted(losses(layout, frozenset(failed)))
 
 
 def test_rule_calls_depend_on_lost_tuples_not_blocks(monkeypatch):

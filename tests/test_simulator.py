@@ -551,7 +551,10 @@ def test_sweep_fails_a_set_whose_lost_unit_nobody_rebuilds(monkeypatch):
 
     def dropping(layout, failed):
         affected = walk(layout, failed)
-        return affected[1:] if failed == {0, 1} else affected
+        if failed == {0, 1}:
+            lost = next(iter(affected))
+            affected = {**affected, lost: affected[lost][1:]}
+        return affected
 
     monkeypatch.setattr(simulator, "losses", dropping)
     summary = exhaustive_verify(layout, 2, seed=3)
