@@ -3,9 +3,9 @@
 Workload is counted the way the balance conditions define it: when a group
 instance loses columns, every surviving column of that instance is either
 read in full (all r rows of an extended row whose label the reconstruction
-rule names) or left untouched. Enumeration takes the affected instances
-grouped by the positions they lost (`layout.losses`) and applies the group's
-memoized plan once per such group (`layout.survivor_reads`, which the
+rule names) or left untouched. Enumeration takes the affected instances as
+one placement bit mask per lost-position tuple (`layout.losses`) and applies
+the group's memoized plan once per mask (`layout.survivor_reads`, which the
 simulator shares); the closed forms combine the design's block-counting
 numbers with the group's per-instance read counts, memoized per failure
 size, and must agree exactly.
@@ -21,7 +21,14 @@ from fractions import Fraction
 
 from .designs import Design, DesignParams, count_lambda
 from .errors import ParamError
-from .layout import DeclusteredLayout, build_layout, check_failed, losses, survivor_reads
+from .layout import (
+    DeclusteredLayout,
+    build_layout,
+    check_failed,
+    losses,
+    placement_indices,
+    survivor_reads,
+)
 from .parity_groups import ParityGroup, reconstruction_plan, tau
 from .simulator import DiskArray, fail_and_reconstruct
 
@@ -236,9 +243,9 @@ def counterexample_report(
             labels[index, disk] = label_at[pos]
             accessed[index, disk] = disk in failed
     units_accessed = {d: 0 for d in range(layout.n) if d not in failed}
-    for lost, indices in affected.items():
+    for lost, mask in affected.items():
         for positions in reconstruction_plan(group, lost).by_rows.values():
-            for index in indices:
+            for index in placement_indices(mask):
                 placement = placements[index]
                 for pos in positions:
                     accessed[index, placement[pos]] = True

@@ -23,6 +23,13 @@ DESIGN_JSON_FIELDS = ("t", "n", "k", "lambda", "blocks")
 MAX_COVERAGE_SUBSETS = 10**6
 
 
+def _check_ints(**sizes) -> None:
+    """Refuse a size that is not an int; a bool compares like 0 or 1 but is no size."""
+    for name, value in sizes.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ParamError(f"{name} must be an int, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DesignParams:
     """Parameter quadruple of a t-(n,k,lam) design."""
@@ -33,6 +40,7 @@ class DesignParams:
     lam: int
 
     def __post_init__(self):
+        _check_ints(t=self.t, n=self.n, k=self.k, lam=self.lam)
         if not (1 <= self.t <= self.k <= self.n):
             raise ParamError(
                 f"need 1 <= t <= k <= n, got t={self.t}, k={self.k}, n={self.n}"
@@ -94,9 +102,10 @@ def validate_design(blocks, t: int, n: int, k: int, lam: int) -> Design:
         members = tuple(sorted(block))
         if len(members) != k or len(set(members)) != k:
             raise BlockSizeError(f"block {tuple(block)} is not a {k}-subset")
-        if any(not isinstance(x, int) or not 0 <= x < n for x in members):
+        # type, not isinstance: a bool is an int but is no point.
+        if any(type(x) is not int or not 0 <= x < n for x in members):
             raise BlockSizeError(
-                f"block {tuple(block)} has points outside 0..{n - 1}"
+                f"block {tuple(block)} has points that are not ints in 0..{n - 1}"
             )
         normalized.append(members)
     # Coverage is the authoritative check: a wrong block count always breaks
@@ -114,6 +123,7 @@ def validate_design(blocks, t: int, n: int, k: int, lam: int) -> Design:
 
 def complete_design(n: int, k: int, t: int) -> Design:
     """The design whose blocks are all C(n,k) k-subsets, in lexicographic order."""
+    _check_ints(n=n, k=k, t=t)
     if not (1 <= t <= k <= n):
         raise ParamError(f"need 1 <= t <= k <= n, got t={t}, k={k}, n={n}")
     params = DesignParams(t=t, n=n, k=k, lam=comb(n - t, k - t))
@@ -127,6 +137,7 @@ def hadamard_3design(n: int) -> Design:
     column c. For each non-constant row, the +1 support and the -1 support
     each contribute one block, giving 2(n-1) blocks.
     """
+    _check_ints(n=n)
     if n < 8 or n & (n - 1) != 0:
         raise ParamError(f"order must be a power of two >= 8, got {n}")
     blocks = []
@@ -176,6 +187,7 @@ def count_lambda(params: DesignParams, i: int, j: int) -> int:
 
 def reduce_design(design: Design, s: int) -> Design:
     """Reinterpret a t-design as an s-design (s <= t) with the induced lambda."""
+    _check_ints(s=s)
     if not (1 <= s <= design.t):
         raise ParamError(f"need 1 <= s <= t={design.t}, got s={s}")
     lam_s = count_lambda(design.params, s, 0)

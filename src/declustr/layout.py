@@ -6,12 +6,12 @@ block index. With a design of strength matching the group (t = delta + 1),
 every disk ends up holding the same number of column-units and the same
 number of parity entries.
 
-Each layout caches a per-disk index: for every disk and position, the
-placements that put that position there, plus each disk's member set and
-bit mask. A failure's affected instances are read off it already grouped by
-the positions they lost (`losses`), and `survivor_reads` counts what each
-group's reconstruction plan reads from every surviving disk, a group at a
-time; the analysis and the simulator share that one tally.
+Each layout caches one bit-mask index: per disk and position, an int whose
+bit i is set when placement i puts that position on that disk. `losses`
+splits a failure's affected instances off it into one mask per lost-position
+tuple, and `survivor_reads` counts what each mask's reconstruction plan reads
+from every surviving disk with ANDs and bit counts; the analysis and the
+simulator share that one tally.
 
 The delta=1 path mirrors classic single-parity declustering: a one-row group
 whose parity column is last, hence placed on the largest block element, with
@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import json
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import chain, combinations, filterfalse
-from operator import itemgetter
+from functools import cached_property, reduce
+from itertools import compress, count
+from operator import or_
 
 from .designs import (
     Design,
@@ -49,6 +48,9 @@ from .errors import (
 from .parity_groups import FAMILIES, ParityGroup, group_family, reconstruction_plan
 
 LAYOUT_JSON_FIELDS = ("n", "design", "group", "placements")
+
+# bytes.translate table taking the ASCII digits of bin() to byte values 0 and 1.
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 @dataclass(frozen=True)
@@ -81,24 +83,20 @@ class DeclusteredLayout:
         return tuple(map(tuple, stacks))
 
     @cached_property
-    def at_position(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """Per disk and position, the ascending indices of the placements
-        that put that position on that disk."""
-        index = [[[] for _ in range(self.group.k)] for _ in range(self.n)]
+    def position_masks(self) -> tuple[tuple[int, ...], ...]:
+        """Per disk and position, a bit mask of placements: bit i is set when
+        placement i puts that position on that disk."""
+        masks = [[0] * self.group.k for _ in range(self.n)]
         for i, placement in enumerate(self.placements):
+            bit = 1 << i
             for pos, disk in enumerate(placement):
-                index[disk][pos].append(i)
-        return tuple(tuple(map(tuple, per_disk)) for per_disk in index)
-
-    @cached_property
-    def members(self) -> tuple[frozenset[int], ...]:
-        """Per disk, the indices of the placements that use it."""
-        return tuple(frozenset(chain.from_iterable(per_disk)) for per_disk in self.at_position)
+                masks[disk][pos] |= bit
+        return tuple(map(tuple, masks))
 
     @cached_property
     def member_masks(self) -> tuple[int, ...]:
-        """Per disk, `members` as a bit mask: bit i is set when placement i uses the disk."""
-        return tuple(sum(map((1).__lshift__, indices)) for indices in self.members)
+        """Per disk, the placements that use it: the OR of its `position_masks`."""
+        return tuple(reduce(or_, per_disk) for per_disk in self.position_masks)
 
     @cached_property
     def unit_offsets(self) -> tuple[tuple[int, ...], ...]:
@@ -146,70 +144,68 @@ def check_index(name: str, value, size: int) -> None:
         raise ParamError(f"{name} must be an int in 0..{size - 1}, got {value!r}")
 
 
-def losses(
-    layout: DeclusteredLayout, failed: frozenset[int]
-) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """Affected instances grouped by lost positions: {sorted lost tuple:
-    ascending placement indices}.
+def placement_indices(mask: int):
+    """The ascending placement indices whose bits are set in `mask`, as an iterator.
 
-    One failed disk's groups are read straight off `at_position`. With more,
-    the few instances on two or more failed disks (about lambda_2 per pair)
-    are found by intersecting the disks' member sets and placed one by one;
-    every other affected instance lost exactly one position and is read off
-    `at_position` with those few filtered out.
+    The mask's binary digits, least significant first, select from a counter
+    at C level; there is no Python loop over the bits.
     """
-    at_position = layout.at_position
-    if len(failed) == 1:
-        [disk] = failed
-        return {(pos,): indices for pos, indices in enumerate(at_position[disk]) if indices}
-    members = layout.members
-    multi = set()
-    for a, b in combinations(failed, 2):
-        multi |= members[a] & members[b]
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for disk in failed:
-        for pos, indices in enumerate(at_position[disk]):
-            if indices:
-                groups.setdefault((pos,), []).extend(filterfalse(multi.__contains__, indices))
-    placements = layout.placements
-    for index in sorted(multi):
-        placement = placements[index]
-        lost = tuple(sorted([placement.index(d) for d in failed if index in members[d]]))
-        groups.setdefault(lost, []).append(index)
-    return {lost: tuple(sorted(indices)) for lost, indices in groups.items() if indices}
+    return compress(count(), bin(mask)[:1:-1].encode().translate(_DIGIT_VALUES))
+
+
+def losses(layout: DeclusteredLayout, failed: frozenset[int]) -> dict[tuple[int, ...], int]:
+    """Affected instances grouped by lost positions: {sorted lost tuple:
+    bit mask of the placements that lost exactly those positions}.
+
+    Every placement starts in one group that lost nothing. Each failed disk
+    in turn splits every group by the position the disk holds in each member
+    (one AND per group and position with the disk's `position_masks`); the
+    members it does not hold stay where they were.
+    """
+    groups = {(): (1 << len(layout.placements)) - 1}
+    for disk in sorted(failed):
+        split: dict[tuple[int, ...], int] = {}
+        for lost, mask in groups.items():
+            for pos, at in enumerate(layout.position_masks[disk]):
+                if hit := mask & at:
+                    key = tuple(sorted((*lost, pos)))
+                    split[key] = split.get(key, 0) | hit
+                    mask ^= hit
+            if mask:
+                split[lost] = split.get(lost, 0) | mask
+        groups = split
+    groups.pop((), None)
+    return groups
 
 
 def survivor_reads(layout: DeclusteredLayout, failed: frozenset[int], affected) -> dict[int, int]:
     """Entries read from each surviving disk to rebuild the `losses` groups.
 
-    Each group's plan is taken per distinct read count, which is scaled by
-    r * rows. A count that covers every surviving position reads whole
-    placements: its members are pooled into one bit mask, and a disk's count
-    is the size of its overlap with that disk's `member_masks`. Otherwise the
-    disks at the read positions of every member are collected at C level and
-    counted at once.
+    The groups' masks are pooled per (read count, position read that often)
+    of their plans; they are disjoint, so a disk's count for a pool is the
+    size of its overlap with that position's `position_masks`, scaled by
+    r * rows. A read count that covers every surviving position reads whole
+    placements, one unit per disk, so it is pooled per count alone and met
+    with the disk's `member_masks`.
     """
-    group, placements = layout.group, layout.placements
+    group = layout.group
     whole: dict[int, int] = {}
-    picked: dict[int, list[int]] = {}
-    for lost, indices in affected.items():
+    pooled: dict[tuple[int, int], int] = {}
+    for lost, mask in affected.items():
         for rows, positions in reconstruction_plan(group, lost).by_rows.items():
             if len(positions) + len(lost) == group.k:
-                whole[rows] = whole.get(rows, 0) | sum(map((1).__lshift__, indices))
+                whole[rows] = whole.get(rows, 0) | mask
             else:
-                disks = map(itemgetter(*positions), map(placements.__getitem__, indices))
-                picked.setdefault(rows, []).extend(
-                    chain.from_iterable(disks) if len(positions) > 1 else disks
-                )
-    reads = {d: 0 for d in range(layout.n) if d not in failed}
-    for rows, mask in whole.items():
-        weight, masks = group.r * rows, layout.member_masks
-        for disk in reads:
-            reads[disk] += weight * (mask & masks[disk]).bit_count()
-    for rows, disks in picked.items():
-        weight = group.r * rows
-        for disk, count in Counter(disks).items():
-            reads[disk] += weight * count
+                for pos in positions:
+                    pooled[rows, pos] = pooled.get((rows, pos), 0) | mask
+    reads = {}
+    for disk in range(layout.n):
+        if disk not in failed:
+            member, at = layout.member_masks[disk], layout.position_masks[disk]
+            reads[disk] = group.r * (
+                sum(rows * (mask & member).bit_count() for rows, mask in whole.items())
+                + sum(rows * (mask & at[pos]).bit_count() for (rows, pos), mask in pooled.items())
+            )
     return reads
 
 

@@ -297,8 +297,8 @@ def arrangement_counts(group: ParityGroup, i: int, j: int) -> ArrangementCounts:
         raise ParamError(f"arrangement counts are defined for delta=2, got {group.delta}")
     if i == j:
         raise ParamError("need two distinct columns")
-    if not (0 <= i < group.k and 0 <= j < group.k):
-        raise ParamError(f"columns out of range: {i}, {j}")
+    if any(isinstance(c, bool) or not isinstance(c, int) or not 0 <= c < group.k for c in (i, j)):
+        raise ParamError(f"columns must be ints in 0..{group.k - 1}, got {i!r}, {j!r}")
     p1, p2 = parity_label(1), parity_label(2)
     r_dq = sum(1 for row in group.extended_rows if row[i] == DATA and row[j] == p2)
     r_pq = sum(1 for row in group.extended_rows if row[i] == p1 and row[j] == p2)

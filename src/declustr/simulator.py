@@ -15,15 +15,16 @@ check, once per erasure pattern, that the decoder read exactly the planned
 columns.
 
 One rebuild core serves a single failure set and an exhaustive sweep alike.
-It takes each set's affected instances already grouped by lost positions
-(`layout.losses`), tallies the set's reads from those groups, then merges
-the groups into batches and streams the rebuilt units one decode round at a
-time; a single rebuild writes them to fresh replacement disks. In a sweep,
+It takes each set's affected instances as one placement bit mask per lost
+tuple (`layout.losses`), tallies the set's reads from them, ORs them into
+one batch per lost tuple, and streams the rebuilt units one decode round at
+a time, listing a batch's lanes (its instances, ascending) only in its
+round; a single rebuild writes them to fresh replacement disks. In a sweep,
 the grouping spans every set: an instance's rebuilt units depend only on its
 own stored bytes and the positions it lost, and all sets start from the same
 array, so each (instance, lost tuple) is decoded once however many sets
 produce it. The sweep compares each streamed unit with the original bytes
-where it lives and keeps only the wrong (instance, lost tuple) keys, so a
+where it lives and keeps a mask of the wrong instances per lost tuple, so a
 wrong unit fails every set that uses it; no set gets replacement disks.
 
 Data bytes come from a 64-bit xorshift stream (shifts 13, 7, 17; low byte of
@@ -43,11 +44,18 @@ column-units.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
+from itertools import combinations, islice
 from operator import getitem, itemgetter
 
 from .errors import InvariantError, ParamError
-from .layout import DeclusteredLayout, check_failed, check_index, losses, survivor_reads
+from .layout import (
+    DeclusteredLayout,
+    check_failed,
+    check_index,
+    losses,
+    placement_indices,
+    survivor_reads,
+)
 from .parity_groups import ReconstructionPlan, reconstruction_plan
 
 _MASK64 = (1 << 64) - 1
@@ -245,15 +253,14 @@ def check_parity_invariant(array: DiskArray) -> bool:
 class _LostGroup:
     """Affected instances that lost the same positions: one batch of lanes.
 
-    lanes holds the member instances (indices in the layout) in lane order.
-    The byte maps live only during the batch's decode round: units holds,
-    per position the plan reads, the members' column-units one after another
-    in lane order (m bytes each); rebuilt does the same for each lost
-    position, and is dropped once the round has passed its units on.
+    lanes holds the member instances (indices in the layout) in ascending
+    order; the batch exists only during its decode round. units holds, per
+    position the plan reads, the members' column-units one after another in
+    lane order (m bytes each); rebuilt does the same for each lost position.
     """
 
     plan: ReconstructionPlan
-    lanes: dict[int, None]
+    lanes: list[int]
     units: dict[int, bytes]
     rebuilt: dict[int, bytearray]
 
@@ -270,27 +277,28 @@ def _gather(array: DiskArray, batch: _LostGroup):
             ])
 
 
-def _decode_round(array: DiskArray, round_: list[tuple[tuple[int, ...], _LostGroup]]):
-    """Decode one round of (lost tuple, batch) pairs; yield, then drop, its rebuilt units."""
+def _decode_round(array: DiskArray, round_: list[tuple[tuple[int, ...], ReconstructionPlan, int]]):
+    """Decode a round of (lost tuple, plan, mask) batches; yield, then drop, its rebuilt units."""
     layout = array.layout
     group, placements, unit_offsets = layout.group, layout.placements, layout.unit_offsets
     m = group.m
     # Canonical erasure pattern -> the (extended row, batch) pairs that leave it.
     by_pattern: dict[tuple[int, ...], list[tuple[int, _LostGroup]]] = {}
-    for lost, batch in round_:
+    batches = []
+    for lost, plan, mask in round_:
+        batch = _LostGroup(plan, list(placement_indices(mask)), {}, {})
+        batches.append((lost, batch))
         _gather(array, batch)
         batch.rebuilt = {pos: bytearray(len(batch.lanes) * m) for pos in lost}
         for e, erased in enumerate(batch.plan.erased):
             by_pattern.setdefault(erased, []).append((e, batch))
     for erased, contributors in by_pattern.items():
         _decode_pattern(group.code, erased, contributors, group.r, m)
-    for lost, batch in round_:
-        batch.units = {}
+    for lost, batch in batches:
         for lane, index in enumerate(batch.lanes):
             placement, offsets = placements[index], unit_offsets[index]
             for pos, unit in batch.rebuilt.items():
                 yield index, lost, placement[pos], offsets[pos], unit[lane * m : (lane + 1) * m]
-        batch.rebuilt = {}
 
 
 def _decode_pattern(code, erased: tuple[int, ...], contributors, r: int, m: int):
@@ -331,39 +339,35 @@ def _rebuild(array: DiskArray, failure_sets: list[frozenset[int]]):
     An instance's rebuild depends only on its stored bytes and the positions
     it lost, so affected instances are grouped by lost-position tuple across
     all the sets, and each (instance, lost tuple) is gathered and decoded
-    once. Each set's `losses` groups are tallied by `survivor_reads` and
-    counted as column-units lost, then merged into one batch per lost tuple
-    (lanes in order of first appearance). The stream decodes the
-    batches in rounds whose gathered units fit in one copy of the array
-    (n * rows_per_disk bytes): one set's gathered units are distinct units
-    of the array, and so are one batch's, so either fits in one round. It
-    yields each rebuilt unit as (instance, lost tuple, disk, offset, bytes).
+    once. Each set's `losses` masks are tallied by `survivor_reads` and
+    counted as column-units lost, then ORed into one member mask per lost
+    tuple. The stream decodes those batches in rounds whose gathered units
+    fit in one copy of the array (n * rows_per_disk bytes): one set's
+    gathered units are distinct units of the array, and so are one batch's,
+    so either fits in one round. A batch's lanes are listed only while its
+    round runs. The stream yields each rebuilt unit as (instance, lost
+    tuple, disk, offset, bytes).
     """
     layout = array.layout
     group = layout.group
-    parts: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    members: dict[tuple[int, ...], int] = {}
     tallies = []
     for failed in failure_sets:
         affected = losses(layout, failed)
         lost_units = 0
-        for lost, indices in affected.items():
-            parts.setdefault(lost, []).append(indices)
-            lost_units += len(lost) * len(indices)
+        for lost, mask in affected.items():
+            members[lost] = members.get(lost, 0) | mask
+            lost_units += len(lost) * mask.bit_count()
         tallies.append((survivor_reads(layout, failed, affected), lost_units))
-    batches = {
-        lost: _LostGroup(
-            reconstruction_plan(group, lost), dict.fromkeys(chain.from_iterable(groups)), {}, {}
-        )
-        for lost, groups in parts.items()
-    }
     budget = layout.n * layout.rows_per_disk
     rounds, size = [[]], 0
-    for lost, batch in batches.items():
-        need = len(batch.lanes) * group.m * sum(map(bool, batch.plan.reads.values()))
+    for lost, mask in members.items():
+        plan = reconstruction_plan(group, lost)
+        need = mask.bit_count() * group.m * sum(map(bool, plan.reads.values()))
         if rounds[-1] and size + need > budget:
             rounds.append([])
             size = 0
-        rounds[-1].append((lost, batch))
+        rounds[-1].append((lost, plan, mask))
         size += need
     return tallies, (unit for round_ in rounds for unit in _decode_round(array, round_))
 
@@ -408,15 +412,18 @@ def exhaustive_verify(layout: DeclusteredLayout, s: int, seed: int = 1) -> Verif
     failure_sets = list(combinations(range(layout.n), s))
     tallies, units = _rebuild(array, [frozenset(failed) for failed in failure_sets])
     disks, m, lost_per_set = array.disks, layout.group.m, s * layout.units_per_disk
-    wrong = {(i, lost) for i, lost, disk, at, unit in units if unit != disks[disk][at : at + m]}
+    # Lost tuple -> mask of the instances rebuilt wrong with it.
+    wrong: dict[tuple[int, ...], int] = {}
+    for i, lost, disk, at, unit in units:
+        if unit != disks[disk][at : at + m]:
+            wrong[lost] = wrong.get(lost, 0) | 1 << i
     results = [
         SetResult(
             failed=failed,
             recovered=lost_units == lost_per_set
-            and not (wrong and wrong.intersection(
-                (index, lost)
-                for lost, indices in losses(layout, frozenset(failed)).items()
-                for index in indices
+            and not (wrong and any(
+                mask & wrong.get(lost, 0)
+                for lost, mask in losses(layout, frozenset(failed)).items()
             )),
             min_reads=min(reads.values()),
             max_reads=max(reads.values()),

@@ -65,7 +65,8 @@ def test_duplicating_a_block_breaks_coverage():
 
 @pytest.mark.parametrize(
     "block",
-    [(0, 1, 2), (0, 1, 2, 3, 4), (0, 1, 2, 2), (0, 1, 2, 8), (-1, 0, 1, 2)],
+    # (0, True, 2, 3) covers like (0, 1, 2, 3), but True is no point.
+    [(0, 1, 2), (0, 1, 2, 3, 4), (0, 1, 2, 2), (0, 1, 2, 8), (-1, 0, 1, 2), (0, True, 2, 3)],
 )
 def test_bad_blocks_rejected(block):
     blocks = [block] + list(REFERENCE_BLOCKS_3_8_4_1[1:])
@@ -81,6 +82,10 @@ def test_bad_blocks_rejected(block):
         (3, 3, 4, 1),  # k > n
         (3, 8, 4, 0),  # lambda < 1
         (2, 5, 4, 1),  # block count 10/6 is not an integer
+        (True, 8, 4, 1),  # sizes must be ints, not bools or floats
+        (3, 8.0, 4, 1),
+        (3, 8, 4.0, 1),
+        (3, 8, 4, True),
     ],
 )
 def test_bad_params_rejected(t, n, k, lam):
@@ -98,6 +103,24 @@ def test_too_many_coverage_subsets_refused_from_the_count():
 
 
 # ----------------------------------------------------------- construction
+
+@pytest.mark.parametrize(
+    "construct,args",
+    [
+        (complete_design, (8, 4, True)),
+        (complete_design, (8, 4, 3.0)),
+        (complete_design, (8.0, 4, 3)),
+        (complete_design, (8, "4", 3)),
+        (hadamard_3design, (8.0,)),
+        (hadamard_3design, (True,)),
+        (lambda s: reduce_design(hadamard_3design(8), s), (True,)),
+        (lambda s: reduce_design(hadamard_3design(8), s), (2.0,)),
+    ],
+)
+def test_constructors_refuse_non_int_sizes(construct, args):
+    with pytest.raises(ParamError, match="must be an int"):
+        construct(*args)
+
 
 def test_complete_design_small_cases():
     assert len(complete_design(4, 2, 2).blocks) == 6

@@ -1,6 +1,7 @@
 """Placing group instances on disks: geometry, rotation, serialization."""
 
 import json
+import random
 
 import pytest
 
@@ -25,6 +26,7 @@ from declustr.errors import (
     MismatchError,
     ParamError,
 )
+from declustr.layout import placement_indices
 from conftest import GROUPS_PER_DISK_3_8_4_1
 
 
@@ -58,6 +60,20 @@ def test_groups_stack_in_block_order(reference_layout):
 def test_disk_column_units_rejects_bad_disks(reference_layout, disk):
     with pytest.raises(ParamError):
         disk_column_units(reference_layout, disk)
+
+
+def walked_bits(mask):
+    """Naive bit walk: the indices of the set bits of mask, lowest first."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def test_placement_indices_match_a_bit_walk():
+    # 1,710 is the largest placement count perfbench builds (3-(20,4,6)).
+    rng = random.Random("placement_indices")
+    masks = [0, 1 << 1709, (1 << 1710) - 1] + [1 << i for i in range(70)]
+    masks += [rng.getrandbits(rng.randrange(1, 1711)) for _ in range(200)]
+    for mask in masks:
+        assert list(placement_indices(mask)) == walked_bits(mask), hex(mask)
 
 
 def test_columns_map_to_sorted_block_elements(reference_layout):

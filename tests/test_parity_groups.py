@@ -146,6 +146,13 @@ def test_arrangement_counts_need_distinct_columns():
         arrangement_counts(group, 2, 2)
 
 
+@pytest.mark.parametrize("i,j", [(True, 2), (1.0, 2), (0, "1"), (0, 5), (-1, 0)])
+def test_arrangement_counts_need_int_columns_in_range(i, j):
+    group = balance_horizontal_code(rs_code(5, 2))
+    with pytest.raises(ParamError):
+        arrangement_counts(group, i, j)
+
+
 # ------------------------------------------------------ unbalanced fixtures
 
 def test_single_arrangement_fails_uniformity_and_parity_spread():
