@@ -98,15 +98,14 @@ def validate_design(blocks, t: int, n: int, k: int, lam: int) -> Design:
             f"of {MAX_COVERAGE_SUBSETS}"
         )
     normalized = []
-    for block in blocks:
+    for block in map(tuple, blocks):
+        # type, not isinstance: a bool is an int but is no point. Checked
+        # before sorting, which cannot order mixed types.
+        if any(type(x) is not int or not 0 <= x < n for x in block):
+            raise BlockSizeError(f"block {block} has points that are not ints in 0..{n - 1}")
         members = tuple(sorted(block))
         if len(members) != k or len(set(members)) != k:
-            raise BlockSizeError(f"block {tuple(block)} is not a {k}-subset")
-        # type, not isinstance: a bool is an int but is no point.
-        if any(type(x) is not int or not 0 <= x < n for x in members):
-            raise BlockSizeError(
-                f"block {tuple(block)} has points that are not ints in 0..{n - 1}"
-            )
+            raise BlockSizeError(f"block {block} is not a {k}-subset")
         normalized.append(members)
     # Coverage is the authoritative check: a wrong block count always breaks
     # coverage somewhere, and the first deviating subset is the useful report.
@@ -171,6 +170,7 @@ def count_lambda(params: DesignParams, i: int, j: int) -> int:
     The value lam * C(n-i-j, k-i) / C(n-t, k-t) is the same for every choice
     of the two disjoint point sets.
     """
+    _check_ints(i=i, j=j)
     if i < 0 or j < 0 or i + j > params.t:
         raise ParamError(f"need i >= 0, j >= 0, i + j <= t, got i={i}, j={j}")
     value = Fraction(

@@ -17,15 +17,15 @@ columns.
 One rebuild core serves a single failure set and an exhaustive sweep alike.
 It takes each set's affected instances as one placement bit mask per lost
 tuple (`layout.losses`), tallies the set's reads from them, ORs them into
-one batch per lost tuple, and streams the rebuilt units one decode round at
-a time, listing a batch's lanes (its instances, ascending) only in its
-round; a single rebuild writes them to fresh replacement disks. In a sweep,
-the grouping spans every set: an instance's rebuilt units depend only on its
-own stored bytes and the positions it lost, and all sets start from the same
-array, so each (instance, lost tuple) is decoded once however many sets
-produce it. The sweep compares each streamed unit with the original bytes
-where it lives and keeps a mask of the wrong instances per lost tuple, so a
-wrong unit fails every set that uses it; no set gets replacement disks.
+one batch per lost tuple, and decodes the batches a round at a time from
+byte planes (plane x holds byte x of every lane's unit), transposed once per
+lane set and position and shared by the batches with those lanes. A single
+rebuild transposes the rebuilt planes back onto fresh replacement disks. In
+a sweep the grouping spans every set: an instance's rebuilt units depend only
+on its own stored bytes and the positions it lost, and all sets start from
+the same array, so each (instance, lost tuple) is decoded once however many
+sets produce it. Rebuilt planes are compared with the stored ones, lanes are
+walked only on a mismatch, and a wrong unit fails every set that uses it.
 
 Data bytes come from a 64-bit xorshift stream (shifts 13, 7, 17; low byte of
 each state is emitted), so fixtures are portable: same seed, same array.
@@ -44,7 +44,7 @@ column-units.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 from operator import getitem, itemgetter
 
 from .errors import InvariantError, ParamError
@@ -223,101 +223,92 @@ def materialize(layout: DeclusteredLayout, seed: int) -> DiskArray:
     return DiskArray(layout, disks)
 
 
-def _instance_grid(array: DiskArray, placement, offsets, e: int, columns) -> list[list[int]]:
-    """Pull one extended row's full codeword back out of the disks."""
-    group = array.layout.group
-    grid = [[0] * group.k for _ in range(group.r)]
-    for pos, disk in enumerate(placement):
-        offset = offsets[pos] + e * group.r
-        for j in range(group.r):
-            grid[j][columns[pos]] = array.disks[disk][offset + j]
-    return grid
-
-
 def check_parity_invariant(array: DiskArray) -> bool:
     """True iff every stored codeword re-encodes to itself from its data part."""
-    layout = array.layout
-    group = layout.group
-    code = group.code
-    canon = group.canonical_columns
+    layout, group = array.layout, array.layout.group
+    k, r = group.k, group.r
     for placement, offsets in zip(layout.placements, layout.unit_offsets):
-        for e in range(len(group.extended_rows)):
-            grid = _instance_grid(array, placement, offsets, e, canon[e])
-            data = [grid_row[: group.k - group.delta] for grid_row in grid]
-            if code.encode(data) != grid:
+        for e, columns in enumerate(group.canonical_columns):
+            grid = [[0] * k for _ in range(r)]
+            for pos, disk in enumerate(placement):
+                for j in range(r):
+                    grid[j][columns[pos]] = array.disks[disk][offsets[pos] + e * r + j]
+            if group.code.encode([row[: k - group.delta] for row in grid]) != grid:
                 return False
     return True
 
 
 @dataclass(slots=True)
-class _LostGroup:
-    """Affected instances that lost the same positions: one batch of lanes.
+class _Batch:
+    """Affected instances that lost the same positions, as one batch of lanes.
 
-    lanes holds the member instances (indices in the layout) in ascending
-    order; the batch exists only during its decode round. units holds, per
-    position the plan reads, the members' column-units one after another in
-    lane order (m bytes each); rebuilt does the same for each lost position.
+    lanes holds the members (layout indices) in ascending order. Plane x of
+    a position holds byte x of each lane's unit there, in lane order, so
+    plane e*r+j is inner row j of extended row e. planes maps a position to
+    its m stored planes and is shared by every batch with the same lanes;
+    rebuilt maps each lost position to its m decoded planes.
     """
 
+    lost: tuple[int, ...]
     plan: ReconstructionPlan
     lanes: list[int]
-    units: dict[int, bytes]
-    rebuilt: dict[int, bytearray]
+    planes: dict[int, list[bytes]]
+    rebuilt: dict[int, list[bytes]]
 
 
-def _gather(array: DiskArray, batch: _LostGroup):
-    """Read the column-units the batch's plan names, in lane order."""
-    disks, layout = array.disks, array.layout
-    placements, offsets, m = layout.placements, layout.unit_offsets, layout.group.m
-    for pos, rows in batch.plan.reads.items():
-        if rows:
-            batch.units[pos] = b"".join([
-                disks[placements[i][pos]][offsets[i][pos] : offsets[i][pos] + m]
-                for i in batch.lanes
-            ])
+def _planes(array: DiskArray, batch: _Batch, pos: int) -> list[bytes]:
+    """The lanes' stored planes at pos, built on first use from one join of
+    their column-units and m strided slices."""
+    if pos not in batch.planes:
+        layout, m, at = array.layout, array.layout.group.m, array.layout.unit_offsets
+        units = b"".join([
+            array.disks[layout.placements[i][pos]][at[i][pos] : at[i][pos] + m] for i in batch.lanes
+        ])
+        batch.planes[pos] = [units[x::m] for x in range(m)]
+    return batch.planes[pos]
 
 
-def _decode_round(array: DiskArray, round_: list[tuple[tuple[int, ...], ReconstructionPlan, int]]):
-    """Decode a round of (lost tuple, plan, mask) batches; yield, then drop, its rebuilt units."""
-    layout = array.layout
-    group, placements, unit_offsets = layout.group, layout.placements, layout.unit_offsets
-    m = group.m
-    # Canonical erasure pattern -> the (extended row, batch) pairs that leave it.
-    by_pattern: dict[tuple[int, ...], list[tuple[int, _LostGroup]]] = {}
-    batches = []
-    for lost, plan, mask in round_:
-        batch = _LostGroup(plan, list(placement_indices(mask)), {}, {})
-        batches.append((lost, batch))
-        _gather(array, batch)
-        batch.rebuilt = {pos: bytearray(len(batch.lanes) * m) for pos in lost}
-        for e, erased in enumerate(batch.plan.erased):
-            by_pattern.setdefault(erased, []).append((e, batch))
-    for erased, contributors in by_pattern.items():
-        _decode_pattern(group.code, erased, contributors, group.r, m)
-    for lost, batch in batches:
-        for lane, index in enumerate(batch.lanes):
-            placement, offsets = placements[index], unit_offsets[index]
-            for pos, unit in batch.rebuilt.items():
-                yield index, lost, placement[pos], offsets[pos], unit[lane * m : (lane + 1) * m]
+def _decode_rounds(array: DiskArray, rounds):
+    """Decode each round of (lost tuple, plan, mask) batches, then yield them.
+    The batches come ordered by mask, so a lane set's planes go after its last round."""
+    group = array.layout.group
+    current = None
+    for round_ in rounds:
+        # Canonical erasure pattern -> the (extended row, batch) pairs that leave it.
+        by_pattern: dict[tuple[int, ...], list[tuple[int, _Batch]]] = {}
+        batches = []
+        for lost, plan, mask in round_:
+            if mask != current:
+                current, lanes, planes = mask, list(placement_indices(mask)), {}
+            batch = _Batch(lost, plan, lanes, planes, {pos: [b""] * group.m for pos in lost})
+            batches.append(batch)
+            for pos in chain.from_iterable(plan.by_rows.values()):
+                _planes(array, batch, pos)
+            for e, erased in enumerate(plan.erased):
+                by_pattern.setdefault(erased, []).append((e, batch))
+        for erased, contributors in by_pattern.items():
+            _decode_pattern(group.code, erased, contributors, group.r)
+        yield from batches
 
 
-def _decode_pattern(code, erased: tuple[int, ...], contributors, r: int, m: int):
+def _decode_pattern(code, erased: tuple[int, ...], contributors, r: int):
     """Decode every (extended row, batch) with this erasure pattern in one call.
 
-    The call's lanes are the batches' instances, in contributor order. Inner
-    row j of a column gathers byte e*r+j of each instance's column-unit with
-    one strided slice per contributor; rebuilt columns are scattered back the
-    same way.
+    The call's lanes are the batches' lanes, in contributor order. Inner row
+    j of a column joins stored plane e*r+j of each contributor at the
+    position read there, a list lookup apiece; each rebuilt cell is split
+    back into the lost positions' planes the same way.
     """
     k = code.k
     planned = [c for c in range(k) if c not in erased]
     lanes = sum(len(batch.lanes) for _, batch in contributors)
     grid: list[list[int | None]] = [[None] * k for _ in range(r)]
     for i, c in enumerate(planned):
-        sources = [(batch.units[batch.plan.sources[e][i]], e * r) for e, batch in contributors]
+        sources = [(batch.planes[batch.plan.sources[e][i]], e * r) for e, batch in contributors]
         for j in range(r):
-            gathered = b"".join([unit[base + j :: m] for unit, base in sources])
-            grid[j][c] = int.from_bytes(gathered, "little")
+            grid[j][c] = int.from_bytes(
+                b"".join([planes[base + j] for planes, base in sources]), "little"
+            )
     out, decoder_reads = code.decode(grid, erased)
     if sorted(decoder_reads) != planned:
         raise InvariantError(
@@ -328,25 +319,23 @@ def _decode_pattern(code, erased: tuple[int, ...], contributors, r: int, m: int)
         start = 0
         for e, batch in contributors:
             end = start + len(batch.lanes)
-            for pos, unit in batch.rebuilt.items():
-                unit[e * r + j :: m] = rebuilt[batch.plan.columns[e][pos]][start:end]
+            for pos, planes in batch.rebuilt.items():
+                planes[e * r + j] = rebuilt[batch.plan.columns[e][pos]][start:end]
             start = end
 
 
 def _rebuild(array: DiskArray, failure_sets: list[frozenset[int]]):
-    """Return each set's (reads, lost units) and a stream of the rebuilt units.
+    """Return each set's (reads, lost units) and a stream of decoded batches.
 
     An instance's rebuild depends only on its stored bytes and the positions
     it lost, so affected instances are grouped by lost-position tuple across
-    all the sets, and each (instance, lost tuple) is gathered and decoded
-    once. Each set's `losses` masks are tallied by `survivor_reads` and
-    counted as column-units lost, then ORed into one member mask per lost
-    tuple. The stream decodes those batches in rounds whose gathered units
-    fit in one copy of the array (n * rows_per_disk bytes): one set's
-    gathered units are distinct units of the array, and so are one batch's,
-    so either fits in one round. A batch's lanes are listed only while its
-    round runs. The stream yields each rebuilt unit as (instance, lost
-    tuple, disk, offset, bytes).
+    all the sets, and each (instance, lost tuple) is decoded once. Each set's
+    `losses` masks are tallied by `survivor_reads` and counted as
+    column-units lost, then ORed into one member mask per lost tuple. The
+    batches are ordered by mask and decoded in rounds whose decode grids
+    hold at most one copy of the array (n * rows_per_disk bytes); one set's
+    read units are distinct units of the array, and so are one batch's, so
+    either fits in one round.
     """
     layout = array.layout
     group = layout.group
@@ -361,7 +350,7 @@ def _rebuild(array: DiskArray, failure_sets: list[frozenset[int]]):
         tallies.append((survivor_reads(layout, failed, affected), lost_units))
     budget = layout.n * layout.rows_per_disk
     rounds, size = [[]], 0
-    for lost, mask in members.items():
+    for lost, mask in sorted(members.items(), key=itemgetter(1)):
         plan = reconstruction_plan(group, lost)
         need = mask.bit_count() * group.m * sum(map(bool, plan.reads.values()))
         if rounds[-1] and size + need > budget:
@@ -369,24 +358,32 @@ def _rebuild(array: DiskArray, failure_sets: list[frozenset[int]]):
             size = 0
         rounds[-1].append((lost, plan, mask))
         size += need
-    return tallies, (unit for round_ in rounds for unit in _decode_round(array, round_))
+    return tallies, _decode_rounds(array, rounds)
 
 
 def fail_and_reconstruct(array: DiskArray, failed) -> tuple[DiskArray, IOStats]:
     """Rebuild the failed disks onto replacements, reading per the rule.
 
     Returns the recovered array (surviving disks copied, failed disks written
-    from the rebuilt-unit stream) and per-disk read/write unit counts.
-    Instances that lost no column are never touched.
+    from the decoded batches, one lane's unit at a time) and per-disk
+    read/write unit counts. Instances that lost no column are never touched.
     """
-    failed = check_failed(array.layout, failed)
-    [(reads, _)], units = _rebuild(array, [failed])
-    m, writes = array.layout.group.m, dict.fromkeys(failed, 0)
+    layout = array.layout
+    failed = check_failed(layout, failed)
+    [(reads, _)], batches = _rebuild(array, [failed])
+    m, writes = layout.group.m, dict.fromkeys(failed, 0)
     disks = [bytearray(len(disk) if d in failed else disk) for d, disk in enumerate(array.disks)]
-    for _, _, disk, offset, unit in units:
-        disks[disk][offset : offset + m] = unit
-        writes[disk] += m
-    return DiskArray(array.layout, disks), IOStats(reads=reads, writes=writes)
+    placements, offsets = layout.placements, layout.unit_offsets
+    for batch in batches:
+        for pos, planes in batch.rebuilt.items():
+            units = bytearray(len(batch.lanes) * m)
+            for x, plane in enumerate(planes):
+                units[x::m] = plane
+            for lane, index in enumerate(batch.lanes):
+                disk, at = placements[index][pos], offsets[index][pos]
+                disks[disk][at : at + m] = units[lane * m : (lane + 1) * m]
+                writes[disk] += m
+    return DiskArray(layout, disks), IOStats(reads=reads, writes=writes)
 
 
 def exhaustive_verify(layout: DeclusteredLayout, s: int, seed: int = 1) -> VerifySummary:
@@ -395,28 +392,31 @@ def exhaustive_verify(layout: DeclusteredLayout, s: int, seed: int = 1) -> Verif
     The sets share one rebuild (see _rebuild): each (instance, lost tuple)
     that any set produces is decoded once, which is sound because its
     rebuilt units depend only on its own stored bytes and the positions it
-    lost. No set gets replacement disks. Each rebuilt unit is compared with
-    the original bytes at its own (disk, offset) as its round passes it on,
-    and a wrong one fails every set that produces its (instance, lost
-    tuple); only then are the sets' losses walked again. A set whose
-    instances lost other than s disks' worth of column-units fails too, as
-    some unit it lost was never rebuilt. A set's read range comes from the
-    plans of its own affected instances; the sweep is uniform when every set
-    reads the same count from every survivor. Results are in sorted
-    failure-set order.
+    lost. No set gets replacement disks. A batch's rebuilt planes at each
+    lost position are compared with the stored ones; only on a mismatch are
+    its lanes walked, and a wrong instance fails every set that produces its
+    (instance, lost tuple). A set whose instances lost other than s disks'
+    worth of column-units fails too, as some unit it lost was never rebuilt.
+    A set's read range comes from the plans of its own affected instances;
+    the sweep is uniform when every set reads the same count from every
+    survivor. Results are in sorted failure-set order.
     """
     delta = layout.group.delta
     if isinstance(s, bool) or not isinstance(s, int) or not 0 <= s <= delta:
         raise ParamError(f"need 0 <= s <= delta={delta}, got {s!r}")
     array = materialize(layout, seed)
     failure_sets = list(combinations(range(layout.n), s))
-    tallies, units = _rebuild(array, [frozenset(failed) for failed in failure_sets])
-    disks, m, lost_per_set = array.disks, layout.group.m, s * layout.units_per_disk
+    tallies, batches = _rebuild(array, [frozenset(failed) for failed in failure_sets])
+    lost_per_set = s * layout.units_per_disk
     # Lost tuple -> mask of the instances rebuilt wrong with it.
     wrong: dict[tuple[int, ...], int] = {}
-    for i, lost, disk, at, unit in units:
-        if unit != disks[disk][at : at + m]:
-            wrong[lost] = wrong.get(lost, 0) | 1 << i
+    for batch in batches:
+        for pos, rebuilt in batch.rebuilt.items():
+            stored = _planes(array, batch, pos)
+            if rebuilt != stored:
+                for lane, index in enumerate(batch.lanes):
+                    if any(new[lane] != old[lane] for new, old in zip(rebuilt, stored)):
+                        wrong[batch.lost] = wrong.get(batch.lost, 0) | 1 << index
     results = [
         SetResult(
             failed=failed,

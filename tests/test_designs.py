@@ -65,8 +65,12 @@ def test_duplicating_a_block_breaks_coverage():
 
 @pytest.mark.parametrize(
     "block",
-    # (0, True, 2, 3) covers like (0, 1, 2, 3), but True is no point.
-    [(0, 1, 2), (0, 1, 2, 3, 4), (0, 1, 2, 2), (0, 1, 2, 8), (-1, 0, 1, 2), (0, True, 2, 3)],
+    # (0, True, 2, 3) covers like (0, 1, 2, 3), but True is no point; a
+    # string among ints cannot even be sorted.
+    [
+        (0, 1, 2), (0, 1, 2, 3, 4), (0, 1, 2, 2), (0, 1, 2, 8), (-1, 0, 1, 2), (0, True, 2, 3),
+        (0, "a", 2, 3), (0, 1.0, 2, 3),
+    ],
 )
 def test_bad_blocks_rejected(block):
     blocks = [block] + list(REFERENCE_BLOCKS_3_8_4_1[1:])
@@ -209,6 +213,13 @@ def test_count_lambda_reference_values(reference_design):
 def test_count_lambda_rejects_oversized_sets(reference_design):
     with pytest.raises(ParamError):
         count_lambda(reference_design.params, 2, 2)
+
+
+@pytest.mark.parametrize("i,j", [(True, 0), (0, False), (1.0, 0), (0, 1.0), ("1", 0), (None, 0)])
+def test_count_lambda_rejects_non_int_sizes(reference_design, i, j):
+    # A bool would answer as 0 or 1; a float would reach comb() as a TypeError.
+    with pytest.raises(ParamError, match="must be an int"):
+        count_lambda(reference_design.params, i, j)
 
 
 def test_count_lambda_rejects_non_integral_counts():

@@ -23,6 +23,7 @@ from declustr import (
     measured_matches_predicted,
     parity_index,
     rdp_code,
+    reconstruction_plan,
     reconstruction_rule,
     reconstruction_workload,
     rs_code,
@@ -509,22 +510,69 @@ def test_sweep_fails_exactly_the_sets_whose_rebuild_hits_a_faulty_pattern(monkey
     assert summary.passed == len(sets) - len(users[faulty])
 
 
+@pytest.mark.parametrize("family", ["full", "single", "rotations"])
+@pytest.mark.parametrize(
+    "name", ["rdp3-hadamard8", "rs(4,2)-complete(8,4,3)", "rs(5,3)-complete(7,5,4)"]
+)
+def test_sweep_fails_exactly_the_sets_that_lose_or_read_a_flipped_byte(name, family, monkeypatch):
+    # One stored byte (disk, offset) is flipped after the fill. It belongs to
+    # instance i at position pos, in extended row e. A set F must fail iff
+    # disk is in F (the byte is rebuilt from intact bytes, so it differs from
+    # the stored one), or i is affected by F and its plan reads pos in row e
+    # (a read byte goes wrong into every unit rebuilt from that row).
+    make_code, make_design = SWEEP_CASES[name]
+    code = make_code()
+    layout = build_layout(group_family(code, family), make_design())
+    rng = random.Random(f"{name}/{family}")
+    fill = simulator.materialize
+    for _ in range(6):
+        disk, offset = rng.randrange(layout.n), rng.randrange(layout.rows_per_disk)
+        flip = rng.randrange(1, 256)
+        who = unit_provenance(layout, disk, offset)
+        placement = layout.placements[who.block_index]
+        pos = placement.index(disk)
+
+        def corrupted(layout, seed):
+            array = fill(layout, seed)
+            array.disks[disk][offset] ^= flip
+            return array
+
+        monkeypatch.setattr(simulator, "materialize", corrupted)
+        for s in range(code.delta + 1):
+            summary = exhaustive_verify(layout, s, seed=11)
+            for result in summary.results:
+                lost = tuple(p for p, d in enumerate(placement) if d in result.failed)
+                reads = bool(lost) and pos in (
+                    reconstruction_plan(layout.group, lost).sources[who.extended_row]
+                )
+                expected = disk not in result.failed and not reads
+                assert result.recovered == expected, (result.failed, disk, offset)
+            assert summary.passed < summary.total or s == 0
+
+
 def test_sweep_gathers_each_instance_and_lost_tuple_once(monkeypatch):
     layout = build_layout(group_family(rdp_code(3), "full"), hadamard_3design(8))
-    k = layout.group.k
-    gathered, decodes = [], []
-    gather, decode = simulator._gather, HorizontalCode.decode
+    gathered, decoded, decodes = [], {}, []
+    planes, decode_pattern, decode = (
+        simulator._planes, simulator._decode_pattern, HorizontalCode.decode
+    )
 
-    def counting_gather(array, batch):
-        lost = tuple(pos for pos in range(k) if pos not in batch.plan.reads)
-        gathered.extend((index, lost) for index in batch.lanes)
-        return gather(array, batch)
+    def counting_planes(array, batch, pos):
+        # A lane set's planes at a position are gathered on first use only.
+        if pos not in batch.planes:
+            gathered.append((tuple(batch.lanes), pos))
+        return planes(array, batch, pos)
+
+    def recording_pattern(code, erased, contributors, r):
+        decoded.update((id(batch), batch) for _, batch in contributors)
+        return decode_pattern(code, erased, contributors, r)
 
     def counting_decode(self, rows, erased):
         decodes.append(tuple(erased))
         return decode(self, rows, erased)
 
-    monkeypatch.setattr(simulator, "_gather", counting_gather)
+    monkeypatch.setattr(simulator, "_planes", counting_planes)
+    monkeypatch.setattr(simulator, "_decode_pattern", recording_pattern)
     monkeypatch.setattr(HorizontalCode, "decode", counting_decode)
     summary = exhaustive_verify(layout, 2, seed=3)
     assert summary.passed == summary.total == 28
@@ -539,8 +587,16 @@ def test_sweep_gathers_each_instance_and_lost_tuple_once(monkeypatch):
     affected = sum(
         1 for failed in sets for placement in layout.placements if set(failed) & set(placement)
     )
-    assert sorted(gathered) == sorted(expected)
+    # Each (instance, lost tuple) is decoded in exactly one batch.
+    pairs = [(index, batch.lost) for batch in decoded.values() for index in batch.lanes]
+    assert sorted(pairs) == sorted(expected)
     assert len(expected) < affected
+    # Gathers go per (lane set, position), and no unit is gathered twice.
+    lane_sets = {tuple(batch.lanes) for batch in decoded.values()}
+    assert {lanes for lanes, _ in gathered} == lane_sets
+    assert len(gathered) <= len(lane_sets) * layout.group.k
+    units = [(index, pos) for lanes, pos in gathered for index in lanes]
+    assert len(units) == len(set(units))
     lost_patterns = set().union(*(_lost_patterns(layout, failed) for failed in sets))
     assert 1 <= len(decodes) <= len(lost_patterns)
 
