@@ -18,9 +18,17 @@ from .errors import BlockSizeError, CoverageError, FormatError, ParamError
 
 DESIGN_JSON_FIELDS = ("t", "n", "k", "lambda", "blocks")
 
-# Most t-subsets validate_design will count. Every design it checks tallies
-# all C(n,t) of them in one dict, so this caps that dict near 10^6 entries.
+# Most items one call builds or counts, refused up front: the C(n,t)
+# t-subsets validate_design tallies in one dict, the C(n,k) blocks of
+# complete_design and the n(n-1) points of hadamard_3design.
 MAX_COVERAGE_SUBSETS = 10**6
+
+
+def _check_budget(what: str, count: int, unit: str) -> None:
+    if count > MAX_COVERAGE_SUBSETS:
+        raise ParamError(
+            f"{what} = {count} {unit} exceeds the limit of {MAX_COVERAGE_SUBSETS}"
+        )
 
 
 def _check_ints(**sizes) -> None:
@@ -91,12 +99,7 @@ def validate_design(blocks, t: int, n: int, k: int, lam: int) -> Design:
     refused before any of them is built.
     """
     params = DesignParams(t=t, n=n, k=k, lam=lam)
-    subsets = comb(n, t)
-    if subsets > MAX_COVERAGE_SUBSETS:
-        raise ParamError(
-            f"validating C({n},{t}) = {subsets} {t}-subsets exceeds the limit "
-            f"of {MAX_COVERAGE_SUBSETS}"
-        )
+    _check_budget(f"validating C({n},{t})", comb(n, t), f"{t}-subsets")
     normalized = []
     for block in map(tuple, blocks):
         # type, not isinstance: a bool is an int but is no point. Checked
@@ -121,10 +124,14 @@ def validate_design(blocks, t: int, n: int, k: int, lam: int) -> Design:
 
 
 def complete_design(n: int, k: int, t: int) -> Design:
-    """The design whose blocks are all C(n,k) k-subsets, in lexicographic order."""
+    """The design whose blocks are all C(n,k) k-subsets, in lexicographic order.
+
+    More than MAX_COVERAGE_SUBSETS blocks are refused before any is built.
+    """
     _check_ints(n=n, k=k, t=t)
     if not (1 <= t <= k <= n):
         raise ParamError(f"need 1 <= t <= k <= n, got t={t}, k={k}, n={n}")
+    _check_budget(f"building C({n},{k})", comb(n, k), "blocks")
     params = DesignParams(t=t, n=n, k=k, lam=comb(n - t, k - t))
     return Design(params=params, blocks=tuple(combinations(range(n), k)))
 
@@ -134,17 +141,18 @@ def hadamard_3design(n: int) -> Design:
 
     Row r of the order-n Sylvester matrix has entry (-1)^popcount(r & c) in
     column c. For each non-constant row, the +1 support and the -1 support
-    each contribute one block, giving 2(n-1) blocks.
+    each contribute one block, giving 2(n-1) blocks of n(n-1) points in all;
+    more than MAX_COVERAGE_SUBSETS points are refused before any is built.
     """
     _check_ints(n=n)
     if n < 8 or n & (n - 1) != 0:
         raise ParamError(f"order must be a power of two >= 8, got {n}")
+    _check_budget(f"building {n}*{n - 1}", n * (n - 1), "points")
     blocks = []
     for row in range(1, n):
-        plus = tuple(c for c in range(n) if bin(row & c).count("1") % 2 == 0)
-        minus = tuple(c for c in range(n) if c not in set(plus))
-        blocks.append(plus)
-        blocks.append(minus)
+        odd = [bin(row & c).count("1") % 2 for c in range(n)]
+        blocks.append(tuple(c for c, bit in enumerate(odd) if not bit))
+        blocks.append(tuple(c for c, bit in enumerate(odd) if bit))
     params = DesignParams(t=3, n=n, k=n // 2, lam=n // 4 - 1)
     return Design(params=params, blocks=tuple(blocks))
 

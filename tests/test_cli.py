@@ -1,6 +1,8 @@
 """End-to-end command-line checks: output text, file round-trips, exit codes."""
 
 import json
+import os
+import stat
 from math import comb
 from pathlib import Path
 
@@ -110,6 +112,99 @@ def test_design_hadamard_table_and_file(capsys, tmp_path):
     assert "3-(8,4,1) design, 14 blocks" in out
     reread = design_from_json(json.loads(out_path.read_text()))
     assert len(reread.blocks) == 14
+
+
+def test_design_complete_too_large_is_a_one_line_error(capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("blocks were built before the size check")
+
+    monkeypatch.setattr("declustr.designs.combinations", never)
+    code, out, err = cli(capsys, "design", "complete", "--n", "40", "--k", "20", "--t", "3")
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: building C(40,20) = {comb(40, 20)} blocks exceeds the limit of 1000000\n"
+    )
+
+
+# ------------------------------------------------------------------ --out
+
+def test_out_overwrites_a_longer_file_without_a_stale_tail(capsys, tmp_path):
+    path = tmp_path / "design.json"
+    complete = ("design", "complete", "--n", "7", "--k", "5", "--t", "4")
+    assert cli(capsys, *complete, "--out", str(path))[0] == 0
+    longer = path.read_text()
+    code, out, _ = cli(
+        capsys, "design", "hadamard", "--n", "8", "--out", str(path), "--format", "json"
+    )
+    assert code == 0
+    assert path.read_text() == out
+    assert len(out) < len(longer)
+
+
+def test_out_writes_through_a_symlink(capsys, tmp_path):
+    target = tmp_path / "target.json"
+    target.write_text("x" * 10_000)
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    code, out, _ = cli(
+        capsys, "design", "hadamard", "--n", "8", "--out", str(link), "--format", "json"
+    )
+    assert code == 0
+    assert link.is_symlink()
+    assert target.read_text() == out
+
+
+def test_out_keeps_mode_and_hard_links(capsys, tmp_path):
+    path = tmp_path / "design.json"
+    path.write_text("old")
+    path.chmod(0o640)
+    other = tmp_path / "other.json"
+    os.link(path, other)
+    code, out, _ = cli(
+        capsys, "design", "hadamard", "--n", "8", "--out", str(path), "--format", "json"
+    )
+    assert code == 0
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
+    assert other.read_text() == path.read_text() == out
+
+
+def test_out_creates_a_new_file_with_the_umask_mode(capsys, tmp_path):
+    path = tmp_path / "design.json"
+    umask = os.umask(0o027)
+    try:
+        code = cli(capsys, "design", "hadamard", "--n", "8", "--out", str(path))[0]
+    finally:
+        os.umask(umask)
+    assert code == 0
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
+
+
+def test_out_naming_a_directory_is_a_one_line_error(capsys, tmp_path):
+    code, out, err = cli(capsys, "design", "hadamard", "--n", "8", "--out", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_out_never_truncates_on_open(capsys, tmp_path, monkeypatch):
+    # Truncating to zero on open is what makes ext4 flush the file on close.
+    opened = []
+    real_open = os.open
+
+    def spy(path, flags, *args, **kwargs):
+        opened.append((str(path), flags))
+        return real_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr("declustr.cli.os.open", spy)
+    design, layout = tmp_path / "design.json", tmp_path / "layout.json"
+    for _ in range(2):
+        assert cli(capsys, "design", "hadamard", "--n", "8", "--out", str(design))[0] == 0
+        assert cli(
+            capsys, "layout", "build", "--design", str(design),
+            "--code", "rdp", "--p", "3", "--out", str(layout),
+        )[0] == 0
+    writes = [flags for path, flags in opened if path in (str(design), str(layout))]
+    assert len(writes) == 4
+    assert all(flags & os.O_WRONLY and not flags & os.O_TRUNC for flags in writes)
 
 
 def test_design_hadamard_rejects_bad_n(capsys):

@@ -17,6 +17,7 @@ from declustr import (
     reduce_design,
     validate_design,
 )
+from declustr import designs
 from declustr.designs import MAX_COVERAGE_SUBSETS
 from declustr.errors import BlockSizeError, CoverageError, FormatError, ParamError
 from conftest import BIBD_BLOCKS_2_5_4_3, REFERENCE_BLOCKS_3_8_4_1
@@ -158,6 +159,33 @@ def test_hadamard_designs_validate(n, k, lam, blocks):
     assert design.params == DesignParams(t=3, n=n, k=k, lam=lam)
     assert len(design.blocks) == blocks
     validate_design(design.blocks, t=3, n=n, k=k, lam=lam)
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+def test_hadamard_blocks_match_the_complement_construction(n):
+    blocks = []
+    for row in range(1, n):
+        plus = tuple(c for c in range(n) if bin(row & c).count("1") % 2 == 0)
+        blocks += [plus, tuple(c for c in range(n) if c not in set(plus))]
+    assert hadamard_3design(n).blocks == tuple(blocks)
+
+
+def test_oversize_constructions_refused_from_the_count(monkeypatch):
+    # A refused call must build nothing: a call into combinations fails fast.
+    def never(*args):
+        raise AssertionError("blocks were built before the size check")
+
+    monkeypatch.setattr(designs, "combinations", never)
+    count = comb(40, 20)
+    assert count > MAX_COVERAGE_SUBSETS
+    with pytest.raises(ParamError, match=rf"C\(40,20\) = {count} blocks exceeds the limit"):
+        complete_design(40, 20, 3)
+    # The smallest refused order first, so a missing check fails without a blow-up.
+    assert 512 * 511 <= MAX_COVERAGE_SUBSETS < 1024 * 1023
+    assert len(hadamard_3design(512).blocks) == 2 * 511
+    for n in (1024, 2**30):
+        with pytest.raises(ParamError, match=rf"= {n * (n - 1)} points exceeds the limit"):
+            hadamard_3design(n)
 
 
 @pytest.mark.parametrize("n", [4, 12, 20, 7])
