@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -164,11 +165,14 @@ def _write(path: str, text: str) -> None:
     The file is opened without O_TRUNC and cut at the new end after the write:
     ext4 (default auto_da_alloc) flushes a file truncated to zero and then
     rewritten when it is closed, about 60 ms per process on a 2-core VM. No fsync.
+    Only a regular file is cut; a device, pipe or FIFO (/dev/null, /dev/stdout)
+    cannot be, and O_TRUNC was a no-op on it.
     """
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     with open(fd, "w", encoding="utf-8") as out:
         out.write(text)
-        out.truncate()
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            out.truncate()
 
 
 def _wrote(args) -> list[str]:

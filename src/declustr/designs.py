@@ -31,6 +31,22 @@ def _check_budget(what: str, count: int, unit: str) -> None:
         )
 
 
+def _check_comb_budget(what: str, n: int, k: int, unit: str) -> None:
+    """Refuse C(n,k) > MAX_COVERAGE_SUBSETS, counted as a running product.
+
+    The product is exact up to the limit and stops once past it: math.comb
+    takes seconds for n in the millions, and its value can have more digits
+    than Python will print, so the refusal names C(n,k) instead.
+    """
+    count = 1
+    for i in range(min(k, n - k)):
+        count = count * (n - i) // (i + 1)
+        if count > MAX_COVERAGE_SUBSETS:
+            raise ParamError(
+                f"{what} C({n},{k}) {unit} exceeds the limit of {MAX_COVERAGE_SUBSETS}"
+            )
+
+
 def _check_ints(**sizes) -> None:
     """Refuse a size that is not an int; a bool compares like 0 or 1 but is no size."""
     for name, value in sizes.items():
@@ -131,7 +147,7 @@ def complete_design(n: int, k: int, t: int) -> Design:
     _check_ints(n=n, k=k, t=t)
     if not (1 <= t <= k <= n):
         raise ParamError(f"need 1 <= t <= k <= n, got t={t}, k={k}, n={n}")
-    _check_budget(f"building C({n},{k})", comb(n, k), "blocks")
+    _check_comb_budget("building", n, k, "blocks")
     params = DesignParams(t=t, n=n, k=k, lam=comb(n - t, k - t))
     return Design(params=params, blocks=tuple(combinations(range(n), k)))
 

@@ -3,12 +3,14 @@
 import json
 import os
 import stat
+import subprocess
+import sys
 from math import comb
 from pathlib import Path
 
 import pytest
 
-from declustr import design_from_json, deserialize_layout, serialize_layout
+from declustr import design_from_json, deserialize_layout, hadamard_3design, serialize_layout
 from declustr.cli import TRADEOFF_CSV_HEADER, run
 
 DATA = Path(__file__).parent / "data"
@@ -121,9 +123,7 @@ def test_design_complete_too_large_is_a_one_line_error(capsys, monkeypatch):
     monkeypatch.setattr("declustr.designs.combinations", never)
     code, out, err = cli(capsys, "design", "complete", "--n", "40", "--k", "20", "--t", "3")
     assert (code, out) == (1, "")
-    assert err == (
-        f"error: building C(40,20) = {comb(40, 20)} blocks exceeds the limit of 1000000\n"
-    )
+    assert err == "error: building C(40,20) blocks exceeds the limit of 1000000\n"
 
 
 # ------------------------------------------------------------------ --out
@@ -183,6 +183,30 @@ def test_out_naming_a_directory_is_a_one_line_error(capsys, tmp_path):
     code, out, err = cli(capsys, "design", "hadamard", "--n", "8", "--out", str(tmp_path))
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_out_to_a_device_writes_and_exits_0(capsys):
+    # /dev/null seeks but cannot be truncated; O_TRUNC was silently a no-op on it.
+    code, out, err = cli(capsys, "design", "hadamard", "--n", "8", "--out", os.devnull)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == f"wrote {os.devnull}"
+
+
+def test_out_to_a_pipe_writes_and_exits_0():
+    # /dev/stdout on a pipe can neither seek nor be truncated.
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = "import sys; from declustr.cli import run; sys.exit(run(sys.argv[1:]))"
+    done = subprocess.run(
+        [sys.executable, "-c", probe, "design", "hadamard", "--n", "8",
+         "--format", "json", "--out", "/dev/stdout"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    # The file's text first, then the same text as the command's output.
+    half = len(done.stdout) // 2
+    assert done.stdout[:half] == done.stdout[half:]
+    assert design_from_json(json.loads(done.stdout[:half])) == hadamard_3design(8)
 
 
 def test_out_never_truncates_on_open(capsys, tmp_path, monkeypatch):

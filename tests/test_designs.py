@@ -1,5 +1,6 @@
 """Design validation, construction, and block counting."""
 
+import time
 from itertools import combinations
 from math import comb
 
@@ -176,9 +177,8 @@ def test_oversize_constructions_refused_from_the_count(monkeypatch):
         raise AssertionError("blocks were built before the size check")
 
     monkeypatch.setattr(designs, "combinations", never)
-    count = comb(40, 20)
-    assert count > MAX_COVERAGE_SUBSETS
-    with pytest.raises(ParamError, match=rf"C\(40,20\) = {count} blocks exceeds the limit"):
+    assert comb(40, 20) > MAX_COVERAGE_SUBSETS
+    with pytest.raises(ParamError, match=r"building C\(40,20\) blocks exceeds the limit"):
         complete_design(40, 20, 3)
     # The smallest refused order first, so a missing check fails without a blow-up.
     assert 512 * 511 <= MAX_COVERAGE_SUBSETS < 1024 * 1023
@@ -186,6 +186,26 @@ def test_oversize_constructions_refused_from_the_count(monkeypatch):
     for n in (1024, 2**30):
         with pytest.raises(ParamError, match=rf"= {n * (n - 1)} points exceeds the limit"):
             hadamard_3design(n)
+
+
+@pytest.mark.parametrize("n, k", [(20_000, 10_000), (4 * 10**6, 2 * 10**6)])
+def test_complete_design_refuses_huge_n_without_the_exact_count(n, k):
+    # comb(4*10**6, 2*10**6) runs for minutes, and comb(20_000, 10_000) has
+    # more digits than Python will print.
+    start = time.perf_counter()
+    with pytest.raises(ParamError, match=rf"C\({n},{k}\) blocks exceeds the limit"):
+        complete_design(n, k, 3)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_complete_design_budget_boundary():
+    # C(n,k) is counted exactly up to the limit: 10**6 is allowed, one more is not.
+    assert comb(1_000_000, 1) == MAX_COVERAGE_SUBSETS
+    designs._check_comb_budget("building", 1_000_000, 1, "blocks")
+    designs._check_comb_budget("building", 1_000_000, 999_999, "blocks")
+    with pytest.raises(ParamError):
+        designs._check_comb_budget("building", 1_000_001, 1, "blocks")
+    assert len(complete_design(23, 6, 3).blocks) == comb(23, 6) == 100_947
 
 
 @pytest.mark.parametrize("n", [4, 12, 20, 7])

@@ -140,12 +140,24 @@ def test_layout_loader_refuses_damaged_text():
 
 
 def test_torn_overwrite_is_refused_or_loads_as_old_or_new():
-    # --out writes in place and calls no fsync, so a crash can leave a prefix
-    # of the new text over the old file's bytes.
+    # --out writes in place and calls no fsync, so after a crash the file may
+    # hold any mix of old and new pages, cut at either length, with zeros
+    # where a page of neither was written. Pages of 64 bytes cover every
+    # coarser power-of-two page size.
     old_layout, new_layout = _layouts()[1], _layouts()[0]
-    old, new = serialize_layout(old_layout), serialize_layout(new_layout)
+    old, new = serialize_layout(old_layout).encode(), serialize_layout(new_layout).encode()
+    assert len(new) < len(old)
+    size, page = len(old), 64
+    pages = {"old": old, "new": new.ljust(size, b"\0"), "hole": bytes(size)}
     rng = random.Random("torn")
-    cuts = {len(new), *rng.sample(range(len(new)), 300)}
-    for cut in sorted(cuts):
-        loaded = _load(deserialize_layout, new[:cut] + old[cut:], f"cut at {cut}")
-        assert loaded in (None, old_layout, new_layout), cut
+    torn = [old[: len(new)], new + old[len(new):]]
+    torn += [new[:cut] + old[cut:] for cut in rng.sample(range(len(new)), 100)]
+    for _ in range(200):
+        mix = b"".join(
+            pages[rng.choice(("old", "new", "hole"))][at : at + page]
+            for at in range(0, size, page)
+        )
+        torn.append(mix[: rng.choice((len(old), len(new)))])
+    for text in torn:
+        loaded = _load(deserialize_layout, text, f"torn text {text[:40]!r}")
+        assert loaded in (None, old_layout, new_layout), text
