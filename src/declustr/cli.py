@@ -35,7 +35,7 @@ from .designs import (
     hadamard_3design,
     reduce_design,
 )
-from .erasure_codes import rdp_code, rs_code
+from .erasure_codes import CODE_KINDS
 from .errors import DeclustrError, FormatError
 from .layout import (
     build_layout,
@@ -111,7 +111,7 @@ def _read_text(path: str) -> str:
 def _load_design(path: str) -> Design:
     try:
         obj = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also integers over 4,300 digits
         raise FormatError(f"{path} is not valid JSON: {exc}") from exc
     return design_from_json(obj)
 
@@ -121,13 +121,12 @@ def _load_layout(path: str):
 
 
 def _make_code(args):
-    if args.code == "rdp":
-        if args.p is None:
-            raise UsageError("--code rdp requires --p")
-        return rdp_code(args.p)
-    if args.k is None or args.delta is None:
-        raise UsageError("--code rs requires --k and --delta")
-    return rs_code(args.k, args.delta)
+    make, names = CODE_KINDS[args.code]
+    values = [getattr(args, name) for name in names]
+    if None in values:
+        flags = " and ".join("--" + name for name in names)
+        raise UsageError(f"--code {args.code} requires {flags}")
+    return make(*values)
 
 
 def _parse_fail(text: str) -> tuple[int, ...]:
@@ -524,7 +523,7 @@ _REQUIRED = {"required": True}
 _REQUIRED_INT = {"type": int, "required": True}
 _FAIL_HELP = "comma-separated disk indices"
 _CODE_FLAGS = {
-    "code": {"choices": ("rdp", "rs"), "required": True},
+    "code": {"choices": tuple(CODE_KINDS), "required": True},
     "p": {"type": int, "help": "rdp prime (k = p+1)"},
     "k": {"type": int, "help": "rs column count"},
     "delta": {"type": int, "help": "rs parity column count"},

@@ -16,12 +16,20 @@ from math import comb
 
 from .errors import BlockSizeError, CoverageError, FormatError, ParamError
 
-DESIGN_JSON_FIELDS = ("t", "n", "k", "lambda", "blocks")
+# Field kinds for check_fields; each is also the phrase its message uses.
+INT = "an integer"
+INT_LISTS = "a list of integer lists"
+DESIGN_JSON_FIELDS = {"t": INT, "n": INT, "k": INT, "lambda": INT, "blocks": INT_LISTS}
 
 # Most items one call builds or counts, refused up front: the C(n,t)
 # t-subsets validate_design tallies in one dict, the C(n,k) blocks of
 # complete_design and the n(n-1) points of hadamard_3design.
 MAX_COVERAGE_SUBSETS = 10**6
+
+# Most bits of a count C(n,t) < n**min(t, n-t) that DesignParams computes,
+# refused from that bound: math.comb takes minutes for t in the millions, and
+# 14,000 bits stay under the 4,300 digits Python will print.
+MAX_COUNT_BITS = 14_000
 
 
 def _check_budget(what: str, count: int, unit: str) -> None:
@@ -71,6 +79,12 @@ class DesignParams:
             )
         if self.lam < 1:
             raise ParamError(f"lambda must be >= 1, got {self.lam}")
+        bits = min(self.t, self.n - self.t) * self.n.bit_length()
+        if bits > MAX_COUNT_BITS:
+            raise ParamError(
+                f"C({self.n},{self.t}) {self.t}-subsets may take up to {bits} bits, "
+                f"over the limit of {MAX_COUNT_BITS}"
+            )
         if (self.lam * comb(self.n, self.t)) % comb(self.k, self.t) != 0:
             raise ParamError(
                 f"block count lam*C(n,t)/C(k,t) is not an integer for "
@@ -230,31 +244,46 @@ def design_to_json(design: Design) -> dict:
     }
 
 
+def check_fields(what: str, obj, fields: dict, optional: tuple = ()) -> None:
+    """Refuse obj unless it is a JSON object holding each field of its kind.
+
+    fields maps each name to INT (an int, never a bool), INT_LISTS, a tuple
+    of the allowed values, or None when a later parser checks the value.
+    Names in `optional` may be absent. Unknown keys are ignored with a
+    warning once every check has passed.
+    """
+    if not isinstance(obj, dict):
+        raise FormatError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    missing = [f for f in fields if f not in obj and f not in optional]
+    if missing:
+        raise FormatError(f"{what} object is missing fields: {', '.join(missing)}")
+    for name, kind in fields.items():
+        if name in obj and kind is not None and (bad := _misfits(obj[name], kind)):
+            expected = kind if isinstance(kind, str) else f"one of {', '.join(kind)}"
+            raise FormatError(f"{what} field {name!r} must be {expected}, got {bad[0]!r}")
+    unknown = sorted(str(f) for f in obj if f not in fields)
+    if unknown:
+        warnings.warn(f"ignoring unknown {what} fields: {', '.join(unknown)}", stacklevel=3)
+
+
+def _misfits(value, kind) -> list:
+    """The parts of value that are not of kind: value itself, or for
+    INT_LISTS each entry that is not a list of ints."""
+    if kind is INT:
+        return [] if type(value) is int else [value]
+    if kind is INT_LISTS:
+        if not isinstance(value, list):
+            return [value]
+        return [v for v in value if not isinstance(v, list) or any(type(x) is not int for x in v)]
+    return [] if value in kind else [value]
+
+
 def design_from_json(obj) -> Design:
     """Parse and fully validate a design from its plain-dict form.
 
     Unknown trailing fields are ignored with a warning, not an error.
     """
-    if not isinstance(obj, dict):
-        raise FormatError(f"design must be a JSON object, got {type(obj).__name__}")
-    missing = [f for f in DESIGN_JSON_FIELDS if f not in obj]
-    if missing:
-        raise FormatError(f"design object is missing fields: {', '.join(missing)}")
-    unknown = [f for f in obj if f not in DESIGN_JSON_FIELDS]
-    if unknown:
-        warnings.warn(
-            f"ignoring unknown design fields: {', '.join(sorted(unknown))}",
-            stacklevel=2,
-        )
-    for field in ("t", "n", "k", "lambda"):
-        if not isinstance(obj[field], int) or isinstance(obj[field], bool):
-            raise FormatError(f"design field {field!r} must be an integer")
-    if not isinstance(obj["blocks"], list) or any(
-        not isinstance(b, list)
-        or any(not isinstance(x, int) or isinstance(x, bool) for x in b)
-        for b in obj["blocks"]
-    ):
-        raise FormatError("design field 'blocks' must be a list of integer lists")
+    check_fields("design", obj, DESIGN_JSON_FIELDS)
     return validate_design(
         obj["blocks"], t=obj["t"], n=obj["n"], k=obj["k"], lam=obj["lambda"]
     )

@@ -115,6 +115,11 @@ def rs_code(k: int, delta: int) -> HorizontalCode:
     return HorizontalCode(kind="rs", k=k, delta=delta, r=1)
 
 
+# Each code kind's constructor and parameter names, in order: HorizontalCode
+# attributes, group descriptor keys and CLI flags alike.
+CODE_KINDS = {"rdp": (rdp_code, ("p",)), "rs": (rs_code, ("k", "delta"))}
+
+
 def reconstruction_rule(delta: int, lost) -> frozenset[str]:
     """Column labels that must be read in full to rebuild the lost columns.
 

@@ -21,7 +21,6 @@ an optional cyclic rotation step to even out parity placement.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -29,14 +28,16 @@ from itertools import compress, count
 from operator import or_
 
 from .designs import (
+    INT,
+    INT_LISTS,
     Design,
-    DesignParams,
+    check_fields,
     count_lambda,
     design_from_json,
     design_to_json,
     validate_design,
 )
-from .erasure_codes import rdp_code, rs_code
+from .erasure_codes import CODE_KINDS, HorizontalCode
 from .errors import (
     DeclustrError,
     FormatError,
@@ -47,7 +48,7 @@ from .errors import (
 )
 from .parity_groups import FAMILIES, ParityGroup, group_family, reconstruction_plan
 
-LAYOUT_JSON_FIELDS = ("n", "design", "group", "placements")
+LAYOUT_JSON_FIELDS = {"n": INT, "design": None, "group": None, "placements": INT_LISTS}
 
 # bytes.translate table taking the ASCII digits of bin() to byte values 0 and 1.
 _DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
@@ -295,51 +296,31 @@ def layout_geometry(layout: DeclusteredLayout) -> LayoutGeometry:
 
 def group_descriptor(group: ParityGroup) -> dict:
     """JSON form of a group: code parameters plus the arrangement family."""
-    if group.family not in FAMILIES:
+    code = group.code
+    if group.family not in FAMILIES or code.kind not in CODE_KINDS:
         raise FormatError(
-            f"group family {group.family!r} has no serialized form; "
-            f"serializable families are {', '.join(FAMILIES)}"
+            f"{code.kind} group of family {group.family!r} has no serialized form; "
+            f"serializable are families {', '.join(FAMILIES)} and codes {', '.join(CODE_KINDS)}"
         )
-    if group.code.kind == "rdp":
-        descriptor = {"code": "rdp", "p": group.code.p}
-    elif group.code.kind == "rs":
-        descriptor = {"code": "rs", "k": group.code.k, "delta": group.code.delta}
-    else:
-        raise FormatError(f"unknown code kind {group.code.kind!r}")
+    descriptor = {"code": code.kind}
+    descriptor.update((name, getattr(code, name)) for name in CODE_KINDS[code.kind][1])
     if group.family != "full":
         descriptor["family"] = group.family
     return descriptor
 
 
-def group_from_descriptor(obj) -> ParityGroup:
-    """Rebuild a group from its JSON form; extended rows are regenerated."""
-    if not isinstance(obj, dict) or "code" not in obj:
-        raise FormatError("group descriptor must be an object with a 'code' field")
-    family = obj.get("family", "full")
-    if family not in FAMILIES:
-        raise FormatError(f"unknown arrangement family {family!r}")
-    kind = obj["code"]
+def _code_from_descriptor(obj) -> tuple[HorizontalCode, str]:
+    """A group descriptor's code and family name; the family is not built."""
+    kind = obj.get("code") if isinstance(obj, dict) else None
+    # Tuple membership compares without hashing: a list kind is unhashable.
+    make, names = CODE_KINDS[kind] if kind in tuple(CODE_KINDS) else (None, ())
+    fields = {"code": tuple(CODE_KINDS), **dict.fromkeys(names, INT), "family": FAMILIES}
+    check_fields("group descriptor", obj, fields, optional=("family",))
     try:
-        if kind == "rdp":
-            if "p" not in obj:
-                raise FormatError("rdp group descriptor needs field 'p'")
-            code = rdp_code(_descriptor_int(obj, "p"))
-        elif kind == "rs":
-            if "k" not in obj or "delta" not in obj:
-                raise FormatError("rs group descriptor needs fields 'k' and 'delta'")
-            code = rs_code(_descriptor_int(obj, "k"), _descriptor_int(obj, "delta"))
-        else:
-            raise FormatError(f"unknown code kind {kind!r}")
+        code = make(*(obj[name] for name in names))
     except ParamError as exc:
         raise FormatError(f"bad group descriptor: {exc}") from exc
-    return group_family(code, family)
-
-
-def _descriptor_int(obj: dict, field: str) -> int:
-    value = obj[field]
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise FormatError(f"group descriptor field {field!r} must be an integer, got {value!r}")
-    return value
+    return code, obj.get("family", "full")
 
 
 def serialize_layout(layout: DeclusteredLayout) -> str:
@@ -363,52 +344,31 @@ def deserialize_layout(text) -> DeclusteredLayout:
     if isinstance(text, (str, bytes)):
         try:
             obj = json.loads(text)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except ValueError as exc:  # also bad UTF-8 and integers over 4,300 digits
             raise FormatError(f"layout file is not valid JSON: {exc}") from exc
     else:
         obj = text
-    if not isinstance(obj, dict):
-        raise FormatError("layout must be a JSON object")
-    missing = [f for f in LAYOUT_JSON_FIELDS if f not in obj]
-    if missing:
-        raise FormatError(f"layout object is missing fields: {', '.join(missing)}")
-    unknown = [f for f in obj if f not in LAYOUT_JSON_FIELDS]
-    if unknown:
-        warnings.warn(
-            f"ignoring unknown layout fields: {', '.join(sorted(unknown))}",
-            stacklevel=2,
-        )
+    check_fields("layout", obj, LAYOUT_JSON_FIELDS)
     n = obj["n"]
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise FormatError("layout field 'n' must be an integer")
     try:
         design = design_from_json(obj["design"])
     except FormatError:
         raise
     except DeclustrError as exc:
         raise InvariantError(f"embedded design is invalid: {exc}") from exc
-    group = group_from_descriptor(obj["group"])
+    code, family = _code_from_descriptor(obj["group"])
     if n != design.n:
         raise InvariantError(f"layout n={n} but design has n={design.n}")
-    if group.k != design.k or design.t != group.delta + 1:
+    if code.k != design.k or design.t != code.delta + 1:
         raise InvariantError(
-            f"group (k={group.k}, delta={group.delta}) does not fit a "
+            f"group (k={code.k}, delta={code.delta}) does not fit a "
             f"{design.t}-({design.n},{design.k},{design.lam}) design"
         )
-    placements_raw = obj["placements"]
-    if not isinstance(placements_raw, list) or any(
-        not isinstance(p, list)
-        or any(not isinstance(d, int) or isinstance(d, bool) for d in p)
-        for p in placements_raw
-    ):
-        raise FormatError("layout field 'placements' must be a list of integer lists")
-    if len(placements_raw) != len(design.blocks):
-        raise InvariantError(
-            f"{len(placements_raw)} placements for {len(design.blocks)} blocks"
-        )
-    placements = []
-    for index, (placement, block) in enumerate(zip(placements_raw, design.blocks)):
-        disks = tuple(placement)
+    group = group_family(code, family)
+    placements = tuple(map(tuple, obj["placements"]))
+    if len(placements) != len(design.blocks):
+        raise InvariantError(f"{len(placements)} placements for {len(design.blocks)} blocks")
+    for index, (disks, block) in enumerate(zip(placements, design.blocks)):
         if len(set(disks)) != len(disks):
             raise InvariantError(
                 f"placement {index} stores two columns of one group on one disk: {disks}"
@@ -419,7 +379,4 @@ def deserialize_layout(text) -> DeclusteredLayout:
             raise InvariantError(
                 f"placement {index} disks {disks} do not match block {block}"
             )
-        placements.append(disks)
-    return DeclusteredLayout(
-        n=n, design=design, group=group, placements=tuple(placements)
-    )
+    return DeclusteredLayout(n=n, design=design, group=group, placements=placements)

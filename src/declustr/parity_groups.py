@@ -258,6 +258,16 @@ def _check_size(name: str, s, delta: int) -> None:
         raise ParamError(f"need 1 <= {name} <= delta={delta}, got {s!r}")
 
 
+def _size_reads(group: ParityGroup, s: int):
+    """Each size-s failure set's plan reads (surviving position -> extended
+    rows reading it), and the distinct read counts among them, ascending."""
+    _check_arrangements(group)
+    by_set = {
+        lost: reconstruction_plan(group, lost).reads for lost in combinations(range(group.k), s)
+    }
+    return by_set, tuple(sorted({rows for reads in by_set.values() for rows in reads.values()}))
+
+
 def verify_balance(group: ParityGroup, max_s: int) -> BalanceReport:
     """Evaluate the four balance conditions up to failure size max_s.
 
@@ -269,17 +279,13 @@ def verify_balance(group: ParityGroup, max_s: int) -> BalanceReport:
     per-column tally.
     """
     _check_size("max_s", max_s, group.delta)
-    _check_arrangements(group)
+    sizes = [_size_reads(group, s) for s in range(1, max_s + 1)]
     parity_per_column = group.parity_per_column
-    row_reads: dict[tuple[tuple[int, ...], int], int] = {}
-    taus: dict[int, int | None] = {}
-    for s in range(1, max_s + 1):
-        size_values = set()
-        for failed in combinations(range(group.k), s):
-            reads = reconstruction_plan(group, failed).reads
-            row_reads.update(((failed, c), rows) for c, rows in reads.items())
-            size_values.update(reads.values())
-        taus[s] = group.r * size_values.pop() if len(size_values) == 1 else None
+    row_reads = {
+        (failed, c): rows
+        for by_set, _ in sizes for failed, reads in by_set.items() for c, rows in reads.items()
+    }
+    taus = {s: group.r * v[0] if len(v) == 1 else None for s, (_, v) in enumerate(sizes, 1)}
     return BalanceReport(
         c1=True, c2=True,
         c3=None not in taus.values(),
@@ -316,11 +322,7 @@ def tau(group: ParityGroup, s: int) -> int:
     _check_size("s", s, group.delta)
     values = group._taus.get(s)
     if values is None:
-        _check_arrangements(group)
-        values = set()
-        for failed in combinations(range(group.k), s):
-            values.update(reconstruction_plan(group, failed).reads.values())
-        values = group._taus[s] = tuple(sorted(values))
+        values = group._taus[s] = _size_reads(group, s)[1]
     if len(values) != 1:
         raise UnbalancedGroup(
             f"per-column read counts differ across size-{s} failures: {list(values)}"

@@ -356,6 +356,72 @@ def test_json_huge_point_count_is_a_param_error(reference_design):
         design_from_json(obj)
 
 
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda obj: obj.update(t=True), "design field 't' must be an integer, got True"),
+        (lambda obj: obj.update(k=4.0), "design field 'k' must be an integer, got 4.0"),
+        (
+            lambda obj: obj.update(blocks=5),
+            "design field 'blocks' must be a list of integer lists, got 5",
+        ),
+        (
+            lambda obj: obj["blocks"].__setitem__(3, [0, 1, "2", 3]),
+            "design field 'blocks' must be a list of integer lists, got [0, 1, '2', 3]",
+        ),
+        (lambda obj: obj.pop("lambda"), "design object is missing fields: lambda"),
+    ],
+    ids=["bool-t", "float-k", "int-blocks", "str-point", "no-lambda"],
+)
+def test_json_field_errors_name_the_field_and_the_bad_value(reference_design, mutate, message):
+    obj = design_to_json(reference_design)
+    mutate(obj)
+    with pytest.raises(FormatError) as info:
+        design_from_json(obj)
+    assert str(info.value) == message
+
+
+def test_json_design_must_be_an_object():
+    with pytest.raises(FormatError, match="^design must be a JSON object, got list$"):
+        design_from_json([3, 8, 4, 1])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: complete_design(10**7, 10**7, 5 * 10**6),
+        lambda: design_from_json(
+            {"t": 5 * 10**6, "n": 10**7, "k": 10**7, "lambda": 1, "blocks": []}
+        ),
+    ],
+    ids=["complete", "json"],
+)
+def test_design_params_refuse_huge_t_without_the_exact_count(monkeypatch, build):
+    # comb(10**7, 5*10**6) runs for minutes. A comb that wide fails at once
+    # here, so a missing bound fails the test instead of hanging it.
+    exact = designs.comb
+
+    def narrow(n, k):
+        assert min(k, n - k) <= 10**4, f"comb({n}, {k}) was computed"
+        return exact(n, k)
+
+    monkeypatch.setattr(designs, "comb", narrow)
+    start = time.perf_counter()
+    with pytest.raises(ParamError, match=r"C\(10000000,5000000\) 5000000-subsets may take"):
+        build()
+    assert time.perf_counter() - start < 0.5
+
+
+def test_design_params_count_bound_boundary():
+    # 16000 has 14 bits: t=1000 is exactly MAX_COUNT_BITS, t=1001 is over.
+    # The bound uses min(t, n-t), so t close to n is as cheap as t close to 0.
+    assert 1000 * (16000).bit_length() == designs.MAX_COUNT_BITS
+    DesignParams(t=1000, n=16000, k=16000, lam=1)
+    DesignParams(t=15000, n=16000, k=16000, lam=1)
+    with pytest.raises(ParamError, match="up to 14014 bits, over the limit of 14000"):
+        DesignParams(t=1001, n=16000, k=16000, lam=1)
+
+
 def test_json_semantic_errors_use_domain_exceptions(reference_design):
     obj = design_to_json(reference_design)
     obj["lambda"] = 2

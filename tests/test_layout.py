@@ -26,6 +26,9 @@ from declustr.errors import (
     MismatchError,
     ParamError,
 )
+from declustr import layout as layout_module
+from declustr import parity_groups
+from declustr.cli import run
 from declustr.layout import placement_indices
 from conftest import GROUPS_PER_DISK_3_8_4_1
 
@@ -307,3 +310,90 @@ def test_deserialize_rejects_non_integer_code_parameters(reference_layout, group
     obj["group"] = group
     with pytest.raises(FormatError, match=f"'{field}' must be an integer"):
         deserialize_layout(json.dumps(obj))
+
+
+@pytest.mark.parametrize(
+    "group",
+    [{"code": "rdp", "p": 31}, {"code": "rs", "k": 6, "delta": 2}, {"code": "rs", "k": 4, "delta": 1}],
+    ids=["prime-31", "rs-k6", "rs-delta1"],
+)
+def test_deserialize_checks_the_fit_before_building_the_family(monkeypatch, reference_layout, group):
+    # The RDP p=31 family alone is 2*C(32,2) = 992 arrangements; a group that
+    # does not fit the design is refused before any is built.
+    calls = []
+    for module, name in [(layout_module, "group_family"), (parity_groups, "_all_arrangements")]:
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, real=real: calls.append(a) or real(*a))
+    obj = json.loads(serialize_layout(reference_layout))
+    obj["group"] = group
+    with pytest.raises(InvariantError, match="does not fit"):
+        deserialize_layout(obj)
+    assert calls == []
+    assert deserialize_layout(serialize_layout(reference_layout)) == reference_layout
+    assert len(calls) == 2
+
+
+def test_layout_inspect_refuses_a_group_that_does_not_fit(capsys, tmp_path, reference_layout):
+    obj = json.loads(serialize_layout(reference_layout))
+    obj["group"] = {"code": "rdp", "p": 31}
+    path = tmp_path / "p31.json"
+    path.write_text(json.dumps(obj))
+    code = run(["layout", "inspect", "--layout", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err == "error: group (k=32, delta=2) does not fit a 3-(8,4,1) design\n"
+
+
+@pytest.mark.parametrize(
+    "group, message",
+    [
+        ([], "group descriptor must be a JSON object, got list"),
+        ({"p": 3}, "group descriptor object is missing fields: code"),
+        ({"code": "rdp"}, "group descriptor object is missing fields: p"),
+        ({"code": "rs", "k": 4}, "group descriptor object is missing fields: delta"),
+        ({"code": ["rdp"], "p": 3}, "group descriptor field 'code' must be one of rdp, rs, got ['rdp']"),
+        (
+            {"code": "rdp", "p": 3, "family": "zigzag"},
+            "group descriptor field 'family' must be one of full, single, rotations, got 'zigzag'",
+        ),
+        ({"code": "rdp", "p": 4}, "bad group descriptor: rdp needs a prime p >= 3, got 4"),
+    ],
+    ids=["list", "no-code", "no-p", "no-delta", "list-code", "bad-family", "p-not-prime"],
+)
+def test_deserialize_names_the_bad_descriptor_field(reference_layout, group, message):
+    obj = json.loads(serialize_layout(reference_layout))
+    obj["group"] = group
+    with pytest.raises(FormatError) as info:
+        deserialize_layout(obj)
+    assert str(info.value) == message
+
+
+def test_deserialize_warns_on_unknown_descriptor_keys(reference_layout):
+    obj = json.loads(serialize_layout(reference_layout))
+    obj["group"]["k"] = 4
+    with pytest.warns(UserWarning, match="ignoring unknown group descriptor fields: k"):
+        again = deserialize_layout(obj)
+    assert again == reference_layout
+
+
+def test_descriptor_keys_follow_the_code_table(reference_layout, bibd_design):
+    assert json.loads(serialize_layout(reference_layout))["group"] == {"code": "rdp", "p": 3}
+    rotated = rotate_layout(simple_parity_layout(bibd_design))
+    assert list(json.loads(serialize_layout(rotated))["group"].items()) == [
+        ("code", "rs"), ("k", 4), ("delta", 1), ("family", "single"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv", [("layout", "inspect", "--layout"), ("design", "validate", "--file")]
+)
+def test_integers_python_will_not_parse_are_a_one_line_error(capsys, tmp_path, argv):
+    # json.loads raises a plain ValueError for an integer over 4,300 digits.
+    with pytest.raises(FormatError, match="not valid JSON"):
+        deserialize_layout('{"n": ' + "1" * 5000 + "}")
+    path = tmp_path / "long_int.json"
+    path.write_text('{"n": ' + "1" * 5000 + "}")
+    code = run([*argv, str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "not valid JSON" in err and err.count("\n") == 1

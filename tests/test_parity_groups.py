@@ -7,6 +7,7 @@ import pytest
 
 from declustr import (
     DATA,
+    ParityGroup,
     arrangement_counts,
     balance_horizontal_code,
     cyclic_rotation_group,
@@ -118,6 +119,17 @@ def test_verify_balance_rejects_bad_max_s():
         verify_balance(group, 0)
     with pytest.raises(ParamError):
         verify_balance(group, 3)
+
+
+@pytest.mark.parametrize("rows", [(("D", "P1"),), (("D", "P1", "P1", "P2"),)])
+def test_verify_balance_and_tau_refuse_malformed_arrangements(rows):
+    # A short row would index out of range in the parity tally, so the
+    # arrangements are checked before it.
+    group = ParityGroup(code=rs_code(4, 2), extended_rows=rows)
+    with pytest.raises(ParamError):
+        verify_balance(group, 1)
+    with pytest.raises(ParamError):
+        tau(group, 1)
 
 
 # ----------------------------------------------------- arrangement counts
