@@ -23,7 +23,8 @@ DESIGN_JSON_FIELDS = {"t": INT, "n": INT, "k": INT, "lambda": INT, "blocks": INT
 
 # Most items one call builds or counts, refused up front: the C(n,t)
 # t-subsets validate_design tallies in one dict, the C(n,k) blocks of
-# complete_design and the n(n-1) points of hadamard_3design.
+# complete_design, the n(n-1) points of hadamard_3design and the
+# delta!*C(k,delta) arrangements of a full parity group.
 MAX_COVERAGE_SUBSETS = 10**6
 
 # Most bits of a count C(n,t) < n**min(t, n-t) that DesignParams computes,
@@ -32,7 +33,7 @@ MAX_COVERAGE_SUBSETS = 10**6
 MAX_COUNT_BITS = 14_000
 
 
-def _check_budget(what: str, count: int, unit: str) -> None:
+def check_budget(what: str, count: int, unit: str) -> None:
     if count > MAX_COVERAGE_SUBSETS:
         raise ParamError(
             f"{what} = {count} {unit} exceeds the limit of {MAX_COVERAGE_SUBSETS}"
@@ -129,7 +130,7 @@ def validate_design(blocks, t: int, n: int, k: int, lam: int) -> Design:
     refused before any of them is built.
     """
     params = DesignParams(t=t, n=n, k=k, lam=lam)
-    _check_budget(f"validating C({n},{t})", comb(n, t), f"{t}-subsets")
+    check_budget(f"validating C({n},{t})", comb(n, t), f"{t}-subsets")
     normalized = []
     for block in map(tuple, blocks):
         # type, not isinstance: a bool is an int but is no point. Checked
@@ -177,7 +178,7 @@ def hadamard_3design(n: int) -> Design:
     _check_ints(n=n)
     if n < 8 or n & (n - 1) != 0:
         raise ParamError(f"order must be a power of two >= 8, got {n}")
-    _check_budget(f"building {n}*{n - 1}", n * (n - 1), "points")
+    check_budget(f"building {n}*{n - 1}", n * (n - 1), "points")
     blocks = []
     for row in range(1, n):
         odd = [bin(row & c).count("1") % 2 for c in range(n)]

@@ -19,6 +19,7 @@ from functools import cached_property
 from itertools import combinations, permutations
 from math import comb, factorial
 
+from .designs import check_budget
 from .erasure_codes import (
     DATA,
     HorizontalCode,
@@ -180,11 +181,15 @@ def balance_horizontal_code(code: HorizontalCode) -> ParityGroup:
     """Stack all delta! * C(k, delta) parity placements of the code.
 
     Placements are enumerated in lexicographic order of the parity position
-    tuple, then of the parity index order within those positions.
+    tuple, then of the parity index order within those positions. More than
+    MAX_COVERAGE_SUBSETS placements are refused before any is built.
     """
+    k, delta = code.k, code.delta
+    count = factorial(delta) * comb(k, delta)
+    check_budget(f"building {delta}!*C({k},{delta})", count, "arrangements")
     return ParityGroup(
         code=code,
-        extended_rows=_all_arrangements(code.k, code.delta),
+        extended_rows=_all_arrangements(k, delta),
         family="full",
     )
 

@@ -3,29 +3,25 @@
 A layout becomes an array of n byte vectors (one byte per unit). Every group
 instance holds its own codewords, but the simulator moves them in bulk: a
 cell handed to the codec packs one byte per instance (a lane), so one encode
-call per extended row fills every instance at once. On failure, the affected
-instances are grouped by the positions they lost; each group follows the
-parity group's memoized reconstruction plan for those positions (the same
-plan the analysis tallies), and every (group, extended row) that leaves the
-same canonical erasure pattern is decoded by one multi-lane call that reads
-exactly the columns the rule names. Reads are tallied by the same function
-as the analysis's enumeration (`layout.survivor_reads`), so they match it
-unit for unit (analysis.measured_matches_predicted); what backs them is the
-check, once per erasure pattern, that the decoder read exactly the planned
-columns.
+call per extended row fills every instance at once. Reads are tallied by the
+same function as the analysis's enumeration (`layout.survivor_reads`), so
+they match it unit for unit (analysis.measured_matches_predicted); what backs
+them is the check, on every decode call, that the decoder read exactly the
+columns the memoized reconstruction plan names.
 
 One rebuild core serves a single failure set and an exhaustive sweep alike.
-It takes each set's affected instances as one placement bit mask per lost
-tuple (`layout.losses`), tallies the set's reads from them, ORs them into
-one batch per lost tuple, and decodes the batches a round at a time from
-byte planes (plane x holds byte x of every lane's unit), transposed once per
-lane set and position and shared by the batches with those lanes. A single
-rebuild transposes the rebuilt planes back onto fresh replacement disks. In
-a sweep the grouping spans every set: an instance's rebuilt units depend only
-on its own stored bytes and the positions it lost, and all sets start from
-the same array, so each (instance, lost tuple) is decoded once however many
-sets produce it. Rebuilt planes are compared with the stored ones, lanes are
-walked only on a mismatch, and a wrong unit fails every set that uses it.
+Each set's affected instances come as one placement bit mask per lost tuple
+(`layout.losses`), tallied, then ORed into one batch per lost tuple. Byte
+planes (plane x holds byte x of every lane's unit) are transposed once per
+lane set and position and shared by the batches with those lanes. Each
+canonical erasure pattern is decoded by one call over every (extended row,
+batch) that leaves it, split only where its grid would outgrow one copy of
+the array. A single rebuild transposes the decoded cells back onto fresh
+replacement disks. In a sweep the grouping spans every set: an instance's
+rebuilt units depend only on its own stored bytes and the positions it lost,
+and all sets start from the same array, so each (instance, lost tuple) is
+decoded once however many sets produce it. Each call's cells are compared
+with the stored planes, and a wrong unit fails every set that uses it.
 
 Data bytes come from a 64-bit xorshift stream (shifts 13, 7, 17; low byte of
 each state is emitted), so fixtures are portable: same seed, same array.
@@ -238,22 +234,20 @@ def check_parity_invariant(array: DiskArray) -> bool:
     return True
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class _Batch:
     """Affected instances that lost the same positions, as one batch of lanes.
 
-    lanes holds the members (layout indices) in ascending order. Plane x of
-    a position holds byte x of each lane's unit there, in lane order, so
-    plane e*r+j is inner row j of extended row e. planes maps a position to
-    its m stored planes and is shared by every batch with the same lanes;
-    rebuilt maps each lost position to its m decoded planes.
+    lanes holds the members (layout indices), ascending. Plane x of a
+    position holds byte x of each lane's unit there, so plane e*r+j is inner
+    row j of extended row e. planes maps a position to its m stored planes,
+    shared by every batch with the same lanes; a batch hashes by identity.
     """
 
     lost: tuple[int, ...]
     plan: ReconstructionPlan
     lanes: list[int]
     planes: dict[int, list[bytes]]
-    rebuilt: dict[int, list[bytes]]
 
 
 def _planes(array: DiskArray, batch: _Batch, pos: int) -> list[bytes]:
@@ -268,40 +262,62 @@ def _planes(array: DiskArray, batch: _Batch, pos: int) -> list[bytes]:
     return batch.planes[pos]
 
 
-def _decode_rounds(array: DiskArray, rounds):
-    """Decode each round of (lost tuple, plan, mask) batches, then yield them.
-    The batches come ordered by mask, so a lane set's planes go after its last round."""
-    group = array.layout.group
-    current = None
-    for round_ in rounds:
-        # Canonical erasure pattern -> the (extended row, batch) pairs that leave it.
-        by_pattern: dict[tuple[int, ...], list[tuple[int, _Batch]]] = {}
-        batches = []
-        for lost, plan, mask in round_:
-            if mask != current:
-                current, lanes, planes = mask, list(placement_indices(mask)), {}
-            batch = _Batch(lost, plan, lanes, planes, {pos: [b""] * group.m for pos in lost})
-            batches.append(batch)
-            for pos in chain.from_iterable(plan.by_rows.values()):
-                _planes(array, batch, pos)
-            for e, erased in enumerate(plan.erased):
-                by_pattern.setdefault(erased, []).append((e, batch))
-        for erased, contributors in by_pattern.items():
-            _decode_pattern(group.code, erased, contributors, group.r)
-        yield from batches
+def _tally(layout: DeclusteredLayout, failed: frozenset[int], members: dict) -> tuple[dict, int]:
+    """One set's survivor reads and lost column-units; ORs its `losses` into members."""
+    affected = losses(layout, failed)
+    lost_units = 0
+    for lost, mask in affected.items():
+        members[lost] = members.get(lost, 0) | mask
+        lost_units += len(lost) * mask.bit_count()
+    return survivor_reads(layout, failed, affected), lost_units
 
 
-def _decode_pattern(code, erased: tuple[int, ...], contributors, r: int):
-    """Decode every (extended row, batch) with this erasure pattern in one call.
+def _rebuild(array: DiskArray, members: dict[tuple[int, ...], int]):
+    """Return the batches of `members` (lost tuple -> instance mask) and their
+    decode calls, as (erased, contributors) pairs for `_decode_pattern`.
 
-    The call's lanes are the batches' lanes, in contributor order. Inner row
-    j of a column joins stored plane e*r+j of each contributor at the
-    position read there, a list lookup apiece; each rebuilt cell is split
-    back into the lost positions' planes the same way.
+    One pass groups the (extended row, batch) contributors of all batches by
+    canonical erasure pattern, and each pattern makes one call, split only
+    where the call's r x k grid of cells would hold more than one copy of the
+    array (n * rows_per_disk bytes). Per lane, a contributor's grid is one
+    extended row of a stored codeword, so one contributor, or all of one
+    set's (its instances are distinct), always fits.
     """
-    k = code.k
+    group, budget = array.layout.group, array.n * array.rows_per_disk
+    shared, batches = {}, []  # shared: mask -> (lanes, planes) of that lane set
+    by_pattern: dict[tuple[int, ...], list[tuple[int, _Batch]]] = {}
+    for lost, mask in members.items():
+        lane_set = shared.get(mask) or shared.setdefault(mask, (list(placement_indices(mask)), {}))
+        batch = _Batch(lost, reconstruction_plan(group, lost), *lane_set)
+        batches.append(batch)
+        for pos in chain.from_iterable(batch.plan.by_rows.values()):
+            _planes(array, batch, pos)
+        for e, erased in enumerate(batch.plan.erased):
+            by_pattern.setdefault(erased, []).append((e, batch))
+    if group.m * group.k * sum(len(batch.lanes) for batch in batches) <= budget:
+        return batches, list(by_pattern.items())
+    calls = []
+    for erased, contributors in by_pattern.items():
+        size = budget  # so the first contributor opens a call
+        for contributor in contributors:
+            need = group.r * group.k * len(contributor[1].lanes)
+            if size + need > budget:
+                calls.append((erased, []))
+                size = 0
+            calls[-1][1].append(contributor)
+            size += need
+    return batches, calls
+
+
+def _decode_pattern(code, erased: tuple[int, ...], contributors):
+    """Decode (extended row, batch) contributors with this erasure pattern in one call.
+
+    The lanes are the batches' lanes, in contributor order: inner row j of a
+    column joins stored plane e*r+j of each contributor at the position read
+    there. Returns each erased column's cells by inner row, not the grid.
+    """
+    k, r = code.k, code.r
     planned = [c for c in range(k) if c not in erased]
-    lanes = sum(len(batch.lanes) for _, batch in contributors)
     grid: list[list[int | None]] = [[None] * k for _ in range(r)]
     for i, c in enumerate(planned):
         sources = [(batch.planes[batch.plan.sources[e][i]], e * r) for e, batch in contributors]
@@ -311,71 +327,66 @@ def _decode_pattern(code, erased: tuple[int, ...], contributors, r: int):
             )
     out, decoder_reads = code.decode(grid, erased)
     if sorted(decoder_reads) != planned:
-        raise InvariantError(
-            f"decoder read columns {sorted(decoder_reads)}, planned {planned}"
-        )
-    for j in range(r):
-        rebuilt = {c: out[j][c].to_bytes(lanes, "little") for c in erased}
-        start = 0
-        for e, batch in contributors:
-            end = start + len(batch.lanes)
-            for pos, planes in batch.rebuilt.items():
-                planes[e * r + j] = rebuilt[batch.plan.columns[e][pos]][start:end]
-            start = end
+        raise InvariantError(f"decoder read columns {sorted(decoder_reads)}, planned {planned}")
+    return {c: [row[c] for row in out] for c in erased}
 
 
-def _rebuild(array: DiskArray, failure_sets: list[frozenset[int]]):
-    """Return each set's (reads, lost units) and a stream of decoded batches.
+def _compare(array: DiskArray, contributors, out, wrong: dict) -> None:
+    """Check one call's decoded cells (see _decode_pattern) with the stored bytes.
 
-    An instance's rebuild depends only on its stored bytes and the positions
-    it lost, so affected instances are grouped by lost-position tuple across
-    all the sets, and each (instance, lost tuple) is decoded once. Each set's
-    `losses` masks are tallied by `survivor_reads` and counted as
-    column-units lost, then ORed into one member mask per lost tuple. The
-    batches are ordered by mask and decoded in rounds whose decode grids
-    hold at most one copy of the array (n * rows_per_disk bytes); one set's
-    read units are distinct units of the array, and so are one batch's, so
-    either fits in one round.
+    A cell at column c meets each contributor's stored plane at the position
+    holding c through a byte mask that keeps the lanes of those that lost c
+    (an erased column may survive unread). Lanes are walked only on a
+    mismatch; each wrong lane's instance is ORed into wrong[lost tuple].
     """
-    layout = array.layout
-    group = layout.group
-    members: dict[tuple[int, ...], int] = {}
-    tallies = []
-    for failed in failure_sets:
-        affected = losses(layout, failed)
-        lost_units = 0
-        for lost, mask in affected.items():
-            members[lost] = members.get(lost, 0) | mask
-            lost_units += len(lost) * mask.bit_count()
-        tallies.append((survivor_reads(layout, failed, affected), lost_units))
-    budget = layout.n * layout.rows_per_disk
-    rounds, size = [[]], 0
-    for lost, mask in sorted(members.items(), key=itemgetter(1)):
-        plan = reconstruction_plan(group, lost)
-        need = mask.bit_count() * group.m * sum(map(bool, plan.reads.values()))
-        if rounds[-1] and size + need > budget:
-            rounds.append([])
-            size = 0
-        rounds[-1].append((lost, plan, mask))
-        size += need
-    return tallies, _decode_rounds(array, rounds)
+    r = array.layout.group.r
+    for c, decoded in out.items():
+        held, keep = [], []
+        for e, batch in contributors:
+            pos = batch.plan.columns[e].index(c)
+            held.append((_planes(array, batch, pos), e * r))
+            keep.append((b"\xff" if pos in batch.lost else b"\0") * len(batch.lanes))
+        keep = b"".join(keep)
+        mask = int.from_bytes(keep, "little")
+        for j, cell in enumerate(decoded):
+            stored = b"".join([planes[base + j] for planes, base in held])
+            if (cell ^ int.from_bytes(stored, "little")) & mask:
+                got = cell.to_bytes(len(stored), "little")
+                owners = ((batch.lost, index) for _, batch in contributors for index in batch.lanes)
+                for x, (lost, index) in enumerate(owners):
+                    if keep[x] and got[x] != stored[x]:
+                        wrong[lost] = wrong.get(lost, 0) | 1 << index
 
 
 def fail_and_reconstruct(array: DiskArray, failed) -> tuple[DiskArray, IOStats]:
     """Rebuild the failed disks onto replacements, reading per the rule.
 
     Returns the recovered array (surviving disks copied, failed disks written
-    from the decoded batches, one lane's unit at a time) and per-disk
-    read/write unit counts. Instances that lost no column are never touched.
+    from the decoded cells, split into each batch's lost planes, then a lane
+    at a time) and per-disk read/write unit counts. Instances that lost no
+    column are never touched.
     """
-    layout = array.layout
+    layout, members = array.layout, {}
     failed = check_failed(layout, failed)
-    [(reads, _)], batches = _rebuild(array, [failed])
-    m, writes = layout.group.m, dict.fromkeys(failed, 0)
+    reads, _ = _tally(layout, failed, members)
+    batches, calls = _rebuild(array, members)
+    m, r, writes = layout.group.m, layout.group.r, dict.fromkeys(failed, 0)
+    rebuilt = {batch: {pos: [b""] * m for pos in batch.lost} for batch in batches}
+    for erased, contributors in calls:
+        out = _decode_pattern(layout.group.code, erased, contributors)
+        lanes = sum(len(batch.lanes) for _, batch in contributors)
+        for j in range(r):
+            cells = {c: column[j].to_bytes(lanes, "little") for c, column in out.items()}
+            start = 0
+            for e, batch in contributors:
+                end = start + len(batch.lanes)
+                for pos, planes in rebuilt[batch].items():
+                    planes[e * r + j] = cells[batch.plan.columns[e][pos]][start:end]
+                start = end
     disks = [bytearray(len(disk) if d in failed else disk) for d, disk in enumerate(array.disks)]
     placements, offsets = layout.placements, layout.unit_offsets
     for batch in batches:
-        for pos, planes in batch.rebuilt.items():
+        for pos, planes in rebuilt[batch].items():
             units = bytearray(len(batch.lanes) * m)
             for x, plane in enumerate(planes):
                 units[x::m] = plane
@@ -392,12 +403,11 @@ def exhaustive_verify(layout: DeclusteredLayout, s: int, seed: int = 1) -> Verif
     The sets share one rebuild (see _rebuild): each (instance, lost tuple)
     that any set produces is decoded once, which is sound because its
     rebuilt units depend only on its own stored bytes and the positions it
-    lost. No set gets replacement disks. A batch's rebuilt planes at each
-    lost position are compared with the stored ones; only on a mismatch are
-    its lanes walked, and a wrong instance fails every set that produces its
-    (instance, lost tuple). A set whose instances lost other than s disks'
-    worth of column-units fails too, as some unit it lost was never rebuilt.
-    A set's read range comes from the plans of its own affected instances;
+    lost. No set gets replacement disks and no rebuilt byte outlives its
+    decode call (see _compare); a wrong instance fails every set that
+    produces its (instance, lost tuple). A set whose instances lost other
+    than s disks' worth of column-units fails too, as some unit it lost was
+    never rebuilt. Each set keeps only its read range and lost-unit count;
     the sweep is uniform when every set reads the same count from every
     survivor. Results are in sorted failure-set order.
     """
@@ -406,40 +416,30 @@ def exhaustive_verify(layout: DeclusteredLayout, s: int, seed: int = 1) -> Verif
         raise ParamError(f"need 0 <= s <= delta={delta}, got {s!r}")
     array = materialize(layout, seed)
     failure_sets = list(combinations(range(layout.n), s))
-    tallies, batches = _rebuild(array, [frozenset(failed) for failed in failure_sets])
-    lost_per_set = s * layout.units_per_disk
-    # Lost tuple -> mask of the instances rebuilt wrong with it.
-    wrong: dict[tuple[int, ...], int] = {}
-    for batch in batches:
-        for pos, rebuilt in batch.rebuilt.items():
-            stored = _planes(array, batch, pos)
-            if rebuilt != stored:
-                for lane, index in enumerate(batch.lanes):
-                    if any(new[lane] != old[lane] for new, old in zip(rebuilt, stored)):
-                        wrong[batch.lost] = wrong.get(batch.lost, 0) | 1 << index
-    results = [
+    members, tallies = {}, []
+    for failed in failure_sets:
+        reads, lost_units = _tally(layout, frozenset(failed), members)
+        tallies.append((min(reads.values()), max(reads.values()), lost_units))
+    _, calls = _rebuild(array, members)
+    code, lost_per_set = layout.group.code, s * layout.units_per_disk
+    wrong: dict[tuple[int, ...], int] = {}  # lost tuple -> instances rebuilt wrong with it
+    for erased, contributors in calls:
+        # Passed on, not bound, so a call's cells are freed before the next decodes.
+        _compare(array, contributors, _decode_pattern(code, erased, contributors), wrong)
+    results = tuple(
         SetResult(
             failed=failed,
-            recovered=lost_units == lost_per_set
-            and not (wrong and any(
-                mask & wrong.get(lost, 0)
-                for lost, mask in losses(layout, frozenset(failed)).items()
+            recovered=lost_units == lost_per_set and not (wrong and any(
+                wrong.get(lost, 0) & hit for lost, hit in losses(layout, frozenset(failed)).items()
             )),
-            min_reads=min(reads.values()),
-            max_reads=max(reads.values()),
+            min_reads=low, max_reads=high,
         )
-        for failed, (reads, lost_units) in zip(failure_sets, tallies)
-    ]
-    low = min(result.min_reads for result in results)
-    high = max(result.max_reads for result in results)
+        for failed, (low, high, lost_units) in zip(failure_sets, tallies)
+    )
+    low, high = min(tally[0] for tally in tallies), max(tally[1] for tally in tallies)
     return VerifySummary(
-        s=s,
-        total=len(results),
-        passed=sum(1 for result in results if result.recovered),
-        results=tuple(results),
-        min_reads=low,
-        max_reads=high,
-        uniform=low == high,
+        s=s, total=len(results), passed=sum(result.recovered for result in results),
+        results=results, min_reads=low, max_reads=high, uniform=low == high,
     )
 
 

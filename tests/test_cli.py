@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import declustr.parity_groups as parity_groups
 from declustr import design_from_json, deserialize_layout, hadamard_3design, serialize_layout
 from declustr.cli import TRADEOFF_CSV_HEADER, run
 
@@ -699,3 +700,17 @@ def test_huge_point_count_is_a_one_line_error(capsys, tmp_path, reference_layout
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"validating C({10**30},3) = {comb(10**30, 3)} 3-subsets exceeds" in err
+
+
+@pytest.mark.parametrize("command", ["build", "verify"])
+def test_huge_arrangement_family_is_a_one_line_error(capsys, monkeypatch, command):
+    def enumerated(*args):
+        raise AssertionError("the family was enumerated past its budget")
+
+    monkeypatch.setattr(parity_groups, "combinations", enumerated)
+    monkeypatch.setattr(parity_groups, "permutations", enumerated)
+    code, out, err = cli(capsys, "group", command, "--code", "rs", "--k", "255", "--delta", "3")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: building 3!*C(255,3) = 16386810 arrangements exceeds the limit of 1000000\n"
+    )

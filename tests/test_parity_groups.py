@@ -20,6 +20,7 @@ from declustr import (
     tau,
     verify_balance,
 )
+import declustr.parity_groups as parity_groups
 from declustr.errors import ParamError, UnbalancedGroup
 
 P1, P2 = parity_label(1), parity_label(2)
@@ -73,6 +74,32 @@ def test_arrangements_are_lexicographic_by_position_then_parity():
         (DATA, P1, P2),
         (DATA, P2, P1),
     )
+
+
+class _Enumerated(Exception):
+    """Raised by a patched combinations/permutations: the family was being built."""
+
+
+def test_full_family_is_refused_from_the_arrangement_count(monkeypatch):
+    # 3!*C(255,3) rows of 255 labels would take about 33 GiB. The budget is
+    # checked from the count alone; enumeration is patched to fail, so a
+    # missing or late check fails at once instead of building the family.
+    def enumerated(*args):
+        raise _Enumerated
+
+    monkeypatch.setattr(parity_groups, "combinations", enumerated)
+    monkeypatch.setattr(parity_groups, "permutations", enumerated)
+    with pytest.raises(ParamError, match=(
+        r"^building 3!\*C\(255,3\) = 16386810 arrangements exceeds the limit of 1000000$"
+    )):
+        balance_horizontal_code(rs_code(255, 3))
+    with pytest.raises(ParamError, match=r"2!\*C\(1010,2\) = 1019090 arrangements"):
+        group_family(rdp_code(1009), "full")
+    # 2!*C(998,2) = 995,006 arrangements are within the limit: enumeration starts.
+    with pytest.raises(_Enumerated):
+        balance_horizontal_code(rdp_code(997))
+    # The other families hold k rows at most and are never refused.
+    assert len(group_family(rs_code(255, 3), "rotations").extended_rows) == 255
 
 
 # ---------------------------------------------------------------- balance

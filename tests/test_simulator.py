@@ -329,10 +329,13 @@ def _lost_patterns(layout, failed) -> set[tuple[tuple[int, ...], tuple[int, ...]
     group = layout.group
     k, delta = group.k, group.delta
     pairs = set()
-    for placement in layout.placements:
-        lost = tuple(pos for pos, disk in enumerate(placement) if disk in failed)
-        if not lost:
-            continue
+    # Every instance that lost the same positions has the same rows, so each
+    # distinct lost tuple is walked once.
+    lost_tuples = {
+        tuple(pos for pos, disk in enumerate(placement) if disk in failed)
+        for placement in layout.placements
+    }
+    for lost in lost_tuples - {()}:
         for row in group.extended_rows:
             need = reconstruction_rule(delta, [row[pos] for pos in lost])
             data_seen = 0
@@ -563,9 +566,9 @@ def test_sweep_gathers_each_instance_and_lost_tuple_once(monkeypatch):
             gathered.append((tuple(batch.lanes), pos))
         return planes(array, batch, pos)
 
-    def recording_pattern(code, erased, contributors, r):
+    def recording_pattern(code, erased, contributors):
         decoded.update((id(batch), batch) for _, batch in contributors)
-        return decode_pattern(code, erased, contributors, r)
+        return decode_pattern(code, erased, contributors)
 
     def counting_decode(self, rows, erased):
         decodes.append(tuple(erased))
@@ -597,8 +600,62 @@ def test_sweep_gathers_each_instance_and_lost_tuple_once(monkeypatch):
     assert len(gathered) <= len(lane_sets) * layout.group.k
     units = [(index, pos) for lanes, pos in gathered for index in lanes]
     assert len(units) == len(set(units))
-    lost_patterns = set().union(*(_lost_patterns(layout, failed) for failed in sets))
-    assert 1 <= len(decodes) <= len(lost_patterns)
+    assert set(decodes) == set().union(
+        *(_canonical_erasure_patterns(layout, failed) for failed in sets)
+    )
+
+
+@pytest.mark.parametrize("make_code, make_design, most_calls", [
+    pytest.param(lambda: rdp_code(7), lambda: hadamard_3design(16), 36, id="rdp7-hadamard16"),
+    pytest.param(
+        lambda: rs_code(6, 2), lambda: complete_design(12, 6, 3), 21, id="rs(6,2)-complete(12,6,3)"
+    ),
+])
+def test_sweep_decodes_each_pattern_in_calls_of_at_most_one_array(
+    make_code, make_design, most_calls, monkeypatch
+):
+    # A sweep has one lane set, so a per-batch budget would decode one batch
+    # at a time: 300 calls for 28 patterns on hadamard16, 141 for 15 on
+    # complete(12,6,3). Grouping across batches leaves one call per pattern,
+    # split only where its r x k grid would outgrow one copy of the array.
+    layout = build_layout(group_family(make_code(), "full"), make_design())
+    group, budget = layout.group, layout.n * layout.rows_per_disk
+    calls, contributions = [], []
+    decode_pattern, decode = simulator._decode_pattern, HorizontalCode.decode
+
+    def recording_pattern(code, erased, contributors):
+        contributions.extend((batch.lost, e, tuple(batch.lanes)) for e, batch in contributors)
+        return decode_pattern(code, erased, contributors)
+
+    def measuring_decode(self, rows, erased):
+        width = max((cell.bit_length() + 7) // 8 for row in rows for cell in row if cell)
+        calls.append((tuple(erased), width * len(rows) * len(rows[0])))
+        return decode(self, rows, erased)
+
+    monkeypatch.setattr(simulator, "_decode_pattern", recording_pattern)
+    monkeypatch.setattr(HorizontalCode, "decode", measuring_decode)
+    summary = exhaustive_verify(layout, 2, seed=5)
+    assert summary.passed == summary.total
+
+    sets = list(combinations(range(layout.n), 2))
+    patterns = set().union(*(_canonical_erasure_patterns(layout, failed) for failed in sets))
+    assert {erased for erased, _ in calls} == patterns
+    assert all(cells <= budget for _, cells in calls), max(cells for _, cells in calls)
+    assert len(patterns) <= len(calls) <= most_calls
+    # Each (instance, lost tuple, extended row) is decoded exactly once: every
+    # (lost tuple, extended row) is one contributor, whose lanes are exactly
+    # the instances that lose that tuple in some set.
+    lanes: dict[tuple[int, ...], set[int]] = {}
+    for failed in sets:
+        for index, placement in enumerate(layout.placements):
+            lost = tuple(pos for pos, disk in enumerate(placement) if disk in failed)
+            if lost:
+                lanes.setdefault(lost, set()).add(index)
+    rows = range(len(group.extended_rows))
+    assert sorted((lost, e) for lost, e, _ in contributions) == sorted(
+        (lost, e) for lost in lanes for e in rows
+    )
+    assert all(set(members) == lanes[lost] for lost, _, members in contributions)
 
 
 def test_sweep_fails_a_set_whose_lost_unit_nobody_rebuilds(monkeypatch):
@@ -638,8 +695,10 @@ def test_sweep_memory_stays_within_a_few_arrays():
     # against the array's own bytes. Keeping every rebuilt unit and building
     # each set's replacement disks peaked near 12 arrays on hadamard16; keeping
     # every batch's lanes until the last round, near 8.5 on complete(12,6,3).
+    # Decoding each pattern in calls of at most one array and keeping no
+    # rebuilt plane measured 5.5 and 4.3 arrays.
     cases = [
-        (rdp_code(7), hadamard_3design(16), 120, 8),
+        (rdp_code(7), hadamard_3design(16), 120, 6),
         (rs_code(6, 2), complete_design(12, 6, 3), 66, 5),
     ]
     for code, design, sets, bound in cases:
