@@ -6,9 +6,9 @@ read in full (all r rows of an extended row whose label the reconstruction
 rule names) or left untouched. Enumeration takes the affected instances as
 one placement bit mask per lost-position tuple (`layout.losses`) and applies
 the group's memoized plan once per mask (`layout.survivor_reads`, which the
-simulator shares); the closed forms combine the design's block-counting
+simulator shares); the closed form combines the design's block-counting
 numbers with the group's per-instance read counts, memoized per failure
-size, and must agree exactly.
+size, in one sum for every s <= min(delta, t-1), and must agree exactly.
 
 All arithmetic is in exact integers and Fractions; rounding happens only in
 display helpers.
@@ -18,8 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
-from .designs import Design, DesignParams, count_lambda
+from .designs import Design, DesignParams, _check_ints, count_lambda
 from .errors import ParamError
 from .layout import (
     DeclusteredLayout,
@@ -92,10 +93,9 @@ class CounterexampleReport:
 def reconstruction_workload(layout: DeclusteredLayout, failed) -> WorkloadReport:
     """Count units read per surviving disk, by exhaustive enumeration.
 
-    When the layout uses the fully stacked arrangement family over a
-    strength-3 design and one or two disks fail, the matching closed form is
-    attached for comparison; the fraction field is the uniform per-disk count
-    over the disk size.
+    When a two-parity group of the fully stacked family loses 1 <= s < t
+    disks, the closed form for s is attached for comparison; the fraction
+    field is the uniform per-disk count over the disk size.
     """
     group = layout.group
     failed = check_failed(layout, failed)
@@ -106,15 +106,13 @@ def reconstruction_workload(layout: DeclusteredLayout, failed) -> WorkloadReport
         Fraction(counts.pop(), layout.rows_per_disk) if uniform and reads else None
     )
     closed_form = None
-    if (
-        layout.design.t == 3
-        and group.delta == 2
-        and group.family == "full"
-        and len(failed) in (1, 2)
-    ):
-        closed_form = closed_form_workload(
-            layout.design.params, group, len(failed)
-        )
+    # closed_form_workload covers every s <= min(delta, t-1) of any balanced
+    # group, but it is attached only at delta=2 for now: attaching it at other
+    # delta would change the CLI's golden bytes and the benchmark's analyze
+    # oracle. s < t holds on every build_layout layout (t = delta+1) and keeps
+    # a hand-built layout over a weaker design from raising.
+    if 0 < len(failed) < layout.design.t and group.delta == 2 and group.family == "full":
+        closed_form = closed_form_workload(layout.design.params, group, len(failed))
     return WorkloadReport(
         failed=failed,
         reads=reads,
@@ -131,32 +129,30 @@ def measured_matches_predicted(array: DiskArray, failed) -> bool:
 
 
 def closed_form_workload(params: DesignParams, group: ParityGroup, s: int) -> int:
-    """Units read per surviving disk, from block counting alone.
+    """Units read per surviving disk after s failures, from block counting alone.
 
-    One failed disk costs lambda_2 * tau_1: it shares lambda_2 blocks with
-    each survivor, and each such instance reads tau_1 entries per surviving
-    column. Two failed disks cost lambda * tau_2 + 2 * lambda_2^(1) * tau_1:
-    instances containing both failures read tau_2, instances containing
-    exactly one of the two read tau_1.
+    An instance holding the survivor and exactly j of the s failed disks
+    reads tau_j entries from the survivor's column, and lambda_{j+1}^{(s-j)}
+    blocks hold the survivor and a given j of the failed disks but none of
+    the other s-j. So the survivor reads
+    sum_{j=1..s} C(s,j) * lambda_{j+1}^{(s-j)} * tau_j, which needs
+    s <= min(delta, t-1). tau raises UnbalancedGroup when the group's
+    arrangement family has no single tau_j.
     """
-    if params.t != 3:
+    top = min(group.delta, params.t - 1)
+    if isinstance(s, bool) or not isinstance(s, int) or not 1 <= s <= top:
         raise ParamError(
-            f"closed-form workload needs a design of strength 3, got t={params.t}"
-        )
-    if isinstance(s, bool) or not isinstance(s, int) or s not in (1, 2):
-        raise ParamError(f"closed-form workload covers 1 or 2 failures, got {s!r}")
-    if group.delta != 2:
-        raise ParamError(
-            f"closed-form workload needs a two-parity group, got delta={group.delta}"
+            f"closed-form workload needs an int s in 1..min(delta, t-1) = {top}, "
+            f"got s={s!r} with delta={group.delta}, t={params.t}"
         )
     if group.k != params.k:
         raise ParamError(
             f"group size k={group.k} does not match design block size k={params.k}"
         )
-    tau_1 = tau(group, 1)
-    if s == 1:
-        return count_lambda(params, 2, 0) * tau_1
-    return params.lam * tau(group, 2) + 2 * count_lambda(params, 2, 1) * tau_1
+    return sum(
+        comb(s, j) * count_lambda(params, j + 1, s - j) * tau(group, j)
+        for j in range(1, s + 1)
+    )
 
 
 def single_failure_fraction(n: int, k: int) -> Fraction:
@@ -172,6 +168,7 @@ def double_failure_fraction(n: int, k: int) -> Fraction:
 
 
 def _check_tradeoff_params(n: int, k: int):
+    _check_ints(n=n, k=k)
     if not 3 <= k <= n:
         raise ParamError(f"need 3 <= k <= n, got k={k}, n={n}")
 
@@ -186,6 +183,7 @@ def tradeoff_table(n: int, rows) -> list[TradeoffRow]:
     table = []
     for k, lam in rows:
         _check_tradeoff_params(n, k)
+        _check_ints(lam=lam)
         if lam < 1:
             raise ParamError(f"lambda must be >= 1, got {lam}")
         table.append(

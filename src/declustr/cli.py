@@ -130,8 +130,9 @@ def _make_code(args):
 
 
 def _parse_fail(text: str) -> tuple[int, ...]:
+    """The failed disks named in text, sorted and each once."""
     try:
-        return tuple(int(part) for part in text.split(",") if part != "")
+        return tuple(sorted({int(part) for part in text.split(",") if part != ""}))
     except ValueError as exc:
         raise UsageError(
             f"--fail wants comma-separated disk indices, got {text!r}"

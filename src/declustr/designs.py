@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -212,16 +211,16 @@ def count_lambda(params: DesignParams, i: int, j: int) -> int:
     _check_ints(i=i, j=j)
     if i < 0 or j < 0 or i + j > params.t:
         raise ParamError(f"need i >= 0, j >= 0, i + j <= t, got i={i}, j={j}")
-    value = Fraction(
+    value, rest = divmod(
         params.lam * comb(params.n - i - j, params.k - i),
         comb(params.n - params.t, params.k - params.t),
     )
-    if value.denominator != 1:
+    if rest:
         raise ParamError(
             f"block count for i={i}, j={j} is not an integer; no "
             f"{params.t}-({params.n},{params.k},{params.lam}) design exists"
         )
-    return int(value)
+    return value
 
 
 def reduce_design(design: Design, s: int) -> Design:

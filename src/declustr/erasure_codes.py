@@ -156,16 +156,11 @@ def _check_grid(rows, r: int, k: int):
         raise ParamError(f"expected a {r} x {k} grid")
 
 
-def _column_label(col: int, k: int, delta: int) -> str:
-    if col < k - delta:
-        return DATA
-    return parity_label(col - (k - delta) + 1)
-
-
 def _plan_reads(k: int, delta: int, erased: list[int]) -> list[int]:
     """The surviving column indices whose labels the reconstruction rule names."""
-    need = reconstruction_rule(delta, [_column_label(c, k, delta) for c in erased])
-    return [c for c in range(k) if c not in erased and _column_label(c, k, delta) in need]
+    labels = canonical_labels(k, delta)
+    need = reconstruction_rule(delta, [labels[c] for c in erased])
+    return [c for c in range(k) if c not in erased and labels[c] in need]
 
 
 def rdp_encode(data: list[list[int]], p: int) -> list[list[int]]:

@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations, islice
 from operator import getitem, itemgetter
 
+from .designs import _check_ints
 from .errors import InvariantError, ParamError
 from .layout import (
     DeclusteredLayout,
@@ -179,8 +180,7 @@ def materialize(layout: DeclusteredLayout, seed: int) -> DiskArray:
     column-units contiguously in ascending block index, m bytes each. The
     seed must be an int; it is taken mod 2^64.
     """
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ParamError(f"seed must be an int, got {seed!r}")
+    _check_ints(seed=seed)
     group = layout.group
     code = group.code
     k, delta, r, m = group.k, group.delta, group.r, group.m

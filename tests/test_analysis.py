@@ -111,9 +111,8 @@ def test_closed_form_full_read_when_not_declustered():
 @pytest.mark.parametrize(
     "params_args,code,s",
     [
-        ((2, 5, 4, 3), ("rs", 4, 2), 1),  # strength 2, no closed form
-        ((3, 8, 4, 1), ("rdp", 3), 3),  # s out of range
-        ((3, 8, 4, 1), ("rs", 4, 3), 1),  # delta != 2
+        ((2, 5, 4, 3), ("rs", 4, 2), 2),  # s > t-1
+        ((3, 8, 4, 1), ("rs", 4, 1), 2),  # s > delta
         ((3, 8, 4, 1), ("rs", 5, 2), 1),  # k mismatch
     ],
 )
@@ -185,6 +184,24 @@ def test_tradeoff_rejects_bad_rows():
         tradeoff_table(20, [(21, 1)])
     with pytest.raises(ParamError):
         tradeoff_table(20, [(5, 0)])
+
+
+@pytest.mark.parametrize(
+    "function,args,name",
+    [
+        (tradeoff_table, (20, [(5.0, 1)]), "k"),
+        (tradeoff_table, (20.0, [(5, 1)]), "n"),
+        (tradeoff_table, ("20", [(5, 1)]), "n"),
+        (tradeoff_table, (20, [(5, 1.5)]), "lam"),
+        (tradeoff_table, (20, [(5, True)]), "lam"),
+        (single_failure_fraction, (8, 4.0), "k"),
+        (double_failure_fraction, (True, 4), "n"),
+    ],
+    ids=["float k", "float n", "str n", "float lam", "bool lam", "single float k", "double bool n"],
+)
+def test_tradeoff_refuses_non_int_sizes(function, args, name):
+    with pytest.raises(ParamError, match=f"^{name} must be an int"):
+        function(*args)
 
 
 # ---------------------------------------------------------------- rounding

@@ -606,6 +606,22 @@ def test_simulate_single_failure_table(capsys, layout_file):
     assert len(out.splitlines()) == 9  # header + 7 survivors + verdict
 
 
+@pytest.mark.parametrize(
+    "command",
+    [("simulate",), ("analyze", "workload")],
+    ids=["simulate", "analyze workload"],
+)
+@pytest.mark.parametrize("fail,failed", [("0,0", [0]), ("1,0,1", [0, 1]), ("3,,3", [3])])
+def test_fail_lists_report_each_disk_once(capsys, layout_file, command, fail, failed):
+    code, out, _ = cli(
+        capsys, *command, "--layout", layout_file, "--fail", fail, "--format", "json"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["failed"] == failed
+    assert len(payload["reads"]) == 8 - len(failed)
+
+
 def test_simulate_fail_xor_exhaustive(capsys, layout_file):
     code, _, err = cli(capsys, "simulate", "--layout", layout_file)
     assert code == 2
