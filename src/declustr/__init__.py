@@ -8,6 +8,8 @@ layouts, proves the uniformity claim by exhaustive enumeration and closed
 form, and re-verifies it byte-for-byte in a failure simulator.
 """
 
+from types import ModuleType as _ModuleType
+
 from .analysis import (
     TRADEOFF_LAMBDA_PRESETS,
     CounterexampleReport,
@@ -15,11 +17,8 @@ from .analysis import (
     WorkloadReport,
     closed_form_workload,
     counterexample_report,
-    double_failure_fraction,
-    measured_matches_predicted,
     reconstruction_workload,
     round_half_up,
-    single_failure_fraction,
     tradeoff_table,
 )
 from .designs import (
@@ -30,7 +29,6 @@ from .designs import (
     design_from_json,
     design_to_json,
     hadamard_3design,
-    is_self_complementary,
     reduce_design,
     validate_design,
 )
@@ -61,7 +59,6 @@ from .layout import (
     LayoutGeometry,
     build_layout,
     deserialize_layout,
-    disk_column_units,
     layout_geometry,
     rotate_layout,
     serialize_layout,
@@ -74,7 +71,6 @@ from .parity_groups import (
     arrangement_counts,
     balance_horizontal_code,
     cyclic_rotation_group,
-    expected_full_depth,
     group_family,
     reconstruction_plan,
     single_arrangement_group,
@@ -89,7 +85,6 @@ from .simulator import (
     VerifySummary,
     byte_stream,
     check_parity_invariant,
-    dump_disk,
     exhaustive_verify,
     fail_and_reconstruct,
     materialize,
@@ -98,4 +93,8 @@ from .simulator import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The submodules stay reachable as attributes but are not part of the API.
+__all__ = [
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]

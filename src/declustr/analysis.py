@@ -31,7 +31,6 @@ from .layout import (
     survivor_reads,
 )
 from .parity_groups import ParityGroup, reconstruction_plan, tau
-from .simulator import DiskArray, fail_and_reconstruct
 
 #: Named (k -> lambda) tables for the trade-off report. The "fig13" preset is
 #: fixture data: the smallest published design index for each k at n=20,
@@ -122,12 +121,6 @@ def reconstruction_workload(layout: DeclusteredLayout, failed) -> WorkloadReport
     )
 
 
-def measured_matches_predicted(array: DiskArray, failed) -> bool:
-    """True iff simulated reads equal the enumeration's predicted counts."""
-    _, stats = fail_and_reconstruct(array, failed)
-    return stats.reads == reconstruction_workload(array.layout, failed).reads
-
-
 def closed_form_workload(params: DesignParams, group: ParityGroup, s: int) -> int:
     """Units read per surviving disk after s failures, from block counting alone.
 
@@ -155,34 +148,19 @@ def closed_form_workload(params: DesignParams, group: ParityGroup, s: int) -> in
     )
 
 
-def single_failure_fraction(n: int, k: int) -> Fraction:
-    """Per-disk fraction read after one failure: (k-2)/(n-1)."""
-    _check_tradeoff_params(n, k)
-    return Fraction(k - 2, n - 1)
-
-
-def double_failure_fraction(n: int, k: int) -> Fraction:
-    """Per-disk fraction read after two failures: (k-2)(2n-k-1)/((n-1)(n-2))."""
-    _check_tradeoff_params(n, k)
-    return Fraction((k - 2) * (2 * n - k - 1), (n - 1) * (n - 2))
-
-
-def _check_tradeoff_params(n: int, k: int):
-    _check_ints(n=n, k=k)
-    if not 3 <= k <= n:
-        raise ParamError(f"need 3 <= k <= n, got k={k}, n={n}")
-
-
 def tradeoff_table(n: int, rows) -> list[TradeoffRow]:
     """Evaluate the trade-off columns for each (k, lambda) pair, exactly.
 
-    Per-disk read fractions after one and two failures are returned as
-    percentages; parity_disks is 2n/k (two-parity groups); depth_over_m is
-    the per-disk column-unit count lambda*(n-1)(n-2)/((k-1)(k-2)).
+    Per-disk read fractions after one and two failures, (k-2)/(n-1) and
+    (k-2)(2n-k-1)/((n-1)(n-2)), are returned as percentages; parity_disks is
+    2n/k (two-parity groups); depth_over_m is the per-disk column-unit count
+    lambda*(n-1)(n-2)/((k-1)(k-2)).
     """
     table = []
     for k, lam in rows:
-        _check_tradeoff_params(n, k)
+        _check_ints(n=n, k=k)
+        if not 3 <= k <= n:
+            raise ParamError(f"need 3 <= k <= n, got k={k}, n={n}")
         _check_ints(lam=lam)
         if lam < 1:
             raise ParamError(f"lambda must be >= 1, got {lam}")
@@ -190,8 +168,8 @@ def tradeoff_table(n: int, rows) -> list[TradeoffRow]:
             TradeoffRow(
                 k=k,
                 lam=lam,
-                pct_one_failure=100 * single_failure_fraction(n, k),
-                pct_two_failures=100 * double_failure_fraction(n, k),
+                pct_one_failure=100 * Fraction(k - 2, n - 1),
+                pct_two_failures=100 * Fraction((k - 2) * (2 * n - k - 1), (n - 1) * (n - 2)),
                 parity_disks=Fraction(2 * n, k),
                 depth_over_m=Fraction(lam * (n - 1) * (n - 2), (k - 1) * (k - 2)),
             )

@@ -23,7 +23,7 @@ DESIGN_JSON_FIELDS = {"t": INT, "n": INT, "k": INT, "lambda": INT, "blocks": INT
 # Most items one call builds or counts, refused up front: the C(n,t)
 # t-subsets validate_design tallies in one dict, the C(n,k) blocks of
 # complete_design, the n(n-1) points of hadamard_3design and the
-# delta!*C(k,delta) arrangements of a full parity group.
+# delta!*C(k,delta)*k labels of a full parity group.
 MAX_COVERAGE_SUBSETS = 10**6
 
 # Most bits of a count C(n,t) < n**min(t, n-t) that DesignParams computes,
@@ -185,21 +185,6 @@ def hadamard_3design(n: int) -> Design:
         blocks.append(tuple(c for c, bit in enumerate(odd) if bit))
     params = DesignParams(t=3, n=n, k=n // 2, lam=n // 4 - 1)
     return Design(params=params, blocks=tuple(blocks))
-
-
-def is_self_complementary(design: Design) -> bool:
-    """True iff the block multiset is invariant under complementation in the point set."""
-    if 2 * design.k != design.n:
-        raise ParamError(
-            f"complementation needs 2k = n, got k={design.k}, n={design.n}"
-        )
-    points = set(range(design.n))
-    tally: dict[tuple[int, ...], int] = {}
-    for block in design.blocks:
-        tally[block] = tally.get(block, 0) + 1
-        complement = tuple(sorted(points - set(block)))
-        tally[complement] = tally.get(complement, 0) - 1
-    return all(v == 0 for v in tally.values())
 
 
 def count_lambda(params: DesignParams, i: int, j: int) -> int:

@@ -37,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .designs import _check_ints
 from .errors import ParamError, TooManyErasures
 from .gf256 import gf_div, gf_inv, gf_mat_inv, gf_mul, gf_mul_table
 
@@ -102,12 +103,14 @@ class HorizontalCode:
 
 
 def rdp_code(p: int) -> HorizontalCode:
+    _check_ints(p=p)
     if not is_prime(p) or p < 3:
         raise ParamError(f"rdp needs a prime p >= 3, got {p}")
     return HorizontalCode(kind="rdp", k=p + 1, delta=2, r=p - 1)
 
 
 def rs_code(k: int, delta: int) -> HorizontalCode:
+    _check_ints(k=k, delta=delta)
     if not 2 <= k <= 255:
         raise ParamError(f"rs needs 2 <= k <= 255, got k={k}")
     if not 1 <= delta < k:

@@ -35,10 +35,6 @@ for _i in range(255, 510):
 del _x, _i
 
 
-def gf_add(a: int, b: int) -> int:
-    return a ^ b
-
-
 def gf_mul(a: int, b: int) -> int:
     if a == 0 or b == 0:
         return 0

@@ -258,12 +258,6 @@ def rotate_layout(layout: DeclusteredLayout) -> DeclusteredLayout:
     )
 
 
-def disk_column_units(layout: DeclusteredLayout, disk: int) -> list[tuple[int, int]]:
-    """(block index, column position) pairs stored on a disk, in stack order."""
-    check_index("disk", disk, layout.n)
-    return list(layout.stacks[disk])
-
-
 def layout_geometry(layout: DeclusteredLayout) -> LayoutGeometry:
     """Tally units per disk and derive the exact data/parity disk counts."""
     group = layout.group

@@ -182,11 +182,12 @@ def balance_horizontal_code(code: HorizontalCode) -> ParityGroup:
 
     Placements are enumerated in lexicographic order of the parity position
     tuple, then of the parity index order within those positions. More than
-    MAX_COVERAGE_SUBSETS placements are refused before any is built.
+    MAX_COVERAGE_SUBSETS labels (placements times k) are refused before any
+    placement is built.
     """
     k, delta = code.k, code.delta
-    count = factorial(delta) * comb(k, delta)
-    check_budget(f"building {delta}!*C({k},{delta})", count, "arrangements")
+    labels = factorial(delta) * comb(k, delta) * k
+    check_budget(f"building {delta}!*C({k},{delta})*{k}", labels, "labels")
     return ParityGroup(
         code=code,
         extended_rows=_all_arrangements(k, delta),
@@ -333,8 +334,3 @@ def tau(group: ParityGroup, s: int) -> int:
             f"per-column read counts differ across size-{s} failures: {list(values)}"
         )
     return group.r * values[0]
-
-
-def expected_full_depth(code: HorizontalCode) -> int:
-    """Depth m of the fully stacked group: r * delta! * C(k, delta)."""
-    return code.r * factorial(code.delta) * comb(code.k, code.delta)

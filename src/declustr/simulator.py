@@ -5,9 +5,9 @@ instance holds its own codewords, but the simulator moves them in bulk: a
 cell handed to the codec packs one byte per instance (a lane), so one encode
 call per extended row fills every instance at once. Reads are tallied by the
 same function as the analysis's enumeration (`layout.survivor_reads`), so
-they match it unit for unit (analysis.measured_matches_predicted); what backs
-them is the check, on every decode call, that the decoder read exactly the
-columns the memoized reconstruction plan names.
+they match it unit for unit; what backs them is the check, on every decode
+call, that the decoder read exactly the columns the memoized reconstruction
+plan names.
 
 One rebuild core serves a single failure set and an exhaustive sweep alike.
 Each set's affected instances come as one placement bit mask per lost tuple
@@ -122,9 +122,6 @@ class DiskArray:
     @property
     def rows_per_disk(self) -> int:
         return self.layout.rows_per_disk
-
-    def copy(self) -> "DiskArray":
-        return DiskArray(self.layout, [bytearray(d) for d in self.disks])
 
 
 @dataclass(frozen=True)
@@ -457,16 +454,3 @@ def unit_provenance(layout: DeclusteredLayout, disk: int, offset: int) -> UnitPr
         inner_row=j,
         label=group.extended_rows[e][pos],
     )
-
-
-def dump_disk(array: DiskArray, disk: int) -> str:
-    """Hex dump of one disk with provenance per byte (debugging aid only)."""
-    lines = []
-    for offset in range(array.rows_per_disk):
-        who = unit_provenance(array.layout, disk, offset)
-        lines.append(
-            f"{offset:6d}  {array.disks[disk][offset]:02x}  "
-            f"block={who.block_index} row={who.extended_row}.{who.inner_row} "
-            f"label={who.label}"
-        )
-    return "\n".join(lines)

@@ -13,13 +13,11 @@ from declustr import (
     closed_form_workload,
     complete_design,
     counterexample_report,
-    double_failure_fraction,
     rdp_code,
     reconstruction_workload,
     round_half_up,
     rs_code,
     single_arrangement_group,
-    single_failure_fraction,
     tradeoff_table,
 )
 from declustr.errors import ParamError, TooManyFailures
@@ -134,11 +132,12 @@ def test_closed_form_rejects_non_int_sizes(reference_layout, s):
 
 
 def test_fraction_formulas():
-    assert single_failure_fraction(8, 4) == Fraction(2, 7)
-    assert double_failure_fraction(8, 4) == Fraction(22, 42)
-    assert single_failure_fraction(20, 10) == Fraction(8, 19)
+    row = tradeoff_table(8, [(4, 1)])[0]
+    assert row.pct_one_failure == 100 * Fraction(2, 7)
+    assert row.pct_two_failures == 100 * Fraction(22, 42)
+    assert tradeoff_table(20, [(10, 1)])[0].pct_one_failure == 100 * Fraction(8, 19)
     with pytest.raises(ParamError):
-        single_failure_fraction(4, 5)
+        tradeoff_table(4, [(5, 1)])
 
 
 # ---------------------------------------------------------------- tradeoff
@@ -187,21 +186,20 @@ def test_tradeoff_rejects_bad_rows():
 
 
 @pytest.mark.parametrize(
-    "function,args,name",
+    "n,rows,name",
     [
-        (tradeoff_table, (20, [(5.0, 1)]), "k"),
-        (tradeoff_table, (20.0, [(5, 1)]), "n"),
-        (tradeoff_table, ("20", [(5, 1)]), "n"),
-        (tradeoff_table, (20, [(5, 1.5)]), "lam"),
-        (tradeoff_table, (20, [(5, True)]), "lam"),
-        (single_failure_fraction, (8, 4.0), "k"),
-        (double_failure_fraction, (True, 4), "n"),
+        (20, [(5.0, 1)], "k"),
+        (20.0, [(5, 1)], "n"),
+        ("20", [(5, 1)], "n"),
+        (True, [(5, 1)], "n"),
+        (20, [(5, 1.5)], "lam"),
+        (20, [(5, True)], "lam"),
     ],
-    ids=["float k", "float n", "str n", "float lam", "bool lam", "single float k", "double bool n"],
+    ids=["float k", "float n", "str n", "bool n", "float lam", "bool lam"],
 )
-def test_tradeoff_refuses_non_int_sizes(function, args, name):
+def test_tradeoff_refuses_non_int_sizes(n, rows, name):
     with pytest.raises(ParamError, match=f"^{name} must be an int"):
-        function(*args)
+        tradeoff_table(n, rows)
 
 
 # ---------------------------------------------------------------- rounding

@@ -728,5 +728,11 @@ def test_huge_arrangement_family_is_a_one_line_error(capsys, monkeypatch, comman
     code, out, err = cli(capsys, "group", command, "--code", "rs", "--k", "255", "--delta", "3")
     assert (code, out) == (1, "")
     assert err == (
-        "error: building 3!*C(255,3) = 16386810 arrangements exceeds the limit of 1000000\n"
+        "error: building 3!*C(255,3)*255 = 4178636550 labels exceeds the limit of 1000000\n"
+    )
+    # 995,006 rows of 998 labels each: refused by the label count.
+    code, out, err = cli(capsys, "group", command, "--code", "rdp", "--p", "997")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: building 2!*C(998,2)*998 = 993015988 labels exceeds the limit of 1000000\n"
     )

@@ -139,6 +139,24 @@ def test_rs_rejects_bad_params(k, delta):
         rs_code(k, delta)
 
 
+@pytest.mark.parametrize(
+    "make,args,name",
+    [
+        (rs_code, (4, True), "delta"),
+        (rs_code, (4.0, 2), "k"),
+        (rs_code, ("4", 2), "k"),
+        (rdp_code, (5.0,), "p"),
+        (rdp_code, (True,), "p"),
+        (rdp_code, ("5",), "p"),
+    ],
+    ids=["rs bool delta", "rs float k", "rs str k", "rdp float p", "rdp bool p", "rdp str p"],
+)
+def test_codes_refuse_non_int_params(make, args, name):
+    # rs_code(4, True) once built a code whose layout file its own loader refused.
+    with pytest.raises(ParamError, match=f"^{name} must be an int"):
+        make(*args)
+
+
 # ------------------------------------------------------------------ lanes
 
 def pack(grids):

@@ -11,7 +11,6 @@ from declustr.errors import ParamError
 from declustr.gf256 import (
     EXP,
     LOG,
-    gf_add,
     gf_div,
     gf_inv,
     gf_mat_inv,
@@ -62,11 +61,6 @@ def test_importing_the_cli_builds_no_mul_table():
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert done.stdout.strip() == "0"
-
-
-def test_add_is_xor():
-    assert gf_add(0x57, 0x83) == 0x57 ^ 0x83
-    assert gf_add(0xFF, 0xFF) == 0
 
 
 def test_exp_log_tables_are_inverse_bijections():

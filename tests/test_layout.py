@@ -10,7 +10,6 @@ from declustr import (
     build_layout,
     complete_design,
     deserialize_layout,
-    disk_column_units,
     layout_geometry,
     rdp_code,
     reduce_design,
@@ -55,14 +54,7 @@ def test_reference_layout_geometry(reference_layout):
 
 def test_groups_stack_in_block_order(reference_layout):
     for disk, groups in GROUPS_PER_DISK_3_8_4_1.items():
-        units = disk_column_units(reference_layout, disk)
-        assert tuple(index for index, _ in units) == groups
-
-
-@pytest.mark.parametrize("disk", [True, 1.5, "1", 8, 99, -1])
-def test_disk_column_units_rejects_bad_disks(reference_layout, disk):
-    with pytest.raises(ParamError):
-        disk_column_units(reference_layout, disk)
+        assert tuple(index for index, _ in reference_layout.stacks[disk]) == groups
 
 
 def walked_bits(mask):

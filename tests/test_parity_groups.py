@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import permutations
+from math import comb, factorial
 
 import pytest
 
@@ -11,7 +12,6 @@ from declustr import (
     arrangement_counts,
     balance_horizontal_code,
     cyclic_rotation_group,
-    expected_full_depth,
     group_family,
     parity_label,
     rdp_code,
@@ -51,7 +51,7 @@ def test_full_family_sizes(code_args, rows, m):
     group = balance_horizontal_code(code)
     assert len(group.extended_rows) == rows
     assert group.m == m
-    assert group.m == expected_full_depth(code)
+    assert group.m == code.r * factorial(code.delta) * comb(code.k, code.delta)
 
 
 def test_full_family_rows_are_distinct_and_complete():
@@ -82,22 +82,25 @@ class _Enumerated(Exception):
 
 def test_full_family_is_refused_from_the_arrangement_count(monkeypatch):
     # 3!*C(255,3) rows of 255 labels would take about 33 GiB. The budget is
-    # checked from the count alone; enumeration is patched to fail, so a
-    # missing or late check fails at once instead of building the family.
+    # checked from the label count alone; enumeration is patched to fail, so
+    # a missing or late check fails at once instead of building the family.
     def enumerated(*args):
         raise _Enumerated
 
     monkeypatch.setattr(parity_groups, "combinations", enumerated)
     monkeypatch.setattr(parity_groups, "permutations", enumerated)
     with pytest.raises(ParamError, match=(
-        r"^building 3!\*C\(255,3\) = 16386810 arrangements exceeds the limit of 1000000$"
+        r"^building 3!\*C\(255,3\)\*255 = 4178636550 labels exceeds the limit of 1000000$"
     )):
         balance_horizontal_code(rs_code(255, 3))
-    with pytest.raises(ParamError, match=r"2!\*C\(1010,2\) = 1019090 arrangements"):
+    with pytest.raises(ParamError, match=r"2!\*C\(1010,2\)\*1010 = 1029280900 labels"):
         group_family(rdp_code(1009), "full")
-    # 2!*C(998,2) = 995,006 arrangements are within the limit: enumeration starts.
+    # Fewer than 10**6 rows, but each of 102 labels: over the limit.
+    with pytest.raises(ParamError, match=r"2!\*C\(102,2\)\*102 = 1050804 labels"):
+        balance_horizontal_code(rdp_code(101))
+    # 2!*C(98,2)*98 = 931,588 labels are within the limit: enumeration starts.
     with pytest.raises(_Enumerated):
-        balance_horizontal_code(rdp_code(997))
+        balance_horizontal_code(rdp_code(97))
     # The other families hold k rows at most and are never refused.
     assert len(group_family(rs_code(255, 3), "rotations").extended_rows) == 255
 

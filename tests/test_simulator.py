@@ -20,7 +20,6 @@ from declustr import (
     group_family,
     hadamard_3design,
     materialize,
-    measured_matches_predicted,
     parity_index,
     rdp_code,
     reconstruction_plan,
@@ -31,7 +30,7 @@ from declustr import (
     unit_provenance,
 )
 import declustr.simulator as simulator
-from declustr.simulator import SetResult, VerifySummary, dump_disk
+from declustr.simulator import SetResult, VerifySummary
 from declustr.errors import InvariantError, ParamError, TooManyFailures
 from test_reconstruction_plan import CASES, relabeled
 
@@ -274,26 +273,22 @@ def test_parity_invariant_detects_corruption(reference_layout):
     assert not check_parity_invariant(array)
 
 
-def test_copy_is_independent(reference_layout):
-    array = materialize(reference_layout, 7)
-    clone = array.copy()
-    clone.disks[0][0] ^= 1
-    assert array.disks[0][0] != clone.disks[0][0]
-
-
 # ---------------------------------------------------------------- recovery
 
 def test_every_failure_set_recovers_and_matches_prediction(reference_layout):
-    array = materialize(reference_layout, 7)
-    pristine = [bytes(d) for d in array.disks]
+    # The single-arrangement layout is skewed; its reads still match enumeration.
+    skewed = build_layout(single_arrangement_group(rdp_code(3)), reference_layout.design)
     sets = [(d,) for d in range(8)] + list(combinations(range(8), 2))
-    for failed in sets:
-        rebuilt, stats = fail_and_reconstruct(array, failed)
-        assert rebuilt.disks == array.disks
-        assert stats.reads == reconstruction_workload(reference_layout, failed).reads
-        assert stats.writes == {disk: 168 for disk in failed}
-    # the input array is never mutated by injection
-    assert [bytes(d) for d in array.disks] == pristine
+    for layout, seed in ((reference_layout, 7), (skewed, 3)):
+        array = materialize(layout, seed)
+        pristine = [bytes(d) for d in array.disks]
+        for failed in sets:
+            rebuilt, stats = fail_and_reconstruct(array, failed)
+            assert rebuilt.disks == array.disks
+            assert stats.reads == reconstruction_workload(layout, failed).reads
+            assert stats.writes == {disk: layout.rows_per_disk for disk in failed}
+        # the input array is never mutated by injection
+        assert [bytes(d) for d in array.disks] == pristine
 
 
 # (code, design) pairs with t = delta + 1, small enough to sweep every
@@ -405,15 +400,6 @@ def test_too_many_failures_rejected(reference_layout):
         fail_and_reconstruct(array, (9,))
     with pytest.raises(ParamError):
         fail_and_reconstruct(array, (True,))
-
-
-def test_measured_matches_predicted_even_when_unbalanced(reference_layout):
-    array = materialize(reference_layout, 3)
-    assert measured_matches_predicted(array, (0, 1))
-    skewed = build_layout(
-        single_arrangement_group(rdp_code(3)), reference_layout.design
-    )
-    assert measured_matches_predicted(materialize(skewed, 3), (0, 1))
 
 
 # ------------------------------------------------------------------- sweep
@@ -770,14 +756,12 @@ def test_unit_provenance_rejects_out_of_range(reference_layout):
 
 
 @pytest.mark.parametrize("bad", [True, False, 1.5, 1.0, "1", None])
-def test_unit_provenance_and_dump_disk_reject_non_int_indices(reference_layout, bad):
+def test_unit_provenance_rejects_non_int_indices(reference_layout, bad):
     # A bool is not a disk or an offset, though it indexes like 0 or 1.
     with pytest.raises(ParamError):
         unit_provenance(reference_layout, bad, 0)
     with pytest.raises(ParamError):
         unit_provenance(reference_layout, 0, bad)
-    with pytest.raises(ParamError):
-        dump_disk(materialize(reference_layout, 7), bad)
 
 
 @pytest.mark.parametrize("bad", [True, False, 1.5, 3.0, "3", None])
@@ -793,11 +777,3 @@ def test_seed_is_taken_mod_2_64(reference_layout):
     assert materialize(reference_layout, 5 + 2**64).disks == array.disks
     assert materialize(reference_layout, 5 - 2**64).disks == array.disks
     assert materialize(reference_layout, -1).disks == materialize(reference_layout, 2**64 - 1).disks
-
-
-def test_dump_disk_lists_every_offset(reference_layout):
-    array = materialize(reference_layout, 7)
-    text = dump_disk(array, 0)
-    lines = text.splitlines()
-    assert len(lines) == 168
-    assert "block=0 row=0.0" in lines[0]
