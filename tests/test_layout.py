@@ -57,6 +57,12 @@ def test_groups_stack_in_block_order(reference_layout):
         assert tuple(index for index, _ in reference_layout.stacks[disk]) == groups
 
 
+@pytest.mark.parametrize("disk", [True, 1.5, "1", 8, 99, -1])
+def test_check_index_rejects_bad_disks(reference_layout, disk):
+    with pytest.raises(ParamError, match=r"^disk must be an int in 0\.\.7, got "):
+        layout_module.check_index("disk", disk, reference_layout.n)
+
+
 def walked_bits(mask):
     """Naive bit walk: the indices of the set bits of mask, lowest first."""
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
