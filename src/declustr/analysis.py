@@ -156,9 +156,10 @@ def tradeoff_table(n: int, rows) -> list[TradeoffRow]:
     2n/k (two-parity groups); depth_over_m is the per-disk column-unit count
     lambda*(n-1)(n-2)/((k-1)(k-2)).
     """
+    _check_ints(n=n)
     table = []
     for k, lam in rows:
-        _check_ints(n=n, k=k)
+        _check_ints(k=k)
         if not 3 <= k <= n:
             raise ParamError(f"need 3 <= k <= n, got k={k}, n={n}")
         _check_ints(lam=lam)

@@ -31,12 +31,14 @@ MAX_COVERAGE_SUBSETS = 10**6
 # 14,000 bits stay under the 4,300 digits Python will print.
 MAX_COUNT_BITS = 14_000
 
+# Most bytes materialize fills, n * rows_per_disk, refused before the fill:
+# a sweep holds up to 6x the array.
+MAX_ARRAY_BYTES = 2**26
 
-def check_budget(what: str, count: int, unit: str) -> None:
-    if count > MAX_COVERAGE_SUBSETS:
-        raise ParamError(
-            f"{what} = {count} {unit} exceeds the limit of {MAX_COVERAGE_SUBSETS}"
-        )
+
+def check_budget(what: str, count: int, unit: str, limit: int = MAX_COVERAGE_SUBSETS) -> None:
+    if count > limit:
+        raise ParamError(f"{what} = {count} {unit} exceeds the limit of {limit}")
 
 
 def _check_comb_budget(what: str, n: int, k: int, unit: str) -> None:

@@ -14,22 +14,30 @@ P1 plays the row-parity role and P2 the diagonal-parity role.
 
 Decoding is driven by a label-level reconstruction rule: with d lost data
 columns, read every surviving data column plus the d lowest-indexed surviving
-parity columns. Decoders touch only the columns the rule names; surviving
-columns outside the rule (for example the diagonal parity when one data
-column is lost) are recomputed in memory, never read. Both decoders accept
-None placeholders in the columns they do not read and report exactly which
-columns they read.
+parity columns. The decoder touches only the columns the rule names;
+surviving columns outside the rule (for example the diagonal parity when one
+data column is lost) are recomputed in memory, never read. It accepts None
+placeholders in the columns it does not read and reports exactly which
+columns it read.
+
+One decoder serves both codes. Each kind states its r*delta parity checks,
+sums over its r x k cells that are zero on every codeword: rdp's row and
+diagonal checks, rs's parity-matrix rows. The rule leaves delta columns
+unread, so per erasure pattern the checks make a square system in the unread
+cells; its inverse, memoized, writes each as a sum of coefficient * read
+cell. rdp's coefficients are all 0 or 1 and a product by 1 is skipped, so
+rdp decodes with XOR alone.
 
 Grids are lists of rows; erasures are given as column indices. A cell is a
 Python int that packs one byte per lane, lane i in byte i (little-endian),
 so one call encodes or decodes many independent codewords that share an
 erasure pattern: the simulator batches every instance with the same pattern
 into one call. Adding cells is XOR; multiplying a wider cell by a GF(2^8)
-constant translates its bytes through that constant's table, and a plain
-byte, the 1-lane case, is multiplied with gf_mul. Neither code needs to know
-the lane count: lanes above a cell's highest set byte are zero, and zero
+constant translates its bytes through that constant's table, and encode
+multiplies a plain byte, the 1-lane case, with gf_mul. Neither code needs to
+know the lane count: lanes above a cell's highest set byte are zero, and zero
 stays zero under every product. The RS parity matrix is cached per
-(k, delta) and the decode inverse per erasure pattern.
+(k, delta).
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .designs import _check_ints
-from .errors import ParamError, TooManyErasures
+from .errors import InvariantError, ParamError, TooManyErasures
 from .gf256 import gf_div, gf_inv, gf_mat_inv, gf_mul, gf_mul_table
 
 DATA = "D"
@@ -159,13 +167,6 @@ def _check_grid(rows, r: int, k: int):
         raise ParamError(f"expected a {r} x {k} grid")
 
 
-def _plan_reads(k: int, delta: int, erased: list[int]) -> list[int]:
-    """The surviving column indices whose labels the reconstruction rule names."""
-    labels = canonical_labels(k, delta)
-    need = reconstruction_rule(delta, [labels[c] for c in erased])
-    return [c for c in range(k) if c not in erased and labels[c] in need]
-
-
 def rdp_encode(data: list[list[int]], p: int) -> list[list[int]]:
     """Encode a (p-1) x (p-1) data grid into a (p-1) x (p+1) codeword."""
     if not is_prime(p) or p < 3:
@@ -186,94 +187,6 @@ def rdp_encode(data: list[list[int]], p: int) -> list[list[int]]:
     for i in range(p - 1):
         rows[i][p] = diag[i]
     return rows
-
-
-def rdp_decode(rows: list[list[int]], p: int, erased) -> tuple[list[list[int]], tuple[int, ...]]:
-    """Recover up to two erased columns; returns (codeword, columns read).
-
-    Input cells in erased or unread columns may be None; only the columns the
-    reconstruction rule names are consulted.
-    """
-    if not is_prime(p) or p < 3:
-        raise ParamError(f"rdp needs a prime p >= 3, got {p}")
-    k, r = p + 1, p - 1
-    erased = sorted(set(erased))
-    if len(erased) > 2:
-        raise TooManyErasures(f"rdp recovers at most 2 columns, got {len(erased)}")
-    if any(not 0 <= c < k for c in erased):
-        raise ParamError(f"erased columns out of range: {erased}")
-    _check_grid(rows, r, k)
-    if not erased:
-        return [list(row) for row in rows], ()
-    read = _plan_reads(k, 2, erased)
-    out = [[rows[i][c] if c in read else None for c in range(k)] for i in range(r)]
-    for c in read:
-        if any(out[i][c] is None for i in range(r)):
-            raise ParamError(f"column {c} must be readable but holds None")
-
-    inner_unknown = [c for c in range(p) if out[0][c] is None]
-    if len(inner_unknown) == 2:
-        _rdp_solve_pair(out, p, *inner_unknown)
-    elif len(inner_unknown) == 1:
-        # One unknown among columns 0..p-1: every row XORs to zero there.
-        c = inner_unknown[0]
-        for i in range(r):
-            acc = 0
-            for j in range(p):
-                if j != c:
-                    acc ^= out[i][j]
-            out[i][c] = acc
-    if out[0][p] is None:
-        diag = [0] * p
-        for i in range(r):
-            for j in range(p):
-                diag[(i + j) % p] ^= out[i][j]
-        for i in range(r):
-            out[i][p] = diag[i]
-    return out, tuple(read)
-
-
-def _rdp_solve_pair(out: list[list[int]], p: int, a: int, b: int):
-    """Fill two unknown columns a < b among 0..p-1 via row/diagonal chaining.
-
-    Works on a virtual p-th all-zero row, under which every diagonal meets
-    every column exactly once. The missing diagonal's parity equals the XOR
-    of all stored diagonal parities because all p diagonals together cover
-    cells whose row-wise XOR is zero.
-    """
-    r = p - 1
-    row_synd = []
-    for i in range(r):
-        acc = 0
-        for j in range(p):
-            if j != a and j != b:
-                acc ^= out[i][j]
-        row_synd.append(acc)
-    q_col = [out[i][p] for i in range(r)]
-    diag_synd = list(q_col)
-    missing = 0
-    for value in q_col:
-        missing ^= value
-    diag_synd.append(missing)
-    for i in range(r):
-        for j in range(p):
-            if j != a and j != b:
-                diag_synd[(i + j) % p] ^= out[i][j]
-
-    col_a = [None] * p
-    col_b = [None] * p
-    col_a[p - 1] = 0
-    col_b[p - 1] = 0
-    step = (b - a) % p
-    i = (b - 1 - a) % p
-    while i != p - 1:
-        d = (i + a) % p
-        col_a[i] = diag_synd[d] ^ col_b[(d - b) % p]
-        col_b[i] = row_synd[i] ^ col_a[i]
-        i = (i + step) % p
-    for i in range(r):
-        out[i][a] = col_a[i]
-        out[i][b] = col_b[i]
 
 
 def rs_parity_matrix(k: int, delta: int) -> list[list[int]]:
@@ -297,16 +210,6 @@ def _cached_parity_matrix(k: int, delta: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, rs_parity_matrix(k, delta)))
 
 
-@lru_cache(maxsize=1024)
-def _decode_inverse(
-    k: int, delta: int, unknown_data: tuple[int, ...], parity_rows: tuple[int, ...]
-) -> tuple[tuple[int, ...], ...]:
-    """Inverse of the parity rows' coefficients on the unknown data columns."""
-    matrix = _cached_parity_matrix(k, delta)
-    system = [[matrix[i][c] for c in unknown_data] for i in parity_rows]
-    return tuple(map(tuple, gf_mat_inv(system)))
-
-
 def _combine(coeffs, cells) -> int:
     """Sum of coeffs[j] * cells[j] over GF(2^8), lane by lane."""
     acc = 0
@@ -316,9 +219,14 @@ def _combine(coeffs, cells) -> int:
         elif coeff == 1:
             acc ^= cell
         elif coeff:
-            raw = cell.to_bytes((cell.bit_length() + 7) // 8, "little")
-            acc ^= int.from_bytes(raw.translate(gf_mul_table(coeff)), "little")
+            acc ^= _scaled(coeff, cell)
     return acc
+
+
+def _scaled(coeff: int, cell: int) -> int:
+    """coeff * cell over GF(2^8), lane by lane, by one translate."""
+    raw = cell.to_bytes((cell.bit_length() + 7) // 8, "little")
+    return int.from_bytes(raw.translate(gf_mul_table(coeff)), "little")
 
 
 def rs_encode(data: list[list[int]], k: int, delta: int) -> list[list[int]]:
@@ -333,47 +241,85 @@ def rs_encode(data: list[list[int]], k: int, delta: int) -> list[list[int]]:
     ]
 
 
+def rdp_decode(rows: list[list[int]], p: int, erased) -> tuple[list[list[int]], tuple[int, ...]]:
+    """Recover up to two erased columns of an rdp codeword (see _decode)."""
+    return _decode(rdp_code(p), rows, erased)
+
+
 def rs_decode(rows: list[list[int]], k: int, delta: int, erased) -> tuple[list[list[int]], tuple[int, ...]]:
+    """Recover up to delta erased columns of an rs codeword (see _decode)."""
+    return _decode(rs_code(k, delta), rows, erased)
+
+
+def _decode(code: HorizontalCode, rows, erased) -> tuple[list[list[int]], tuple[int, ...]]:
     """Recover up to delta erased columns; returns (codeword, columns read).
 
     Input cells in erased or unread columns may be None; only the columns the
     reconstruction rule names are consulted.
     """
-    rs_code(k, delta)
-    erased = sorted(set(erased))
-    if len(erased) > delta:
-        raise TooManyErasures(f"rs with delta={delta} recovers at most {delta} columns")
-    if any(not 0 <= c < k for c in erased):
-        raise ParamError(f"erased columns out of range: {erased}")
-    if any(len(row) != k for row in rows):
-        raise ParamError(f"expected rows of {k} symbols")
+    erased = tuple(sorted(set(erased)))
+    if len(erased) > code.delta:
+        raise TooManyErasures(f"{code.kind} recovers at most {code.delta} columns, got {len(erased)}")
+    if any(not 0 <= c < code.k for c in erased):
+        raise ParamError(f"erased columns out of range: {list(erased)}")
+    _check_grid(rows, code.r, code.k)
     if not erased:
         return [list(row) for row in rows], ()
-    read = _plan_reads(k, delta, erased)
-    read_set = set(read)
-    for c in read:
-        if any(row[c] is None for row in rows):
-            raise ParamError(f"column {c} must be readable but holds None")
+    read, matrix = _decode_matrix(code, erased)
+    cells = [row[c] for c in read for row in rows]
+    if None in cells:
+        raise ParamError(f"column {read[cells.index(None) // code.r]} must be readable but holds None")
+    out = [list(row) for row in rows]
+    for (i, c), terms in matrix:
+        acc = 0
+        for n, coeff in terms:
+            acc ^= cells[n] if coeff == 1 else _scaled(coeff, cells[n])
+        out[i][c] = acc
+    return out, read
 
-    data_cols = k - delta
-    matrix = _cached_parity_matrix(k, delta)
-    unknown_data = tuple(c for c in range(data_cols) if c not in read_set)
-    out = [[row[c] if c in read_set else None for c in range(k)] for row in rows]
-    if unknown_data:
-        known_data = [c for c in range(data_cols) if c in read_set]
-        parity_rows = tuple(c - data_cols for c in read if c >= data_cols)
-        inverse = _decode_inverse(k, delta, unknown_data, parity_rows)
-        known_coeffs = [[matrix[i][c] for c in known_data] for i in parity_rows]
-        for row in out:
-            known = [row[c] for c in known_data]
-            rhs = [
-                row[data_cols + i] ^ _combine(coeffs, known)
-                for i, coeffs in zip(parity_rows, known_coeffs)
-            ]
-            for c, coeffs in zip(unknown_data, inverse):
-                row[c] = _combine(coeffs, rhs)
-    for row in out:
-        for i in range(delta):
-            if row[data_cols + i] is None:
-                row[data_cols + i] = _combine(matrix[i], row[:data_cols])
-    return out, tuple(read)
+
+def _parity_checks(code: HorizontalCode) -> list[dict[tuple[int, int], int]]:
+    """The code's r*delta checks, each {(row, column): coefficient}; every codeword sums to 0."""
+    r, k = code.r, code.k
+    if code.kind == "rdp":
+        # Row i over columns 0..p-1, then diagonal d: its parity (d, p) and
+        # the cells (i, c) of columns 0..p-1 with (i + c) mod p == d.
+        p = code.p
+        return [{(i, c): 1 for c in range(p)} for i in range(r)] + [
+            {(d, p): 1, **{(i, (d - i) % p): 1 for i in range(r)}} for d in range(r)
+        ]
+    data_cols = k - code.delta
+    return [
+        {**{(0, c): coeff for c, coeff in enumerate(coeffs)}, (0, data_cols + i): 1}
+        for i, coeffs in enumerate(_cached_parity_matrix(k, code.delta))
+    ]
+
+
+@lru_cache(maxsize=1024)
+def _decode_matrix(code: HorizontalCode, erased: tuple[int, ...]):
+    """One erasure pattern's read columns and decode matrix.
+
+    The matrix pairs each unread cell (i, c) with the (n, coefficient) terms
+    that sum to it, read cell n being inner row n % r of read column n // r.
+    """
+    r, labels = code.r, code.labels
+    need = reconstruction_rule(code.delta, [labels[c] for c in erased])
+    read = tuple(c for c in range(code.k) if c not in erased and labels[c] in need)
+    unknown = [(i, c) for c in range(code.k) if c not in read for i in range(r)]
+    checks = _parity_checks(code)
+    try:
+        inverse = gf_mat_inv([[check.get(cell, 0) for cell in unknown] for check in checks])
+    except ParamError:
+        raise InvariantError(
+            f"{code} cannot decode erasures {erased}: its parity checks are singular there"
+        ) from None
+    at = {(i, c): x * r + i for x, c in enumerate(read) for i in range(r)}
+    known = [[(at[cell], coeff) for cell, coeff in check.items() if cell in at] for check in checks]
+    matrix = []
+    for cell, row in zip(unknown, inverse):
+        terms = [0] * len(at)
+        for factor, check in zip(row, known):
+            for n, coeff in check if factor else ():
+                terms[n] ^= coeff if factor == 1 else gf_mul(factor, coeff)
+        matrix.append((cell, tuple((n, coeff) for n, coeff in enumerate(terms) if coeff)))
+    return read, tuple(matrix)

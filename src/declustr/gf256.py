@@ -63,7 +63,11 @@ def gf_div(a: int, b: int) -> int:
 
 
 def gf_mat_inv(matrix: list[list[int]]) -> list[list[int]]:
-    """Invert a square matrix over GF(2^8) by Gauss-Jordan elimination."""
+    """Invert a square matrix over GF(2^8) by Gauss-Jordan elimination.
+
+    A pivot or factor of 1 costs no multiplication, so a 0/1 matrix is
+    inverted with XOR alone.
+    """
     n = len(matrix)
     aug = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(matrix)]
     for col in range(n):
@@ -71,10 +75,12 @@ def gf_mat_inv(matrix: list[list[int]]) -> list[list[int]]:
         if pivot is None:
             raise ParamError("matrix is singular over GF(2^8)")
         aug[col], aug[pivot] = aug[pivot], aug[col]
-        scale = gf_inv(aug[col][col])
-        aug[col] = [gf_mul(v, scale) for v in aug[col]]
+        if aug[col][col] != 1:
+            scale = gf_inv(aug[col][col])
+            aug[col] = [gf_mul(v, scale) for v in aug[col]]
         for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [v ^ gf_mul(factor, p) for v, p in zip(aug[r], aug[col])]
+            factor = aug[r][col]
+            if r != col and factor:
+                row = aug[col] if factor == 1 else [gf_mul(factor, p) for p in aug[col]]
+                aug[r] = [v ^ p for v, p in zip(aug[r], row)]
     return [row[n:] for row in aug]

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations, islice
 from operator import getitem, itemgetter
 
-from .designs import _check_ints
+from .designs import MAX_ARRAY_BYTES, _check_ints, check_budget
 from .errors import InvariantError, ParamError
 from .layout import (
     DeclusteredLayout,
@@ -175,9 +175,12 @@ def materialize(layout: DeclusteredLayout, seed: int) -> DiskArray:
     Fill order is fixed: instances in block order, extended rows top to
     bottom, inner rows in order, data slots left to right. A disk stacks its
     column-units contiguously in ascending block index, m bytes each. The
-    seed must be an int; it is taken mod 2^64.
+    seed must be an int; it is taken mod 2^64. An array of more than
+    MAX_ARRAY_BYTES bytes is refused before anything is allocated.
     """
     _check_ints(seed=seed)
+    n, rows = layout.n, layout.rows_per_disk
+    check_budget(f"an array of {n}*{rows}", n * rows, "bytes", MAX_ARRAY_BYTES)
     group = layout.group
     code = group.code
     k, delta, r, m = group.k, group.delta, group.r, group.m

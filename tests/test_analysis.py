@@ -194,8 +194,13 @@ def test_tradeoff_rejects_bad_rows():
         (True, [(5, 1)], "n"),
         (20, [(5, 1.5)], "lam"),
         (20, [(5, True)], "lam"),
+        (True, [], "n"),
+        ("x", [], "n"),
     ],
-    ids=["float k", "float n", "str n", "bool n", "float lam", "bool lam"],
+    ids=[
+        "float k", "float n", "str n", "bool n", "float lam", "bool lam",
+        "bool n no rows", "str n no rows",
+    ],
 )
 def test_tradeoff_refuses_non_int_sizes(n, rows, name):
     with pytest.raises(ParamError, match=f"^{name} must be an int"):

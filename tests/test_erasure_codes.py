@@ -13,8 +13,9 @@ from declustr import (
     reconstruction_rule,
     rs_code,
 )
+from declustr import erasure_codes, gf256
 from declustr.erasure_codes import rs_parity_matrix
-from declustr.errors import ParamError, TooManyErasures
+from declustr.errors import InvariantError, ParamError, TooManyErasures
 
 P1, P2, P3 = parity_label(1), parity_label(2), parity_label(3)
 
@@ -65,7 +66,7 @@ def test_rdp_single_nonzero_symbol():
     assert sum(1 for value in diagonal_parity if value) == 1
 
 
-@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_rdp_round_trip_all_erasure_sets(p):
     code = rdp_code(p)
     codeword = code.encode(random_data(p - 1, p - 1, seed=p))
@@ -74,6 +75,39 @@ def test_rdp_round_trip_all_erasure_sets(p):
             out, reads = code.decode(erase(codeword, erased), erased)
             assert out == codeword
             assert sorted(reads) == expected_reads(code, erased)
+
+
+def test_rdp_decode_makes_no_gf256_products(monkeypatch):
+    # RDP's checks and their inverses hold only 0s and 1s, so a decode,
+    # matrix build included, is XOR alone.
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return gf256.EXP[gf256.LOG[a] + gf256.LOG[b]] if a and b else 0
+
+    monkeypatch.setattr(gf256, "gf_mul", counting)
+    monkeypatch.setattr(erasure_codes, "gf_mul", counting)
+    erasure_codes._decode_matrix.cache_clear()
+    code = rdp_code(7)
+    codeword = code.encode(random_data(6, 6, seed=7))
+    for size in range(3):
+        for erased in combinations(range(8), size):
+            assert code.decode(erase(codeword, erased), erased)[0] == codeword
+    assert calls == []
+
+
+def test_singular_check_system_is_an_invariant_error(monkeypatch):
+    code = rs_code(4, 2)
+    first = erasure_codes._parity_checks(code)[0]
+    monkeypatch.setattr(erasure_codes, "_parity_checks", lambda code: [first, first])
+    erasure_codes._decode_matrix.cache_clear()
+    codeword = code.encode([[1, 2]])
+    try:
+        with pytest.raises(InvariantError, match=r"kind='rs', k=4.*erasures \(0, 1\)"):
+            code.decode(erase(codeword, (0, 1)), (0, 1))
+    finally:
+        erasure_codes._decode_matrix.cache_clear()
 
 
 def test_rdp_all_zero_data():
@@ -109,9 +143,13 @@ def test_rs_delta_one_parity_is_xor():
     assert codeword[0][4] == data[0][0] ^ data[0][1] ^ data[0][2] ^ data[0][3]
 
 
-@pytest.mark.parametrize("k", range(3, 9))
-def test_rs_round_trip_all_erasure_sets(k):
-    for delta in range(1, min(4, k)):
+@pytest.mark.parametrize(
+    "k,deltas",
+    [(k, range(1, min(4, k))) for k in range(3, 9)] + [(8, [4]), (10, [3])],
+    ids=[*map(str, range(3, 9)), "8-4", "10-3"],
+)
+def test_rs_round_trip_all_erasure_sets(k, deltas):
+    for delta in deltas:
         code = rs_code(k, delta)
         codeword = code.encode(random_data(1, k - delta, seed=10 * k + delta))
         for size in range(delta + 1):

@@ -30,6 +30,7 @@ from declustr import (
     unit_provenance,
 )
 import declustr.simulator as simulator
+from declustr.designs import MAX_ARRAY_BYTES
 from declustr.simulator import SetResult, VerifySummary
 from declustr.errors import InvariantError, ParamError, TooManyFailures
 from test_reconstruction_plan import CASES, relabeled
@@ -770,6 +771,19 @@ def test_materialize_rejects_a_non_int_seed(reference_layout, bad):
         materialize(reference_layout, bad)
     with pytest.raises(ParamError, match="seed"):
         exhaustive_verify(reference_layout, 1, seed=bad)
+
+
+def test_materialize_refuses_an_array_over_the_byte_budget(monkeypatch):
+    # The layout itself builds in about a millisecond; its array would not.
+    layout = build_layout(group_family(rdp_code(31), "full"), complete_design(34, 32, 3))
+    size = layout.n * layout.rows_per_disk
+    assert size == 534_251_520 > MAX_ARRAY_BYTES
+    monkeypatch.setattr(simulator, "_fill_bytes", None)  # any fill would fail loudly
+    message = rf"= {size} bytes exceeds the limit of {MAX_ARRAY_BYTES}$"
+    with pytest.raises(ParamError, match=message):
+        materialize(layout, 1)
+    with pytest.raises(ParamError, match=message):
+        exhaustive_verify(layout, 2)
 
 
 def test_seed_is_taken_mod_2_64(reference_layout):
