@@ -93,10 +93,6 @@ class DesignParams:
                 f"t={self.t}, n={self.n}, k={self.k}, lambda={self.lam}"
             )
 
-    @property
-    def block_count(self) -> int:
-        return self.lam * comb(self.n, self.t) // comb(self.k, self.t)
-
 
 @dataclass(frozen=True)
 class Design:

@@ -291,10 +291,10 @@ def layout_geometry(layout: DeclusteredLayout) -> LayoutGeometry:
 def group_descriptor(group: ParityGroup) -> dict:
     """JSON form of a group: code parameters plus the arrangement family."""
     code = group.code
-    if group.family not in FAMILIES or code.kind not in CODE_KINDS:
+    if group.family not in FAMILIES:
         raise FormatError(
             f"{code.kind} group of family {group.family!r} has no serialized form; "
-            f"serializable are families {', '.join(FAMILIES)} and codes {', '.join(CODE_KINDS)}"
+            f"serializable are families {', '.join(FAMILIES)}"
         )
     descriptor = {"code": code.kind}
     descriptor.update((name, getattr(code, name)) for name in CODE_KINDS[code.kind][1])

@@ -7,9 +7,11 @@ m = r * len(extended_rows). Stacking every one of the delta! * C(k, delta)
 placements produces a balanced group: any failure of at most delta columns
 then loads every surviving column equally.
 
-Balance is a verified property, not a type: the same ParityGroup class also
-carries deliberately unbalanced families (a single arrangement, or the k
-cyclic rotations of the canonical one) used to demonstrate skew.
+A ParityGroup checks its arrangements when it is built: each has k
+positions and places each of P1..Pdelta exactly once. Balance is a verified
+property, not a type: the same ParityGroup class also carries deliberately
+unbalanced families (a single arrangement, or the k cyclic rotations of the
+canonical one) used to demonstrate skew.
 """
 
 from __future__ import annotations
@@ -45,6 +47,20 @@ class ParityGroup:
     # entry twice.
     _plans: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _taus: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        if not isinstance(self.code, HorizontalCode):
+            raise ParamError(f"a parity group needs a HorizontalCode, got {self.code!r}")
+        if not self.extended_rows:
+            raise ParamError("a parity group needs at least one arrangement")
+        parities = canonical_labels(self.k, self.delta)[self.k - self.delta :]
+        for row in self.extended_rows:
+            if len(row) != self.k:
+                raise ParamError(f"arrangement {row} does not have {self.k} positions")
+            if row.count(DATA) != self.k - self.delta or any(row.count(x) != 1 for x in parities):
+                raise ParamError(
+                    f"arrangement {row} must place each of P1..P{self.delta} exactly once"
+                )
 
     @property
     def k(self) -> int:
@@ -222,18 +238,6 @@ def group_family(code: HorizontalCode, family: str) -> ParityGroup:
     raise ParamError(f"unknown arrangement family {family!r}")
 
 
-def _check_arrangements(group: ParityGroup):
-    expected = set(canonical_labels(group.k, group.delta))
-    for row in group.extended_rows:
-        if len(row) != group.k:
-            raise ParamError(f"arrangement {row} does not have {group.k} positions")
-        placed = [lab for lab in row if lab != DATA]
-        if sorted(placed) != sorted(expected - {DATA}):
-            raise ParamError(
-                f"arrangement {row} must place each of P1..P{group.delta} exactly once"
-            )
-
-
 def reconstruction_plan(group: ParityGroup, lost: tuple[int, ...]) -> ReconstructionPlan:
     """The memoized plan for an instance that lost the sorted positions `lost`.
 
@@ -258,16 +262,15 @@ def reconstruction_plan(group: ParityGroup, lost: tuple[int, ...]) -> Reconstruc
     return plan
 
 
-def _check_size(name: str, s, delta: int) -> None:
-    """Refuse a failure size that is not an int in 1..delta; a bool is not a size."""
-    if isinstance(s, bool) or not isinstance(s, int) or not 1 <= s <= delta:
-        raise ParamError(f"need 1 <= {name} <= delta={delta}, got {s!r}")
+def check_size(name: str, s, delta: int, low: int = 1) -> None:
+    """Refuse a failure size that is not an int in low..delta; a bool is not a size."""
+    if isinstance(s, bool) or not isinstance(s, int) or not low <= s <= delta:
+        raise ParamError(f"need {low} <= {name} <= delta={delta}, got {s!r}")
 
 
 def _size_reads(group: ParityGroup, s: int):
     """Each size-s failure set's plan reads (surviving position -> extended
     rows reading it), and the distinct read counts among them, ascending."""
-    _check_arrangements(group)
     by_set = {
         lost: reconstruction_plan(group, lost).reads for lost in combinations(range(group.k), s)
     }
@@ -284,7 +287,7 @@ def verify_balance(group: ParityGroup, max_s: int) -> BalanceReport:
     enumeration of failure sets, the parity-placement condition by a
     per-column tally.
     """
-    _check_size("max_s", max_s, group.delta)
+    check_size("max_s", max_s, group.delta)
     sizes = [_size_reads(group, s) for s in range(1, max_s + 1)]
     parity_per_column = group.parity_per_column
     row_reads = {
@@ -325,7 +328,7 @@ def tau(group: ParityGroup, s: int) -> int:
     column, in which case no single number exists. The read counts seen are
     memoized per s on the group, so each size is enumerated once.
     """
-    _check_size("s", s, group.delta)
+    check_size("s", s, group.delta)
     values = group._taus.get(s)
     if values is None:
         values = group._taus[s] = _size_reads(group, s)[1]

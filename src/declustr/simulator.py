@@ -44,7 +44,7 @@ from itertools import chain, combinations, islice
 from operator import getitem, itemgetter
 
 from .designs import MAX_ARRAY_BYTES, _check_ints, check_budget
-from .errors import InvariantError, ParamError
+from .errors import InvariantError
 from .layout import (
     DeclusteredLayout,
     check_failed,
@@ -53,7 +53,7 @@ from .layout import (
     placement_indices,
     survivor_reads,
 )
-from .parity_groups import ReconstructionPlan, reconstruction_plan
+from .parity_groups import ReconstructionPlan, check_size, reconstruction_plan
 
 _MASK64 = (1 << 64) - 1
 
@@ -203,6 +203,7 @@ def materialize(layout: DeclusteredLayout, seed: int) -> DiskArray:
         for pos, column in enumerate(columns):
             for j in range(r):
                 units[pos][e * r + j :: m] = codeword[j][column].to_bytes(lanes, "little")
+    del fill  # freed before the disks are joined: nothing reads it past the encode
     # A disk is its stack's column-units joined in order: unit (index, pos)
     # is units[pos][slices[index]].
     slices = [slice(index * m, (index + 1) * m) for index in range(lanes)]
@@ -362,7 +363,7 @@ def fail_and_reconstruct(array: DiskArray, failed) -> tuple[DiskArray, IOStats]:
     """Rebuild the failed disks onto replacements, reading per the rule.
 
     Returns the recovered array (surviving disks copied, failed disks written
-    from the decoded cells, split into each batch's lost planes, then a lane
+    from the decoded cells, strided into each batch's lost units, then a lane
     at a time) and per-disk read/write unit counts. Instances that lost no
     column are never touched.
     """
@@ -371,7 +372,8 @@ def fail_and_reconstruct(array: DiskArray, failed) -> tuple[DiskArray, IOStats]:
     reads, _ = _tally(layout, failed, members)
     batches, calls = _rebuild(array, members)
     m, r, writes = layout.group.m, layout.group.r, dict.fromkeys(failed, 0)
-    rebuilt = {batch: {pos: [b""] * m for pos in batch.lost} for batch in batches}
+    # rebuilt[batch][pos] holds the batch's rebuilt column-units at pos, lane after lane.
+    rebuilt = {b: {pos: bytearray(len(b.lanes) * m) for pos in b.lost} for b in batches}
     for erased, contributors in calls:
         out = _decode_pattern(layout.group.code, erased, contributors)
         lanes = sum(len(batch.lanes) for _, batch in contributors)
@@ -380,16 +382,13 @@ def fail_and_reconstruct(array: DiskArray, failed) -> tuple[DiskArray, IOStats]:
             start = 0
             for e, batch in contributors:
                 end = start + len(batch.lanes)
-                for pos, planes in rebuilt[batch].items():
-                    planes[e * r + j] = cells[batch.plan.columns[e][pos]][start:end]
+                for pos, units in rebuilt[batch].items():
+                    units[e * r + j :: m] = cells[batch.plan.columns[e][pos]][start:end]
                 start = end
     disks = [bytearray(len(disk) if d in failed else disk) for d, disk in enumerate(array.disks)]
     placements, offsets = layout.placements, layout.unit_offsets
     for batch in batches:
-        for pos, planes in rebuilt[batch].items():
-            units = bytearray(len(batch.lanes) * m)
-            for x, plane in enumerate(planes):
-                units[x::m] = plane
+        for pos, units in rebuilt[batch].items():
             for lane, index in enumerate(batch.lanes):
                 disk, at = placements[index][pos], offsets[index][pos]
                 disks[disk][at : at + m] = units[lane * m : (lane + 1) * m]
@@ -411,9 +410,7 @@ def exhaustive_verify(layout: DeclusteredLayout, s: int, seed: int = 1) -> Verif
     the sweep is uniform when every set reads the same count from every
     survivor. Results are in sorted failure-set order.
     """
-    delta = layout.group.delta
-    if isinstance(s, bool) or not isinstance(s, int) or not 0 <= s <= delta:
-        raise ParamError(f"need 0 <= s <= delta={delta}, got {s!r}")
+    check_size("s", s, layout.group.delta, low=0)
     array = materialize(layout, seed)
     failure_sets = list(combinations(range(layout.n), s))
     members, tallies = {}, []

@@ -1,12 +1,14 @@
 """Encode/decode round-trips and the label-level reconstruction rule."""
 
 import random
+import re
 from itertools import combinations
 
 import pytest
 
 from declustr import (
     DATA,
+    HorizontalCode,
     canonical_labels,
     parity_label,
     rdp_code,
@@ -193,6 +195,52 @@ def test_codes_refuse_non_int_params(make, args, name):
     # rs_code(4, True) once built a code whose layout file its own loader refused.
     with pytest.raises(ParamError, match=f"^{name} must be an int"):
         make(*args)
+
+
+@pytest.mark.parametrize(
+    "make,args,message",
+    [
+        (rdp_code, (4,), "rdp needs a prime p >= 3, got 4"),
+        (rs_code, (256, 2), "rs needs 2 <= k <= 255, got k=256"),
+        (rs_code, (5, 5), "rs needs 1 <= delta < k, got delta=5"),
+        (HorizontalCode, ("xyz", 4, 2, 1), "unknown code kind 'xyz', not one of rdp, rs"),
+        (HorizontalCode, (["rs"], 4, 2, 1), "unknown code kind ['rs'], not one of rdp, rs"),
+        (HorizontalCode, ("rs", 4, 2, 2), "rs with k=4 needs (delta, r) = (2, 1), got (2, 2)"),
+        (HorizontalCode, ("rdp", 4, 1, 2), "rdp with k=4 needs (delta, r) = (2, 2), got (1, 2)"),
+        (HorizontalCode, ("rdp", 4, 2, True), "r must be an int, got True"),
+    ],
+    ids=["rdp p", "rs k", "rs delta", "kind", "list kind", "rs r", "rdp delta", "bool r"],
+)
+def test_codes_refuse_malformed_fields_when_built(make, args, message):
+    # HorizontalCode("xyz", 4, 2, 1) once encoded and decoded as rs.
+    with pytest.raises(ParamError, match=f"^{re.escape(message)}$"):
+        make(*args)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: rs_code(4, 2).decode([[1, 2, 3, 4]], (4,)), "erased columns out of range: [4]"),
+        (
+            lambda: rs_code(4, 2).decode([[1, 2, 3, 4]], (-1, 0)),
+            "erased columns out of range: [-1, 0]",
+        ),
+        (
+            lambda: rs_code(4, 2).decode([[None, None, 3, 4]], (0,)),
+            "column 1 must be readable but holds None",
+        ),
+        (lambda: rs_code(4, 2).decode([[1, 2, 3]], ()), "expected a 1 x 4 grid"),
+        (lambda: rdp_code(3).decode([[1, 2, 3, 4]], ()), "expected a 2 x 4 grid"),
+        (lambda: rdp_code(3).encode([[1, 2, 3], [4, 5, 6]]), "expected a 2 x 2 grid"),
+        (lambda: rs_code(4, 2).encode([[1, 2], [1, 2, 3]]), "data rows must have 2 symbols"),
+        (lambda: rs_code(4, 2).p, "only the rdp code has a prime parameter"),
+    ],
+    ids=["erased high", "erased low", "None read", "rs grid", "rdp grid", "rdp data",
+         "rs data", "rs p"],
+)
+def test_codec_refuses_malformed_calls(call, message):
+    with pytest.raises(ParamError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 # ------------------------------------------------------------------ lanes

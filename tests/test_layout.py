@@ -355,8 +355,13 @@ def test_layout_inspect_refuses_a_group_that_does_not_fit(capsys, tmp_path, refe
             "group descriptor field 'family' must be one of full, single, rotations, got 'zigzag'",
         ),
         ({"code": "rdp", "p": 4}, "bad group descriptor: rdp needs a prime p >= 3, got 4"),
+        # Past float range: the primality test once raised OverflowError here.
+        (
+            {"code": "rdp", "p": 10**400},
+            f"bad group descriptor: rdp needs a prime p >= 3, got {10**400}",
+        ),
     ],
-    ids=["list", "no-code", "no-p", "no-delta", "list-code", "bad-family", "p-not-prime"],
+    ids=["list", "no-code", "no-p", "no-delta", "list-code", "bad-family", "p-not-prime", "p-huge"],
 )
 def test_deserialize_names_the_bad_descriptor_field(reference_layout, group, message):
     obj = json.loads(serialize_layout(reference_layout))

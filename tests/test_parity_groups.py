@@ -151,15 +151,26 @@ def test_verify_balance_rejects_bad_max_s():
         verify_balance(group, 3)
 
 
-@pytest.mark.parametrize("rows", [(("D", "P1"),), (("D", "P1", "P1", "P2"),)])
+@pytest.mark.parametrize(
+    "rows",
+    [
+        (("D", "P1"),),
+        (("D", "P1", "P1", "P2"),),
+        (("D", "D", "P1", 2),),
+        (),
+    ],
+)
 def test_verify_balance_and_tau_refuse_malformed_arrangements(rows):
-    # A short row would index out of range in the parity tally, so the
-    # arrangements are checked before it.
-    group = ParityGroup(code=rs_code(4, 2), extended_rows=rows)
-    with pytest.raises(ParamError):
-        verify_balance(group, 1)
-    with pytest.raises(ParamError):
-        tau(group, 1)
+    # A short row would index out of range in the parity tally, and a
+    # misplaced label would go unnoticed by reconstruction_workload and
+    # materialize, so ParityGroup refuses it when built: verify_balance and tau never see it.
+    with pytest.raises(ParamError, match="arrangement"):
+        ParityGroup(code=rs_code(4, 2), extended_rows=rows)
+
+
+def test_parity_group_needs_a_code():
+    with pytest.raises(ParamError, match="needs a HorizontalCode, got None"):
+        ParityGroup(code=None, extended_rows=(("D", "D", "P1", "P2"),))
 
 
 # ----------------------------------------------------- arrangement counts

@@ -702,6 +702,27 @@ def test_sweep_memory_stays_within_a_few_arrays():
         assert peak <= bound * array_bytes, (design.params, peak / array_bytes)
 
 
+def test_materialize_memory_stays_within_a_few_arrays():
+    # The tracemalloc peak of one warm materialize against the array's bytes.
+    # Holding the fill through the disk joins peaked at 3.92 arrays on
+    # complete(12,6,3) and 2.98 on hadamard16; freeing it first, 3.25 and 2.23.
+    cases = [
+        (rs_code(6, 2), complete_design(12, 6, 3), 3.5),
+        (rdp_code(7), hadamard_3design(16), 2.5),
+    ]
+    for code, design, bound in cases:
+        layout = build_layout(group_family(code, "full"), design)
+        array_bytes = layout.n * layout.rows_per_disk
+        materialize(layout, 1)
+        tracemalloc.start()
+        try:
+            materialize(layout, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * array_bytes, (design.params, peak / array_bytes)
+
+
 def test_sweep_reports_non_uniform_reads(reference_design):
     skewed = build_layout(single_arrangement_group(rdp_code(3)), reference_design)
     summary = exhaustive_verify(skewed, 2, seed=7)
