@@ -528,7 +528,7 @@ _CODE_FLAGS = {
     "p": {"type": int, "help": "rdp prime (k = p+1)"},
     "k": {"type": int, "help": "rs column count"},
     "delta": {"type": int, "help": "rs parity column count"},
-    "family": {"choices": FAMILIES, "default": "full"},
+    "family": {"choices": tuple(FAMILIES), "default": "full"},
 }
 
 

@@ -2,9 +2,10 @@
 
 Each design block spawns one group instance; group column c lands on the
 c-th smallest block element, and a disk stacks its column-units in ascending
-block index. With a design of strength matching the group (t = delta + 1),
-every disk ends up holding the same number of column-units and the same
-number of parity entries.
+block index. A layout checks when it is built that its n and k are the
+design's and that each placement holds exactly its block's disks, in any
+order. build_layout also asks for strength t = delta + 1, so every disk holds
+the same number of column-units and the same number of parity entries.
 
 Each layout caches one bit-mask index: per disk and position, an int whose
 bit i is set when placement i puts that position on that disk. `losses`
@@ -31,6 +32,7 @@ from .designs import (
     INT,
     INT_LISTS,
     Design,
+    check_budget,
     check_fields,
     count_lambda,
     design_from_json,
@@ -62,6 +64,22 @@ class DeclusteredLayout:
     design: Design
     group: ParityGroup
     placements: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        design, group = self.design, self.group
+        if type(self.n) is not int or self.n != design.n:
+            raise InvariantError(f"layout n={self.n} but design has n={design.n}")
+        if group.k != design.k:
+            raise MismatchError(
+                f"group size k={group.k} does not match design block size k={design.k}"
+            )
+        if len(self.placements) != len(design.blocks):
+            raise InvariantError(f"{len(self.placements)} placements for {len(design.blocks)} blocks")
+        # Blocks are sorted ints, so the blocks themselves match; True or 1.0 == 1 is no disk.
+        if self.placements is not design.blocks:
+            for index, (disks, block) in enumerate(zip(self.placements, design.blocks)):
+                if tuple(sorted(disks)) != block or any(type(d) is not int for d in disks):
+                    raise InvariantError(f"placement {index} disks {disks} do not match block {block}")
 
     @property
     def units_per_disk(self) -> int:
@@ -212,21 +230,13 @@ def survivor_reads(layout: DeclusteredLayout, failed: frozenset[int], affected) 
 
 def build_layout(group: ParityGroup, design: Design) -> DeclusteredLayout:
     """Instantiate the group once per block, columns on sorted block elements."""
-    if group.k != design.k:
-        raise MismatchError(
-            f"group size k={group.k} does not match design block size k={design.k}"
-        )
+    layout = DeclusteredLayout(n=design.n, design=design, group=group, placements=design.blocks)
     if design.t != group.delta + 1:
         raise MismatchError(
             f"group with delta={group.delta} needs a design of strength "
             f"{group.delta + 1}, got t={design.t}"
         )
-    return DeclusteredLayout(
-        n=design.n,
-        design=design,
-        group=group,
-        placements=tuple(design.blocks),
-    )
+    return layout
 
 
 def rotate_layout(layout: DeclusteredLayout) -> DeclusteredLayout:
@@ -241,21 +251,13 @@ def rotate_layout(layout: DeclusteredLayout) -> DeclusteredLayout:
             "rotation applies to single-parity layouts; groups with delta >= 2 "
             "already place parity evenly"
         )
-    n = layout.n
-    params = layout.design.params
-    blocks = []
-    placements = []
-    for shift in range(n):
-        for placement in layout.placements:
-            shifted = tuple((d + shift) % n for d in placement)
-            placements.append(shifted)
-            blocks.append(tuple(sorted(shifted)))
-    design = validate_design(
-        blocks, t=params.t, n=n, k=params.k, lam=params.lam * n
+    n, params = layout.n, layout.design.params
+    placements = tuple(
+        tuple((d + shift) % n for d in placement)
+        for shift in range(n) for placement in layout.placements
     )
-    return DeclusteredLayout(
-        n=n, design=design, group=layout.group, placements=tuple(placements)
-    )
+    design = validate_design(placements, t=params.t, n=n, k=params.k, lam=params.lam * n)
+    return DeclusteredLayout(n, design, layout.group, placements)
 
 
 def layout_geometry(layout: DeclusteredLayout) -> LayoutGeometry:
@@ -304,13 +306,21 @@ def group_descriptor(group: ParityGroup) -> dict:
 
 
 def _code_from_descriptor(obj) -> tuple[HorizontalCode, str]:
-    """A group descriptor's code and family name; the family is not built."""
+    """A group descriptor's code and family name; the family is not built.
+
+    A parameter over MAX_COVERAGE_SUBSETS is refused before the code tests an
+    rdp p by sqrt(p) divisions. No such code fits a design validate_design
+    accepts: a fitting code's parameters are at most n, and n <= C(n,t) unless
+    t = n, which only an rs code with k = n <= 255 fits.
+    """
     kind = obj.get("code") if isinstance(obj, dict) else None
     # Tuple membership compares without hashing: a list kind is unhashable.
     make, names = CODE_KINDS[kind] if kind in tuple(CODE_KINDS) else (None, ())
-    fields = {"code": tuple(CODE_KINDS), **dict.fromkeys(names, INT), "family": FAMILIES}
+    fields = {"code": tuple(CODE_KINDS), **dict.fromkeys(names, INT), "family": tuple(FAMILIES)}
     check_fields("group descriptor", obj, fields, optional=("family",))
     try:
+        for name in names:
+            check_budget(name, obj[name], "as a code parameter")
         code = make(*(obj[name] for name in names))
     except ParamError as exc:
         raise FormatError(f"bad group descriptor: {exc}") from exc
@@ -332,8 +342,8 @@ def deserialize_layout(text) -> DeclusteredLayout:
     """Parse layout JSON and revalidate every invariant.
 
     Structural problems (bad JSON, missing fields) raise FormatError; semantic
-    violations (invalid design, placement/block mismatch, duplicated disks in
-    one placement) raise InvariantError.
+    violations (invalid design, a group that does not fit it, checked before
+    its family is built, or the layout's own invariants) raise InvariantError.
     """
     if isinstance(text, (str, bytes)):
         try:
@@ -343,7 +353,6 @@ def deserialize_layout(text) -> DeclusteredLayout:
     else:
         obj = text
     check_fields("layout", obj, LAYOUT_JSON_FIELDS)
-    n = obj["n"]
     try:
         design = design_from_json(obj["design"])
     except FormatError:
@@ -351,26 +360,10 @@ def deserialize_layout(text) -> DeclusteredLayout:
     except DeclustrError as exc:
         raise InvariantError(f"embedded design is invalid: {exc}") from exc
     code, family = _code_from_descriptor(obj["group"])
-    if n != design.n:
-        raise InvariantError(f"layout n={n} but design has n={design.n}")
     if code.k != design.k or design.t != code.delta + 1:
         raise InvariantError(
             f"group (k={code.k}, delta={code.delta}) does not fit a "
             f"{design.t}-({design.n},{design.k},{design.lam}) design"
         )
-    group = group_family(code, family)
     placements = tuple(map(tuple, obj["placements"]))
-    if len(placements) != len(design.blocks):
-        raise InvariantError(f"{len(placements)} placements for {len(design.blocks)} blocks")
-    for index, (disks, block) in enumerate(zip(placements, design.blocks)):
-        if len(set(disks)) != len(disks):
-            raise InvariantError(
-                f"placement {index} stores two columns of one group on one disk: {disks}"
-            )
-        if any(not 0 <= d < n for d in disks):
-            raise InvariantError(f"placement {index} names disks outside 0..{n - 1}")
-        if tuple(sorted(disks)) != block:
-            raise InvariantError(
-                f"placement {index} disks {disks} do not match block {block}"
-            )
-    return DeclusteredLayout(n=n, design=design, group=group, placements=placements)
+    return DeclusteredLayout(obj["n"], design, group_family(code, family), placements)

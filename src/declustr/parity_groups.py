@@ -8,10 +8,10 @@ placements produces a balanced group: any failure of at most delta columns
 then loads every surviving column equally.
 
 A ParityGroup checks its arrangements when it is built: each has k
-positions and places each of P1..Pdelta exactly once. Balance is a verified
-property, not a type: the same ParityGroup class also carries deliberately
-unbalanced families (a single arrangement, or the k cyclic rotations of the
-canonical one) used to demonstrate skew.
+positions and places each of P1..Pdelta exactly once. Its family is read off
+those rows, not set by the caller. Balance is a verified property, not a
+type: the same class also carries deliberately unbalanced families (a single
+arrangement, or the k cyclic rotations of the canonical one) to show skew.
 """
 
 from __future__ import annotations
@@ -32,16 +32,12 @@ from .erasure_codes import (
 )
 from .errors import ParamError, UnbalancedGroup
 
-FAMILIES = ("full", "single", "rotations")
-
-
 @dataclass(frozen=True)
 class ParityGroup:
     """A horizontal code plus an ordered family of label arrangements."""
 
     code: HorizontalCode
     extended_rows: tuple[tuple[str, ...], ...]
-    family: str = "custom"
     # reconstruction_plan's and tau's memos: derived from the fields above, so
     # they take no part in equality or hashing. Concurrent misses may build an
     # entry twice.
@@ -61,6 +57,20 @@ class ParityGroup:
                 raise ParamError(
                     f"arrangement {row} must place each of P1..P{self.delta} exactly once"
                 )
+
+    @cached_property
+    def family(self) -> str:
+        """The FAMILIES name whose builder makes exactly these rows, else "custom".
+
+        Row counts are compared first, so no family is built for fewer or more rows.
+        """
+        rows = self.extended_rows
+        k, delta = self.k, self.delta
+        sizes = {"full": factorial(delta) * comb(k, delta), "single": 1, "rotations": k}
+        for name, make in FAMILIES.items():
+            if len(rows) == sizes[name] and make(self.code).extended_rows == rows:
+                return name
+        return "custom"
 
     @property
     def k(self) -> int:
@@ -204,20 +214,12 @@ def balance_horizontal_code(code: HorizontalCode) -> ParityGroup:
     k, delta = code.k, code.delta
     labels = factorial(delta) * comb(k, delta) * k
     check_budget(f"building {delta}!*C({k},{delta})*{k}", labels, "labels")
-    return ParityGroup(
-        code=code,
-        extended_rows=_all_arrangements(k, delta),
-        family="full",
-    )
+    return ParityGroup(code, _all_arrangements(k, delta))
 
 
 def single_arrangement_group(code: HorizontalCode) -> ParityGroup:
     """Just the canonical arrangement: data columns first, then P1..Pdelta."""
-    return ParityGroup(
-        code=code,
-        extended_rows=(canonical_labels(code.k, code.delta),),
-        family="single",
-    )
+    return ParityGroup(code, (canonical_labels(code.k, code.delta),))
 
 
 def cyclic_rotation_group(code: HorizontalCode) -> ParityGroup:
@@ -225,17 +227,21 @@ def cyclic_rotation_group(code: HorizontalCode) -> ParityGroup:
     base = canonical_labels(code.k, code.delta)
     k = code.k
     rows = tuple(base[-shift:] + base[:-shift] if shift else base for shift in range(k))
-    return ParityGroup(code=code, extended_rows=rows, family="rotations")
+    return ParityGroup(code, rows)
+
+
+# Each arrangement family's builder, by the name files, --family and ParityGroup.family use.
+FAMILIES = {
+    "full": balance_horizontal_code,
+    "single": single_arrangement_group,
+    "rotations": cyclic_rotation_group,
+}
 
 
 def group_family(code: HorizontalCode, family: str) -> ParityGroup:
-    if family == "full":
-        return balance_horizontal_code(code)
-    if family == "single":
-        return single_arrangement_group(code)
-    if family == "rotations":
-        return cyclic_rotation_group(code)
-    raise ParamError(f"unknown arrangement family {family!r}")
+    if not isinstance(family, str) or family not in FAMILIES:
+        raise ParamError(f"unknown arrangement family {family!r}")
+    return FAMILIES[family](code)
 
 
 def reconstruction_plan(group: ParityGroup, lost: tuple[int, ...]) -> ReconstructionPlan:

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from declustr import (
+    DeclusteredLayout,
     balance_horizontal_code,
     build_layout,
     complete_design,
@@ -25,11 +26,12 @@ from declustr.errors import (
     MismatchError,
     ParamError,
 )
+from declustr import erasure_codes
 from declustr import layout as layout_module
 from declustr import parity_groups
 from declustr.cli import run
 from declustr.layout import placement_indices
-from conftest import GROUPS_PER_DISK_3_8_4_1
+from conftest import GROUPS_PER_DISK_3_8_4_1, REFERENCE_BLOCKS_3_8_4_1
 
 
 def simple_parity_layout(bibd_design):
@@ -119,6 +121,57 @@ def test_reduced_design_feeds_lower_strength_group(reference_design):
 def test_build_rejects_size_mismatch(reference_design):
     with pytest.raises(MismatchError):
         build_layout(balance_horizontal_code(rs_code(5, 2)), reference_design)
+
+
+@pytest.mark.parametrize(
+    "change, error, message",
+    [
+        ({"n": 9}, InvariantError, "layout n=9 but design has n=8"),
+        ({"n": 8.0}, InvariantError, "layout n=8.0 but design has n=8"),
+        (
+            {"group": balance_horizontal_code(rs_code(5, 2))},
+            MismatchError,
+            "group size k=5 does not match design block size k=4",
+        ),
+        ({"placements": REFERENCE_BLOCKS_3_8_4_1[1:]}, InvariantError, "13 placements for 14 blocks"),
+        # Placement 0 equal to block 1: a layout reconstruction_workload once
+        # reported as non-uniform, and whose saved file the loader refused.
+        (
+            {"placements": REFERENCE_BLOCKS_3_8_4_1[1:2] + REFERENCE_BLOCKS_3_8_4_1[1:]},
+            InvariantError,
+            "placement 0 disks (0, 1, 4, 5) do not match block (0, 1, 2, 3)",
+        ),
+        (
+            {"placements": ((0, 1, 1, 3),) + REFERENCE_BLOCKS_3_8_4_1[1:]},
+            InvariantError,
+            "placement 0 disks (0, 1, 1, 3) do not match block (0, 1, 2, 3)",
+        ),
+        (
+            {"placements": ((3, 2, 1, 0),) + REFERENCE_BLOCKS_3_8_4_1[1:] + ((0, 1, 2, 8),)},
+            InvariantError,
+            "15 placements for 14 blocks",
+        ),
+        (
+            {"placements": ((False, 1, 2, 3),) + REFERENCE_BLOCKS_3_8_4_1[1:]},
+            InvariantError,
+            "placement 0 disks (False, 1, 2, 3) do not match block (0, 1, 2, 3)",
+        ),
+        (
+            {"placements": ((0, 1, 2, 3.0),) + REFERENCE_BLOCKS_3_8_4_1[1:]},
+            InvariantError,
+            "placement 0 disks (0, 1, 2, 3.0) do not match block (0, 1, 2, 3)",
+        ),
+    ],
+    ids=[
+        "n", "float-n", "k", "too-few", "other-block", "repeated-disk", "too-many",
+        "bool-disk", "float-disk",
+    ],
+)
+def test_layout_checks_itself_when_built(reference_layout, change, error, message):
+    fields = {name: getattr(reference_layout, name) for name in ("n", "design", "group", "placements")}
+    with pytest.raises(error) as info:
+        DeclusteredLayout(**{**fields, **change})
+    assert str(info.value) == message
 
 
 def test_build_rejects_strength_mismatch(reference_design, bibd_design):
@@ -331,6 +384,21 @@ def test_deserialize_checks_the_fit_before_building_the_family(monkeypatch, refe
     assert len(calls) == 2
 
 
+def test_deserialize_refuses_a_huge_parameter_before_testing_it(monkeypatch, reference_layout):
+    # Trial division takes sqrt(p) steps: 10**12 + 39, a prime, took 0.1 s.
+    def refuse(p):
+        raise AssertionError(f"is_prime({p}) called")
+
+    monkeypatch.setattr(erasure_codes, "is_prime", refuse)
+    obj = json.loads(serialize_layout(reference_layout))
+    obj["group"] = {"code": "rdp", "p": 10**12 + 39}
+    with pytest.raises(FormatError, match="p = 1000000000039 as a code parameter exceeds"):
+        deserialize_layout(obj)
+    obj["group"] = {"code": "rs", "k": 4, "delta": 10**6 + 1}
+    with pytest.raises(FormatError, match="delta = 1000001 as a code parameter exceeds"):
+        deserialize_layout(obj)
+
+
 def test_layout_inspect_refuses_a_group_that_does_not_fit(capsys, tmp_path, reference_layout):
     obj = json.loads(serialize_layout(reference_layout))
     obj["group"] = {"code": "rdp", "p": 31}
@@ -355,10 +423,11 @@ def test_layout_inspect_refuses_a_group_that_does_not_fit(capsys, tmp_path, refe
             "group descriptor field 'family' must be one of full, single, rotations, got 'zigzag'",
         ),
         ({"code": "rdp", "p": 4}, "bad group descriptor: rdp needs a prime p >= 3, got 4"),
-        # Past float range: the primality test once raised OverflowError here.
+        # Past float range, where the primality test once raised OverflowError:
+        # now refused by the parameter bound before the code is built.
         (
             {"code": "rdp", "p": 10**400},
-            f"bad group descriptor: rdp needs a prime p >= 3, got {10**400}",
+            f"bad group descriptor: p = {10**400} as a code parameter exceeds the limit of 1000000",
         ),
     ],
     ids=["list", "no-code", "no-p", "no-delta", "list-code", "bad-family", "p-not-prime", "p-huge"],

@@ -1,5 +1,6 @@
 """Arrangement families and the four balance conditions."""
 
+from dataclasses import fields
 from fractions import Fraction
 from itertools import permutations
 from math import comb, factorial
@@ -268,6 +269,14 @@ def test_group_family_dispatch():
     assert len(group_family(code, "rotations").extended_rows) == 4
     with pytest.raises(ParamError):
         group_family(code, "zigzag")
+
+
+def test_a_group_is_a_code_and_its_rows():
+    # The family name is derived from the rows, so no caller can set it.
+    assert [f.name for f in fields(ParityGroup) if f.init] == ["code", "extended_rows"]
+    for family in ("zigzag", ["full"], None):
+        with pytest.raises(ParamError, match="unknown arrangement family"):
+            group_family(rdp_code(3), family)
 
 
 def test_rotation_family_rows_are_rotations():
