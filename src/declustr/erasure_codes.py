@@ -18,7 +18,9 @@ parity columns. The decoder touches only the columns the rule names;
 surviving columns outside the rule (for example the diagonal parity when one
 data column is lost) are recomputed in memory, never read. It accepts None
 placeholders in the columns it does not read and reports exactly which
-columns it read.
+columns it read. The rule depends only on delta and the lost labels, so its
+answers are memoized per label tuple: a reconstruction plan asks it once per
+extended row, and all but the first few asks are cache hits.
 
 One decoder serves both codes; rdp_decode and rs_decode are two names for
 it. Each kind states its r*delta parity checks, sums over its r x k cells
@@ -148,8 +150,15 @@ def reconstruction_rule(delta: int, lost) -> frozenset[str]:
     d lost data labels, the answer is all surviving data plus the d
     lowest-indexed surviving parity labels. Losing nothing requires reading
     nothing. Every surviving column is either read in full or untouched.
+    Answers are memoized per (delta, tuple(lost)); refusals are not, so a bad
+    label raises on every call.
     """
-    lost = list(lost)
+    return _rule(delta, tuple(lost))
+
+
+# typed: a float delta must fail as it would uncached, not get an int delta's answer.
+@lru_cache(maxsize=4096, typed=True)
+def _rule(delta: int, lost: tuple[str, ...]) -> frozenset[str]:
     if len(lost) > delta:
         raise ParamError(f"{len(lost)} losses exceed delta={delta}")
     lost_parities = []

@@ -12,14 +12,21 @@ positions and places each of P1..Pdelta exactly once. Its family is read off
 those rows, not set by the caller. Balance is a verified property, not a
 type: the same class also carries deliberately unbalanced families (a single
 arrangement, or the k cyclic rotations of the canonical one) to show skew.
+group_family caches the family name on the group it builds.
+
+A reconstruction plan, memoized per lost tuple on its group, is counted from
+the group's label columns (the rows' transpose): one memoized rule answer per
+extended row, then one C-level count per surviving position, so a cold plan
+runs no Python loop over rows times positions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations, permutations
+from itertools import combinations, permutations, repeat
 from math import comb, factorial
+from operator import contains
 
 from .designs import check_budget
 from .erasure_codes import (
@@ -95,6 +102,11 @@ class ParityGroup:
             self.r * sum(1 for row in self.extended_rows if row[c] != DATA)
             for c in range(self.k)
         )
+
+    @cached_property
+    def label_columns(self) -> tuple[tuple[str, ...], ...]:
+        """Label held by each extended row, per position: the rows' transpose."""
+        return tuple(zip(*self.extended_rows))
 
     @cached_property
     def canonical_columns(self) -> tuple[tuple[int, ...], ...]:
@@ -239,31 +251,33 @@ FAMILIES = {
 
 
 def group_family(code: HorizontalCode, family: str) -> ParityGroup:
+    """The named family's group, its family name already cached: no second build."""
     if not isinstance(family, str) or family not in FAMILIES:
         raise ParamError(f"unknown arrangement family {family!r}")
-    return FAMILIES[family](code)
+    group = FAMILIES[family](code)
+    vars(group)["family"] = family
+    return group
 
 
 def reconstruction_plan(group: ParityGroup, lost: tuple[int, ...]) -> ReconstructionPlan:
     """The memoized plan for an instance that lost the sorted positions `lost`.
 
-    A cold plan costs one reconstruction_rule call per extended row.
+    A cold plan costs one reconstruction_rule call per extended row, each a
+    memo hit after the first few, then one C-level count per surviving
+    position: how many rows' needs hold the label that position's column has.
     """
     if lost in group._plans:
         return group._plans[lost]
     k = group.k
     if list(lost) != sorted(set(lost) & set(range(k))):
         raise ParamError(f"lost positions must be sorted and distinct in 0..{k - 1}, got {lost}")
-    reads = {pos: 0 for pos in range(k) if pos not in lost}
-    needs, per_row = {}, []
-    for row in group.extended_rows:
-        need = reconstruction_rule(group.delta, [row[pos] for pos in lost])
-        per_row.append(needs.setdefault(need, need))
-        for pos in reads:
-            if row[pos] in need:
-                reads[pos] += 1
+    columns, rows = group.label_columns, len(group.extended_rows)
+    # Each row's lost labels; zip over no columns would yield no rows at all.
+    lost_labels = zip(*map(columns.__getitem__, lost)) if lost else repeat((), rows)
+    needs = tuple(map(reconstruction_rule, repeat(group.delta), lost_labels))
+    reads = {pos: sum(map(contains, needs, columns[pos])) for pos in range(k) if pos not in lost}
     plan = group._plans[lost] = ReconstructionPlan(
-        tuple(per_row), reads, group.extended_rows, group.canonical_columns
+        needs, reads, group.extended_rows, group.canonical_columns
     )
     return plan
 

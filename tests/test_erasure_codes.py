@@ -2,7 +2,7 @@
 
 import random
 import re
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -343,3 +343,42 @@ def test_rule_rejects_bad_losses():
 
 def test_canonical_labels_order():
     assert canonical_labels(6, 2) == (DATA, DATA, DATA, DATA, P1, P2)
+
+
+def rule_by_definition(delta, lost):
+    """All surviving data plus the d lowest-indexed surviving parities, d data lost."""
+    if not lost:
+        return set()
+    surviving = [parity_label(i) for i in range(1, delta + 1) if parity_label(i) not in lost]
+    return {DATA, *surviving[: lost.count(DATA)]}
+
+
+def test_memoized_rule_equals_its_definition_for_every_label_tuple():
+    for delta in range(1, 5):
+        labels = (DATA,) + tuple(parity_label(i) for i in range(1, delta + 1))
+        for size in range(delta + 1):
+            for lost in product(labels, repeat=size):
+                parities = [label for label in lost if label != DATA]
+                for _ in range(2):
+                    if len(set(parities)) < len(parities):
+                        with pytest.raises(ParamError, match="lost twice"):
+                            reconstruction_rule(delta, lost)
+                    else:
+                        assert reconstruction_rule(delta, lost) == rule_by_definition(delta, lost)
+                        assert reconstruction_rule(delta, list(lost)) == rule_by_definition(delta, lost)
+
+
+def test_rule_refusals_are_not_memoized_and_the_memo_is_bounded():
+    for delta, lost in [(2, (DATA, DATA, DATA)), (2, (P1, P1)), (2, ("X",)), (2, (P3,))]:
+        for _ in range(2):
+            with pytest.raises(ParamError):
+                reconstruction_rule(delta, lost)
+    before = erasure_codes._rule.cache_info()
+    assert reconstruction_rule(2, iter([DATA])) == {DATA, P1}
+    assert reconstruction_rule(2, [DATA]) is reconstruction_rule(2, (DATA,))
+    assert erasure_codes._rule.cache_info().hits >= before.hits + 2
+    assert 0 < erasure_codes._rule.cache_info().maxsize <= 1 << 16
+    # The memo keys on delta's type, so a float delta still fails as it did
+    # before any answer was cached, rather than reading the int's answer.
+    with pytest.raises(TypeError):
+        reconstruction_rule(2.0, (DATA,))

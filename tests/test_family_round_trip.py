@@ -23,6 +23,7 @@ from declustr import (
     rs_code,
     serialize_layout,
 )
+import declustr.parity_groups as parity_groups
 from declustr.errors import FormatError
 from declustr.parity_groups import FAMILIES
 
@@ -97,3 +98,32 @@ def test_a_family_is_its_rows_in_order():
     rows = balance_horizontal_code(code).extended_rows
     assert ParityGroup(code, rows[-1:] + rows[:-1]).family == "rotations"
     assert ParityGroup(code, rows[-1:]).family == "single"
+
+
+def test_group_family_builds_a_family_once(monkeypatch):
+    # .family on a group_family group once ran the builder again: building an
+    # RS(4,2) layout, one query, one round trip and one save of the loaded
+    # layout made 4 builds where the two groups need 2.
+    builds = []
+    build = parity_groups._all_arrangements
+
+    def counting(k, delta):
+        builds.append((k, delta))
+        return build(k, delta)
+
+    monkeypatch.setattr(parity_groups, "_all_arrangements", counting)
+    layout = build_layout(group_family(rs_code(4, 2), "full"), hadamard_3design(8))
+    assert reconstruction_workload(layout, [0, 1]).closed_form == 44
+    loaded = deserialize_layout(serialize_layout(layout))
+    assert serialize_layout(loaded) == serialize_layout(layout)
+    assert builds == [(4, 2)] * 2
+
+
+CODES = [rdp_code(3), rdp_code(5)] + [rs_code(k, d) for k in range(2, 7) for d in range(1, k)]
+
+
+@pytest.mark.parametrize("code", CODES, ids=lambda c: f"rdp{c.p}" if c.kind == "rdp" else f"rs{c.k}-{c.delta}")
+def test_a_cached_family_name_is_the_one_its_rows_read_as(code):
+    for family in FAMILIES:
+        group = group_family(code, family)
+        assert group.family == ParityGroup(code, group.extended_rows).family == family

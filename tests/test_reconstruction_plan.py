@@ -10,6 +10,7 @@ import pytest
 import declustr.layout as layout_module
 import declustr.parity_groups as parity_groups
 from declustr import (
+    DATA,
     build_layout,
     closed_form_workload,
     complete_design,
@@ -256,3 +257,60 @@ def test_plan_reads_the_rule_columns_of_each_extended_row():
 def test_plan_rejects_malformed_lost_tuples(lost):
     with pytest.raises(ParamError):
         reconstruction_plan(group_family(rdp_code(3), "full"), lost)
+
+
+def reference_plan(group, lost):
+    """needs, reads, by_rows, sources and erased, walked one extended row at a time."""
+    k, delta = group.k, group.delta
+    needs, sources, erased = [], [], []
+    reads = {pos: 0 for pos in range(k) if pos not in lost}
+    for row in group.extended_rows:
+        data = iter(range(k))
+        columns = [next(data) if label == DATA else k - delta - 1 + int(label[1:]) for label in row]
+        need = reconstruction_rule(delta, [row[pos] for pos in lost])
+        read = [pos for pos in reads if row[pos] in need]
+        for pos in read:
+            reads[pos] += 1
+        needs.append(need)
+        sources.append(tuple(sorted(read, key=columns.__getitem__)))
+        erased.append(tuple(c for c in range(k) if c not in {columns[pos] for pos in read}))
+    by_rows = {}
+    for pos, rows in reads.items():
+        if rows:
+            by_rows.setdefault(rows, []).append(pos)
+    return tuple(needs), reads, {n: tuple(p) for n, p in by_rows.items()}, tuple(sources), tuple(erased)
+
+
+@pytest.mark.parametrize(
+    "code",
+    [rs_code(4, 1), rs_code(5, 2), rs_code(5, 3), rdp_code(3), rdp_code(5)],
+    ids=["rs4-1", "rs5-2", "rs5-3", "rdp3", "rdp5"],
+)
+def test_plans_match_a_row_by_row_reference(code):
+    rng = random.Random(f"plan-oracle-{code}")
+    groups = [group_family(code, family) for family in parity_groups.FAMILIES]
+    full = groups[0].extended_rows
+    for _ in range(6):
+        # Custom families: random subsets and reorderings of the full rows,
+        # most of them unbalanced.
+        rows = rng.sample(full, rng.randint(1, len(full)))
+        groups.append(parity_groups.ParityGroup(code, tuple(rows)))
+    for group in groups:
+        for s in range(code.delta + 1):
+            for lost in combinations(range(code.k), s):
+                plan = reconstruction_plan(group, lost)
+                needs, reads, by_rows, sources, erased = reference_plan(group, lost)
+                assert plan.needs == needs, lost
+                assert list(plan.reads.items()) == list(reads.items()), lost
+                assert plan.by_rows == by_rows, lost
+                assert plan.sources == sources, lost
+                assert plan.erased == erased, lost
+
+
+def test_losing_nothing_plans_an_empty_need_per_extended_row():
+    group = group_family(rs_code(4, 2), "full")
+    plan = reconstruction_plan(group, ())
+    assert plan.needs == (frozenset(),) * 12
+    assert plan.reads == {pos: 0 for pos in range(4)} and plan.by_rows == {}
+    assert plan.sources == ((),) * 12
+    assert plan.erased == ((0, 1, 2, 3),) * 12
