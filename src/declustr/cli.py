@@ -32,6 +32,7 @@ from .designs import (
     complete_design,
     design_from_json,
     design_to_json,
+    dump_json,
     hadamard_3design,
     reduce_design,
 )
@@ -76,7 +77,7 @@ class Result(NamedTuple):
 def _emit(result: Result, fmt: str) -> int:
     if fmt == "json":
         payload = result.json
-        text = payload if isinstance(payload, str) else json.dumps(payload, indent=2) + "\n"
+        text = payload if isinstance(payload, str) else dump_json(payload)
     else:
         lines = result.table
         if fmt == "csv":
@@ -182,7 +183,7 @@ def _wrote(args) -> list[str]:
 def _design_out(design: Design, args) -> Result:
     payload = design_to_json(design)
     if args.out:
-        _write(args.out, json.dumps(payload, indent=2) + "\n")
+        _write(args.out, dump_json(payload))
     return _design_result(design, payload, [_design_summary(design), *_wrote(args)])
 
 

@@ -4,13 +4,22 @@ A design is a collection of k-subsets (blocks) of {0,...,n-1} such that every
 t-subset of points lies in exactly lambda blocks. Blocks are stored sorted and
 in input order (layout construction refers to blocks by index); repeated
 blocks are permitted.
+
+Loading decides at C level: one pass over the flattened points checks their
+types and range, one over the blocks their shape, and one Counter of every
+block's t-subsets the coverage. Only a refused input walks the blocks one by
+one in Python, to name the first offender. dump_json writes every file and
+JSON report the package emits.
 """
 
 from __future__ import annotations
 
+import json
 import warnings
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, repeat
+from json.encoder import encode_basestring_ascii
 from math import comb
 
 from .errors import BlockSizeError, CoverageError, FormatError, ParamError
@@ -125,30 +134,57 @@ def validate_design(blocks, t: int, n: int, k: int, lam: int) -> Design:
     point set must occur in exactly lam blocks (all C(n,t) subsets are
     checked). A design with more than MAX_COVERAGE_SUBSETS t-subsets is
     refused before any of them is built.
+
+    One C-level pass decides each check: the blocks' shape in
+    `_sorted_blocks`, then coverage from a Counter of every block's
+    t-subsets, which is exact iff it holds all C(n,t) of them, each lam
+    times. The per-block loops run only after a pass has refused, and only
+    to name the first offender.
     """
     params = DesignParams(t=t, n=n, k=k, lam=lam)
     check_budget(f"validating C({n},{t})", comb(n, t), f"{t}-subsets")
-    normalized = []
-    for block in map(tuple, blocks):
-        # type, not isinstance: a bool is an int but is no point. Checked
-        # before sorting, which cannot order mixed types.
-        if any(type(x) is not int or not 0 <= x < n for x in block):
-            raise BlockSizeError(f"block {block} has points that are not ints in 0..{n - 1}")
-        members = tuple(sorted(block))
-        if len(members) != k or len(set(members)) != k:
-            raise BlockSizeError(f"block {block} is not a {k}-subset")
-        normalized.append(members)
+    blocks = list(blocks)
+    normalized = _sorted_blocks(blocks, n, k)
+    if normalized is None:
+        normalized = []
+        for block in map(tuple, blocks):
+            # type, not isinstance: a bool is an int but is no point. Checked
+            # before sorting, which cannot order mixed types.
+            if any(type(x) is not int or not 0 <= x < n for x in block):
+                raise BlockSizeError(f"block {block} has points that are not ints in 0..{n - 1}")
+            members = tuple(sorted(block))
+            if len(members) != k or len(set(members)) != k:
+                raise BlockSizeError(f"block {block} is not a {k}-subset")
+            normalized.append(members)
+        normalized = tuple(normalized)
     # Coverage is the authoritative check: a wrong block count always breaks
     # coverage somewhere, and the first deviating subset is the useful report.
-    counts = {}
-    for members in normalized:
-        for subset in combinations(members, t):
-            counts[subset] = counts.get(subset, 0) + 1
-    for subset in combinations(range(n), t):
-        found = counts.get(subset, 0)
-        if found != lam:
-            raise CoverageError(subset, found, lam)
-    return Design(params=params, blocks=tuple(normalized))
+    counts = Counter(chain.from_iterable(map(combinations, normalized, repeat(t))))
+    if len(counts) != comb(n, t) or set(counts.values()) != {lam}:
+        for subset in combinations(range(n), t):
+            found = counts.get(subset, 0)
+            if found != lam:
+                raise CoverageError(subset, found, lam)
+    return Design(params=params, blocks=normalized)
+
+
+def _sorted_blocks(blocks, n: int, k: int):
+    """Each block sorted, if all are k-subsets of exact ints in 0..n-1; else None.
+
+    The points' types and range, then the blocks' sizes with and without
+    repeats, are each one set, min or max over a map; a block that is not
+    iterable also gives None.
+    """
+    try:
+        rows = tuple(map(tuple, blocks))
+    except TypeError:
+        return None
+    points = tuple(chain.from_iterable(rows))
+    if set(map(type, points)) != {int} or min(points) < 0 or max(points) >= n:
+        return None
+    if set(map(len, rows)) != {k} or set(map(len, map(set, rows))) != {k}:
+        return None
+    return tuple(map(tuple, map(sorted, rows)))
 
 
 def complete_design(n: int, k: int, t: int) -> Design:
@@ -227,6 +263,60 @@ def design_to_json(design: Design) -> dict:
     }
 
 
+def dump_json(obj) -> str:
+    """obj as 2-space-indented JSON plus a newline: the bytes of
+    json.dumps(obj, indent=2) + "\\n", which every file and JSON report uses.
+
+    json.dumps runs CPython's pure-Python encoder whenever indent is set, at
+    several calls per item. This writer renders exact str, int, bool and None
+    scalars directly; a non-empty list of equal-length, non-empty lists of
+    exact ints (a design's blocks, a layout's placements) with one %-format
+    over all their ints; and str-keyed dicts and other lists recursively.
+    Anything else, such as a float, a tuple or a non-str key, goes to
+    json.dumps with its newlines re-indented. A structure too deep or
+    circular to recurse through is left to json.dumps whole, which renders
+    or refuses it as it would anyway.
+    """
+    try:
+        return _render(obj, "\n") + "\n"
+    except RecursionError:
+        return json.dumps(obj, indent=2) + "\n"
+
+
+def _render(obj, nl: str) -> str:
+    """obj as json.dumps(obj, indent=2) renders it where nl, a newline plus
+    the enclosing indent, starts each of its lines after the first."""
+    kind = type(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if obj is None:
+        return "null"
+    if kind is bool:
+        return "true" if obj else "false"
+    inner = nl + "  "
+    if kind is list and obj:
+        if (
+            set(map(type, obj)) == {list}
+            and len(widths := set(map(len, obj))) == 1
+            and set(map(type, chain.from_iterable(obj))) == {int}
+        ):
+            deeper = inner + "  "
+            row = "[" + deeper + ("," + deeper).join(["%d"] * widths.pop()) + inner + "]"
+            text = "[" + inner + ("," + inner).join([row] * len(obj)) + nl + "]"
+            return text % tuple(chain.from_iterable(obj))
+        items = [_render(item, inner) for item in obj]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if kind is dict and obj and set(map(type, obj)) == {str}:
+        items = [
+            encode_basestring_ascii(key) + ": " + _render(value, inner)
+            for key, value in obj.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    return json.dumps(obj, indent=2).replace("\n", nl)
+
+
 def check_fields(what: str, obj, fields: dict, optional: tuple = ()) -> None:
     """Refuse obj unless it is a JSON object holding each field of its kind.
 
@@ -257,6 +347,10 @@ def _misfits(value, kind) -> list:
     if kind is INT_LISTS:
         if not isinstance(value, list):
             return [value]
+        # One C-level pass decides; the loop only lists the offenders.
+        if all(map(isinstance, value, repeat(list))):
+            if set(map(type, chain.from_iterable(value))) <= {int}:
+                return []
         return [v for v in value if not isinstance(v, list) or any(type(x) is not int for x in v)]
     return [] if value in kind else [value]
 

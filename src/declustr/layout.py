@@ -7,6 +7,11 @@ design's and that each placement holds exactly its block's disks, in any
 order. build_layout also asks for strength t = delta + 1, so every disk holds
 the same number of column-units and the same number of parity entries.
 
+Saving and loading run at C level: serialize_layout writes with
+designs.dump_json, and the loader's field, design and placement checks each
+decide in one pass over the flattened entries. A per-block loop runs only
+after a pass has refused, to name the first offender.
+
 Each layout caches one bit-mask index: per disk and position, an int whose
 bit i is set when placement i puts that position on that disk. `losses`
 splits a failure's affected instances off it into one mask per lost-position
@@ -25,7 +30,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import compress, count
+from itertools import chain, compress, count
 from operator import or_
 
 from .designs import (
@@ -37,6 +42,7 @@ from .designs import (
     count_lambda,
     design_from_json,
     design_to_json,
+    dump_json,
     validate_design,
 )
 from .erasure_codes import CODE_KINDS, HorizontalCode
@@ -66,18 +72,19 @@ class DeclusteredLayout:
     placements: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        design, group = self.design, self.group
+        design, group, placements = self.design, self.group, self.placements
         if type(self.n) is not int or self.n != design.n:
             raise InvariantError(f"layout n={self.n} but design has n={design.n}")
         if group.k != design.k:
             raise MismatchError(
                 f"group size k={group.k} does not match design block size k={design.k}"
             )
-        if len(self.placements) != len(design.blocks):
-            raise InvariantError(f"{len(self.placements)} placements for {len(design.blocks)} blocks")
+        if len(placements) != len(design.blocks):
+            raise InvariantError(f"{len(placements)} placements for {len(design.blocks)} blocks")
         # Blocks are sorted ints, so the blocks themselves match; True or 1.0 == 1 is no disk.
-        if self.placements is not design.blocks:
-            for index, (disks, block) in enumerate(zip(self.placements, design.blocks)):
+        # One C-level pass decides; the loop only names the first offender.
+        if placements is not design.blocks and not _holds_blocks(placements, design.blocks):
+            for index, (disks, block) in enumerate(zip(placements, design.blocks)):
                 if tuple(sorted(disks)) != block or any(type(d) is not int for d in disks):
                     raise InvariantError(f"placement {index} disks {disks} do not match block {block}")
 
@@ -133,6 +140,16 @@ class DeclusteredLayout:
                 base[disk] += m
             offsets.append(tuple(row))
         return tuple(offsets)
+
+
+def _holds_blocks(placements, blocks) -> bool:
+    """Whether the placements are exact ints that sort to the blocks, decided
+    by one set of types and one sort per placement, both at C level."""
+    try:
+        types = set(map(type, chain.from_iterable(placements)))
+    except TypeError:
+        return False
+    return types <= {int} and tuple(map(tuple, map(sorted, placements))) == blocks
 
 
 @dataclass(frozen=True)
@@ -335,7 +352,7 @@ def serialize_layout(layout: DeclusteredLayout) -> str:
         "group": group_descriptor(layout.group),
         "placements": [list(p) for p in layout.placements],
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return dump_json(payload)
 
 
 def deserialize_layout(text) -> DeclusteredLayout:
