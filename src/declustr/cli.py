@@ -13,7 +13,6 @@ verification), 2 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import stat
 import sys
@@ -34,6 +33,7 @@ from .designs import (
     design_to_json,
     dump_json,
     hadamard_3design,
+    parse_json,
     reduce_design,
 )
 from .erasure_codes import CODE_KINDS
@@ -110,11 +110,7 @@ def _read_text(path: str) -> str:
 
 
 def _load_design(path: str) -> Design:
-    try:
-        obj = json.loads(_read_text(path))
-    except ValueError as exc:  # also integers over 4,300 digits
-        raise FormatError(f"{path} is not valid JSON: {exc}") from exc
-    return design_from_json(obj)
+    return design_from_json(parse_json(_read_text(path), path))
 
 
 def _load_layout(path: str):
@@ -622,10 +618,7 @@ def run(argv) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except DeclustrError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (DeclustrError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -8,8 +8,8 @@ blocks are permitted.
 Loading decides at C level: one pass over the flattened points checks their
 types and range, one over the blocks their shape, and one Counter of every
 block's t-subsets the coverage. Only a refused input walks the blocks one by
-one in Python, to name the first offender. dump_json writes every file and
-JSON report the package emits.
+one in Python, to name the first offender. parse_json reads every file the
+package loads, and dump_json writes every file and JSON report it emits.
 """
 
 from __future__ import annotations
@@ -138,25 +138,24 @@ def validate_design(blocks, t: int, n: int, k: int, lam: int) -> Design:
     One C-level pass decides each check: the blocks' shape in
     `_sorted_blocks`, then coverage from a Counter of every block's
     t-subsets, which is exact iff it holds all C(n,t) of them, each lam
-    times. The per-block loops run only after a pass has refused, and only
-    to name the first offender.
+    times. The per-block loop runs only after the shape pass has refused,
+    and only names the first offender.
     """
     params = DesignParams(t=t, n=n, k=k, lam=lam)
     check_budget(f"validating C({n},{t})", comb(n, t), f"{t}-subsets")
     blocks = list(blocks)
     normalized = _sorted_blocks(blocks, n, k)
     if normalized is None:
-        normalized = []
-        for block in map(tuple, blocks):
-            # type, not isinstance: a bool is an int but is no point. Checked
-            # before sorting, which cannot order mixed types.
+        for block in blocks:
+            try:
+                block = tuple(block)
+            except TypeError:
+                raise BlockSizeError(f"block {block} is not a {k}-subset") from None
+            # type, not isinstance: a bool is an int but is no point.
             if any(type(x) is not int or not 0 <= x < n for x in block):
                 raise BlockSizeError(f"block {block} has points that are not ints in 0..{n - 1}")
-            members = tuple(sorted(block))
-            if len(members) != k or len(set(members)) != k:
+            if len(block) != k or len(set(block)) != k:
                 raise BlockSizeError(f"block {block} is not a {k}-subset")
-            normalized.append(members)
-        normalized = tuple(normalized)
     # Coverage is the authoritative check: a wrong block count always breaks
     # coverage somewhere, and the first deviating subset is the useful report.
     counts = Counter(chain.from_iterable(map(combinations, normalized, repeat(t))))
@@ -173,12 +172,14 @@ def _sorted_blocks(blocks, n: int, k: int):
 
     The points' types and range, then the blocks' sizes with and without
     repeats, are each one set, min or max over a map; a block that is not
-    iterable also gives None.
+    iterable also gives None, and no blocks give ().
     """
     try:
         rows = tuple(map(tuple, blocks))
     except TypeError:
         return None
+    if not rows:
+        return ()
     points = tuple(chain.from_iterable(rows))
     if set(map(type, points)) != {int} or min(points) < 0 or max(points) >= n:
         return None
@@ -263,19 +264,27 @@ def design_to_json(design: Design) -> dict:
     }
 
 
+def parse_json(text, what: str):
+    """The value of JSON text; what names the text in the FormatError for
+    anything json.loads refuses."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # also bad UTF-8 and integers over 4,300 digits
+        raise FormatError(f"{what} is not valid JSON: {exc}") from exc
+
+
 def dump_json(obj) -> str:
     """obj as 2-space-indented JSON plus a newline: the bytes of
     json.dumps(obj, indent=2) + "\\n", which every file and JSON report uses.
 
     json.dumps runs CPython's pure-Python encoder whenever indent is set, at
-    several calls per item. This writer renders exact str, int, bool and None
-    scalars directly; a non-empty list of equal-length, non-empty lists of
-    exact ints (a design's blocks, a layout's placements) with one %-format
-    over all their ints; and str-keyed dicts and other lists recursively.
-    Anything else, such as a float, a tuple or a non-str key, goes to
-    json.dumps with its newlines re-indented. A structure too deep or
-    circular to recurse through is left to json.dumps whole, which renders
-    or refuses it as it would anyway.
+    several calls per item, and nearly every item of a saved file is an int
+    in a design's blocks or a layout's placements. So this writer renders a
+    list of equal-length lists of exact ints itself, with one %-format over
+    all its ints, walks str-keyed dicts to find such lists, and leaves the
+    rest to json.dumps, its newlines re-indented. A structure too deep or
+    circular to recurse through goes to json.dumps whole, which renders or
+    refuses it as it would anyway.
     """
     try:
         return _render(obj, "\n") + "\n"
@@ -286,34 +295,24 @@ def dump_json(obj) -> str:
 def _render(obj, nl: str) -> str:
     """obj as json.dumps(obj, indent=2) renders it where nl, a newline plus
     the enclosing indent, starts each of its lines after the first."""
-    kind = type(obj)
-    if kind is str:
-        return encode_basestring_ascii(obj)
-    if kind is int:
-        return int.__repr__(obj)
-    if obj is None:
-        return "null"
-    if kind is bool:
-        return "true" if obj else "false"
     inner = nl + "  "
-    if kind is list and obj:
-        if (
-            set(map(type, obj)) == {list}
-            and len(widths := set(map(len, obj))) == 1
-            and set(map(type, chain.from_iterable(obj))) == {int}
-        ):
-            deeper = inner + "  "
-            row = "[" + deeper + ("," + deeper).join(["%d"] * widths.pop()) + inner + "]"
-            text = "[" + inner + ("," + inner).join([row] * len(obj)) + nl + "]"
-            return text % tuple(chain.from_iterable(obj))
-        items = [_render(item, inner) for item in obj]
-        return "[" + inner + ("," + inner).join(items) + nl + "]"
-    if kind is dict and obj and set(map(type, obj)) == {str}:
+    # Comparing type sets with {str} and {list} also passes over empty containers.
+    if type(obj) is dict and set(map(type, obj)) == {str}:
         items = [
             encode_basestring_ascii(key) + ": " + _render(value, inner)
             for key, value in obj.items()
         ]
         return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if (
+        type(obj) is list
+        and set(map(type, obj)) == {list}
+        and len(widths := set(map(len, obj))) == 1
+        and set(map(type, chain.from_iterable(obj))) == {int}
+    ):
+        deeper = inner + "  "
+        row = "[" + deeper + ("," + deeper).join(["%d"] * widths.pop()) + inner + "]"
+        text = "[" + inner + ("," + inner).join([row] * len(obj)) + nl + "]"
+        return text % tuple(chain.from_iterable(obj))
     return json.dumps(obj, indent=2).replace("\n", nl)
 
 

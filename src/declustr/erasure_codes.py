@@ -265,6 +265,9 @@ def _decode(code: HorizontalCode, rows, erased) -> tuple[list[list[int]], tuple[
     Input cells in erased or unread columns may be None; only the columns the
     reconstruction rule names are consulted.
     """
+    erased = tuple(erased)
+    if any(type(c) is not int for c in erased):  # exact ints only; sorted cannot order None and 0
+        raise ParamError(f"erased columns out of range: {list(erased)}")
     erased = tuple(sorted(set(erased)))
     if len(erased) > code.delta:
         raise TooManyErasures(f"{code.kind} recovers at most {code.delta} columns, got {len(erased)}")

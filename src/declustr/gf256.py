@@ -16,7 +16,6 @@ from functools import lru_cache
 from .errors import ParamError
 
 POLY = 0x11D
-GENERATOR = 0x02
 
 # EXP holds g^i for i in 0..509 (doubled so gf_mul can skip one modulo);
 # LOG holds the discrete log of 1..255.

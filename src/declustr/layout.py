@@ -26,7 +26,6 @@ an optional cyclic rotation step to even out parity placement.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -43,6 +42,7 @@ from .designs import (
     design_from_json,
     design_to_json,
     dump_json,
+    parse_json,
     validate_design,
 )
 from .erasure_codes import CODE_KINDS, HorizontalCode
@@ -85,7 +85,7 @@ class DeclusteredLayout:
         # One C-level pass decides; the loop only names the first offender.
         if placements is not design.blocks and not _holds_blocks(placements, design.blocks):
             for index, (disks, block) in enumerate(zip(placements, design.blocks)):
-                if tuple(sorted(disks)) != block or any(type(d) is not int for d in disks):
+                if not _holds_blocks((disks,), (block,)):
                     raise InvariantError(f"placement {index} disks {disks} do not match block {block}")
 
     @property
@@ -143,8 +143,8 @@ class DeclusteredLayout:
 
 
 def _holds_blocks(placements, blocks) -> bool:
-    """Whether the placements are exact ints that sort to the blocks, decided
-    by one set of types and one sort per placement, both at C level."""
+    """Whether the placements are iterables of exact ints that sort to the
+    blocks, decided by one set of types and one sort per placement at C level."""
     try:
         types = set(map(type, chain.from_iterable(placements)))
     except TypeError:
@@ -170,7 +170,9 @@ def check_failed(layout: DeclusteredLayout, failed) -> frozenset[int]:
     if len(failed) > delta:
         raise TooManyFailures(f"{len(failed)} failed disks exceed the tolerance delta={delta}")
     if any(isinstance(d, bool) or not isinstance(d, int) or not 0 <= d < n for d in failed):
-        raise ParamError(f"failed disks must be in 0..{n - 1}, got {sorted(failed)}")
+        # Ints in order, then anything else by repr: sorted cannot order None against 0.
+        shown = sorted(failed, key=lambda d: (type(d) is not int, d if type(d) is int else repr(d)))
+        raise ParamError(f"failed disks must be in 0..{n - 1}, got {shown}")
     return failed
 
 
@@ -362,13 +364,7 @@ def deserialize_layout(text) -> DeclusteredLayout:
     violations (invalid design, a group that does not fit it, checked before
     its family is built, or the layout's own invariants) raise InvariantError.
     """
-    if isinstance(text, (str, bytes)):
-        try:
-            obj = json.loads(text)
-        except ValueError as exc:  # also bad UTF-8 and integers over 4,300 digits
-            raise FormatError(f"layout file is not valid JSON: {exc}") from exc
-    else:
-        obj = text
+    obj = parse_json(text, "layout file") if isinstance(text, (str, bytes)) else text
     check_fields("layout", obj, LAYOUT_JSON_FIELDS)
     try:
         design = design_from_json(obj["design"])
@@ -383,4 +379,6 @@ def deserialize_layout(text) -> DeclusteredLayout:
             f"{design.t}-({design.n},{design.k},{design.lam}) design"
         )
     placements = tuple(map(tuple, obj["placements"]))
+    # check_fields took exact ints only, so equal placements are the checked blocks.
+    placements = design.blocks if placements == design.blocks else placements
     return DeclusteredLayout(obj["n"], design, group_family(code, family), placements)

@@ -269,7 +269,8 @@ def reconstruction_plan(group: ParityGroup, lost: tuple[int, ...]) -> Reconstruc
     if lost in group._plans:
         return group._plans[lost]
     k = group.k
-    if list(lost) != sorted(set(lost) & set(range(k))):
+    # Exact ints only: 1.0 indexes no column, and True would pass as position 1.
+    if any(type(p) is not int for p in lost) or list(lost) != sorted(set(lost) & set(range(k))):
         raise ParamError(f"lost positions must be sorted and distinct in 0..{k - 1}, got {lost}")
     columns, rows = group.label_columns, len(group.extended_rows)
     # Each row's lost labels; zip over no columns would yield no rows at all.

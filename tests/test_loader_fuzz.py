@@ -188,14 +188,20 @@ def test_torn_overwrite_is_refused_or_loads_as_old_or_new():
 # The per-block loops validate_design, check_fields and DeclusteredLayout ran
 # before their C-level passes decided. They are the reference: whatever the
 # passes accept or refuse, the loaders must end as these loops end, with the
-# same exception type and message for the first offender.
+# same exception type and message for the first offender. A row that is not
+# iterable, or a placement whose points do not sort together, is refused like
+# any other bad entry, not with a TypeError.
 
 
 def reference_validate_design(blocks, t, n, k, lam):
     params = DesignParams(t=t, n=n, k=k, lam=lam)
     check_budget(f"validating C({n},{t})", comb(n, t), f"{t}-subsets")
     normalized = []
-    for block in map(tuple, blocks):
+    for block in blocks:
+        try:
+            block = tuple(block)
+        except TypeError:
+            raise BlockSizeError(f"block {block} is not a {k}-subset") from None
         if any(type(x) is not int or not 0 <= x < n for x in block):
             raise BlockSizeError(f"block {block} has points that are not ints in 0..{n - 1}")
         members = tuple(sorted(block))
@@ -235,7 +241,11 @@ def reference_post_init(self):
         raise InvariantError(f"{len(self.placements)} placements for {len(design.blocks)} blocks")
     if self.placements is not design.blocks:
         for index, (disks, block) in enumerate(zip(self.placements, design.blocks)):
-            if tuple(sorted(disks)) != block or any(type(d) is not int for d in disks):
+            try:
+                matches = tuple(sorted(disks)) == block and all(type(d) is int for d in disks)
+            except TypeError:  # not iterable, or points that do not sort together
+                matches = False
+            if not matches:
                 raise InvariantError(f"placement {index} disks {disks} do not match block {block}")
 
 

@@ -1,0 +1,106 @@
+"""A seeded fuzz of malformed indices.
+
+Every entry point that takes lost positions, erased columns, failed disks,
+unit coordinates, blocks or placements is fed a float, bool, None, str,
+negative or too-large one among valid ints, and must refuse it with a
+DeclustrError: no TypeError or IndexError may escape. Each case builds its
+group afresh, so reconstruction_plan meets every lost tuple on a memo miss.
+"""
+
+import random
+
+import pytest
+
+from declustr import (
+    DeclusteredLayout,
+    DeclustrError,
+    build_layout,
+    complete_design,
+    fail_and_reconstruct,
+    group_family,
+    hadamard_3design,
+    materialize,
+    rdp_code,
+    reconstruction_plan,
+    reconstruction_workload,
+    rs_code,
+    unit_provenance,
+    validate_design,
+)
+
+SEEDS = range(64)
+
+
+def _bad(rng, size):
+    """A value that is no index in 0..size-1, of a random kind."""
+    return rng.choice((
+        float(rng.randrange(size)),
+        rng.random() < 0.5,
+        None,
+        str(rng.randrange(size)),
+        -1 - rng.randrange(3),
+        size + rng.randrange(3),
+    ))
+
+
+def _among_valid(rng, bad, size, count):
+    """count values: bad at a random place among distinct ints in 0..size-1
+    that differ from it, so a set cannot fold bad into a valid one."""
+    values = rng.sample([i for i in range(size) if i != bad], count - 1)
+    values.insert(rng.randrange(count), bad)
+    return values
+
+
+def _calls(rng):
+    """(what, call) pairs, each call given one malformed index."""
+    code, design = rng.choice((
+        (rs_code(4, 2), complete_design(6, 4, 3)),
+        (rdp_code(3), hadamard_3design(8)),
+    ))
+    group = group_family(code, rng.choice(("full", "single")))
+    layout = build_layout(group, design)
+    n, k, p = layout.n, group.k, design.params
+    count = rng.randint(1, group.delta)
+
+    lost = tuple(_among_valid(rng, _bad(rng, k), k, count))
+    yield f"lost positions {lost}", lambda: reconstruction_plan(group, lost)
+
+    rows = code.encode([[rng.randrange(256) for _ in range(code.k - code.delta)]
+                        for _ in range(code.r)])
+    erased = tuple(_among_valid(rng, _bad(rng, k), k, count))
+    yield f"erased columns {erased}", lambda: code.decode(rows, erased)
+
+    failed = _among_valid(rng, _bad(rng, n), n, count)
+    yield f"workload failed {failed}", lambda: reconstruction_workload(layout, failed)
+    array = materialize(layout, seed=rng.randrange(100))
+    yield f"rebuild failed {failed}", lambda: fail_and_reconstruct(array, failed)
+
+    disk, offset = rng.randrange(n), rng.randrange(layout.rows_per_disk)
+    if rng.random() < 0.5:
+        disk = _bad(rng, n)
+    else:
+        offset = _bad(rng, layout.rows_per_disk)
+    yield f"provenance {disk}, {offset}", lambda: unit_provenance(layout, disk, offset)
+
+    blocks = [list(block) for block in design.blocks]
+    placements = [list(placement) for placement in layout.placements]
+    for rows_of in (blocks, placements):
+        i = rng.randrange(len(rows_of))
+        if rng.random() < 0.5:
+            rows_of[i] = _bad(rng, n)
+        else:
+            rows_of[i][rng.randrange(k)] = _bad(rng, n)
+    yield f"blocks {blocks}", lambda: validate_design(blocks, p.t, p.n, p.k, p.lam)
+    yield f"placements {placements}", lambda: DeclusteredLayout(n, design, group, placements)
+
+
+@pytest.mark.parametrize("seed", SEEDS, ids=[f"seed={seed}" for seed in SEEDS])
+def test_malformed_indices_are_refused_with_declustr_errors(seed):
+    for what, call in _calls(random.Random(seed)):
+        try:
+            call()
+        except DeclustrError:
+            continue
+        except Exception as exc:  # any other escape is the failure being looked for
+            pytest.fail(f"seed={seed}: {what} escaped as {type(exc).__name__}: {exc}")
+        pytest.fail(f"seed={seed}: {what} was accepted")
