@@ -209,10 +209,7 @@ def counterexample_report(
     layout = build_layout(group, design)
     failed = check_failed(layout, failed)
     placements, affected = layout.placements, losses(layout, failed)
-    label_at = []
-    for pos in range(group.k):
-        seen = {row[pos] for row in group.extended_rows}
-        label_at.append(seen.pop() if len(seen) == 1 else "mixed")
+    label_at = [labels[0] if len(set(labels)) == 1 else "mixed" for labels in group.label_columns]
     labels: dict[tuple[int, int], str] = {}
     accessed: dict[tuple[int, int], bool] = {}
     for index, placement in enumerate(placements):

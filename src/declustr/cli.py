@@ -273,11 +273,11 @@ def _cmd_group_verify(args) -> Result:
         "c3": report.c3,
         "c4": report.c4,
         "balanced": report.balanced,
-        "k": report.k,
-        "delta": report.delta,
-        "r": report.r,
-        "m": report.m,
-        "parity_per_column": list(report.parity_per_column),
+        "k": group.k,
+        "delta": group.delta,
+        "r": group.r,
+        "m": group.m,
+        "parity_per_column": list(group.parity_per_column),
         "taus": {str(s): v for s, v in report.taus.items()},
     }
     taus = sorted(report.taus.items())
@@ -295,7 +295,7 @@ def _cmd_group_verify(args) -> Result:
         if value is None:
             table.append(f"tau_{s}: undefined (reads depend on the failure set)")
         else:
-            table.append(f"tau_{s}: {value} of m={report.m}")
+            table.append(f"tau_{s}: {value} of m={group.m}")
     return Result(payload, "check,result", rows, table)
 
 

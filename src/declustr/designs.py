@@ -143,19 +143,20 @@ def validate_design(blocks, t: int, n: int, k: int, lam: int) -> Design:
     """
     params = DesignParams(t=t, n=n, k=k, lam=lam)
     check_budget(f"validating C({n},{t})", comb(n, t), f"{t}-subsets")
-    blocks = list(blocks)
-    normalized = _sorted_blocks(blocks, n, k)
+    blocks, rows = list(blocks), []
+    try:
+        rows.extend(map(tuple, blocks))
+    except TypeError:
+        pass  # rows keeps the blocks before blocks[len(rows)], the first not iterable
+    normalized = _sorted_blocks(rows, n, k) if len(rows) == len(blocks) else None
     if normalized is None:
-        for block in blocks:
-            try:
-                block = tuple(block)
-            except TypeError:
-                raise BlockSizeError(f"block {block} is not a {k}-subset") from None
+        for block in rows:
             # type, not isinstance: a bool is an int but is no point.
             if any(type(x) is not int or not 0 <= x < n for x in block):
                 raise BlockSizeError(f"block {block} has points that are not ints in 0..{n - 1}")
             if len(block) != k or len(set(block)) != k:
                 raise BlockSizeError(f"block {block} is not a {k}-subset")
+        raise BlockSizeError(f"block {blocks[len(rows)]} is not a {k}-subset")
     # Coverage is the authoritative check: a wrong block count always breaks
     # coverage somewhere, and the first deviating subset is the useful report.
     counts = Counter(chain.from_iterable(map(combinations, normalized, repeat(t))))
@@ -167,17 +168,13 @@ def validate_design(blocks, t: int, n: int, k: int, lam: int) -> Design:
     return Design(params=params, blocks=normalized)
 
 
-def _sorted_blocks(blocks, n: int, k: int):
-    """Each block sorted, if all are k-subsets of exact ints in 0..n-1; else None.
+def _sorted_blocks(rows, n: int, k: int):
+    """Each row sorted, if all are k-subsets of exact ints in 0..n-1; else None.
 
-    The points' types and range, then the blocks' sizes with and without
-    repeats, are each one set, min or max over a map; a block that is not
-    iterable also gives None, and no blocks give ().
+    The rows are tuples. The points' types and range, then the rows' sizes
+    with and without repeats, are each one set, min or max over a map; no
+    rows give ().
     """
-    try:
-        rows = tuple(map(tuple, blocks))
-    except TypeError:
-        return None
     if not rows:
         return ()
     points = tuple(chain.from_iterable(rows))

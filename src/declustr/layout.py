@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import chain, compress, count
-from operator import or_
+from operator import mul, or_
 
 from .designs import (
     INT,
@@ -166,13 +166,15 @@ class LayoutGeometry:
 
 def check_failed(layout: DeclusteredLayout, failed) -> frozenset[int]:
     """Validate a failure set against the layout's disks and tolerance."""
-    failed, n, delta = frozenset(failed), layout.n, layout.group.delta
+    # Entries are checked before frozenset hashes them, so a list entry is a ParamError too.
+    entries, n, delta = tuple(failed), layout.n, layout.group.delta
+    if any(isinstance(d, bool) or not isinstance(d, int) or not 0 <= d < n for d in entries):
+        # Ints in order, then anything else by repr: sorted cannot order None against 0.
+        shown = sorted(entries, key=lambda d: (type(d) is not int, d if type(d) is int else repr(d)))
+        raise ParamError(f"failed disks must be in 0..{n - 1}, got {shown}")
+    failed = frozenset(entries)
     if len(failed) > delta:
         raise TooManyFailures(f"{len(failed)} failed disks exceed the tolerance delta={delta}")
-    if any(isinstance(d, bool) or not isinstance(d, int) or not 0 <= d < n for d in failed):
-        # Ints in order, then anything else by repr: sorted cannot order None against 0.
-        shown = sorted(failed, key=lambda d: (type(d) is not int, d if type(d) is int else repr(d)))
-        raise ParamError(f"failed disks must be in 0..{n - 1}, got {shown}")
     return failed
 
 
@@ -283,12 +285,12 @@ def layout_geometry(layout: DeclusteredLayout) -> LayoutGeometry:
     """Tally units per disk and derive the exact data/parity disk counts."""
     group = layout.group
     parity_per_column = group.parity_per_column
-    unit_counts = [0] * layout.n
-    parity_counts = [0] * layout.n
-    for placement in layout.placements:
-        for position, disk in enumerate(placement):
-            unit_counts[disk] += 1
-            parity_counts[disk] += parity_per_column[position]
+    unit_counts = list(map(len, layout.stacks))
+    # Per position, the column's parity entries times the placements putting it on the disk.
+    parity_counts = [
+        sum(map(mul, parity_per_column, map(int.bit_count, masks)))
+        for masks in layout.position_masks
+    ]
     if len(set(unit_counts)) != 1:
         raise InvariantError(f"column-unit counts differ per disk: {unit_counts}")
     rows_per_disk = group.m * unit_counts[0]

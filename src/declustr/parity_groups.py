@@ -22,6 +22,7 @@ runs no Python loop over rows times positions.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, permutations, repeat
@@ -45,7 +46,7 @@ class ParityGroup:
 
     code: HorizontalCode
     extended_rows: tuple[tuple[str, ...], ...]
-    # reconstruction_plan's and tau's memos: derived from the fields above, so
+    # reconstruction_plan's and _read_counts' memos: derived from the fields above, so
     # they take no part in equality or hashing. Concurrent misses may build an
     # entry twice.
     _plans: dict = field(default_factory=dict, init=False, compare=False, repr=False)
@@ -98,10 +99,7 @@ class ParityGroup:
     @property
     def parity_per_column(self) -> tuple[int, ...]:
         """Parity entries in each column: r times the rows with parity there."""
-        return tuple(
-            self.r * sum(1 for row in self.extended_rows if row[c] != DATA)
-            for c in range(self.k)
-        )
+        return tuple(self.r * (len(labels) - labels.count(DATA)) for labels in self.label_columns)
 
     @cached_property
     def label_columns(self) -> tuple[tuple[str, ...], ...]:
@@ -179,24 +177,18 @@ class ArrangementCounts:
 
 @dataclass
 class BalanceReport:
-    """Outcome of the four balance conditions plus the raw enumeration data.
+    """Outcome of the four balance conditions up to some failure size.
 
-    row_reads maps (failure set, surviving column) to the number of extended
-    rows that read the column; entry counts are r times that. taus maps each
-    failure size to the common per-column entry count, or None when the
-    counts differ.
+    taus maps each failure size to the common per-column entry count, or None
+    when the counts differ. The group's shape stays on the group, and each
+    failure set's reads per surviving column in reconstruction_plan(group,
+    lost).reads (entry counts are r times those).
     """
 
     c1: bool
     c2: bool
     c3: bool
     c4: bool
-    k: int
-    delta: int
-    r: int
-    m: int
-    parity_per_column: tuple[int, ...]
-    row_reads: dict[tuple[tuple[int, ...], int], int]
     taus: dict[int, int | None]
 
     @property
@@ -265,6 +257,8 @@ def reconstruction_plan(group: ParityGroup, lost: tuple[int, ...]) -> Reconstruc
     A cold plan costs one reconstruction_rule call per extended row, each a
     memo hit after the first few, then one C-level count per surviving
     position: how many rows' needs hold the label that position's column has.
+    Positions are checked only on a miss, so a warm memo answers any equal
+    key: after (1,) is planned, (True,) gets (1,)'s plan.
     """
     if lost in group._plans:
         return group._plans[lost]
@@ -289,13 +283,19 @@ def check_size(name: str, s, delta: int, low: int = 1) -> None:
         raise ParamError(f"need {low} <= {name} <= delta={delta}, got {s!r}")
 
 
-def _size_reads(group: ParityGroup, s: int):
-    """Each size-s failure set's plan reads (surviving position -> extended
-    rows reading it), and the distinct read counts among them, ascending."""
-    by_set = {
-        lost: reconstruction_plan(group, lost).reads for lost in combinations(range(group.k), s)
-    }
-    return by_set, tuple(sorted({rows for reads in by_set.values() for rows in reads.values()}))
+def _read_counts(group: ParityGroup, s: int) -> tuple[int, ...]:
+    """The distinct numbers of extended rows that read a surviving position,
+    over the plans of every size-s failure set, ascending.
+
+    Memoized per s on the group, which verify_balance and tau share: each
+    size is enumerated once per group.
+    """
+    counts = group._taus.get(s)
+    if counts is None:
+        plans = map(reconstruction_plan, repeat(group), combinations(range(group.k), s))
+        seen = {rows for plan in plans for rows in plan.reads.values()}
+        counts = group._taus[s] = tuple(sorted(seen))
+    return counts
 
 
 def verify_balance(group: ParityGroup, max_s: int) -> BalanceReport:
@@ -305,24 +305,16 @@ def verify_balance(group: ParityGroup, max_s: int) -> BalanceReport:
     permutation of an MDS codeword, so the data/parity entry split is fixed
     (condition one) and any loss of at most delta columns stays decodable
     (condition two). The read-uniformity condition is checked by exhaustive
-    enumeration of failure sets, the parity-placement condition by a
-    per-column tally.
+    enumeration of failure sets (_read_counts, which tau shares), the
+    parity-placement condition by the group's parity_per_column.
     """
     check_size("max_s", max_s, group.delta)
-    sizes = [_size_reads(group, s) for s in range(1, max_s + 1)]
-    parity_per_column = group.parity_per_column
-    row_reads = {
-        (failed, c): rows
-        for by_set, _ in sizes for failed, reads in by_set.items() for c, rows in reads.items()
-    }
-    taus = {s: group.r * v[0] if len(v) == 1 else None for s, (_, v) in enumerate(sizes, 1)}
+    counts = {s: _read_counts(group, s) for s in range(1, max_s + 1)}
+    taus = {s: group.r * v[0] if len(v) == 1 else None for s, v in counts.items()}
     return BalanceReport(
         c1=True, c2=True,
         c3=None not in taus.values(),
-        c4=len(set(parity_per_column)) == 1,
-        k=group.k, delta=group.delta, r=group.r, m=group.m,
-        parity_per_column=parity_per_column,
-        row_reads=row_reads,
+        c4=len(set(group.parity_per_column)) == 1,
         taus=taus,
     )
 
@@ -336,23 +328,19 @@ def arrangement_counts(group: ParityGroup, i: int, j: int) -> ArrangementCounts:
     if any(isinstance(c, bool) or not isinstance(c, int) or not 0 <= c < group.k for c in (i, j)):
         raise ParamError(f"columns must be ints in 0..{group.k - 1}, got {i!r}, {j!r}")
     p1, p2 = parity_label(1), parity_label(2)
-    r_dq = sum(1 for row in group.extended_rows if row[i] == DATA and row[j] == p2)
-    r_pq = sum(1 for row in group.extended_rows if row[i] == p1 and row[j] == p2)
-    r_qp = sum(1 for row in group.extended_rows if row[i] == p2 and row[j] == p1)
-    return ArrangementCounts(r_dq=r_dq, r_pq=r_pq, r_qp=r_qp)
+    pairs = Counter(zip(group.label_columns[i], group.label_columns[j]))
+    return ArrangementCounts(r_dq=pairs[DATA, p2], r_pq=pairs[p1, p2], r_qp=pairs[p2, p1])
 
 
 def tau(group: ParityGroup, s: int) -> int:
     """Entries read from each surviving column when any s columns are lost.
 
     Raises UnbalancedGroup when the count depends on the failure set or the
-    column, in which case no single number exists. The read counts seen are
-    memoized per s on the group, so each size is enumerated once.
+    column, in which case no single number exists. The read counts come from
+    _read_counts, so a size verify_balance already enumerated costs nothing.
     """
     check_size("s", s, group.delta)
-    values = group._taus.get(s)
-    if values is None:
-        values = group._taus[s] = _size_reads(group, s)[1]
+    values = _read_counts(group, s)
     if len(values) != 1:
         raise UnbalancedGroup(
             f"per-column read counts differ across size-{s} failures: {list(values)}"

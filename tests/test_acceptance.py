@@ -23,6 +23,7 @@ from declustr import (
     hadamard_3design,
     materialize,
     rdp_code,
+    reconstruction_plan,
     reconstruction_workload,
     rs_code,
     single_arrangement_group,
@@ -122,11 +123,11 @@ def test_criterion_5_k6_group_read_share():
         assert group.k == 6
         assert len(group.extended_rows) == 30
         report = verify_balance(group, 2)
-        assert Fraction(report.taus[1], report.m) == Fraction(4, 5)
+        assert Fraction(report.taus[1], group.m) == Fraction(4, 5)
         k = group.k
         assert k * (k - 1) - (k - 2) - 1 - 1 == k * (k - 2) == 24
         for col in range(1, 6):
-            assert report.row_reads[(0,), col] == 24
+            assert reconstruction_plan(group, (0,)).reads[col] == 24
 
 
 def test_criterion_6_unbalanced_counterexamples(reference_design):
@@ -138,8 +139,8 @@ def test_criterion_6_unbalanced_counterexamples(reference_design):
 
         cyclic = group_family(rdp_code(5), "rotations")
         balance = verify_balance(cyclic, 1)
-        assert balance.row_reads[(0,), 1] == 5
-        assert balance.row_reads[(0,), 5] == 4
+        assert reconstruction_plan(cyclic, (0,)).reads[1] == 5
+        assert reconstruction_plan(cyclic, (0,)).reads[5] == 4
 
 
 def test_criterion_7_byte_exact_recovery_matches_predictions(reference_layout):

@@ -80,6 +80,22 @@ def test_bad_blocks_rejected(block):
 
 
 @pytest.mark.parametrize(
+    "make,message",
+    [
+        (lambda: [iter([0, 1, 2, 3]), iter([0, 1, 2, 9])], "block (0, 1, 2, 9) has points"),
+        (lambda: [iter([0, 1, 2, 3]), 5], "block 5 is not a 4-subset"),
+    ],
+    ids=["two-iterators", "iterator-then-int"],
+)
+def test_one_shot_blocks_name_the_offender(make, message):
+    # Each block is read once, so the message shows the block's points, not
+    # the empty rest of a drained iterator.
+    with pytest.raises(BlockSizeError) as caught:
+        validate_design(make(), t=3, n=8, k=4, lam=1)
+    assert str(caught.value).startswith(message)
+
+
+@pytest.mark.parametrize(
     "t,n,k,lam",
     [
         (0, 8, 4, 1),  # strength out of range

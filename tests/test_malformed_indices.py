@@ -3,7 +3,8 @@
 Every entry point that takes lost positions, erased columns, failed disks,
 unit coordinates, blocks or placements is fed a float, bool, None, str,
 negative or too-large one among valid ints, and must refuse it with a
-DeclustrError: no TypeError or IndexError may escape. Each case builds its
+DeclustrError: no TypeError or IndexError may escape. Failed disks also
+meet list, dict and set entries, which cannot be hashed. Each case builds its
 group afresh, so reconstruction_plan meets every lost tuple on a memo miss.
 """
 
@@ -14,8 +15,10 @@ import pytest
 from declustr import (
     DeclusteredLayout,
     DeclustrError,
+    ParamError,
     build_layout,
     complete_design,
+    counterexample_report,
     fail_and_reconstruct,
     group_family,
     hadamard_3design,
@@ -104,3 +107,32 @@ def test_malformed_indices_are_refused_with_declustr_errors(seed):
         except Exception as exc:  # any other escape is the failure being looked for
             pytest.fail(f"seed={seed}: {what} escaped as {type(exc).__name__}: {exc}")
         pytest.fail(f"seed={seed}: {what} was accepted")
+
+
+UNHASHABLE = {"list": lambda rng: [rng.randrange(6)], "dict": lambda rng: {}, "set": lambda rng: {0}}
+UNHASHABLE_CASES = [(seed, kind) for seed in range(4) for kind in UNHASHABLE]
+
+
+@pytest.mark.parametrize(
+    "seed,kind", UNHASHABLE_CASES, ids=[f"seed={seed}-{kind}" for seed, kind in UNHASHABLE_CASES]
+)
+def test_unhashable_failed_disks_are_refused_by_name(seed, kind):
+    # A failure set is hashed only after its entries are checked, so a list,
+    # dict or set entry is named in a ParamError instead of leaking TypeError.
+    rng = random.Random(seed)
+    group = group_family(rs_code(4, 2), rng.choice(("full", "single")))
+    layout = build_layout(group, complete_design(6, 4, 3))
+    bad = UNHASHABLE[kind](rng)
+    failed = _among_valid(rng, bad, layout.n, rng.randint(1, group.delta))
+    # The valid disks in order, then the one non-disk.
+    disks = sorted(d for d in failed if d is not bad)
+    message = f"failed disks must be in 0..5, got {disks + [bad]}"
+    calls = (
+        lambda: reconstruction_workload(layout, failed),
+        lambda: fail_and_reconstruct(materialize(layout, seed=seed), failed),
+        lambda: counterexample_report(group, layout.design, failed),
+    )
+    for call in calls:
+        with pytest.raises(ParamError) as caught:
+            call()
+        assert str(caught.value) == message, f"seed={seed}"

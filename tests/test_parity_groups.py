@@ -16,6 +16,7 @@ from declustr import (
     group_family,
     parity_label,
     rdp_code,
+    reconstruction_plan,
     rs_code,
     single_arrangement_group,
     tau,
@@ -130,7 +131,7 @@ def test_single_loss_reads_k_times_k_minus_two_extended_rows():
     report = verify_balance(group, 1)
     k = group.k
     for column in range(1, k):
-        assert report.row_reads[(0,), column] == k * (k - 2) == 24
+        assert reconstruction_plan(group, (0,)).reads[column] == k * (k - 2) == 24
     assert len(group.extended_rows) == 30
 
 
@@ -223,8 +224,8 @@ def test_cyclic_rotations_spread_parity_but_stay_nonuniform():
     report = verify_balance(group, 1)
     assert report.c4
     assert not report.c3
-    assert report.row_reads[(0,), 1] == 5
-    assert report.row_reads[(0,), 5] == 4
+    assert reconstruction_plan(group, (0,)).reads[1] == 5
+    assert reconstruction_plan(group, (0,)).reads[5] == 4
 
 
 def test_tau_undefined_for_unbalanced_family():
@@ -287,3 +288,24 @@ def test_rotation_family_rows_are_rotations():
         (P1, P2, DATA, DATA),
         (DATA, P1, P2, DATA),
     )
+
+
+@pytest.mark.parametrize("family", list(parity_groups.FAMILIES))
+@pytest.mark.parametrize(
+    "code", [rs_code(5, 2), rs_code(5, 3), rdp_code(5)], ids=["rs5-2", "rs5-3", "rdp5"]
+)
+def test_tau_reads_the_enumeration_verify_balance_made(code, family, monkeypatch):
+    group = group_family(code, family)
+    report = verify_balance(group, code.delta)
+    lookups = []
+    plan = parity_groups.reconstruction_plan
+    monkeypatch.setattr(
+        parity_groups, "reconstruction_plan", lambda g, lost: lookups.append(lost) or plan(g, lost)
+    )
+    for s in range(1, code.delta + 1):
+        try:
+            want = tau(group, s)
+        except UnbalancedGroup:
+            want = None
+        assert report.taus[s] == want, s
+    assert lookups == []
