@@ -258,13 +258,21 @@ def reconstruction_plan(group: ParityGroup, lost: tuple[int, ...]) -> Reconstruc
     memo hit after the first few, then one C-level count per surviving
     position: how many rows' needs hold the label that position's column has.
     Positions are checked only on a miss, so a warm memo answers any equal
-    key: after (1,) is planned, (True,) gets (1,)'s plan.
+    key: after (1,) is planned, (True,) gets (1,)'s plan. A key that cannot
+    be hashed (a list, or a tuple holding one) is refused like any other
+    malformed tuple.
     """
-    if lost in group._plans:
-        return group._plans[lost]
+    try:
+        if lost in group._plans:
+            return group._plans[lost]
+        hashable = True
+    except TypeError:  # a list, or a tuple holding one: no memo key
+        hashable = False
     k = group.k
     # Exact ints only: 1.0 indexes no column, and True would pass as position 1.
-    if any(type(p) is not int for p in lost) or list(lost) != sorted(set(lost) & set(range(k))):
+    if not hashable or any(type(p) is not int for p in lost) or (
+        list(lost) != sorted(set(lost) & set(range(k)))
+    ):
         raise ParamError(f"lost positions must be sorted and distinct in 0..{k - 1}, got {lost}")
     columns, rows = group.label_columns, len(group.extended_rows)
     # Each row's lost labels; zip over no columns would yield no rows at all.

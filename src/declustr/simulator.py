@@ -9,19 +9,24 @@ they match it unit for unit; what backs them is the check, on every decode
 call, that the decoder read exactly the columns the memoized reconstruction
 plan names.
 
-One rebuild core serves a single failure set and an exhaustive sweep alike.
-Each set's affected instances come as one placement bit mask per lost tuple
-(`layout.losses`), tallied, then ORed into one batch per lost tuple. Byte
-planes (plane x holds byte x of every lane's unit) are transposed once per
-lane set and position and shared by the batches with those lanes. Each
-canonical erasure pattern is decoded by one call over every (extended row,
-batch) that leaves it, split only where its grid would outgrow one copy of
-the array. A single rebuild transposes the decoded cells back onto fresh
-replacement disks. In a sweep the grouping spans every set: an instance's
-rebuilt units depend only on its own stored bytes and the positions it lost,
-and all sets start from the same array, so each (instance, lost tuple) is
-decoded once however many sets produce it. Each call's cells are compared
-with the stored planes, and a wrong unit fails every set that uses it.
+A single rebuild batches its failure set's affected instances: they come
+as one placement bit mask per lost tuple (`layout.losses`), and each batch's
+byte planes (plane x holds byte x of every lane's unit) are transposed once
+per position read. Each canonical erasure pattern is decoded by one call
+over every (extended row, batch) that leaves it, and the decoded cells are
+transposed back onto fresh replacement disks.
+
+An exhaustive sweep has its own core, in column space. Every stored unit is
+gathered once, into one int per (canonical column, inner row) whose lanes
+are every (extended row, instance). Each canonical erasure pattern that the
+sets' lost tuples leave is decoded by one call over all lanes, and each
+erased column is compared with its stored int by one `==`; lanes are walked
+only on a mismatch. Every plan reads k - delta columns per extended row, so
+each pattern erases exactly delta columns; an instance's rebuilt units
+depend only on its own stored bytes and the positions it lost, and all sets
+start from the same array, so each is decoded once however many sets
+produce it. A lane that no (lost tuple, extended row) uses is decoded too,
+but its cells fail no set.
 
 Data bytes come from a 64-bit xorshift stream (shifts 13, 7, 17; low byte of
 each state is emitted), so fixtures are portable: same seed, same array.
@@ -40,7 +45,7 @@ column-units.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
+from itertools import chain, combinations, compress, count, islice
 from operator import getitem, itemgetter
 
 from .designs import MAX_ARRAY_BYTES, _check_ints, check_budget
@@ -239,10 +244,8 @@ def check_parity_invariant(array: DiskArray) -> bool:
 class _Batch:
     """Affected instances that lost the same positions, as one batch of lanes.
 
-    lanes holds the members (layout indices), ascending. Plane x of a
-    position holds byte x of each lane's unit there, so plane e*r+j is inner
-    row j of extended row e. planes maps a position to its m stored planes,
-    shared by every batch with the same lanes; a batch hashes by identity.
+    lanes holds the members (layout indices), ascending. planes maps each
+    position the plan reads to the lanes' stored planes there (see _planes).
     """
 
     lost: tuple[int, ...]
@@ -251,63 +254,28 @@ class _Batch:
     planes: dict[int, list[bytes]]
 
 
-def _planes(array: DiskArray, batch: _Batch, pos: int) -> list[bytes]:
-    """The lanes' stored planes at pos, built on first use from one join of
-    their column-units and m strided slices."""
-    if pos not in batch.planes:
-        layout, m, at = array.layout, array.layout.group.m, array.layout.unit_offsets
-        units = b"".join([
-            array.disks[layout.placements[i][pos]][at[i][pos] : at[i][pos] + m] for i in batch.lanes
-        ])
-        batch.planes[pos] = [units[x::m] for x in range(m)]
-    return batch.planes[pos]
+def _units(array: DiskArray, lanes, pos: int) -> bytes:
+    """The stored column-units of `lanes` (layout indices) at pos, joined lane after lane."""
+    layout, m, at = array.layout, array.layout.group.m, array.layout.unit_offsets
+    return b"".join([
+        array.disks[layout.placements[i][pos]][at[i][pos] : at[i][pos] + m] for i in lanes
+    ])
 
 
-def _tally(layout: DeclusteredLayout, failed: frozenset[int], members: dict) -> tuple[dict, int]:
-    """One set's survivor reads and lost column-units; ORs its `losses` into members."""
-    affected = losses(layout, failed)
-    lost_units = 0
-    for lost, mask in affected.items():
-        members[lost] = members.get(lost, 0) | mask
-        lost_units += len(lost) * mask.bit_count()
-    return survivor_reads(layout, failed, affected), lost_units
+def _planes(array: DiskArray, lanes, pos: int) -> list[bytes]:
+    """The stored byte planes of `lanes` at pos: plane x holds byte x of each
+    lane's unit, so plane e*r+j is inner row j of extended row e."""
+    units, m = _units(array, lanes, pos), array.layout.group.m
+    return [units[x::m] for x in range(m)]
 
 
-def _rebuild(array: DiskArray, members: dict[tuple[int, ...], int]):
-    """Return the batches of `members` (lost tuple -> instance mask) and their
-    decode calls, as (erased, contributors) pairs for `_decode_pattern`.
-
-    One pass groups the (extended row, batch) contributors of all batches by
-    canonical erasure pattern, and each pattern makes one call, split only
-    where the call's r x k grid of cells would hold more than one copy of the
-    array (n * rows_per_disk bytes). Per lane, a contributor's grid is one
-    extended row of a stored codeword, so one contributor, or all of one
-    set's (its instances are distinct), always fits.
-    """
-    group, budget = array.layout.group, array.n * array.rows_per_disk
-    shared, batches = {}, []  # shared: mask -> (lanes, planes) of that lane set
-    by_pattern: dict[tuple[int, ...], list[tuple[int, _Batch]]] = {}
-    for lost, mask in members.items():
-        lane_set = shared.get(mask) or shared.setdefault(mask, (list(placement_indices(mask)), {}))
-        batch = _Batch(lost, reconstruction_plan(group, lost), *lane_set)
-        batches.append(batch)
-        for pos in chain.from_iterable(batch.plan.by_rows.values()):
-            _planes(array, batch, pos)
-        for e, erased in enumerate(batch.plan.erased):
-            by_pattern.setdefault(erased, []).append((e, batch))
-    if group.m * group.k * sum(len(batch.lanes) for batch in batches) <= budget:
-        return batches, list(by_pattern.items())
-    calls = []
-    for erased, contributors in by_pattern.items():
-        size = budget  # so the first contributor opens a call
-        for contributor in contributors:
-            need = group.r * group.k * len(contributor[1].lanes)
-            if size + need > budget:
-                calls.append((erased, []))
-                size = 0
-            calls[-1][1].append(contributor)
-            size += need
-    return batches, calls
+def _checked_decode(code, grid, erased: tuple[int, ...]) -> list[list[int]]:
+    """code.decode, checked to read exactly the columns the plans left unerased."""
+    out, decoder_reads = code.decode(grid, erased)
+    planned = [c for c in range(code.k) if c not in erased]
+    if sorted(decoder_reads) != planned:
+        raise InvariantError(f"decoder read columns {sorted(decoder_reads)}, planned {planned}")
+    return out
 
 
 def _decode_pattern(code, erased: tuple[int, ...], contributors):
@@ -318,45 +286,15 @@ def _decode_pattern(code, erased: tuple[int, ...], contributors):
     there. Returns each erased column's cells by inner row, not the grid.
     """
     k, r = code.k, code.r
-    planned = [c for c in range(k) if c not in erased]
     grid: list[list[int | None]] = [[None] * k for _ in range(r)]
-    for i, c in enumerate(planned):
+    for i, c in enumerate(c for c in range(k) if c not in erased):
         sources = [(batch.planes[batch.plan.sources[e][i]], e * r) for e, batch in contributors]
         for j in range(r):
             grid[j][c] = int.from_bytes(
                 b"".join([planes[base + j] for planes, base in sources]), "little"
             )
-    out, decoder_reads = code.decode(grid, erased)
-    if sorted(decoder_reads) != planned:
-        raise InvariantError(f"decoder read columns {sorted(decoder_reads)}, planned {planned}")
+    out = _checked_decode(code, grid, erased)
     return {c: [row[c] for row in out] for c in erased}
-
-
-def _compare(array: DiskArray, contributors, out, wrong: dict) -> None:
-    """Check one call's decoded cells (see _decode_pattern) with the stored bytes.
-
-    A cell at column c meets each contributor's stored plane at the position
-    holding c through a byte mask that keeps the lanes of those that lost c
-    (an erased column may survive unread). Lanes are walked only on a
-    mismatch; each wrong lane's instance is ORed into wrong[lost tuple].
-    """
-    r = array.layout.group.r
-    for c, decoded in out.items():
-        held, keep = [], []
-        for e, batch in contributors:
-            pos = batch.plan.columns[e].index(c)
-            held.append((_planes(array, batch, pos), e * r))
-            keep.append((b"\xff" if pos in batch.lost else b"\0") * len(batch.lanes))
-        keep = b"".join(keep)
-        mask = int.from_bytes(keep, "little")
-        for j, cell in enumerate(decoded):
-            stored = b"".join([planes[base + j] for planes, base in held])
-            if (cell ^ int.from_bytes(stored, "little")) & mask:
-                got = cell.to_bytes(len(stored), "little")
-                owners = ((batch.lost, index) for _, batch in contributors for index in batch.lanes)
-                for x, (lost, index) in enumerate(owners):
-                    if keep[x] and got[x] != stored[x]:
-                        wrong[lost] = wrong.get(lost, 0) | 1 << index
 
 
 def fail_and_reconstruct(array: DiskArray, failed) -> tuple[DiskArray, IOStats]:
@@ -367,15 +305,22 @@ def fail_and_reconstruct(array: DiskArray, failed) -> tuple[DiskArray, IOStats]:
     at a time) and per-disk read/write unit counts. Instances that lost no
     column are never touched.
     """
-    layout, members = array.layout, {}
+    layout = array.layout
     failed = check_failed(layout, failed)
-    reads, _ = _tally(layout, failed, members)
-    batches, calls = _rebuild(array, members)
-    m, r, writes = layout.group.m, layout.group.r, dict.fromkeys(failed, 0)
+    affected = losses(layout, failed)
+    reads = survivor_reads(layout, failed, affected)
+    group, calls, batches = layout.group, {}, []
+    m, r, writes = group.m, group.r, dict.fromkeys(failed, 0)
+    for lost, mask in affected.items():
+        lanes, plan = list(placement_indices(mask)), reconstruction_plan(group, lost)
+        read = chain.from_iterable(plan.by_rows.values())
+        batches.append(_Batch(lost, plan, lanes, {pos: _planes(array, lanes, pos) for pos in read}))
+        for e, erased in enumerate(plan.erased):
+            calls.setdefault(erased, []).append((e, batches[-1]))
     # rebuilt[batch][pos] holds the batch's rebuilt column-units at pos, lane after lane.
     rebuilt = {b: {pos: bytearray(len(b.lanes) * m) for pos in b.lost} for b in batches}
-    for erased, contributors in calls:
-        out = _decode_pattern(layout.group.code, erased, contributors)
+    for erased, contributors in calls.items():
+        out = _decode_pattern(group.code, erased, contributors)
         lanes = sum(len(batch.lanes) for _, batch in contributors)
         for j in range(r):
             cells = {c: column[j].to_bytes(lanes, "little") for c, column in out.items()}
@@ -396,33 +341,94 @@ def fail_and_reconstruct(array: DiskArray, failed) -> tuple[DiskArray, IOStats]:
     return DiskArray(layout, disks), IOStats(reads=reads, writes=writes)
 
 
+def _column_cells(array: DiskArray) -> list[list[int]]:
+    """cells[c][j]: inner row j of canonical column c over every (extended
+    row, instance) lane, lane e*b + i holding instance i's stored byte in
+    extended row e (b instances).
+
+    Each position's units over every instance are gathered once; the plane
+    of each (extended row, inner row) is copied straight into the buffer of
+    the column the position holds in that row. A column's buffers become
+    ints before the next column's, so only one column is ever held twice.
+    """
+    layout, group = array.layout, array.layout.group
+    b, r, m = len(layout.placements), group.r, group.m
+    cells = [[bytearray(len(group.extended_rows) * b) for _ in range(r)] for _ in range(group.k)]
+    for pos in range(group.k):
+        units = _units(array, range(b), pos)
+        for e, columns in enumerate(group.canonical_columns):
+            for j, cell in enumerate(cells[columns[pos]]):
+                cell[e * b : (e + 1) * b] = units[e * r + j :: m]
+    for c, column in enumerate(cells):
+        cells[c] = [int.from_bytes(cell, "little") for cell in column]
+    return cells
+
+
+def _check_pattern(layout: DeclusteredLayout, cells, erased: tuple[int, ...], plans, wrong) -> None:
+    """Decode one erasure pattern over every lane (see _column_cells) and
+    compare each erased column with its stored cells by one int compare.
+
+    Lanes are walked only on a mismatch: wrong lane e*b + i is ORed into
+    wrong[lost] as instance i for each lost tuple whose plan erases this
+    pattern in extended row e and lost the position holding the column
+    there. Any other lane's cells are never used, so they cannot fail a set.
+    """
+    group, b = layout.group, len(layout.placements)
+    grid = [
+        [None if c in erased else column[j] for c, column in enumerate(cells)]
+        for j in range(group.r)
+    ]
+    out, users = _checked_decode(group.code, grid, erased), None
+    for c in erased:
+        for j, stored in enumerate(cells[c]):
+            if out[j][c] == stored:
+                continue
+            if users is None:  # per extended row, the lost tuples decoded with this pattern
+                users = [
+                    [lost for lost, plan in plans.items() if plan.erased[e] == erased]
+                    for e in range(len(group.extended_rows))
+                ]
+            diff = (out[j][c] ^ stored).to_bytes(len(users) * b, "little")
+            for lane in compress(count(), diff):
+                e, i = divmod(lane, b)
+                pos = group.canonical_columns[e].index(c)
+                for lost in users[e]:
+                    if pos in lost:
+                        wrong[lost] = wrong.get(lost, 0) | 1 << i
+
+
 def exhaustive_verify(layout: DeclusteredLayout, s: int, seed: int = 1) -> VerifySummary:
     """Rebuild every size-s failure set of one seeded fill and check each.
 
-    The sets share one rebuild (see _rebuild): each (instance, lost tuple)
-    that any set produces is decoded once, which is sound because its
-    rebuilt units depend only on its own stored bytes and the positions it
-    lost. No set gets replacement disks and no rebuilt byte outlives its
-    decode call (see _compare); a wrong instance fails every set that
-    produces its (instance, lost tuple). A set whose instances lost other
-    than s disks' worth of column-units fails too, as some unit it lost was
-    never rebuilt. Each set keeps only its read range and lost-unit count;
-    the sweep is uniform when every set reads the same count from every
-    survivor. Results are in sorted failure-set order.
+    The sets share one decode per canonical erasure pattern that their lost
+    tuples' plans leave, over every (extended row, instance) lane (see
+    _column_cells and _check_pattern). No set gets replacement disks and no
+    rebuilt byte outlives its pattern's call; a wrong cell fails every set
+    with an instance whose plan decodes it in that row and lost its column.
+    A set whose instances lost other than s disks' worth of column-units
+    fails too, as some unit it lost was never rebuilt. Each set keeps only
+    its read range and lost-unit count; the sweep is uniform when every set
+    reads the same count from every survivor. Results are in sorted
+    failure-set order.
     """
     check_size("s", s, layout.group.delta, low=0)
     array = materialize(layout, seed)
     failure_sets = list(combinations(range(layout.n), s))
-    members, tallies = {}, []
-    for failed in failure_sets:
-        reads, lost_units = _tally(layout, frozenset(failed), members)
-        tallies.append((min(reads.values()), max(reads.values()), lost_units))
-    _, calls = _rebuild(array, members)
-    code, lost_per_set = layout.group.code, s * layout.units_per_disk
+    lost_tuples, tallies = set(), []
+    for failed in map(frozenset, failure_sets):
+        affected = losses(layout, failed)
+        reads = survivor_reads(layout, failed, affected).values()
+        lost_tuples.update(affected)
+        lost_units = sum(len(lost) * mask.bit_count() for lost, mask in affected.items())
+        tallies.append((min(reads), max(reads), lost_units))
     wrong: dict[tuple[int, ...], int] = {}  # lost tuple -> instances rebuilt wrong with it
-    for erased, contributors in calls:
-        # Passed on, not bound, so a call's cells are freed before the next decodes.
-        _compare(array, contributors, _decode_pattern(code, erased, contributors), wrong)
+    if lost_tuples:
+        plans = {lost: reconstruction_plan(layout.group, lost) for lost in lost_tuples}
+        cells = _column_cells(array)
+        del array  # the cells hold every stored byte the decodes need
+        for erased in sorted(set().union(*(plan.erased for plan in plans.values()))):
+            _check_pattern(layout, cells, erased, plans, wrong)
+    lost_per_set = s * layout.units_per_disk
     results = tuple(
         SetResult(
             failed=failed,

@@ -4,7 +4,8 @@ Every entry point that takes lost positions, erased columns, failed disks,
 unit coordinates, blocks or placements is fed a float, bool, None, str,
 negative or too-large one among valid ints, and must refuse it with a
 DeclustrError: no TypeError or IndexError may escape. Failed disks also
-meet list, dict and set entries, which cannot be hashed. Each case builds its
+meet list, dict and set entries, and lost positions list and set entries or
+a list for the tuple; none of them can be hashed. Each case builds its
 group afresh, so reconstruction_plan meets every lost tuple on a memo miss.
 """
 
@@ -135,4 +136,32 @@ def test_unhashable_failed_disks_are_refused_by_name(seed, kind):
     for call in calls:
         with pytest.raises(ParamError) as caught:
             call()
+        assert str(caught.value) == message, f"seed={seed}"
+
+
+UNHASHABLE_LOST = {
+    "list-entry": lambda rng, k: tuple(_among_valid(rng, [rng.randrange(k)], k, 2)),
+    "set-entry": lambda rng, k: tuple(_among_valid(rng, {rng.randrange(k)}, k, 2)),
+    "list": lambda rng, k: sorted(rng.sample(range(k), rng.randint(1, 2))),
+}
+UNHASHABLE_LOST_CASES = [(seed, kind) for seed in range(4) for kind in UNHASHABLE_LOST]
+
+
+@pytest.mark.parametrize(
+    "seed,kind",
+    UNHASHABLE_LOST_CASES,
+    ids=[f"seed={seed}-{kind}" for seed, kind in UNHASHABLE_LOST_CASES],
+)
+def test_unhashable_lost_positions_are_refused_by_name(seed, kind):
+    # The plan memo hashes its key first, so a list, or a tuple holding a
+    # list or set, must be refused as malformed, warm memo or cold.
+    rng = random.Random(seed)
+    group = group_family(rs_code(4, 2), rng.choice(("full", "single")))
+    lost = UNHASHABLE_LOST[kind](rng, group.k)
+    message = f"lost positions must be sorted and distinct in 0..3, got {lost}"
+    for warm in (False, True):
+        if warm:
+            reconstruction_plan(group, (0, 1))
+        with pytest.raises(ParamError) as caught:
+            reconstruction_plan(group, lost)
         assert str(caught.value) == message, f"seed={seed}"

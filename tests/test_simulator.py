@@ -540,86 +540,76 @@ def test_sweep_fails_exactly_the_sets_that_lose_or_read_a_flipped_byte(name, fam
             assert summary.passed < summary.total or s == 0
 
 
-def test_sweep_gathers_each_instance_and_lost_tuple_once(monkeypatch):
+def test_sweep_gathers_each_stored_unit_once(monkeypatch):
     layout = build_layout(group_family(rdp_code(3), "full"), hadamard_3design(8))
-    gathered, decoded, decodes = [], {}, []
-    planes, decode_pattern, decode = (
-        simulator._planes, simulator._decode_pattern, HorizontalCode.decode
-    )
+    gathered, decodes = [], []
+    units, decode = simulator._units, HorizontalCode.decode
 
-    def counting_planes(array, batch, pos):
-        # A lane set's planes at a position are gathered on first use only.
-        if pos not in batch.planes:
-            gathered.append((tuple(batch.lanes), pos))
-        return planes(array, batch, pos)
-
-    def recording_pattern(code, erased, contributors):
-        decoded.update((id(batch), batch) for _, batch in contributors)
-        return decode_pattern(code, erased, contributors)
+    def counting_units(array, lanes, pos):
+        gathered.append((tuple(lanes), pos))
+        return units(array, lanes, pos)
 
     def counting_decode(self, rows, erased):
         decodes.append(tuple(erased))
         return decode(self, rows, erased)
 
-    monkeypatch.setattr(simulator, "_planes", counting_planes)
-    monkeypatch.setattr(simulator, "_decode_pattern", recording_pattern)
+    monkeypatch.setattr(simulator, "_units", counting_units)
     monkeypatch.setattr(HorizontalCode, "decode", counting_decode)
     summary = exhaustive_verify(layout, 2, seed=3)
     assert summary.passed == summary.total == 28
 
+    # Each stored (placement, position) unit is gathered exactly once, however
+    # many sets and lost tuples use it.
+    got = sorted((index, pos) for lanes, pos in gathered for index in lanes)
+    assert got == [(index, pos) for index in range(len(layout.placements)) for pos in range(4)]
+    # One decode per canonical erasure pattern that some set's rebuild leaves.
     sets = list(combinations(range(layout.n), 2))
-    expected = {
-        (index, tuple(pos for pos, disk in enumerate(placement) if disk in failed))
-        for failed in sets
-        for index, placement in enumerate(layout.placements)
-        if set(failed) & set(placement)
-    }
-    affected = sum(
-        1 for failed in sets for placement in layout.placements if set(failed) & set(placement)
-    )
-    # Each (instance, lost tuple) is decoded in exactly one batch.
-    pairs = [(index, batch.lost) for batch in decoded.values() for index in batch.lanes]
-    assert sorted(pairs) == sorted(expected)
-    assert len(expected) < affected
-    # Gathers go per (lane set, position), and no unit is gathered twice.
-    lane_sets = {tuple(batch.lanes) for batch in decoded.values()}
-    assert {lanes for lanes, _ in gathered} == lane_sets
-    assert len(gathered) <= len(lane_sets) * layout.group.k
-    units = [(index, pos) for lanes, pos in gathered for index in lanes]
-    assert len(units) == len(set(units))
-    assert set(decodes) == set().union(
-        *(_canonical_erasure_patterns(layout, failed) for failed in sets)
+    assert sorted(decodes) == sorted(
+        set().union(*(_canonical_erasure_patterns(layout, failed) for failed in sets))
     )
 
 
-@pytest.mark.parametrize("make_code, make_design, most_calls", [
-    pytest.param(lambda: rdp_code(7), lambda: hadamard_3design(16), 36, id="rdp7-hadamard16"),
+def _column_lanes(array) -> list[list[int]]:
+    """Per (canonical column c, inner row j), the stored bytes of c in every
+    (extended row e, instance i), lane e*b + i, read one byte at a time."""
+    layout, group = array.layout, array.layout.group
+    b, r = len(layout.placements), group.r
+    cells = [[bytearray(len(group.extended_rows) * b) for _ in range(r)] for _ in range(group.k)]
+    for e, columns in enumerate(group.canonical_columns):
+        for i, (placement, offsets) in enumerate(zip(layout.placements, layout.unit_offsets)):
+            for pos, c in enumerate(columns):
+                for j in range(r):
+                    byte = array.disks[placement[pos]][offsets[pos] + e * r + j]
+                    cells[c][j][e * b + i] = byte
+    return [[int.from_bytes(cell, "little") for cell in column] for column in cells]
+
+
+@pytest.mark.parametrize("make_code, make_design", [
+    pytest.param(lambda: rdp_code(7), lambda: hadamard_3design(16), id="rdp7-hadamard16"),
     pytest.param(
-        lambda: rs_code(6, 2), lambda: complete_design(12, 6, 3), 21, id="rs(6,2)-complete(12,6,3)"
+        lambda: rs_code(6, 2), lambda: complete_design(12, 6, 3), id="rs(6,2)-complete(12,6,3)"
     ),
 ])
 def test_sweep_decodes_each_pattern_in_calls_of_at_most_one_array(
-    make_code, make_design, most_calls, monkeypatch
+    make_code, make_design, monkeypatch
 ):
-    # A sweep has one lane set, so a per-batch budget would decode one batch
-    # at a time: 300 calls for 28 patterns on hadamard16, 141 for 15 on
-    # complete(12,6,3). Grouping across batches leaves one call per pattern,
-    # split only where its r x k grid would outgrow one copy of the array.
+    # The sweep makes one call per erasure pattern, whose lanes are every
+    # (extended row, instance) of the stored array, so its r x k cells hold
+    # one array's bytes: never more, however many sets use the pattern.
     layout = build_layout(group_family(make_code(), "full"), make_design())
-    group, budget = layout.group, layout.n * layout.rows_per_disk
-    calls, contributions = [], []
-    decode_pattern, decode = simulator._decode_pattern, HorizontalCode.decode
-
-    def recording_pattern(code, erased, contributors):
-        contributions.extend((batch.lost, e, tuple(batch.lanes)) for e, batch in contributors)
-        return decode_pattern(code, erased, contributors)
+    budget = layout.n * layout.rows_per_disk
+    stored = _column_lanes(materialize(layout, 5))
+    calls = []
+    decode = HorizontalCode.decode
 
     def measuring_decode(self, rows, erased):
         width = max((cell.bit_length() + 7) // 8 for row in rows for cell in row if cell)
         calls.append((tuple(erased), width * len(rows) * len(rows[0])))
+        # Every column the decoder is given holds every lane's stored byte.
+        for j, row in enumerate(rows):
+            assert all(row[c] == stored[c][j] for c in range(self.k) if c not in erased)
         return decode(self, rows, erased)
 
-    monkeypatch.setattr(simulator, "_decode_pattern", recording_pattern)
     monkeypatch.setattr(HorizontalCode, "decode", measuring_decode)
     summary = exhaustive_verify(layout, 2, seed=5)
     assert summary.passed == summary.total
@@ -628,21 +618,54 @@ def test_sweep_decodes_each_pattern_in_calls_of_at_most_one_array(
     patterns = set().union(*(_canonical_erasure_patterns(layout, failed) for failed in sets))
     assert {erased for erased, _ in calls} == patterns
     assert all(cells <= budget for _, cells in calls), max(cells for _, cells in calls)
-    assert len(patterns) <= len(calls) <= most_calls
-    # Each (instance, lost tuple, extended row) is decoded exactly once: every
-    # (lost tuple, extended row) is one contributor, whose lanes are exactly
-    # the instances that lose that tuple in some set.
-    lanes: dict[tuple[int, ...], set[int]] = {}
-    for failed in sets:
-        for index, placement in enumerate(layout.placements):
-            lost = tuple(pos for pos, disk in enumerate(placement) if disk in failed)
-            if lost:
-                lanes.setdefault(lost, set()).add(index)
-    rows = range(len(group.extended_rows))
-    assert sorted((lost, e) for lost, e, _ in contributions) == sorted(
-        (lost, e) for lost in lanes for e in rows
-    )
-    assert all(set(members) == lanes[lost] for lost, _, members in contributions)
+    assert len(calls) == len(patterns)
+
+
+@pytest.mark.parametrize("family", ["full", "single", "rotations"])
+@pytest.mark.parametrize("name", ["rdp3-hadamard8", "rs(5,3)-complete(7,5,4)"])
+def test_sweep_maps_a_wrong_lane_to_exactly_the_sets_that_use_it(name, family, monkeypatch):
+    # The decoder flips one byte, lane e*b + i of inner row j of erased column
+    # c, in its one call for one pattern. A set must fail iff instance i loses
+    # some tuple under it whose plan decodes that pattern in extended row e
+    # and lost the position holding c there.
+    make_code, make_design = SWEEP_CASES[name]
+    code = make_code()
+    layout = build_layout(group_family(code, family), make_design())
+    group, b = layout.group, len(layout.placements)
+    decode = HorizontalCode.decode
+
+    def lost_by(index, failed):
+        return tuple(pos for pos, disk in enumerate(layout.placements[index]) if disk in failed)
+
+    for s in range(1, code.delta + 1):
+        rng = random.Random(f"{name}/{family}/{s}")
+        sets = list(combinations(range(layout.n), s))
+        failed = rng.choice(sets)
+        index = rng.choice([i for i in range(b) if lost_by(i, failed)])
+        lost = lost_by(index, failed)
+        e, j = rng.randrange(len(group.extended_rows)), rng.randrange(code.r)
+        pattern = reconstruction_plan(group, lost).erased[e]
+        c = group.canonical_columns[e][rng.choice(lost)]
+        assert c in pattern
+
+        def flipping(self, rows, erased):
+            out, read = decode(self, rows, erased)
+            if tuple(erased) == pattern:
+                out[j][c] ^= 1 << 8 * (e * b + index)
+            return out, read
+
+        monkeypatch.setattr(HorizontalCode, "decode", flipping)
+        summary = exhaustive_verify(layout, s, seed=13)
+        monkeypatch.undo()
+        expected = set()
+        for other in sets:
+            hit = lost_by(index, other)
+            if hit and reconstruction_plan(group, hit).erased[e] == pattern and (
+                group.canonical_columns[e].index(c) in hit
+            ):
+                expected.add(other)
+        assert failed in expected
+        assert {r.failed for r in summary.results if not r.recovered} == expected, s
 
 
 def test_sweep_fails_a_set_whose_lost_unit_nobody_rebuilds(monkeypatch):
@@ -682,11 +705,12 @@ def test_sweep_memory_stays_within_a_few_arrays():
     # against the array's own bytes. Keeping every rebuilt unit and building
     # each set's replacement disks peaked near 12 arrays on hadamard16; keeping
     # every batch's lanes until the last round, near 8.5 on complete(12,6,3).
-    # Decoding each pattern in calls of at most one array and keeping no
-    # rebuilt plane measured 5.5 and 4.3 arrays.
+    # Decoding each pattern in calls of at most one array measured 5.2 and
+    # 3.9 arrays; decoding in column space, 2.6 and 3.4 (materialize's own
+    # peak, with the array it returns).
     cases = [
-        (rdp_code(7), hadamard_3design(16), 120, 6),
-        (rs_code(6, 2), complete_design(12, 6, 3), 66, 5),
+        (rdp_code(7), hadamard_3design(16), 120, 4),
+        (rs_code(6, 2), complete_design(12, 6, 3), 66, 4),
     ]
     for code, design, sets, bound in cases:
         layout = build_layout(group_family(code, "full"), design)
