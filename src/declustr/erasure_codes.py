@@ -37,8 +37,9 @@ indices. A cell is a Python int that packs one byte per lane, lane i in byte
 i (little-endian), so one call encodes or decodes many independent codewords
 that share an erasure pattern: the simulator batches every instance with the
 same pattern into one call. Adding cells is XOR; multiplying a wider cell by
-a GF(2^8) constant translates its bytes through that constant's table, and
-encode multiplies a plain byte, the 1-lane case, with gf_mul. Neither code
+a GF(2^8) constant translates its bytes through that constant's table (a
+decode call turns each read cell into bytes at most once), and encode
+multiplies a plain byte, the 1-lane case, with gf_mul. Neither code
 needs to know the lane count: lanes above a cell's highest set byte are
 zero, and zero stays zero under every product. The RS parity matrix is
 cached per (k, delta).
@@ -237,13 +238,17 @@ def _combine(coeffs, cells) -> int:
         elif coeff == 1:
             acc ^= cell
         elif coeff:
-            acc ^= _scaled(coeff, cell)
+            acc ^= _scaled(coeff, _cell_bytes(cell))
     return acc
 
 
-def _scaled(coeff: int, cell: int) -> int:
-    """coeff * cell over GF(2^8), lane by lane, by one translate."""
-    raw = cell.to_bytes((cell.bit_length() + 7) // 8, "little")
+def _cell_bytes(cell: int) -> bytes:
+    """A cell's bytes, lane 0 first, up to its highest nonzero lane."""
+    return cell.to_bytes((cell.bit_length() + 7) // 8, "little")
+
+
+def _scaled(coeff: int, raw: bytes) -> int:
+    """coeff * the cell whose bytes are raw, lane by lane, by one translate."""
     return int.from_bytes(raw.translate(gf_mul_table(coeff)), "little")
 
 
@@ -280,11 +285,13 @@ def _decode(code: HorizontalCode, rows, erased) -> tuple[list[list[int]], tuple[
     cells = [row[c] for c in read for row in rows]
     if None in cells:
         raise ParamError(f"column {read[cells.index(None) // code.r]} must be readable but holds None")
-    out = [list(row) for row in rows]
+    # Each read cell that some product scales is turned into bytes once per call.
+    scaled = {n for _, terms in matrix for n, coeff in terms if coeff != 1}
+    raw, out = {n: _cell_bytes(cells[n]) for n in scaled}, [list(row) for row in rows]
     for (i, c), terms in matrix:
         acc = 0
         for n, coeff in terms:
-            acc ^= cells[n] if coeff == 1 else _scaled(coeff, cells[n])
+            acc ^= cells[n] if coeff == 1 else _scaled(coeff, raw[n])
         out[i][c] = acc
     return out, read
 

@@ -122,17 +122,19 @@ class ParityGroup:
 
 @dataclass(frozen=True)
 class ReconstructionPlan:
-    """How an instance rebuilds after losing one tuple of positions.
+    """How an instance rebuilds after losing the tuple of positions `lost`.
 
-    needs[e] is the label set the rule names for extended row e; reads maps
-    each surviving position to the number of extended rows reading it (r
-    entries each), and by_rows groups the positions read by that number. The
-    decoder's view, sources and erased, is built lazily.
-    Plans are shared by every caller through the group's memo: read only.
+    reads maps each surviving position to the number of extended rows reading
+    it (r entries each), and by_rows groups the positions read by that number.
+    The decoder's view, erased, is derived on first read, one memoized rule
+    answer per extended row, and cached: until then a plan keeps no
+    per-extended-row tuple of its own. Plans are shared by every caller
+    through the group's memo: read only.
     """
 
-    needs: tuple[frozenset[str], ...]
+    lost: tuple[int, ...]
     reads: dict[int, int]
+    delta: int = field(repr=False)
     rows: tuple[tuple[str, ...], ...] = field(repr=False)
     columns: tuple[tuple[int, ...], ...] = field(repr=False)
 
@@ -146,20 +148,15 @@ class ReconstructionPlan:
         return {rows: tuple(positions) for rows, positions in out.items()}
 
     @cached_property
-    def sources(self) -> tuple[tuple[int, ...], ...]:
-        """Per extended row, the position holding each column read, in column order."""
-        return tuple(
-            tuple(sorted((pos for pos in self.reads if row[pos] in need), key=columns.__getitem__))
-            for row, columns, need in zip(self.rows, self.columns, self.needs)
-        )
-
-    @cached_property
     def erased(self) -> tuple[tuple[int, ...], ...]:
-        """Per extended row, the canonical columns the decoder is not given."""
-        return tuple(
-            tuple(sorted(set(range(len(columns))) - {columns[pos] for pos in read}))
-            for columns, read in zip(self.columns, self.sources)
-        )
+        """Per extended row, the canonical columns the decoder is not given:
+        all but those of the surviving positions whose label the rule names."""
+        out = []
+        for row, columns in zip(self.rows, self.columns):
+            need = reconstruction_rule(self.delta, [row[pos] for pos in self.lost])
+            given = {columns[pos] for pos in self.reads if row[pos] in need}
+            out.append(tuple(c for c in range(len(columns)) if c not in given))
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -280,7 +277,7 @@ def reconstruction_plan(group: ParityGroup, lost: tuple[int, ...]) -> Reconstruc
     needs = tuple(map(reconstruction_rule, repeat(group.delta), lost_labels))
     reads = {pos: sum(map(contains, needs, columns[pos])) for pos in range(k) if pos not in lost}
     plan = group._plans[lost] = ReconstructionPlan(
-        needs, reads, group.extended_rows, group.canonical_columns
+        lost, reads, group.delta, group.extended_rows, group.canonical_columns
     )
     return plan
 

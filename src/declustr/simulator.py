@@ -9,24 +9,28 @@ they match it unit for unit; what backs them is the check, on every decode
 call, that the decoder read exactly the columns the memoized reconstruction
 plan names.
 
-A single rebuild batches its failure set's affected instances: they come
-as one placement bit mask per lost tuple (`layout.losses`), and each batch's
-byte planes (plane x holds byte x of every lane's unit) are transposed once
-per position read. Each canonical erasure pattern is decoded by one call
-over every (extended row, batch) that leaves it, and the decoded cells are
-transposed back onto fresh replacement disks.
+A single rebuild and an exhaustive sweep share one lane layout, column
+space: one buffer per (canonical column, inner row) whose lane e*L + x holds
+lane x's byte of that column in extended row e (L lanes, one per instance).
+`_column_cells` gathers each position's units over the lanes once.
 
-An exhaustive sweep has its own core, in column space. Every stored unit is
-gathered once, into one int per (canonical column, inner row) whose lanes
-are every (extended row, instance). Each canonical erasure pattern that the
-sets' lost tuples leave is decoded by one call over all lanes, and each
-erased column is compared with its stored int by one `==`; lanes are walked
-only on a mismatch. Every plan reads k - delta columns per extended row, so
-each pattern erases exactly delta columns; an instance's rebuilt units
-depend only on its own stored bytes and the positions it lost, and all sets
-start from the same array, so each is decoded once however many sets
-produce it. A lane that no (lost tuple, extended row) uses is decoded too,
-but its cells fail no set.
+A single rebuild's lanes are the failure set's affected instances in
+lost-tuple order (`layout.losses`), so each (extended row, lost tuple) is
+one run of lanes. Each canonical erasure pattern is decoded by one call over
+the runs whose plan leaves it and written back run by run; the lost
+positions are then cut back out onto fresh replacement disks. Decoding every
+pattern over all lanes instead would decode about 15 times the lanes on
+RS(6,2).
+
+An exhaustive sweep's lanes are every instance, and each buffer becomes one
+int. Each canonical erasure pattern that the sets' lost tuples leave is
+decoded by one call over all lanes, and each erased column is compared with
+its stored int by one `==`; lanes are walked only on a mismatch. Every plan
+reads k - delta columns per extended row, so each pattern erases exactly
+delta columns; an instance's rebuilt units depend only on its own stored
+bytes and the positions it lost, and all sets start from the same array, so
+each is decoded once however many sets produce it. A lane that no (lost
+tuple, extended row) uses is decoded too, but its cells fail no set.
 
 Data bytes come from a 64-bit xorshift stream (shifts 13, 7, 17; low byte of
 each state is emitted), so fixtures are portable: same seed, same array.
@@ -45,8 +49,9 @@ column-units.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, compress, count, islice
-from operator import getitem, itemgetter
+from collections import deque
+from itertools import accumulate, chain, combinations, compress, count, islice, repeat
+from operator import getitem, itemgetter, setitem
 
 from .designs import MAX_ARRAY_BYTES, _check_ints, check_budget
 from .errors import InvariantError
@@ -58,7 +63,7 @@ from .layout import (
     placement_indices,
     survivor_reads,
 )
-from .parity_groups import ReconstructionPlan, check_size, reconstruction_plan
+from .parity_groups import check_size, reconstruction_plan
 
 _MASK64 = (1 << 64) - 1
 
@@ -240,20 +245,6 @@ def check_parity_invariant(array: DiskArray) -> bool:
     return True
 
 
-@dataclass(slots=True, eq=False)
-class _Batch:
-    """Affected instances that lost the same positions, as one batch of lanes.
-
-    lanes holds the members (layout indices), ascending. planes maps each
-    position the plan reads to the lanes' stored planes there (see _planes).
-    """
-
-    lost: tuple[int, ...]
-    plan: ReconstructionPlan
-    lanes: list[int]
-    planes: dict[int, list[bytes]]
-
-
 def _units(array: DiskArray, lanes, pos: int) -> bytes:
     """The stored column-units of `lanes` (layout indices) at pos, joined lane after lane."""
     layout, m, at = array.layout, array.layout.group.m, array.layout.unit_offsets
@@ -262,11 +253,29 @@ def _units(array: DiskArray, lanes, pos: int) -> bytes:
     ])
 
 
-def _planes(array: DiskArray, lanes, pos: int) -> list[bytes]:
-    """The stored byte planes of `lanes` at pos: plane x holds byte x of each
-    lane's unit, so plane e*r+j is inner row j of extended row e."""
-    units, m = _units(array, lanes, pos), array.layout.group.m
-    return [units[x::m] for x in range(m)]
+def _column_cells(array: DiskArray, lanes) -> list[list[bytearray]]:
+    """cells[c][j]: inner row j of canonical column c over every (extended
+    row, lane) pair, lane e*L + x holding lanes[x]'s stored byte in extended
+    row e (L lanes, layout indices).
+
+    Each position's units over the lanes are gathered once. Plane e*r + j of
+    a position's units (byte e*r + j of every lane's unit) is one strided
+    slice, and a column's cell joins, row by row, the planes of the positions
+    holding it: one C-level join per cell. A caller that hands over its only
+    reference to the array has it freed before any cell is built.
+    """
+    group = array.layout.group
+    m, r = group.m, group.r
+    units = [_units(array, lanes, pos) for pos in range(group.k)]
+    del array
+    # planes[j][e] cuts inner row j of extended row e out of a position's units;
+    # holders[c][e] is the position holding column c in extended row e.
+    planes = [[slice(x, None, m) for x in range(j, m, r)] for j in range(r)]
+    holders = zip(*(sorted(range(group.k), key=row.__getitem__) for row in group.canonical_columns))
+    return [
+        [bytearray().join(map(getitem, map(units.__getitem__, held), row)) for row in planes]
+        for held in holders
+    ]
 
 
 def _checked_decode(code, grid, erased: tuple[int, ...]) -> list[list[int]]:
@@ -278,90 +287,72 @@ def _checked_decode(code, grid, erased: tuple[int, ...]) -> list[list[int]]:
     return out
 
 
-def _decode_pattern(code, erased: tuple[int, ...], contributors):
-    """Decode (extended row, batch) contributors with this erasure pattern in one call.
-
-    The lanes are the batches' lanes, in contributor order: inner row j of a
-    column joins stored plane e*r+j of each contributor at the position read
-    there. Returns each erased column's cells by inner row, not the grid.
-    """
-    k, r = code.k, code.r
-    grid: list[list[int | None]] = [[None] * k for _ in range(r)]
-    for i, c in enumerate(c for c in range(k) if c not in erased):
-        sources = [(batch.planes[batch.plan.sources[e][i]], e * r) for e, batch in contributors]
-        for j in range(r):
-            grid[j][c] = int.from_bytes(
-                b"".join([planes[base + j] for planes, base in sources]), "little"
-            )
+def _decode_runs(code, cells, erased: tuple[int, ...], runs: list[slice]) -> None:
+    """Decode one erasure pattern over its runs of lanes (slices of every
+    column buffer, see _column_cells) in one call, and write each erased
+    column's decoded cells back into its buffers, run by run."""
+    grid: list[list[int | None]] = [[None] * code.k for _ in range(code.r)]
+    for c in (c for c in range(code.k) if c not in erased):
+        for j, cell in enumerate(map(memoryview, cells[c])):
+            grid[j][c] = int.from_bytes(b"".join(map(cell.__getitem__, runs)), "little")
     out = _checked_decode(code, grid, erased)
-    return {c: [row[c] for row in out] for c in erased}
+    ends = list(accumulate(run.stop - run.start for run in runs))
+    pieces = list(map(slice, [0, *ends[:-1]], ends))
+    for c in erased:
+        for j, cell in enumerate(map(memoryview, cells[c])):
+            decoded = out[j][c].to_bytes(ends[-1], "little")
+            deque(map(setitem, repeat(cell), runs, map(decoded.__getitem__, pieces)), maxlen=0)
 
 
 def fail_and_reconstruct(array: DiskArray, failed) -> tuple[DiskArray, IOStats]:
     """Rebuild the failed disks onto replacements, reading per the rule.
 
-    Returns the recovered array (surviving disks copied, failed disks written
-    from the decoded cells, strided into each batch's lost units, then a lane
-    at a time) and per-disk read/write unit counts. Instances that lost no
-    column are never touched.
+    The affected instances are the lanes of one column space (see
+    _column_cells), in lost-tuple order, gathered once from the replacement
+    array, where the failed disks are zeros. Each canonical erasure pattern
+    is decoded by one call over the (extended row, lost tuple) runs whose
+    plan leaves it (_decode_runs). The scatter is the gather's inverse, for
+    the lost positions only: each one's planes are cut back out of column
+    space and joined plane after plane, so a lane's unit there is every L-th
+    byte from the lane on, and each replacement disk is one join of its
+    stack's units. Returns the recovered array (surviving disks copied) and
+    per-disk read/write unit counts. Instances that lost no column are never
+    touched.
     """
     layout = array.layout
     failed = check_failed(layout, failed)
     affected = losses(layout, failed)
     reads = survivor_reads(layout, failed, affected)
-    group, calls, batches = layout.group, {}, []
-    m, r, writes = group.m, group.r, dict.fromkeys(failed, 0)
-    for lost, mask in affected.items():
-        lanes, plan = list(placement_indices(mask)), reconstruction_plan(group, lost)
-        read = chain.from_iterable(plan.by_rows.values())
-        batches.append(_Batch(lost, plan, lanes, {pos: _planes(array, lanes, pos) for pos in read}))
-        for e, erased in enumerate(plan.erased):
-            calls.setdefault(erased, []).append((e, batches[-1]))
-    # rebuilt[batch][pos] holds the batch's rebuilt column-units at pos, lane after lane.
-    rebuilt = {b: {pos: bytearray(len(b.lanes) * m) for pos in b.lost} for b in batches}
-    for erased, contributors in calls.items():
-        out = _decode_pattern(group.code, erased, contributors)
-        lanes = sum(len(batch.lanes) for _, batch in contributors)
-        for j in range(r):
-            cells = {c: column[j].to_bytes(lanes, "little") for c, column in out.items()}
-            start = 0
-            for e, batch in contributors:
-                end = start + len(batch.lanes)
-                for pos, units in rebuilt[batch].items():
-                    units[e * r + j :: m] = cells[batch.plan.columns[e][pos]][start:end]
-                start = end
     disks = [bytearray(len(disk) if d in failed else disk) for d, disk in enumerate(array.disks)]
-    placements, offsets = layout.placements, layout.unit_offsets
-    for batch in batches:
-        for pos, units in rebuilt[batch].items():
-            for lane, index in enumerate(batch.lanes):
-                disk, at = placements[index][pos], offsets[index][pos]
-                disks[disk][at : at + m] = units[lane * m : (lane + 1) * m]
-                writes[disk] += m
-    return DiskArray(layout, disks), IOStats(reads=reads, writes=writes)
-
-
-def _column_cells(array: DiskArray) -> list[list[int]]:
-    """cells[c][j]: inner row j of canonical column c over every (extended
-    row, instance) lane, lane e*b + i holding instance i's stored byte in
-    extended row e (b instances).
-
-    Each position's units over every instance are gathered once; the plane
-    of each (extended row, inner row) is copied straight into the buffer of
-    the column the position holds in that row. A column's buffers become
-    ints before the next column's, so only one column is ever held twice.
-    """
-    layout, group = array.layout, array.layout.group
-    b, r, m = len(layout.placements), group.r, group.m
-    cells = [[bytearray(len(group.extended_rows) * b) for _ in range(r)] for _ in range(group.k)]
-    for pos in range(group.k):
-        units = _units(array, range(b), pos)
-        for e, columns in enumerate(group.canonical_columns):
-            for j, cell in enumerate(cells[columns[pos]]):
-                cell[e * b : (e + 1) * b] = units[e * r + j :: m]
-    for c, column in enumerate(cells):
-        cells[c] = [int.from_bytes(cell, "little") for cell in column]
-    return cells
+    rebuilt, group = DiskArray(layout, disks), layout.group
+    lanes, runs = [], {}  # runs[lost]: the lanes of the instances that lost `lost`
+    for lost, mask in affected.items():
+        start = len(lanes)
+        lanes.extend(placement_indices(mask))
+        runs[lost] = range(start, len(lanes))
+    width, calls = len(lanes), {}
+    cells = _column_cells(rebuilt, lanes)
+    for lost, run in runs.items():
+        for e, erased in enumerate(reconstruction_plan(group, lost).erased):
+            calls.setdefault(erased, []).append(slice(e * width + run.start, e * width + run.stop))
+    for erased, pattern_runs in calls.items():
+        _decode_runs(group.code, cells, erased, pattern_runs)
+    rows = [slice(e * width, e * width + width) for e in range(len(group.extended_rows))]
+    spans = [row for row in rows for _ in range(group.r)]  # plane e*r + j's lanes
+    # joined[pos]: a lost position's m planes, one after another, plane x (its
+    # lanes' byte x) cut from span x of the column it holds in that row.
+    joined = {
+        pos: b"".join(map(getitem, chain.from_iterable(map(cells.__getitem__, held)), spans))
+        for pos, held in enumerate(zip(*group.canonical_columns))
+        if any(pos in lost for lost in runs)
+    }
+    unit_of = dict(zip(lanes, map(slice, range(width), repeat(None), repeat(width))))
+    for d in failed:
+        disks[d] = bytearray().join(map(
+            getitem, map(joined.__getitem__, map(itemgetter(1), layout.stacks[d])),
+            map(unit_of.__getitem__, map(itemgetter(0), layout.stacks[d])),
+        ))
+    return rebuilt, IOStats(reads=reads, writes={d: len(disks[d]) for d in failed})
 
 
 def _check_pattern(layout: DeclusteredLayout, cells, erased: tuple[int, ...], plans, wrong) -> None:
@@ -412,7 +403,6 @@ def exhaustive_verify(layout: DeclusteredLayout, s: int, seed: int = 1) -> Verif
     failure-set order.
     """
     check_size("s", s, layout.group.delta, low=0)
-    array = materialize(layout, seed)
     failure_sets = list(combinations(range(layout.n), s))
     lost_tuples, tallies = set(), []
     for failed in map(frozenset, failure_sets):
@@ -422,12 +412,14 @@ def exhaustive_verify(layout: DeclusteredLayout, s: int, seed: int = 1) -> Verif
         lost_units = sum(len(lost) * mask.bit_count() for lost, mask in affected.items())
         tallies.append((min(reads), max(reads), lost_units))
     wrong: dict[tuple[int, ...], int] = {}  # lost tuple -> instances rebuilt wrong with it
-    if lost_tuples:
-        plans = {lost: reconstruction_plan(layout.group, lost) for lost in lost_tuples}
-        cells = _column_cells(array)
-        del array  # the cells hold every stored byte the decodes need
-        for erased in sorted(set().union(*(plan.erased for plan in plans.values()))):
-            _check_pattern(layout, cells, erased, plans, wrong)
+    plans = {lost: reconstruction_plan(layout.group, lost) for lost in lost_tuples}
+    # The fill's only reference is handed to the gather, which frees it once
+    # every unit is gathered: the cells hold every stored byte the decodes need.
+    cells = _column_cells(materialize(layout, seed), range(len(layout.placements)))
+    for column in cells:  # one column is held twice at a time, as bytes and as ints
+        column[:] = [int.from_bytes(cell, "little") for cell in column]
+    for erased in sorted(set().union(*(plan.erased for plan in plans.values()))):
+        _check_pattern(layout, cells, erased, plans, wrong)
     lost_per_set = s * layout.units_per_disk
     results = tuple(
         SetResult(

@@ -297,6 +297,39 @@ def test_one_multi_lane_call_equals_one_call_per_lane(seed):
         assert single_reads == reads
 
 
+@pytest.mark.parametrize("k,delta", [(6, 2), (8, 3), (9, 4)], ids=["rs6-2", "rs8-3", "rs9-4"])
+def test_decode_turns_each_read_cell_into_bytes_at_most_once(k, delta, monkeypatch):
+    # An RS read cell feeds every erased cell, mostly through products by
+    # coefficients other than 1; its bytes are made once per call, not once
+    # per product, and the products stay exact.
+    code = rs_code(k, delta)
+    rng = random.Random(f"cell-bytes-{k}-{delta}")
+    singles = [code.encode(random_data(1, k - delta, rng.random())) for _ in range(12)]
+    packed = pack(singles)
+    converted, products = [], []
+    cell_bytes, scaled = erasure_codes._cell_bytes, erasure_codes._scaled
+
+    def counting_bytes(cell):
+        converted.append(cell)
+        return cell_bytes(cell)
+
+    def counting_scaled(coeff, raw):
+        products.append(coeff)
+        return scaled(coeff, raw)
+
+    monkeypatch.setattr(erasure_codes, "_cell_bytes", counting_bytes)
+    monkeypatch.setattr(erasure_codes, "_scaled", counting_scaled)
+    total = 0
+    for erased in combinations(range(k), delta):
+        converted.clear()
+        out, reads = code.decode(erase(packed, erased), erased)
+        assert unpack(out, len(singles)) == singles, erased
+        assert len(converted) <= len(reads) * code.r, erased
+        total += len(converted)
+    # One conversion per product would have made every product convert.
+    assert total < len(products)
+
+
 # ------------------------------------------------------------------- rule
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 import random
 import sys
 import threading
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -174,13 +175,22 @@ def test_rule_calls_depend_on_lost_tuples_not_blocks(monkeypatch):
     first = reconstruction_workload(layout, failed)
     assert first.closed_form is not None
     assert 0 < len(calls) == len(layout.group._plans) * rows <= 21 * rows < affected * rows
+    planned, asked = dict(layout.group._plans), set(calls)
     calls.clear()
     assert reconstruction_workload(layout, failed) == first
     assert calls == []
-    # The simulator reads the same memo, so a rebuild plans nothing anew.
+    # The simulator reads the same memo, so a rebuild plans nothing anew. Its
+    # first read of a plan's erased columns re-asks the rule once per extended
+    # row, each an ask already made and memoized; the second rebuild asks nothing.
     array = materialize(layout, 9)
     _, stats = fail_and_reconstruct(array, failed)
     assert stats.reads == first.reads
+    assert layout.group._plans.keys() == planned.keys()
+    assert all(layout.group._plans[lost] is plan for lost, plan in planned.items())
+    assert len(calls) == len(losses(layout, frozenset(failed))) * rows
+    assert set(calls) <= asked
+    calls.clear()
+    fail_and_reconstruct(array, failed)
     assert calls == []
 
 
@@ -247,9 +257,11 @@ def test_plan_reads_the_rule_columns_of_each_extended_row():
     # Every survivor is read in 8 of the 12 extended rows: tau_1 = 2 * 8.
     assert plan.reads == {1: 8, 2: 8, 3: 8}
     assert tau(group, 1) == 16
-    for columns, erased, sources in zip(group.canonical_columns, plan.erased, plan.sources):
-        given = [c for c in range(group.k) if c not in erased]
-        assert [columns[pos] for pos in sources] == given
+    for row, columns, erased in zip(group.extended_rows, group.canonical_columns, plan.erased):
+        # The given columns are exactly those of the survivors whose label the rule names.
+        need = reconstruction_rule(group.delta, [row[0]])
+        given = sorted(columns[pos] for pos in plan.reads if row[pos] in need)
+        assert given == [c for c in range(group.k) if c not in erased]
         assert columns[0] in erased
 
 
@@ -260,9 +272,9 @@ def test_plan_rejects_malformed_lost_tuples(lost):
 
 
 def reference_plan(group, lost):
-    """needs, reads, by_rows, sources and erased, walked one extended row at a time."""
+    """reads, by_rows and erased, walked one extended row at a time."""
     k, delta = group.k, group.delta
-    needs, sources, erased = [], [], []
+    erased = []
     reads = {pos: 0 for pos in range(k) if pos not in lost}
     for row in group.extended_rows:
         data = iter(range(k))
@@ -271,14 +283,12 @@ def reference_plan(group, lost):
         read = [pos for pos in reads if row[pos] in need]
         for pos in read:
             reads[pos] += 1
-        needs.append(need)
-        sources.append(tuple(sorted(read, key=columns.__getitem__)))
         erased.append(tuple(c for c in range(k) if c not in {columns[pos] for pos in read}))
     by_rows = {}
     for pos, rows in reads.items():
         if rows:
             by_rows.setdefault(rows, []).append(pos)
-    return tuple(needs), reads, {n: tuple(p) for n, p in by_rows.items()}, tuple(sources), tuple(erased)
+    return reads, {n: tuple(p) for n, p in by_rows.items()}, tuple(erased)
 
 
 @pytest.mark.parametrize(
@@ -299,18 +309,35 @@ def test_plans_match_a_row_by_row_reference(code):
         for s in range(code.delta + 1):
             for lost in combinations(range(code.k), s):
                 plan = reconstruction_plan(group, lost)
-                needs, reads, by_rows, sources, erased = reference_plan(group, lost)
-                assert plan.needs == needs, lost
+                reads, by_rows, erased = reference_plan(group, lost)
                 assert list(plan.reads.items()) == list(reads.items()), lost
                 assert plan.by_rows == by_rows, lost
-                assert plan.sources == sources, lost
                 assert plan.erased == erased, lost
+
+
+def test_plans_keep_no_per_row_tuple_until_erased_is_read():
+    # Timing-free: the tracemalloc peak of building RS(10,3)'s full family
+    # (720 extended rows) and checking its balance up to s=3, which plans
+    # 175 lost tuples, with the rule memo warm. Keeping each plan's rule
+    # answer per extended row peaked at 1,302 KiB; without it, 319 KiB.
+    verify_balance(group_family(rs_code(10, 3), "full"), 3)
+    tracemalloc.start()
+    try:
+        group = group_family(rs_code(10, 3), "full")
+        report = verify_balance(group, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.balanced and len(group._plans) == 175
+    assert peak <= 512 * 1024, peak // 1024
+    # erased is derived on first read, one rule answer per extended row, and cached.
+    plan = reconstruction_plan(group, (0, 4, 9))
+    assert "erased" not in vars(plan)
+    assert len(plan.erased) == 720 and plan.erased is plan.erased
 
 
 def test_losing_nothing_plans_an_empty_need_per_extended_row():
     group = group_family(rs_code(4, 2), "full")
     plan = reconstruction_plan(group, ())
-    assert plan.needs == (frozenset(),) * 12
     assert plan.reads == {pos: 0 for pos in range(4)} and plan.by_rows == {}
-    assert plan.sources == ((),) * 12
     assert plan.erased == ((0, 1, 2, 3),) * 12

@@ -3,7 +3,7 @@
 import hashlib
 import random
 import tracemalloc
-from itertools import combinations, islice
+from itertools import combinations, islice, product
 
 import pytest
 
@@ -369,7 +369,68 @@ def test_rebuild_decodes_once_per_erasure_pattern(monkeypatch):
     assert rebuilt.disks == array.disks
     patterns = _canonical_erasure_patterns(layout, failed)
     # One call per extended row of each affected instance would be 77 * 30 = 2,310.
-    assert 1 <= len(calls) <= len(patterns) < 20
+    assert sorted(calls) == sorted(patterns) and len(patterns) < 20
+
+
+SCRAMBLE_CASES = [
+    (seed, name, family) for seed, (name, family) in enumerate(
+        product(sorted(CODES_AND_DESIGNS), ("full", "single", "rotations"))
+    )
+]
+
+
+@pytest.mark.parametrize(
+    "seed,name,family", SCRAMBLE_CASES,
+    ids=[f"seed={seed}-{name}-{family}" for seed, name, family in SCRAMBLE_CASES],
+)
+def test_rebuild_reads_nothing_from_the_failed_disks(seed, name, family):
+    # Every byte on the failed disks is scrambled before the rebuild, which
+    # must still return the pristine fill: a rebuilt unit that read a failed
+    # disk's byte would differ somewhere.
+    make_code, make_design = CODES_AND_DESIGNS[name]
+    code = make_code()
+    layout = build_layout(group_family(code, family), make_design())
+    pristine = materialize(layout, 5)
+    rng = random.Random(seed)
+    for s in range(1, code.delta + 1):
+        for failed in combinations(range(layout.n), s):
+            array = simulator.DiskArray(layout, [bytearray(disk) for disk in pristine.disks])
+            for d in failed:
+                array.disks[d] = bytearray(rng.randbytes(len(array.disks[d])))
+            rebuilt, stats = fail_and_reconstruct(array, failed)
+            assert rebuilt.disks == pristine.disks, failed
+            assert stats.writes == {d: layout.rows_per_disk for d in failed}
+
+
+@pytest.mark.parametrize("make_code, make_design", [
+    pytest.param(lambda: rdp_code(3), lambda: hadamard_3design(8), id="rdp3-hadamard8"),
+    pytest.param(
+        lambda: rs_code(6, 2), lambda: complete_design(9, 6, 3), id="rs(6,2)-complete(9,6,3)"
+    ),
+])
+def test_rebuild_gathers_each_affected_unit_once(make_code, make_design, monkeypatch):
+    # The rebuild gathers every unit of every affected instance once, lost
+    # ones included, from the replacement array (where the failed disks are
+    # zeros), and no unit of an instance that lost nothing.
+    layout = build_layout(group_family(make_code(), "full"), make_design())
+    array = materialize(layout, 7)
+    gathered, zeroed = [], []
+    units = simulator._units
+
+    def counting_units(source, lanes, pos):
+        gathered.extend((index, pos) for index in lanes)
+        zeroed.append(source is not array and not any(any(source.disks[d]) for d in failed))
+        return units(source, lanes, pos)
+
+    monkeypatch.setattr(simulator, "_units", counting_units)
+    for failed in [(0,), (1, 4), (2, 5)]:
+        gathered.clear()
+        zeroed.clear()
+        rebuilt, _ = fail_and_reconstruct(array, failed)
+        assert rebuilt.disks == array.disks
+        affected = [i for i, disks in enumerate(layout.placements) if set(failed) & set(disks)]
+        assert sorted(gathered) == [(i, pos) for i in affected for pos in range(layout.group.k)]
+        assert zeroed and all(zeroed)
 
 
 def test_decoder_reading_other_columns_is_an_invariant_error(reference_layout, monkeypatch):
@@ -532,8 +593,9 @@ def test_sweep_fails_exactly_the_sets_that_lose_or_read_a_flipped_byte(name, fam
             summary = exhaustive_verify(layout, s, seed=11)
             for result in summary.results:
                 lost = tuple(p for p, d in enumerate(placement) if d in result.failed)
-                reads = bool(lost) and pos in (
-                    reconstruction_plan(layout.group, lost).sources[who.extended_row]
+                e = who.extended_row
+                reads = bool(lost) and layout.group.canonical_columns[e][pos] not in (
+                    reconstruction_plan(layout.group, lost).erased[e]
                 )
                 expected = disk not in result.failed and not reads
                 assert result.recovered == expected, (result.failed, disk, offset)
