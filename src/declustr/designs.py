@@ -40,8 +40,8 @@ MAX_COVERAGE_SUBSETS = 10**6
 # 14,000 bits stay under the 4,300 digits Python will print.
 MAX_COUNT_BITS = 14_000
 
-# Most bytes materialize fills, n * rows_per_disk, refused before the fill:
-# a sweep holds up to 6x the array.
+# Most bytes materialize fills, n * rows_per_disk, refused before the fill. A sweep
+# peaks near 3x the array (pinned at 4x); a two-disk rebuild, with its copy, up to 4x.
 MAX_ARRAY_BYTES = 2**26
 
 

@@ -254,22 +254,20 @@ def reconstruction_plan(group: ParityGroup, lost: tuple[int, ...]) -> Reconstruc
     A cold plan costs one reconstruction_rule call per extended row, each a
     memo hit after the first few, then one C-level count per surviving
     position: how many rows' needs hold the label that position's column has.
-    Positions are checked only on a miss, so a warm memo answers any equal
-    key: after (1,) is planned, (True,) gets (1,)'s plan. A key that cannot
-    be hashed (a list, or a tuple holding one) is refused like any other
-    malformed tuple.
+    Entries must be exact ints, on a memo hit too: (True,) and (1.0,) are
+    equal keys to (1,). A key that cannot be hashed (a list, or a tuple
+    holding one) is refused like any other malformed tuple.
     """
     try:
-        if lost in group._plans:
-            return group._plans[lost]
-        hashable = True
-    except TypeError:  # a list, or a tuple holding one: no memo key
-        hashable = False
+        plan, exact = group._plans.get(lost), True
+        for p in lost:  # a plain loop: tuples are short, and map(type, ...) costs more
+            exact = exact and type(p) is int
+    except TypeError:  # not iterable, or a list: no memo key
+        plan, exact = None, False
+    if exact and plan is not None:
+        return plan
     k = group.k
-    # Exact ints only: 1.0 indexes no column, and True would pass as position 1.
-    if not hashable or any(type(p) is not int for p in lost) or (
-        list(lost) != sorted(set(lost) & set(range(k)))
-    ):
+    if not exact or list(lost) != sorted(set(lost) & set(range(k))):
         raise ParamError(f"lost positions must be sorted and distinct in 0..{k - 1}, got {lost}")
     columns, rows = group.label_columns, len(group.extended_rows)
     # Each row's lost labels; zip over no columns would yield no rows at all.

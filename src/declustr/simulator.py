@@ -2,23 +2,25 @@
 
 A layout becomes an array of n byte vectors (one byte per unit). Every group
 instance holds its own codewords, but the simulator moves them in bulk: a
-cell handed to the codec packs one byte per instance (a lane), so one encode
-call per extended row fills every instance at once. Reads are tallied by the
-same function as the analysis's enumeration (`layout.survivor_reads`), so
+cell handed to the codec packs one byte per (extended row, instance) pair,
+a lane, so one encode call fills every instance at once. Reads are tallied by
+the same function as the analysis's enumeration (`layout.survivor_reads`), so
 they match it unit for unit; what backs them is the check, on every decode
 call, that the decoder read exactly the columns the memoized reconstruction
 plan names.
 
-A single rebuild and an exhaustive sweep share one lane layout, column
-space: one buffer per (canonical column, inner row) whose lane e*L + x holds
-lane x's byte of that column in extended row e (L lanes, one per instance).
-`_column_cells` gathers each position's units over the lanes once.
+The fill, a single rebuild and an exhaustive sweep share one lane layout,
+column space: one buffer per (canonical column, inner row) whose lane e*L + x
+holds lane x's byte of that column in extended row e (L lanes, one per
+instance). `_column_cells` gathers each position's units over the lanes once;
+`_scatter`, its inverse, cuts disks back out. A fill's lanes are every
+instance: its data cells are cut straight from the stream's bytes.
 
 A single rebuild's lanes are the failure set's affected instances in
 lost-tuple order (`layout.losses`), so each (extended row, lost tuple) is
 one run of lanes. Each canonical erasure pattern is decoded by one call over
 the runs whose plan leaves it and written back run by run; the lost
-positions are then cut back out onto fresh replacement disks. Decoding every
+positions are then scattered onto fresh replacement disks. Decoding every
 pattern over all lanes instead would decode about 15 times the lanes on
 RS(6,2).
 
@@ -42,19 +44,18 @@ every output bit obeys one 24-tap XOR recurrence of degree 64, and so does
 every block of S bytes when S is a power of two. Each block after the first
 64 is the XOR of 24 earlier ones, and those 64 blocks are themselves filled
 the same way at half the block size, down to a head of at most 512 bytes
-drawn from `byte_stream`. Each disk is then one join of its stacked
-column-units.
+drawn from `byte_stream`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from collections import deque
-from itertools import accumulate, chain, combinations, compress, count, islice, repeat
+from itertools import accumulate, combinations, compress, count, islice, repeat
 from operator import getitem, itemgetter, setitem
 
 from .designs import MAX_ARRAY_BYTES, _check_ints, check_budget
-from .errors import InvariantError
+from .errors import InvariantError, ParamError
 from .layout import (
     DeclusteredLayout,
     check_failed,
@@ -125,6 +126,11 @@ class DiskArray:
     layout: DeclusteredLayout
     disks: list[bytearray]
 
+    def __post_init__(self) -> None:
+        n, rows, sizes = self.layout.n, self.layout.rows_per_disk, list(map(len, self.disks))
+        if sizes != [rows] * n:
+            raise ParamError(f"the layout needs {n} disks of {rows} bytes, got disks of {sizes}")
+
     @property
     def n(self) -> int:
         return self.layout.n
@@ -192,42 +198,25 @@ def materialize(layout: DeclusteredLayout, seed: int) -> DiskArray:
     n, rows = layout.n, layout.rows_per_disk
     check_budget(f"an array of {n}*{rows}", n * rows, "bytes", MAX_ARRAY_BYTES)
     group = layout.group
-    code = group.code
-    k, delta, r, m = group.k, group.delta, group.r, group.m
-    data_cols = k - delta
-    lanes = len(layout.placements)
-    per_instance = m * data_cols
+    data_cols, r, lanes = group.k - group.delta, group.r, len(layout.placements)
+    step, per_instance = r * data_cols, group.m * data_cols  # data bytes per row, per instance
     fill = _fill_bytes(seed, lanes * per_instance)
-    # units[pos] holds the column-unit at position pos of every instance,
-    # one after another in block order.
-    units = [bytearray(lanes * m) for _ in range(k)]
-    for e, columns in enumerate(group.canonical_columns):
-        data = [
-            [
-                int.from_bytes(fill[(e * r + j) * data_cols + s :: per_instance], "little")
-                for s in range(data_cols)
-            ]
-            for j in range(r)
-        ]
-        codeword = code.encode(data)
-        for pos, column in enumerate(columns):
-            for j in range(r):
-                units[pos][e * r + j :: m] = codeword[j][column].to_bytes(lanes, "little")
-    del fill  # freed before the disks are joined: nothing reads it past the encode
-    # A disk is its stack's column-units joined in order: unit (index, pos)
-    # is units[pos][slices[index]].
-    slices = [slice(index * m, (index + 1) * m) for index in range(lanes)]
-    disks = [
-        bytearray().join(
-            map(
-                getitem,
-                map(units.__getitem__, map(itemgetter(1), stack)),
-                map(slices.__getitem__, map(itemgetter(0), stack)),
-            )
-        )
-        for stack in layout.stacks
+    # Byte s = j*data_cols + c of instance x's extended row e, at x*per_instance +
+    # e*step + s, is lane e*L + x of data column c, inner row j.
+    starts = range(0, per_instance, step)
+    data = [
+        int.from_bytes(b"".join([fill[start + s :: per_instance] for start in starts]), "little")
+        for s in range(step)
     ]
-    return DiskArray(layout, disks)
+    coded = group.code.encode([data[j * data_cols : (j + 1) * data_cols] for j in range(r)])
+    del fill, data
+    width = len(starts) * lanes
+    # Each int is popped as its bytes are made, and the cells' only reference
+    # goes to the scatter, which frees them once every position is written.
+    return DiskArray(layout, _scatter(
+        layout, [[row.pop(0).to_bytes(width, "little") for row in coded] for _ in range(group.k)],
+        range(lanes), range(n),
+    ))
 
 
 def check_parity_invariant(array: DiskArray) -> bool:
@@ -304,20 +293,45 @@ def _decode_runs(code, cells, erased: tuple[int, ...], runs: list[slice]) -> Non
             deque(map(setitem, repeat(cell), runs, map(decoded.__getitem__, pieces)), maxlen=0)
 
 
+def _scatter(layout: DeclusteredLayout, cells, lanes, disks) -> list[bytearray]:
+    """`disks` cut out of column space (see _column_cells), lane x being instance lanes[x].
+
+    The gather's inverse: each position those disks hold gets its m planes
+    one after another, plane e*r + j cut from extended row e's lanes of the
+    column it holds there, one join per extended row (joining all m at once
+    would hold m small slices). A lane's unit there is every L-th byte from
+    the lane on, and each disk is one join of its stack's units. A caller
+    that hands over its only reference to the cells has them freed first.
+    """
+    group, width = layout.group, len(lanes)
+    joined, block = {}, group.r * width  # block: one extended row's planes
+    for pos in {pos for d in disks for _, pos in layout.stacks[d]}:
+        planes = joined[pos] = bytearray(group.m * width)
+        for e, columns in enumerate(group.canonical_columns):
+            row, at = slice(e * width, e * width + width), e * block
+            planes[at : at + block] = bytearray().join([cell[row] for cell in cells[columns[pos]]])
+    del cells
+    unit_of = [None] * len(layout.placements)  # instance i's unit in a position's planes
+    for x, i in enumerate(lanes):
+        unit_of[i] = slice(x, None, width)
+    return [
+        bytearray().join(map(
+            getitem, map(joined.__getitem__, map(itemgetter(1), layout.stacks[d])),
+            map(unit_of.__getitem__, map(itemgetter(0), layout.stacks[d])),
+        ))
+        for d in disks
+    ]
+
+
 def fail_and_reconstruct(array: DiskArray, failed) -> tuple[DiskArray, IOStats]:
     """Rebuild the failed disks onto replacements, reading per the rule.
 
-    The affected instances are the lanes of one column space (see
-    _column_cells), in lost-tuple order, gathered once from the replacement
-    array, where the failed disks are zeros. Each canonical erasure pattern
-    is decoded by one call over the (extended row, lost tuple) runs whose
-    plan leaves it (_decode_runs). The scatter is the gather's inverse, for
-    the lost positions only: each one's planes are cut back out of column
-    space and joined plane after plane, so a lane's unit there is every L-th
-    byte from the lane on, and each replacement disk is one join of its
-    stack's units. Returns the recovered array (surviving disks copied) and
-    per-disk read/write unit counts. Instances that lost no column are never
-    touched.
+    The affected instances' units are gathered into column space from the
+    replacement array, where the failed disks are zeros; each canonical
+    erasure pattern is decoded over the runs whose plan leaves it
+    (_decode_runs), and only the replacement disks are scattered back out.
+    Returns the recovered array (surviving disks copied) and per-disk
+    read/write unit counts. Instances that lost no column are never touched.
     """
     layout = array.layout
     failed = check_failed(layout, failed)
@@ -337,21 +351,8 @@ def fail_and_reconstruct(array: DiskArray, failed) -> tuple[DiskArray, IOStats]:
             calls.setdefault(erased, []).append(slice(e * width + run.start, e * width + run.stop))
     for erased, pattern_runs in calls.items():
         _decode_runs(group.code, cells, erased, pattern_runs)
-    rows = [slice(e * width, e * width + width) for e in range(len(group.extended_rows))]
-    spans = [row for row in rows for _ in range(group.r)]  # plane e*r + j's lanes
-    # joined[pos]: a lost position's m planes, one after another, plane x (its
-    # lanes' byte x) cut from span x of the column it holds in that row.
-    joined = {
-        pos: b"".join(map(getitem, chain.from_iterable(map(cells.__getitem__, held)), spans))
-        for pos, held in enumerate(zip(*group.canonical_columns))
-        if any(pos in lost for lost in runs)
-    }
-    unit_of = dict(zip(lanes, map(slice, range(width), repeat(None), repeat(width))))
-    for d in failed:
-        disks[d] = bytearray().join(map(
-            getitem, map(joined.__getitem__, map(itemgetter(1), layout.stacks[d])),
-            map(unit_of.__getitem__, map(itemgetter(0), layout.stacks[d])),
-        ))
+    for d, disk in zip(failed, _scatter(layout, cells, lanes, failed)):
+        disks[d] = disk
     return rebuilt, IOStats(reads=reads, writes={d: len(disks[d]) for d in failed})
 
 

@@ -6,7 +6,8 @@ negative or too-large one among valid ints, and must refuse it with a
 DeclustrError: no TypeError or IndexError may escape. Failed disks also
 meet list, dict and set entries, and lost positions list and set entries or
 a list for the tuple; none of them can be hashed. Each case builds its
-group afresh, so reconstruction_plan meets every lost tuple on a memo miss.
+group afresh, so reconstruction_plan meets every lost tuple on a memo miss;
+lost tuples equal to a planned one are also fed to a warm memo.
 """
 
 import random
@@ -165,3 +166,21 @@ def test_unhashable_lost_positions_are_refused_by_name(seed, kind):
         with pytest.raises(ParamError) as caught:
             reconstruction_plan(group, lost)
         assert str(caught.value) == message, f"seed={seed}"
+
+
+EQUAL_TO_VALID = [(True,), (1.0,), (False, 1), (0, 1.0), (0.0, True)]
+
+
+@pytest.mark.parametrize("lost", EQUAL_TO_VALID, ids=[repr(lost) for lost in EQUAL_TO_VALID])
+def test_lost_positions_equal_to_a_planned_tuple_are_refused_warm_or_cold(lost):
+    # (True,) and (1.0,) equal (1,) and hash like it, so a memo hit would
+    # hand them (1,)'s plan: the entries are checked on a hit too.
+    group = group_family(rs_code(4, 2), "full")
+    valid = tuple(map(int, lost))
+    message = f"lost positions must be sorted and distinct in 0..3, got {lost}"
+    for warm in (False, True):
+        if warm:
+            assert reconstruction_plan(group, valid) is reconstruction_plan(group, valid)
+        with pytest.raises(ParamError) as caught:
+            reconstruction_plan(group, lost)
+        assert str(caught.value) == message

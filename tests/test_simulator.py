@@ -1,6 +1,7 @@
 """Byte-level fill, failure injection, recovery, and measured I/O counts."""
 
 import hashlib
+import operator
 import random
 import tracemalloc
 from itertools import combinations, islice, product
@@ -25,6 +26,7 @@ from declustr import (
     reconstruction_plan,
     reconstruction_rule,
     reconstruction_workload,
+    rotate_layout,
     rs_code,
     single_arrangement_group,
     unit_provenance,
@@ -257,14 +259,67 @@ def _placed_unit_by_unit(layout, seed) -> list[bytearray]:
     return disks
 
 
+def _with_rotation(layout) -> list:
+    """The layout, and for delta = 1 its rotation too: a layout whose
+    placements are not its sorted blocks, so a disk's stack holds its
+    instances at positions the blocks do not give."""
+    if layout.group.delta != 1:
+        return [layout]
+    rotated = rotate_layout(layout)
+    assert any(list(placement) != sorted(placement) for placement in rotated.placements)
+    return [layout, rotated]
+
+
 @pytest.mark.parametrize("family", ["full", "single", "rotations"])
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_materialize_matches_unit_by_unit_placement(name, family):
     rng = random.Random(f"placement/{name}/{family}")
     make_code, make_design = CASES[name]
-    layout = build_layout(group_family(make_code(), family), relabeled(rng, make_design()))
-    for seed in (rng.randrange(1, 1 << 16), rng.randrange(1 << 64, 1 << 80)):
-        assert materialize(layout, seed).disks == _placed_unit_by_unit(layout, seed), seed
+    built = build_layout(group_family(make_code(), family), relabeled(rng, make_design()))
+    for layout in _with_rotation(built):
+        for seed in (rng.randrange(1, 1 << 16), rng.randrange(1 << 64, 1 << 80)):
+            assert materialize(layout, seed).disks == _placed_unit_by_unit(layout, seed), seed
+
+
+@pytest.mark.parametrize("make_code, make_design", [
+    pytest.param(lambda: rdp_code(7), lambda: hadamard_3design(16), id="rdp7-hadamard16"),
+    pytest.param(
+        lambda: rs_code(6, 2), lambda: complete_design(12, 6, 3), id="rs(6,2)-complete(12,6,3)"
+    ),
+])
+def test_fill_encodes_once_and_only_the_scatter_makes_disks(make_code, make_design, monkeypatch):
+    # Timing-free: a fill is one encode call over every (extended row,
+    # instance) lane, where one call per extended row made 56 and 30 here.
+    # Every disk of a fill, and every replacement disk of a rebuild, is an
+    # object the scatter returned; a rebuild encodes nothing.
+    layout = build_layout(group_family(make_code(), "full"), make_design())
+    encodes, scattered = [], []
+    encode, scatter = HorizontalCode.encode, simulator._scatter
+
+    def counting_encode(self, data):
+        encodes.append(len(data))
+        return encode(self, data)
+
+    def recording_scatter(layout, cells, lanes, disks):
+        out = scatter(layout, cells, lanes, disks)
+        scattered.append((tuple(disks), out))
+        return out
+
+    monkeypatch.setattr(HorizontalCode, "encode", counting_encode)
+    monkeypatch.setattr(simulator, "_scatter", recording_scatter)
+    array = materialize(layout, 7)
+    assert encodes == [layout.group.r]
+    [(disks, out)] = scattered
+    assert disks == tuple(range(layout.n))
+    assert all(map(operator.is_, array.disks, out))
+    for failed in [(0,), (3, 9)]:
+        scattered.clear()
+        rebuilt, _ = fail_and_reconstruct(array, failed)
+        [(disks, out)] = scattered
+        assert sorted(disks) == list(failed)
+        assert all(rebuilt.disks[d] is disk for d, disk in zip(disks, out))
+        assert rebuilt.disks == array.disks
+    assert len(encodes) == 1
 
 
 def test_parity_invariant_detects_corruption(reference_layout):
@@ -310,14 +365,15 @@ def test_every_code_and_family_recovers_with_predicted_reads(name, family):
     # erasure patterns, so one rebuild mixes patterns across decode calls.
     make_code, make_design = CODES_AND_DESIGNS[name]
     code = make_code()
-    layout = build_layout(group_family(code, family), make_design())
-    array = materialize(layout, 5)
-    for s in range(code.delta + 1):
-        for failed in combinations(range(layout.n), s):
-            rebuilt, stats = fail_and_reconstruct(array, failed)
-            assert rebuilt.disks == array.disks, failed
-            assert stats.reads == reconstruction_workload(layout, failed).reads, failed
-            assert stats.writes == {d: layout.rows_per_disk for d in failed}
+    for layout in _with_rotation(build_layout(group_family(code, family), make_design())):
+        array = materialize(layout, 5)
+        assert array.disks == _placed_unit_by_unit(layout, 5)
+        for s in range(code.delta + 1):
+            for failed in combinations(range(layout.n), s):
+                rebuilt, stats = fail_and_reconstruct(array, failed)
+                assert rebuilt.disks == array.disks, failed
+                assert stats.reads == reconstruction_workload(layout, failed).reads, failed
+                assert stats.writes == {d: layout.rows_per_disk for d in failed}
 
 
 def _lost_patterns(layout, failed) -> set[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -529,9 +585,9 @@ SWEEP_CASES = {
 def test_sweep_equals_one_rebuild_per_set(name, family):
     make_code, make_design = SWEEP_CASES[name]
     code = make_code()
-    layout = build_layout(group_family(code, family), make_design())
-    for s in range(code.delta + 1):
-        assert exhaustive_verify(layout, s, seed=3) == _reference_sweep(layout, s, 3), s
+    for layout in _with_rotation(build_layout(group_family(code, family), make_design())):
+        for s in range(code.delta + 1):
+            assert exhaustive_verify(layout, s, seed=3) == _reference_sweep(layout, s, 3), s
 
 
 def test_sweep_fails_exactly_the_sets_whose_rebuild_hits_a_faulty_pattern(monkeypatch):
@@ -891,6 +947,23 @@ def test_materialize_refuses_an_array_over_the_byte_budget(monkeypatch):
         materialize(layout, 1)
     with pytest.raises(ParamError, match=message):
         exhaustive_verify(layout, 2)
+
+
+def test_disk_array_refuses_a_shape_its_layout_does_not_give(reference_layout):
+    # A disk 5 bytes short once escaped the rebuild as a raw ValueError and
+    # the parity check as an IndexError; a missing disk, as an IndexError.
+    disks = materialize(reference_layout, 7).disks
+    assert simulator.DiskArray(reference_layout, list(disks)).disks == disks
+    shapes = {
+        "short": disks[:3] + [disks[3][:-5]] + disks[4:],
+        "long": disks[:3] + [disks[3] + b"\0"] + disks[4:],
+        "missing": disks[:-1],
+        "extra": disks + [bytearray(reference_layout.rows_per_disk)],
+        "none": [],
+    }
+    for what, bad in shapes.items():
+        with pytest.raises(ParamError, match=r"^the layout needs 8 disks of 168 bytes, got "):
+            simulator.DiskArray(reference_layout, bad)
 
 
 def test_seed_is_taken_mod_2_64(reference_layout):
