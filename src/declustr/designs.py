@@ -40,8 +40,9 @@ MAX_COVERAGE_SUBSETS = 10**6
 # 14,000 bits stay under the 4,300 digits Python will print.
 MAX_COUNT_BITS = 14_000
 
-# Most bytes materialize fills, n * rows_per_disk, refused before the fill. A sweep
-# peaks near 3x the array (pinned at 4x); a two-disk rebuild, with its copy, up to 4x.
+# Most bytes materialize fills, n * rows_per_disk, refused before the fill. Warm
+# tracemalloc peaks, in arrays: a fill up to 3.0, an s=2 sweep up to 3.1 (pinned at
+# 4), a two-disk rebuild with the array it returns up to 2.2 (pinned at 2.5).
 MAX_ARRAY_BYTES = 2**26
 
 

@@ -63,11 +63,17 @@ def parity_label(index: int) -> str:
 
 
 def parity_index(label: str) -> int | None:
-    """The 1-based parity index of a label, or None for the data label."""
+    """The 1-based parity index of a label, or None for the data label.
+
+    The index is written as parity_label writes it, in ASCII digits with no
+    leading zero: "P01" and "P\u0661", which int reads as 1, are refused like
+    a non-str.
+    """
     if label == DATA:
         return None
-    if label.startswith("P") and label[1:].isdigit():
-        return int(label[1:])
+    digits = label[1:] if type(label) is str and label[:1] == "P" else ""
+    if digits.isdigit() and digits.isascii() and digits[0] != "0":
+        return int(digits)
     raise ParamError(f"unknown column label {label!r}")
 
 
@@ -270,7 +276,10 @@ def _decode(code: HorizontalCode, rows, erased) -> tuple[list[list[int]], tuple[
     Input cells in erased or unread columns may be None; only the columns the
     reconstruction rule names are consulted.
     """
-    erased = tuple(erased)
+    try:
+        erased = tuple(erased)
+    except TypeError:
+        raise ParamError(f"erased columns must be an iterable of ints, got {erased!r}") from None
     if any(type(c) is not int for c in erased):  # exact ints only; sorted cannot order None and 0
         raise ParamError(f"erased columns out of range: {list(erased)}")
     erased = tuple(sorted(set(erased)))

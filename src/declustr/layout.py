@@ -167,7 +167,11 @@ class LayoutGeometry:
 def check_failed(layout: DeclusteredLayout, failed) -> frozenset[int]:
     """Validate a failure set against the layout's disks and tolerance."""
     # Entries are checked before frozenset hashes them, so a list entry is a ParamError too.
-    entries, n, delta = tuple(failed), layout.n, layout.group.delta
+    try:
+        entries = tuple(failed)
+    except TypeError:
+        raise ParamError(f"failed disks must be an iterable of disks, got {failed!r}") from None
+    n, delta = layout.n, layout.group.delta
     if any(isinstance(d, bool) or not isinstance(d, int) or not 0 <= d < n for d in entries):
         # Ints in order, then anything else by repr: sorted cannot order None against 0.
         shown = sorted(entries, key=lambda d: (type(d) is not int, d if type(d) is int else repr(d)))

@@ -18,7 +18,8 @@ instance: its data cells are cut straight from the stream's bytes.
 
 A single rebuild's lanes are the failure set's affected instances in
 lost-tuple order (`layout.losses`), so each (extended row, lost tuple) is
-one run of lanes. Each canonical erasure pattern is decoded by one call over
+one run of lanes, gathered from the caller's disks with each failed disk
+read as zeros. Each canonical erasure pattern is decoded by one call over
 the runs whose plan leaves it and written back run by run; the lost
 positions are then scattered onto fresh replacement disks. Decoding every
 pattern over all lanes instead would decode about 15 times the lanes on
@@ -51,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections import deque
-from itertools import accumulate, combinations, compress, count, islice, repeat
+from itertools import accumulate, chain, combinations, compress, count, islice, repeat
 from operator import getitem, itemgetter, setitem
 
 from .designs import MAX_ARRAY_BYTES, _check_ints, check_budget
@@ -211,8 +212,7 @@ def materialize(layout: DeclusteredLayout, seed: int) -> DiskArray:
     coded = group.code.encode([data[j * data_cols : (j + 1) * data_cols] for j in range(r)])
     del fill, data
     width = len(starts) * lanes
-    # Each int is popped as its bytes are made, and the cells' only reference
-    # goes to the scatter, which frees them once every position is written.
+    # Each int is popped as its bytes are made, into a list the scatter empties.
     return DiskArray(layout, _scatter(
         layout, [[row.pop(0).to_bytes(width, "little") for row in coded] for _ in range(group.k)],
         range(lanes), range(n),
@@ -234,29 +234,24 @@ def check_parity_invariant(array: DiskArray) -> bool:
     return True
 
 
-def _units(array: DiskArray, lanes, pos: int) -> bytes:
-    """The stored column-units of `lanes` (layout indices) at pos, joined lane after lane."""
-    layout, m, at = array.layout, array.layout.group.m, array.layout.unit_offsets
-    return b"".join([
-        array.disks[layout.placements[i][pos]][at[i][pos] : at[i][pos] + m] for i in lanes
-    ])
-
-
-def _column_cells(array: DiskArray, lanes) -> list[list[bytearray]]:
+def _column_cells(layout: DeclusteredLayout, disks: list, lanes) -> list[list[bytearray]]:
     """cells[c][j]: inner row j of canonical column c over every (extended
     row, lane) pair, lane e*L + x holding lanes[x]'s stored byte in extended
-    row e (L lanes, layout indices).
+    row e (L lanes, layout indices), read from `disks`.
 
     Each position's units over the lanes are gathered once. Plane e*r + j of
     a position's units (byte e*r + j of every lane's unit) is one strided
     slice, and a column's cell joins, row by row, the planes of the positions
-    holding it: one C-level join per cell. A caller that hands over its only
-    reference to the array has it freed before any cell is built.
+    holding it: one C-level join per cell. Consumes `disks`: the list is
+    emptied before any cell is built.
     """
-    group = array.layout.group
+    group, at = layout.group, layout.unit_offsets
     m, r = group.m, group.r
-    units = [_units(array, lanes, pos) for pos in range(group.k)]
-    del array
+    units = [
+        b"".join([disks[layout.placements[i][pos]][at[i][pos] : at[i][pos] + m] for i in lanes])
+        for pos in range(group.k)
+    ]
+    disks.clear()
     # planes[j][e] cuts inner row j of extended row e out of a position's units;
     # holders[c][e] is the position holding column c in extended row e.
     planes = [[slice(x, None, m) for x in range(j, m, r)] for j in range(r)]
@@ -293,15 +288,15 @@ def _decode_runs(code, cells, erased: tuple[int, ...], runs: list[slice]) -> Non
             deque(map(setitem, repeat(cell), runs, map(decoded.__getitem__, pieces)), maxlen=0)
 
 
-def _scatter(layout: DeclusteredLayout, cells, lanes, disks) -> list[bytearray]:
+def _scatter(layout: DeclusteredLayout, cells: list, lanes, disks) -> list[bytearray]:
     """`disks` cut out of column space (see _column_cells), lane x being instance lanes[x].
 
     The gather's inverse: each position those disks hold gets its m planes
     one after another, plane e*r + j cut from extended row e's lanes of the
     column it holds there, one join per extended row (joining all m at once
     would hold m small slices). A lane's unit there is every L-th byte from
-    the lane on, and each disk is one join of its stack's units. A caller
-    that hands over its only reference to the cells has them freed first.
+    the lane on, and each disk is one join of its stack's units. Consumes
+    `cells`: the list is emptied before any disk is joined.
     """
     group, width = layout.group, len(lanes)
     joined, block = {}, group.r * width  # block: one extended row's planes
@@ -310,7 +305,7 @@ def _scatter(layout: DeclusteredLayout, cells, lanes, disks) -> list[bytearray]:
         for e, columns in enumerate(group.canonical_columns):
             row, at = slice(e * width, e * width + width), e * block
             planes[at : at + block] = bytearray().join([cell[row] for cell in cells[columns[pos]]])
-    del cells
+    cells.clear()
     unit_of = [None] * len(layout.placements)  # instance i's unit in a position's planes
     for x, i in enumerate(lanes):
         unit_of[i] = slice(x, None, width)
@@ -327,33 +322,34 @@ def fail_and_reconstruct(array: DiskArray, failed) -> tuple[DiskArray, IOStats]:
     """Rebuild the failed disks onto replacements, reading per the rule.
 
     The affected instances' units are gathered into column space from the
-    replacement array, where the failed disks are zeros; each canonical
-    erasure pattern is decoded over the runs whose plan leaves it
+    caller's disks, each failed disk read as one shared zero buffer; each
+    canonical erasure pattern is decoded over the runs whose plan leaves it
     (_decode_runs), and only the replacement disks are scattered back out.
-    Returns the recovered array (surviving disks copied) and per-disk
-    read/write unit counts. Instances that lost no column are never touched.
+    Returns a new array (the replacements plus copies of the survivors) and
+    per-disk read/write unit counts. Instances that lost no column are never
+    touched, and `array` is left as it was.
     """
-    layout = array.layout
+    layout, group = array.layout, array.layout.group
     failed = check_failed(layout, failed)
     affected = losses(layout, failed)
     reads = survivor_reads(layout, failed, affected)
-    disks = [bytearray(len(disk) if d in failed else disk) for d, disk in enumerate(array.disks)]
-    rebuilt, group = DiskArray(layout, disks), layout.group
-    lanes, runs = [], {}  # runs[lost]: the lanes of the instances that lost `lost`
+    lanes = list(chain.from_iterable(map(placement_indices, affected.values())))
+    zeros = bytes(layout.rows_per_disk)
+    cells = _column_cells(
+        layout, [zeros if d in failed else disk for d, disk in enumerate(array.disks)], lanes
+    )
+    # calls[erased]: the runs of lanes decoded with that pattern, one per (extended
+    # row, lost tuple), cut after the gather and freed as each pattern is decoded.
+    width, stop, calls = len(lanes), 0, {}
     for lost, mask in affected.items():
-        start = len(lanes)
-        lanes.extend(placement_indices(mask))
-        runs[lost] = range(start, len(lanes))
-    width, calls = len(lanes), {}
-    cells = _column_cells(rebuilt, lanes)
-    for lost, run in runs.items():
+        start, stop = stop, stop + mask.bit_count()
         for e, erased in enumerate(reconstruction_plan(group, lost).erased):
-            calls.setdefault(erased, []).append(slice(e * width + run.start, e * width + run.stop))
-    for erased, pattern_runs in calls.items():
-        _decode_runs(group.code, cells, erased, pattern_runs)
-    for d, disk in zip(failed, _scatter(layout, cells, lanes, failed)):
-        disks[d] = disk
-    return rebuilt, IOStats(reads=reads, writes={d: len(disks[d]) for d in failed})
+            calls.setdefault(erased, []).append(slice(e * width + start, e * width + stop))
+    while calls:
+        _decode_runs(group.code, cells, *calls.popitem())
+    rebuilt = dict(zip(failed, _scatter(layout, cells, lanes, failed)))
+    disks = [rebuilt[d] if d in failed else bytearray(disk) for d, disk in enumerate(array.disks)]
+    return DiskArray(layout, disks), IOStats(reads, dict.fromkeys(failed, layout.rows_per_disk))
 
 
 def _check_pattern(layout: DeclusteredLayout, cells, erased: tuple[int, ...], plans, wrong) -> None:
@@ -414,9 +410,9 @@ def exhaustive_verify(layout: DeclusteredLayout, s: int, seed: int = 1) -> Verif
         tallies.append((min(reads), max(reads), lost_units))
     wrong: dict[tuple[int, ...], int] = {}  # lost tuple -> instances rebuilt wrong with it
     plans = {lost: reconstruction_plan(layout.group, lost) for lost in lost_tuples}
-    # The fill's only reference is handed to the gather, which frees it once
-    # every unit is gathered: the cells hold every stored byte the decodes need.
-    cells = _column_cells(materialize(layout, seed), range(len(layout.placements)))
+    # The gather empties the fill's disk list, so the fill is freed once every
+    # unit is gathered: the cells hold every stored byte the decodes need.
+    cells = _column_cells(layout, materialize(layout, seed).disks, range(len(layout.placements)))
     for column in cells:  # one column is held twice at a time, as bytes and as ints
         column[:] = [int.from_bytes(cell, "little") for cell in column]
     for erased in sorted(set().union(*(plan.erased for plan in plans.values()))):

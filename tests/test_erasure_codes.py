@@ -372,6 +372,11 @@ def test_rule_rejects_bad_losses():
         reconstruction_rule(2, ("X",))
     with pytest.raises(ParamError):
         reconstruction_rule(2, (P3,))
+    # A label is DATA or a str that parity_label gives back: no int or None, and
+    # no leading zero or non-ASCII digit, though int reads both.
+    for label in (1, None, "P01", "P\u0661", "P", "P-1", " P1", b"P1"):
+        with pytest.raises(ParamError):
+            reconstruction_rule(2, (label,))
 
 
 def test_canonical_labels_order():

@@ -5,7 +5,8 @@ unit coordinates, blocks or placements is fed a float, bool, None, str,
 negative or too-large one among valid ints, and must refuse it with a
 DeclustrError: no TypeError or IndexError may escape. Failed disks also
 meet list, dict and set entries, and lost positions list and set entries or
-a list for the tuple; none of them can be hashed. Each case builds its
+a list for the tuple; none of them can be hashed. A failure set or erasure
+list that is no iterable at all is refused too. Each case builds its
 group afresh, so reconstruction_plan meets every lost tuple on a memo miss;
 lost tuples equal to a planned one are also fed to a warm memo.
 """
@@ -184,3 +185,24 @@ def test_lost_positions_equal_to_a_planned_tuple_are_refused_warm_or_cold(lost):
         with pytest.raises(ParamError) as caught:
             reconstruction_plan(group, lost)
         assert str(caught.value) == message
+
+
+NOT_ITERABLE = [5, None, 2.5, True]
+
+
+@pytest.mark.parametrize("value", NOT_ITERABLE, ids=repr)
+def test_non_iterable_failure_sets_and_erasures_are_refused(value):
+    # tuple() of a non-iterable raises TypeError; each entry point names it instead.
+    code = rs_code(4, 2)
+    group = group_family(code, "full")
+    layout = build_layout(group, complete_design(6, 4, 3))
+    rows = code.encode([[1, 2]])
+    calls = (
+        lambda: fail_and_reconstruct(materialize(layout, seed=1), value),
+        lambda: reconstruction_workload(layout, value),
+        lambda: counterexample_report(group, layout.design, value),
+        lambda: code.decode(rows, value),
+    )
+    for call in calls:
+        with pytest.raises(ParamError, match="must be an iterable"):
+            call()
