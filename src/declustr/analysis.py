@@ -157,6 +157,10 @@ def tradeoff_table(n: int, rows) -> list[TradeoffRow]:
     lambda*(n-1)(n-2)/((k-1)(k-2)).
     """
     _check_ints(n=n)
+    try:
+        rows = [(k, lam) for k, lam in rows]
+    except (TypeError, ValueError):
+        raise ParamError(f"rows must be (k, lambda) pairs, got {rows!r}") from None
     table = []
     for k, lam in rows:
         _check_ints(k=k)

@@ -41,8 +41,8 @@ MAX_COVERAGE_SUBSETS = 10**6
 MAX_COUNT_BITS = 14_000
 
 # Most bytes materialize fills, n * rows_per_disk, refused before the fill. Warm
-# tracemalloc peaks, in arrays: a fill up to 3.0, an s=2 sweep up to 3.1 (pinned at
-# 4), a two-disk rebuild with the array it returns up to 2.2 (pinned at 2.5).
+# tracemalloc peaks, in arrays: a fill up to 3.0, an s=2 sweep up to 2.6 (pinned at
+# 3), a two-disk rebuild with the array it returns up to 2.2 (pinned at 2.5).
 MAX_ARRAY_BYTES = 2**26
 
 
@@ -144,7 +144,10 @@ def validate_design(blocks, t: int, n: int, k: int, lam: int) -> Design:
     """
     params = DesignParams(t=t, n=n, k=k, lam=lam)
     check_budget(f"validating C({n},{t})", comb(n, t), f"{t}-subsets")
-    blocks, rows = list(blocks), []
+    try:
+        blocks, rows = list(blocks), []
+    except TypeError:
+        raise ParamError(f"blocks must be an iterable of blocks, got {blocks!r}") from None
     try:
         rows.extend(map(tuple, blocks))
     except TypeError:

@@ -158,14 +158,20 @@ def reconstruction_rule(delta: int, lost) -> frozenset[str]:
     lowest-indexed surviving parity labels. Losing nothing requires reading
     nothing. Every surviving column is either read in full or untouched.
     Answers are memoized per (delta, tuple(lost)); refusals are not, so a bad
-    label raises on every call.
+    delta or label raises on every call.
     """
-    return _rule(delta, tuple(lost))
+    try:
+        return _rule(delta, tuple(lost))
+    except TypeError:  # lost not iterable, or delta or a label unhashable
+        raise ParamError(
+            f"the rule needs an int delta and an iterable of labels, got {delta!r}, {lost!r}"
+        ) from None
 
 
-# typed: a float delta must fail as it would uncached, not get an int delta's answer.
+# typed: a bool or float delta must be refused, not get an equal int delta's answer.
 @lru_cache(maxsize=4096, typed=True)
 def _rule(delta: int, lost: tuple[str, ...]) -> frozenset[str]:
+    _check_ints(delta=delta)
     if len(lost) > delta:
         raise ParamError(f"{len(lost)} losses exceed delta={delta}")
     lost_parities = []

@@ -55,12 +55,14 @@ class ParityGroup:
     def __post_init__(self):
         if not isinstance(self.code, HorizontalCode):
             raise ParamError(f"a parity group needs a HorizontalCode, got {self.code!r}")
-        if not self.extended_rows:
-            raise ParamError("a parity group needs at least one arrangement")
+        if not isinstance(self.extended_rows, tuple) or not self.extended_rows:
+            raise ParamError(
+                f"a parity group needs a tuple of arrangements, got {self.extended_rows!r}"
+            )
         parities = canonical_labels(self.k, self.delta)[self.k - self.delta :]
         for row in self.extended_rows:
-            if len(row) != self.k:
-                raise ParamError(f"arrangement {row} does not have {self.k} positions")
+            if not isinstance(row, tuple) or len(row) != self.k:
+                raise ParamError(f"arrangement {row!r} is not a tuple of {self.k} labels")
             if row.count(DATA) != self.k - self.delta or any(row.count(x) != 1 for x in parities):
                 raise ParamError(
                     f"arrangement {row} must place each of P1..P{self.delta} exactly once"

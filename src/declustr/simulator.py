@@ -14,7 +14,8 @@ column space: one buffer per (canonical column, inner row) whose lane e*L + x
 holds lane x's byte of that column in extended row e (L lanes, one per
 instance). `_column_cells` gathers each position's units over the lanes once;
 `_scatter`, its inverse, cuts disks back out. A fill's lanes are every
-instance: its data cells are cut straight from the stream's bytes.
+instance: its data cells are cut from the stream's bytes and encoded by one
+call (`_codewords`).
 
 A single rebuild's lanes are the failure set's affected instances in
 lost-tuple order (`layout.losses`), so each (extended row, lost tuple) is
@@ -25,10 +26,10 @@ positions are then scattered onto fresh replacement disks. Decoding every
 pattern over all lanes instead would decode about 15 times the lanes on
 RS(6,2).
 
-An exhaustive sweep's lanes are every instance, and each buffer becomes one
-int. Each canonical erasure pattern that the sets' lost tuples leave is
-decoded by one call over all lanes, and each erased column is compared with
-its stored int by one `==`; lanes are walked only on a mismatch. Every plan
+An exhaustive sweep's cells are the fill's encoded ints, so it builds no disk.
+Each canonical erasure pattern that the sets' lost tuples leave is decoded by
+one call over all lanes, and each erased cell is compared with its stored int
+by one `==`; lanes are walked only on a mismatch. Every plan
 reads k - delta columns per extended row, so each pattern erases exactly
 delta columns; an instance's rebuilt units depend only on its own stored
 bytes and the positions it lost, and all sets start from the same array, so
@@ -186,22 +187,18 @@ class UnitProvenance:
     label: str
 
 
-def materialize(layout: DeclusteredLayout, seed: int) -> DiskArray:
-    """Fill every instance from the seeded stream and encode it.
-
-    Fill order is fixed: instances in block order, extended rows top to
-    bottom, inner rows in order, data slots left to right. A disk stacks its
-    column-units contiguously in ascending block index, m bytes each. The
-    seed must be an int; it is taken mod 2^64. An array of more than
-    MAX_ARRAY_BYTES bytes is refused before anything is allocated.
+def _codewords(layout: DeclusteredLayout, seed: int) -> list[list[int]]:
+    """The seeded fill's encoded r x k grid of column-space cells over every
+    instance, as ints. The seed must be an int; it is taken mod 2^64. An array
+    of more than MAX_ARRAY_BYTES bytes is refused before anything is allocated.
     """
     _check_ints(seed=seed)
     n, rows = layout.n, layout.rows_per_disk
     check_budget(f"an array of {n}*{rows}", n * rows, "bytes", MAX_ARRAY_BYTES)
     group = layout.group
-    data_cols, r, lanes = group.k - group.delta, group.r, len(layout.placements)
+    data_cols, r = group.k - group.delta, group.r
     step, per_instance = r * data_cols, group.m * data_cols  # data bytes per row, per instance
-    fill = _fill_bytes(seed, lanes * per_instance)
+    fill = _fill_bytes(seed, len(layout.placements) * per_instance)
     # Byte s = j*data_cols + c of instance x's extended row e, at x*per_instance +
     # e*step + s, is lane e*L + x of data column c, inner row j.
     starts = range(0, per_instance, step)
@@ -209,13 +206,23 @@ def materialize(layout: DeclusteredLayout, seed: int) -> DiskArray:
         int.from_bytes(b"".join([fill[start + s :: per_instance] for start in starts]), "little")
         for s in range(step)
     ]
-    coded = group.code.encode([data[j * data_cols : (j + 1) * data_cols] for j in range(r)])
-    del fill, data
-    width = len(starts) * lanes
+    del fill
+    return group.code.encode([data[j * data_cols : (j + 1) * data_cols] for j in range(r)])
+
+
+def materialize(layout: DeclusteredLayout, seed: int) -> DiskArray:
+    """Fill every instance from the seeded stream and encode it (_codewords).
+
+    Fill order is fixed: instances in block order, extended rows top to
+    bottom, inner rows in order, data slots left to right. A disk stacks its
+    column-units contiguously in ascending block index, m bytes each.
+    """
+    coded, group, lanes = _codewords(layout, seed), layout.group, len(layout.placements)
+    width = len(group.extended_rows) * lanes
     # Each int is popped as its bytes are made, into a list the scatter empties.
     return DiskArray(layout, _scatter(
         layout, [[row.pop(0).to_bytes(width, "little") for row in coded] for _ in range(group.k)],
-        range(lanes), range(n),
+        range(lanes), range(layout.n),
     ))
 
 
@@ -242,8 +249,7 @@ def _column_cells(layout: DeclusteredLayout, disks: list, lanes) -> list[list[by
     Each position's units over the lanes are gathered once. Plane e*r + j of
     a position's units (byte e*r + j of every lane's unit) is one strided
     slice, and a column's cell joins, row by row, the planes of the positions
-    holding it: one C-level join per cell. Consumes `disks`: the list is
-    emptied before any cell is built.
+    holding it: one C-level join per cell.
     """
     group, at = layout.group, layout.unit_offsets
     m, r = group.m, group.r
@@ -251,7 +257,6 @@ def _column_cells(layout: DeclusteredLayout, disks: list, lanes) -> list[list[by
         b"".join([disks[layout.placements[i][pos]][at[i][pos] : at[i][pos] + m] for i in lanes])
         for pos in range(group.k)
     ]
-    disks.clear()
     # planes[j][e] cuts inner row j of extended row e out of a position's units;
     # holders[c][e] is the position holding column c in extended row e.
     planes = [[slice(x, None, m) for x in range(j, m, r)] for j in range(r)]
@@ -353,8 +358,8 @@ def fail_and_reconstruct(array: DiskArray, failed) -> tuple[DiskArray, IOStats]:
 
 
 def _check_pattern(layout: DeclusteredLayout, cells, erased: tuple[int, ...], plans, wrong) -> None:
-    """Decode one erasure pattern over every lane (see _column_cells) and
-    compare each erased column with its stored cells by one int compare.
+    """Decode one erasure pattern over every lane of the stored grid (see
+    _codewords) and compare each erased cell with its stored int by one compare.
 
     Lanes are walked only on a mismatch: wrong lane e*b + i is ORed into
     wrong[lost] as instance i for each lost tuple whose plan erases this
@@ -362,13 +367,10 @@ def _check_pattern(layout: DeclusteredLayout, cells, erased: tuple[int, ...], pl
     there. Any other lane's cells are never used, so they cannot fail a set.
     """
     group, b = layout.group, len(layout.placements)
-    grid = [
-        [None if c in erased else column[j] for c, column in enumerate(cells)]
-        for j in range(group.r)
-    ]
+    grid = [[None if c in erased else cell for c, cell in enumerate(row)] for row in cells]
     out, users = _checked_decode(group.code, grid, erased), None
     for c in erased:
-        for j, stored in enumerate(cells[c]):
+        for j, stored in enumerate(row[c] for row in cells):
             if out[j][c] == stored:
                 continue
             if users is None:  # per extended row, the lost tuples decoded with this pattern
@@ -389,9 +391,9 @@ def exhaustive_verify(layout: DeclusteredLayout, s: int, seed: int = 1) -> Verif
     """Rebuild every size-s failure set of one seeded fill and check each.
 
     The sets share one decode per canonical erasure pattern that their lost
-    tuples' plans leave, over every (extended row, instance) lane (see
-    _column_cells and _check_pattern). No set gets replacement disks and no
-    rebuilt byte outlives its pattern's call; a wrong cell fails every set
+    tuples' plans leave, over every lane of the fill's encoded cells (see
+    _codewords and _check_pattern). No disk is built and no rebuilt byte
+    outlives its pattern's call; a wrong cell fails every set
     with an instance whose plan decodes it in that row and lost its column.
     A set whose instances lost other than s disks' worth of column-units
     fails too, as some unit it lost was never rebuilt. Each set keeps only
@@ -410,11 +412,7 @@ def exhaustive_verify(layout: DeclusteredLayout, s: int, seed: int = 1) -> Verif
         tallies.append((min(reads), max(reads), lost_units))
     wrong: dict[tuple[int, ...], int] = {}  # lost tuple -> instances rebuilt wrong with it
     plans = {lost: reconstruction_plan(layout.group, lost) for lost in lost_tuples}
-    # The gather empties the fill's disk list, so the fill is freed once every
-    # unit is gathered: the cells hold every stored byte the decodes need.
-    cells = _column_cells(layout, materialize(layout, seed).disks, range(len(layout.placements)))
-    for column in cells:  # one column is held twice at a time, as bytes and as ints
-        column[:] = [int.from_bytes(cell, "little") for cell in column]
+    cells = _codewords(layout, seed)
     for erased in sorted(set().union(*(plan.erased for plan in plans.values()))):
         _check_pattern(layout, cells, erased, plans, wrong)
     lost_per_set = s * layout.units_per_disk

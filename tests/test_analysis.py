@@ -183,6 +183,10 @@ def test_tradeoff_rejects_bad_rows():
         tradeoff_table(20, [(21, 1)])
     with pytest.raises(ParamError):
         tradeoff_table(20, [(5, 0)])
+    with pytest.raises(ParamError, match="pairs"):
+        tradeoff_table(20, 5)
+    with pytest.raises(ParamError, match="pairs"):
+        tradeoff_table(20, [(3,)])
 
 
 @pytest.mark.parametrize(

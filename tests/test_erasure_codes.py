@@ -374,9 +374,14 @@ def test_rule_rejects_bad_losses():
         reconstruction_rule(2, (P3,))
     # A label is DATA or a str that parity_label gives back: no int or None, and
     # no leading zero or non-ASCII digit, though int reads both.
-    for label in (1, None, "P01", "P\u0661", "P", "P-1", " P1", b"P1"):
+    for label in (1, None, "P01", "P\u0661", "P", "P-1", " P1", b"P1", ["P1"]):
         with pytest.raises(ParamError):
             reconstruction_rule(2, (label,))
+    # lost is an iterable of labels, and delta an int: not a bool, which would
+    # answer as 1, nor a float.
+    for delta, lost in [(2, 5), (2, None), (True, (DATA,)), (2.0, (DATA,)), ([2], (DATA,))]:
+        with pytest.raises(ParamError):
+            reconstruction_rule(delta, lost)
 
 
 def test_canonical_labels_order():
@@ -418,5 +423,5 @@ def test_rule_refusals_are_not_memoized_and_the_memo_is_bounded():
     assert 0 < erasure_codes._rule.cache_info().maxsize <= 1 << 16
     # The memo keys on delta's type, so a float delta still fails as it did
     # before any answer was cached, rather than reading the int's answer.
-    with pytest.raises(TypeError):
+    with pytest.raises(ParamError, match="delta must be an int"):
         reconstruction_rule(2.0, (DATA,))

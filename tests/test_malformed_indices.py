@@ -202,6 +202,7 @@ def test_non_iterable_failure_sets_and_erasures_are_refused(value):
         lambda: reconstruction_workload(layout, value),
         lambda: counterexample_report(group, layout.design, value),
         lambda: code.decode(rows, value),
+        lambda: validate_design(value, 3, 8, 4, 1),
     )
     for call in calls:
         with pytest.raises(ParamError, match="must be an iterable"):

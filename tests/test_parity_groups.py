@@ -160,6 +160,9 @@ def test_verify_balance_rejects_bad_max_s():
         (("D", "P1", "P1", "P2"),),
         (("D", "D", "P1", 2),),
         (),
+        (5,),
+        (["D", "D", "P1", "P2"],),
+        5,
     ],
 )
 def test_verify_balance_and_tau_refuse_malformed_arrangements(rows):

@@ -475,10 +475,8 @@ def test_rebuild_gathers_each_affected_unit_once(make_code, make_design, monkeyp
     column_cells = simulator._column_cells
 
     def recording_cells(layout, disks, lanes):
-        gathered.append((list(disks), list(lanes)))  # before the gather empties disks
-        cells = column_cells(layout, disks, lanes)
-        assert disks == []
-        return cells
+        gathered.append((list(disks), list(lanes)))
+        return column_cells(layout, disks, lanes)
 
     monkeypatch.setattr(simulator, "_column_cells", recording_cells)
     for failed in [(0,), (1, 4), (2, 5)]:
@@ -648,21 +646,25 @@ def test_sweep_fails_exactly_the_sets_that_lose_or_read_a_flipped_byte(name, fam
     make_code, make_design = SWEEP_CASES[name]
     code = make_code()
     layout = build_layout(group_family(code, family), make_design())
+    b = len(layout.placements)
     rng = random.Random(f"{name}/{family}")
-    fill = simulator.materialize
+    fill = simulator._codewords
     for _ in range(6):
         disk, offset = rng.randrange(layout.n), rng.randrange(layout.rows_per_disk)
         flip = rng.randrange(1, 256)
         who = unit_provenance(layout, disk, offset)
         placement = layout.placements[who.block_index]
         pos = placement.index(disk)
+        # The byte is lane e*b + i of inner row j of the column it holds in row e.
+        column = layout.group.canonical_columns[who.extended_row][pos]
+        lane = who.extended_row * b + who.block_index
 
         def corrupted(layout, seed):
-            array = fill(layout, seed)
-            array.disks[disk][offset] ^= flip
-            return array
+            cells = fill(layout, seed)
+            cells[who.inner_row][column] ^= flip << 8 * lane
+            return cells
 
-        monkeypatch.setattr(simulator, "materialize", corrupted)
+        monkeypatch.setattr(simulator, "_codewords", corrupted)
         for s in range(code.delta + 1):
             summary = exhaustive_verify(layout, s, seed=11)
             for result in summary.results:
@@ -678,30 +680,30 @@ def test_sweep_fails_exactly_the_sets_that_lose_or_read_a_flipped_byte(name, fam
 
 def test_sweep_gathers_each_stored_unit_once(monkeypatch):
     layout = build_layout(group_family(rdp_code(3), "full"), hadamard_3design(8))
-    gathered, decodes = [], []
-    column_cells, decode = simulator._column_cells, HorizontalCode.decode
+    calls, decodes = [], []
+    encode, decode = HorizontalCode.encode, HorizontalCode.decode
 
-    def recording_cells(layout, disks, lanes):
-        gathered.append((list(disks), list(lanes)))  # before the gather empties disks
-        cells = column_cells(layout, disks, lanes)
-        assert disks == []
-        return cells
+    def counting(name, real):
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+        return call
 
     def counting_decode(self, rows, erased):
         decodes.append(tuple(erased))
         return decode(self, rows, erased)
 
-    monkeypatch.setattr(simulator, "_column_cells", recording_cells)
+    for name in ("materialize", "_column_cells", "_scatter"):
+        monkeypatch.setattr(simulator, name, counting(name, getattr(simulator, name)))
+    monkeypatch.setattr(HorizontalCode, "encode", counting("encode", encode))
     monkeypatch.setattr(HorizontalCode, "decode", counting_decode)
     summary = exhaustive_verify(layout, 2, seed=3)
     assert summary.passed == summary.total == 28
 
-    # One gather from the fill's disks over every instance: each stored
-    # (placement, position) unit is gathered exactly once, however many sets
-    # and lost tuples use it.
-    [(disks, lanes)] = gathered
-    assert disks == materialize(layout, 3).disks
-    assert lanes == list(range(len(layout.placements)))
+    # One encode of the fill, whose cells hold each stored (placement,
+    # position) unit once, however many sets and lost tuples use it: no disk
+    # is cut out of them or gathered back.
+    assert calls == ["encode"]
     # One decode per canonical erasure pattern that some set's rebuild leaves.
     sets = list(combinations(range(layout.n), 2))
     assert sorted(decodes) == sorted(
@@ -859,11 +861,11 @@ def test_sweep_memory_stays_within_a_few_arrays():
     # each set's replacement disks peaked near 12 arrays on hadamard16; keeping
     # every batch's lanes until the last round, near 8.5 on complete(12,6,3).
     # Decoding each pattern in calls of at most one array measured 5.2 and
-    # 3.9 arrays; decoding in column space, 2.6 and 3.4 (materialize's own
-    # peak, with the array it returns).
+    # 3.9 arrays; decoding in column space gathered from materialize's disks,
+    # 2.7 and 3.05; decoding the encoded cells themselves, 1.9 and 2.5.
     cases = [
-        (rdp_code(7), hadamard_3design(16), 120, 4),
-        (rs_code(6, 2), complete_design(12, 6, 3), 66, 4),
+        (rdp_code(7), hadamard_3design(16), 120, 3),
+        (rs_code(6, 2), complete_design(12, 6, 3), 66, 3),
     ]
     for code, design, sets, bound in cases:
         layout = build_layout(group_family(code, "full"), design)
