@@ -188,9 +188,13 @@ def round_half_up(value, decimals: int = 1) -> str:
     Built on integer arithmetic; float formatting and round() (ties to even)
     both disagree with the required display on .5 boundaries.
     """
-    frac = Fraction(value)
+    try:
+        frac = Fraction(value)
+    except (TypeError, ValueError, OverflowError):  # not a number, a bad string, NaN, infinity
+        raise ParamError(f"display rounding expects a rational value, got {value!r}") from None
     if frac < 0:
         raise ParamError(f"display rounding expects nonnegative values, got {frac}")
+    _check_ints(decimals=decimals)
     if decimals < 0:
         raise ParamError(f"decimals must be >= 0, got {decimals}")
     num = frac.numerator * 10**decimals

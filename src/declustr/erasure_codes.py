@@ -194,8 +194,16 @@ def _rule(delta: int, lost: tuple[str, ...]) -> frozenset[str]:
     return frozenset(need)
 
 
+def _is_grid(rows, r: int | None, k: int) -> bool:
+    """Whether `rows` holds r rows (any number when r is None) of k cells each."""
+    try:
+        return (r is None or len(rows) == r) and all(len(row) == k for row in rows)
+    except TypeError:  # rows, or one of them, has no length
+        return False
+
+
 def _check_grid(rows, r: int, k: int):
-    if len(rows) != r or any(len(row) != k for row in rows):
+    if not _is_grid(rows, r, k):
         raise ParamError(f"expected a {r} x {k} grid")
 
 
@@ -267,7 +275,7 @@ def _scaled(coeff: int, raw: bytes) -> int:
 def rs_encode(code: HorizontalCode, data: list[list[int]]) -> list[list[int]]:
     """Append delta parity columns to rows of k-delta data cells."""
     data_cols = code.k - code.delta
-    if any(len(row) != data_cols for row in data):
+    if not _is_grid(data, None, data_cols):
         raise ParamError(f"data rows must have {data_cols} symbols")
     matrix = _cached_parity_matrix(code.k, code.delta)
     return [

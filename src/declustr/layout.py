@@ -15,9 +15,11 @@ after a pass has refused, to name the first offender.
 Each layout caches one bit-mask index: per disk and position, an int whose
 bit i is set when placement i puts that position on that disk. `losses`
 splits a failure's affected instances off it into one mask per lost-position
-tuple, and `survivor_reads` counts what each mask's reconstruction plan reads
-from every surviving disk with ANDs and bit counts; the analysis and the
-simulator share that one tally.
+tuple, one failed disk at a time (`_split`, which the simulator's sweep walks
+prefix by prefix). `survivor_reads` pools the masks by what their
+reconstruction plans read and counts each pool on every disk with ANDs and
+bit counts, one C-level pass over the disks per pool of whole placements;
+the analysis and the simulator share that one tally.
 
 The delta=1 path mirrors classic single-parity declustering: a one-row group
 whose parity column is last, hence placed on the largest block element, with
@@ -28,9 +30,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 from itertools import chain, compress, count
-from operator import mul, or_
+from operator import add, mul, or_
 
 from .designs import (
     INT,
@@ -197,27 +199,32 @@ def placement_indices(mask: int):
     return compress(count(), bin(mask)[:1:-1].encode().translate(_DIGIT_VALUES))
 
 
+def _split(layout: DeclusteredLayout, groups: dict, disk: int) -> dict[tuple[int, ...], int]:
+    """`groups` ({lost tuple: placement mask}) split by the failure of `disk`:
+    one AND per group and position with the disk's `position_masks`. Members
+    the disk does not hold, the () group's too, stay where they were."""
+    split: dict[tuple[int, ...], int] = {}
+    for lost, mask in groups.items():
+        for pos, at in enumerate(layout.position_masks[disk]):
+            if hit := mask & at:
+                key = tuple(sorted((*lost, pos)))
+                split[key] = split.get(key, 0) | hit
+                mask ^= hit
+        if mask:
+            split[lost] = split.get(lost, 0) | mask
+    return split
+
+
 def losses(layout: DeclusteredLayout, failed: frozenset[int]) -> dict[tuple[int, ...], int]:
     """Affected instances grouped by lost positions: {sorted lost tuple:
     bit mask of the placements that lost exactly those positions}.
 
-    Every placement starts in one group that lost nothing. Each failed disk
-    in turn splits every group by the position the disk holds in each member
-    (one AND per group and position with the disk's `position_masks`); the
-    members it does not hold stay where they were.
+    Every placement starts in one group that lost nothing, and each failed
+    disk in ascending order splits the groups (`_split`, the one splitting
+    rule: the sweep walks it prefix by prefix).
     """
-    groups = {(): (1 << len(layout.placements)) - 1}
-    for disk in sorted(failed):
-        split: dict[tuple[int, ...], int] = {}
-        for lost, mask in groups.items():
-            for pos, at in enumerate(layout.position_masks[disk]):
-                if hit := mask & at:
-                    key = tuple(sorted((*lost, pos)))
-                    split[key] = split.get(key, 0) | hit
-                    mask ^= hit
-            if mask:
-                split[lost] = split.get(lost, 0) | mask
-        groups = split
+    everything = {(): (1 << len(layout.placements)) - 1}
+    groups = reduce(partial(_split, layout), sorted(failed), everything)
     groups.pop((), None)
     return groups
 
@@ -230,7 +237,9 @@ def survivor_reads(layout: DeclusteredLayout, failed: frozenset[int], affected) 
     size of its overlap with that position's `position_masks`, scaled by
     r * rows. A read count that covers every surviving position reads whole
     placements, one unit per disk, so it is pooled per count alone and met
-    with the disk's `member_masks`.
+    with every disk's `member_masks` in one C-level pass per pool; only the
+    other pools, which the single and rotations families have, take a loop
+    per surviving disk.
     """
     group = layout.group
     whole: dict[int, int] = {}
@@ -242,14 +251,19 @@ def survivor_reads(layout: DeclusteredLayout, failed: frozenset[int], affected) 
             else:
                 for pos in positions:
                     pooled[rows, pos] = pooled.get((rows, pos), 0) | mask
-    reads = {}
-    for disk in range(layout.n):
-        if disk not in failed:
-            member, at = layout.member_masks[disk], layout.position_masks[disk]
-            reads[disk] = group.r * (
-                sum(rows * (mask & member).bit_count() for rows, mask in whole.items())
-                + sum(rows * (mask & at[pos]).bit_count() for (rows, pos), mask in pooled.items())
-            )
+    r, totals = group.r, [0] * layout.n
+    for rows, mask in whole.items():
+        counts = map(int.bit_count, map(mask.__and__, layout.member_masks))
+        totals = list(map(add, totals, map((r * rows).__mul__, counts)))
+    if pooled:
+        for disk, at in enumerate(layout.position_masks):
+            if disk not in failed:
+                totals[disk] += r * sum(
+                    rows * (mask & at[pos]).bit_count() for (rows, pos), mask in pooled.items()
+                )
+    reads = dict(enumerate(totals))
+    for disk in failed:
+        del reads[disk]
     return reads
 
 

@@ -53,13 +53,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections import deque
-from itertools import accumulate, chain, combinations, compress, count, islice, repeat
+from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import getitem, itemgetter, setitem
 
 from .designs import MAX_ARRAY_BYTES, _check_ints, check_budget
 from .errors import InvariantError, ParamError
 from .layout import (
     DeclusteredLayout,
+    _split,
     check_failed,
     check_index,
     losses,
@@ -129,9 +130,14 @@ class DiskArray:
     disks: list[bytearray]
 
     def __post_init__(self) -> None:
-        n, rows, sizes = self.layout.n, self.layout.rows_per_disk, list(map(len, self.disks))
+        n, rows = self.layout.n, self.layout.rows_per_disk
+        needs = f"the layout needs {n} disks of {rows} bytes"
+        try:
+            sizes = list(map(len, self.disks))
+        except TypeError:  # the disks, or one of them, have no length
+            raise ParamError(f"{needs}, got {self.disks!r:.80}") from None
         if sizes != [rows] * n:
-            raise ParamError(f"the layout needs {n} disks of {rows} bytes, got disks of {sizes}")
+            raise ParamError(f"{needs}, got disks of {sizes}")
 
     @property
     def n(self) -> int:
@@ -387,46 +393,64 @@ def _check_pattern(layout: DeclusteredLayout, cells, erased: tuple[int, ...], pl
                         wrong[lost] = wrong.get(lost, 0) | 1 << i
 
 
+def _failure_walk(layout: DeclusteredLayout, s: int):
+    """Each size-s failure set, a sorted tuple, with its `losses` groups, in
+    lexicographic order. Depth first, each prefix that some set extends is
+    split (`layout._split`) once for all of them: C(n - s + j, j) splits at
+    depth j."""
+
+    def walk(prefix, groups):
+        if len(prefix) == s:
+            groups.pop((), None)
+            yield prefix, groups
+            return
+        for disk in range(prefix[-1] + 1 if prefix else 0, layout.n - s + len(prefix) + 1):
+            yield from walk((*prefix, disk), _split(layout, groups, disk))
+
+    return walk((), {(): (1 << len(layout.placements)) - 1})
+
+
 def exhaustive_verify(layout: DeclusteredLayout, s: int, seed: int = 1) -> VerifySummary:
     """Rebuild every size-s failure set of one seeded fill and check each.
 
-    The sets share one decode per canonical erasure pattern that their lost
-    tuples' plans leave, over every lane of the fill's encoded cells (see
-    _codewords and _check_pattern). No disk is built and no rebuilt byte
-    outlives its pattern's call; a wrong cell fails every set
-    with an instance whose plan decodes it in that row and lost its column.
-    A set whose instances lost other than s disks' worth of column-units
-    fails too, as some unit it lost was never rebuilt. Each set keeps only
-    its read range and lost-unit count; the sweep is uniform when every set
-    reads the same count from every survivor. Results are in sorted
-    failure-set order.
+    The sets' lost groups come from one depth-first walk (_failure_walk),
+    which splits each shared prefix once; their reads are tallied set by set
+    (`layout.survivor_reads`). The sets share one decode per canonical
+    erasure pattern that their lost tuples' plans leave, over every lane of
+    the fill's encoded cells (see _codewords and _check_pattern). No disk is
+    built and no rebuilt byte outlives its pattern's call; a wrong cell fails
+    every set with an instance whose plan decodes it in that row and lost its
+    column, found by a second walk that runs only then. A set whose
+    instances lost other than s disks' worth of column-units fails too, as
+    some unit it lost was never rebuilt. Each set keeps only its read range
+    and lost-unit count; the sweep is uniform when every set reads the same
+    count from every survivor. Results are in sorted failure-set order.
     """
     check_size("s", s, layout.group.delta, low=0)
-    failure_sets = list(combinations(range(layout.n), s))
     lost_tuples, tallies = set(), []
-    for failed in map(frozenset, failure_sets):
-        affected = losses(layout, failed)
-        reads = survivor_reads(layout, failed, affected).values()
+    for failed, affected in _failure_walk(layout, s):
+        reads = survivor_reads(layout, frozenset(failed), affected).values()
         lost_tuples.update(affected)
         lost_units = sum(len(lost) * mask.bit_count() for lost, mask in affected.items())
-        tallies.append((min(reads), max(reads), lost_units))
+        tallies.append((failed, min(reads), max(reads), lost_units))
     wrong: dict[tuple[int, ...], int] = {}  # lost tuple -> instances rebuilt wrong with it
     plans = {lost: reconstruction_plan(layout.group, lost) for lost in lost_tuples}
     cells = _codewords(layout, seed)
     for erased in sorted(set().union(*(plan.erased for plan in plans.values()))):
         _check_pattern(layout, cells, erased, plans, wrong)
+    broken = {
+        failed for failed, affected in (_failure_walk(layout, s) if wrong else ())
+        if any(wrong.get(lost, 0) & hit for lost, hit in affected.items())
+    }
     lost_per_set = s * layout.units_per_disk
     results = tuple(
         SetResult(
-            failed=failed,
-            recovered=lost_units == lost_per_set and not (wrong and any(
-                wrong.get(lost, 0) & hit for lost, hit in losses(layout, frozenset(failed)).items()
-            )),
+            failed=failed, recovered=lost_units == lost_per_set and failed not in broken,
             min_reads=low, max_reads=high,
         )
-        for failed, (low, high, lost_units) in zip(failure_sets, tallies)
+        for failed, low, high, lost_units in tallies
     )
-    low, high = min(tally[0] for tally in tallies), max(tally[1] for tally in tallies)
+    low, high = min(tally[1] for tally in tallies), max(tally[2] for tally in tallies)
     return VerifySummary(
         s=s, total=len(results), passed=sum(result.recovered for result in results),
         results=results, min_reads=low, max_reads=high, uniform=low == high,

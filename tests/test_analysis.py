@@ -245,6 +245,12 @@ def test_round_half_up_matches_decimal_oracle():
 def test_round_half_up_rejects_negatives():
     with pytest.raises(ParamError):
         round_half_up(Fraction(-1, 2))
+    for value in (None, "x", float("nan"), float("inf")):
+        with pytest.raises(ParamError, match="^display rounding expects a rational value"):
+            round_half_up(value)
+    for decimals in (None, 1.5, True):
+        with pytest.raises(ParamError, match="^decimals must be an int"):
+            round_half_up(Fraction(1, 3), decimals)
 
 
 # ---------------------------------------------------------- counterexample

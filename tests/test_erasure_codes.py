@@ -234,9 +234,13 @@ def test_codes_refuse_malformed_fields_when_built(make, args, message):
         (lambda: rdp_code(3).encode([[1, 2, 3], [4, 5, 6]]), "expected a 2 x 2 grid"),
         (lambda: rs_code(4, 2).encode([[1, 2], [1, 2, 3]]), "data rows must have 2 symbols"),
         (lambda: rs_code(4, 2).p, "only the rdp code has a prime parameter"),
+        (lambda: rdp_code(3).encode(5), "expected a 2 x 2 grid"),
+        (lambda: rs_code(4, 2).encode(5), "data rows must have 2 symbols"),
+        (lambda: rs_code(4, 2).encode([5]), "data rows must have 2 symbols"),
+        (lambda: rdp_code(3).decode(5, (0,)), "expected a 2 x 4 grid"),
     ],
     ids=["erased high", "erased low", "None read", "rs grid", "rdp grid", "rdp data",
-         "rs data", "rs p"],
+         "rs data", "rs p", "rdp int data", "rs int data", "rs int row", "rdp int grid"],
 )
 def test_codec_refuses_malformed_calls(call, message):
     with pytest.raises(ParamError, match=f"^{re.escape(message)}$"):

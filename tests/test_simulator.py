@@ -4,7 +4,9 @@ import hashlib
 import operator
 import random
 import tracemalloc
+from collections import Counter
 from itertools import combinations, islice, product
+from math import comb
 
 import pytest
 
@@ -33,9 +35,10 @@ from declustr import (
 )
 import declustr.simulator as simulator
 from declustr.designs import MAX_ARRAY_BYTES
+from declustr.layout import losses
 from declustr.simulator import SetResult, VerifySummary
 from declustr.errors import InvariantError, ParamError, TooManyFailures
-from test_reconstruction_plan import CASES, relabeled
+from test_reconstruction_plan import CASES, naive_reads, relabeled
 
 
 # -------------------------------------------------------------- byte source
@@ -364,6 +367,10 @@ CODES_AND_DESIGNS = {
 def test_every_code_and_family_recovers_with_predicted_reads(name, family):
     # The unbalanced families leave one group of instances with several
     # erasure patterns, so one rebuild mixes patterns across decode calls.
+    # The reads are also checked against a walk of the rule over every
+    # placement and extended row (naive_reads), which shares no code with
+    # survivor_reads: the full family pools whole placements, the others
+    # pool per position, and the rotated layout's placements are not blocks.
     make_code, make_design = CODES_AND_DESIGNS[name]
     code = make_code()
     for layout in _with_rotation(build_layout(group_family(code, family), make_design())):
@@ -374,6 +381,7 @@ def test_every_code_and_family_recovers_with_predicted_reads(name, family):
                 rebuilt, stats = fail_and_reconstruct(array, failed)
                 assert rebuilt.disks == array.disks, failed
                 assert stats.reads == reconstruction_workload(layout, failed).reads, failed
+                assert stats.reads == naive_reads(layout, failed)[0], failed
                 assert stats.writes == {d: layout.rows_per_disk for d in failed}
 
 
@@ -812,16 +820,16 @@ def test_sweep_maps_a_wrong_lane_to_exactly_the_sets_that_use_it(name, family, m
 
 def test_sweep_fails_a_set_whose_lost_unit_nobody_rebuilds(monkeypatch):
     layout = build_layout(group_family(rdp_code(3), "full"), hadamard_3design(8))
-    walk = simulator.losses
+    walk = simulator._failure_walk
 
-    def dropping(layout, failed):
-        affected = walk(layout, failed)
-        if failed == {0, 1}:
-            lost = next(iter(affected))
-            affected = {**affected, lost: affected[lost] & (affected[lost] - 1)}
-        return affected
+    def dropping(layout, s):
+        for failed, affected in walk(layout, s):
+            if failed == (0, 1):
+                lost = next(iter(affected))
+                affected = {**affected, lost: affected[lost] & (affected[lost] - 1)}
+            yield failed, affected
 
-    monkeypatch.setattr(simulator, "losses", dropping)
+    monkeypatch.setattr(simulator, "_failure_walk", dropping)
     summary = exhaustive_verify(layout, 2, seed=3)
     assert [r.failed for r in summary.results if not r.recovered] == [(0, 1)]
     assert summary.passed == summary.total - 1 == 27
@@ -830,16 +838,48 @@ def test_sweep_fails_a_set_whose_lost_unit_nobody_rebuilds(monkeypatch):
 def test_sweep_walks_each_sets_losses_once_when_every_unit_matches(monkeypatch):
     layout = build_layout(group_family(rdp_code(3), "full"), hadamard_3design(8))
     walked = []
-    walk = simulator.losses
+    walk = simulator._failure_walk
 
-    def counting(layout, failed):
-        walked.append(tuple(sorted(failed)))
-        return walk(layout, failed)
+    def counting(layout, s):
+        for failed, affected in walk(layout, s):
+            walked.append(failed)
+            assert affected == losses(layout, frozenset(failed)), failed
+            yield failed, affected
 
-    monkeypatch.setattr(simulator, "losses", counting)
+    monkeypatch.setattr(simulator, "_failure_walk", counting)
     summary = exhaustive_verify(layout, 2, seed=3)
     assert summary.passed == summary.total == 28
     assert walked == list(combinations(range(layout.n), 2))
+
+
+@pytest.mark.parametrize("make_code, make_design", [
+    pytest.param(lambda: rdp_code(3), lambda: hadamard_3design(8), id="rdp3-hadamard8"),
+    pytest.param(
+        lambda: rs_code(5, 3), lambda: complete_design(7, 5, 4), id="rs(5,3)-complete(7,5,4)"
+    ),
+])
+def test_sweep_splits_each_shared_prefix_once(make_code, make_design, monkeypatch):
+    # Depth first, a prefix of j disks is split once for all the sets that
+    # extend it: C(n - s + j, j) splits at depth j, where every set split
+    # from scratch would make C(n, s) at each depth.
+    layout = build_layout(group_family(make_code(), "full"), make_design())
+    split, n = simulator._split, layout.n
+    for s in range(layout.group.delta + 1):
+        depth, made = {}, []  # made keeps every split alive, so no id is reused
+
+        def counting(layout, groups, disk):
+            out = split(layout, groups, disk)
+            depth[id(out)] = depth.get(id(groups), 0) + 1
+            made.append(out)
+            return out
+
+        monkeypatch.setattr(simulator, "_split", counting)
+        summary = exhaustive_verify(layout, s, seed=3)
+        monkeypatch.undo()
+        assert summary.passed == summary.total == comb(n, s)
+        assert Counter(depth.values()) == {j: comb(n - s + j, j) for j in range(1, s + 1)}, s
+        if (n, s) == (8, 2):
+            assert len(made) == 35  # not 2 * 28 = 56
 
 
 def _warm_peak(layout, call):
@@ -1005,6 +1045,8 @@ def test_disk_array_refuses_a_shape_its_layout_does_not_give(reference_layout):
         "missing": disks[:-1],
         "extra": disks + [bytearray(reference_layout.rows_per_disk)],
         "none": [],
+        "not a list": None,
+        "not disks": [5] * 8,
     }
     for what, bad in shapes.items():
         with pytest.raises(ParamError, match=r"^the layout needs 8 disks of 168 bytes, got "):
