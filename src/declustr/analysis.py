@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .designs import Design, DesignParams, _check_ints, count_lambda
+from .designs import Design, DesignParams, _check_ints, check_budget, count_lambda
 from .errors import ParamError
 from .layout import (
     DeclusteredLayout,
@@ -31,6 +31,10 @@ from .layout import (
     survivor_reads,
 )
 from .parity_groups import ParityGroup, reconstruction_plan, tau
+
+# Most decimals round_half_up renders, refused before it computes 10**decimals;
+# Python prints no int of more than 4,300 digits.
+MAX_DECIMALS = 1000
 
 #: Named (k -> lambda) tables for the trade-off report. The "fig13" preset is
 #: fixture data: the smallest published design index for each k at n=20,
@@ -197,6 +201,7 @@ def round_half_up(value, decimals: int = 1) -> str:
     _check_ints(decimals=decimals)
     if decimals < 0:
         raise ParamError(f"decimals must be >= 0, got {decimals}")
+    check_budget("decimals", decimals, "digits", MAX_DECIMALS)
     num = frac.numerator * 10**decimals
     den = frac.denominator
     q = (2 * num + den) // (2 * den)

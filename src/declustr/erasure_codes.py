@@ -26,10 +26,12 @@ One decoder serves both codes; rdp_decode and rs_decode are two names for
 it. Each kind states its r*delta parity checks, sums over its r x k cells
 that are zero on every codeword: rdp's row and diagonal checks, rs's
 parity-matrix rows. The rule leaves delta columns unread, so per erasure
-pattern the checks make a square system in the unread cells; its inverse,
-memoized, writes each as a sum of coefficient * read cell. rdp's
-coefficients are all 0 or 1 and a product by 1 is skipped, so rdp decodes
-with XOR alone.
+pattern the checks make a square system in the unread cells. Its inverse,
+memoized as a decode program, writes each as a sum of coefficient * read
+cell, or in two stages when that has fewer terms: each check's syndrome over
+the read cells, then each unread cell from the syndromes, which roughly
+halves rdp's XORs. rdp's coefficients are all 0 or 1 and a product by 1 is
+skipped, so rdp decodes with XOR alone.
 
 Every entry point takes a HorizontalCode, whose fields are checked once,
 when it is built. Grids are lists of rows; erasures are given as column
@@ -51,11 +53,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
-from .designs import _check_ints
+from .designs import _check_ints, check_budget
 from .errors import InvariantError, ParamError, TooManyErasures
 from .gf256 import gf_div, gf_inv, gf_mat_inv, gf_mul, gf_mul_table
 
 DATA = "D"
+
+# Most parity columns a code has: rs with k = 255 and delta = k - 1.
+MAX_DELTA = 254
 
 
 def parity_label(index: int) -> str:
@@ -172,6 +177,8 @@ def reconstruction_rule(delta: int, lost) -> frozenset[str]:
 @lru_cache(maxsize=4096, typed=True)
 def _rule(delta: int, lost: tuple[str, ...]) -> frozenset[str]:
     _check_ints(delta=delta)
+    # Refused before the delta parity indices are built: no code has more parities.
+    check_budget("delta", delta, "parity columns", MAX_DELTA)
     if len(lost) > delta:
         raise ParamError(f"{len(lost)} losses exceed delta={delta}")
     lost_parities = []
@@ -304,18 +311,22 @@ def _decode(code: HorizontalCode, rows, erased) -> tuple[list[list[int]], tuple[
     _check_grid(rows, code.r, code.k)
     if not erased:
         return [list(row) for row in rows], ()
-    read, matrix = _decode_matrix(code, erased)
-    cells = [row[c] for c in read for row in rows]
-    if None in cells:
-        raise ParamError(f"column {read[cells.index(None) // code.r]} must be readable but holds None")
-    # Each read cell that some product scales is turned into bytes once per call.
-    scaled = {n for _, terms in matrix for n, coeff in terms if coeff != 1}
-    raw, out = {n: _cell_bytes(cells[n]) for n in scaled}, [list(row) for row in rows]
-    for (i, c), terms in matrix:
+    read, program, scaled = _decode_matrix(code, erased)
+    values = [row[c] for c in read for row in rows]
+    if None in values:
+        raise ParamError(f"column {read[values.index(None) // code.r]} must be readable but holds None")
+    # A value that some product scales is turned into bytes once per call.
+    raw = {n: _cell_bytes(values[n]) for n in scaled if n < len(values)}
+    out = [list(row) for row in rows]
+    for cell, terms in program:
         acc = 0
         for n, coeff in terms:
-            acc ^= cells[n] if coeff == 1 else _scaled(coeff, raw[n])
-        out[i][c] = acc
+            acc ^= values[n] if coeff == 1 else _scaled(coeff, raw[n])
+        if len(values) in scaled:
+            raw[len(values)] = _cell_bytes(acc)
+        values.append(acc)
+        if cell is not None:
+            out[cell[0]][cell[1]] = acc
     return out, read
 
 
@@ -340,12 +351,24 @@ def _parity_checks(code: HorizontalCode) -> list[dict[tuple[int, int], int]]:
     ]
 
 
+def _cost(program) -> tuple[int, int, frozenset[int]]:
+    """A decode program's terms, GF(2^8) products, and the values it scales."""
+    scaled = [n for _, terms in program for n, coeff in terms if coeff != 1]
+    return sum(len(terms) for _, terms in program), len(scaled), frozenset(scaled)
+
+
 @lru_cache(maxsize=1024)
 def _decode_matrix(code: HorizontalCode, erased: tuple[int, ...]):
-    """One erasure pattern's read columns and decode matrix.
+    """One erasure pattern's read columns, decode program and scaled values.
 
-    The matrix pairs each unread cell (i, c) with the (n, coefficient) terms
-    that sum to it, read cell n being inner row n % r of read column n // r.
+    The program's steps (cell, terms) each sum (n, coefficient) terms, value
+    n being read cell n (inner row n % r of read column n // r), then each
+    earlier step's value in turn. A step decodes its unread cell (i, c), or
+    with cell None makes an intermediate value. The direct form is one stage,
+    each unread cell from the read cells; the factored form first sums each
+    used check's known part (its syndrome), then each unread cell from those
+    with the inverse's coefficients. The factored form is kept only when it
+    has fewer terms and no more products or scaled values.
     """
     r, labels = code.r, code.labels
     need = reconstruction_rule(code.delta, [labels[c] for c in erased])
@@ -360,11 +383,21 @@ def _decode_matrix(code: HorizontalCode, erased: tuple[int, ...]):
         ) from None
     at = {(i, c): x * r + i for x, c in enumerate(read) for i in range(r)}
     known = [[(at[cell], coeff) for cell, coeff in check.items() if cell in at] for check in checks]
-    matrix = []
+    direct = []
     for cell, row in zip(unknown, inverse):
         terms = [0] * len(at)
         for factor, check in zip(row, known):
             for n, coeff in check if factor else ():
                 terms[n] ^= coeff if factor == 1 else gf_mul(factor, coeff)
-        matrix.append((cell, tuple((n, coeff) for n, coeff in enumerate(terms) if coeff)))
-    return read, tuple(matrix)
+        direct.append((cell, tuple((n, coeff) for n, coeff in enumerate(terms) if coeff)))
+    # A check with no known cell has syndrome 0, and one no cell uses is skipped.
+    used = [q for q, check in enumerate(known) if check and any(row[q] for row in inverse)]
+    slot = {q: len(at) + x for x, q in enumerate(used)}
+    factored = [(None, tuple(known[q])) for q in used] + [
+        (cell, tuple((slot[q], factor) for q, factor in enumerate(row) if factor and q in slot))
+        for cell, row in zip(unknown, inverse)
+    ]
+    f, d = _cost(factored), _cost(direct)
+    if f[0] < d[0] and f[1] <= d[1] and len(f[2]) <= len(d[2]):
+        return read, tuple(factored), f[2]
+    return read, tuple(direct), d[2]

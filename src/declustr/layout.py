@@ -19,7 +19,8 @@ tuple, one failed disk at a time (`_split`, which the simulator's sweep walks
 prefix by prefix). `survivor_reads` pools the masks by what their
 reconstruction plans read and counts each pool on every disk with ANDs and
 bit counts, one C-level pass over the disks per pool of whole placements;
-the analysis and the simulator share that one tally.
+the analysis and the simulator share that one tally (`_tally`, whose memo of
+each lost tuple's plan a sweep keeps across its sets).
 
 The delta=1 path mirrors classic single-parity declustering: a one-row group
 whose parity column is last, hence placed on the largest block element, with
@@ -229,28 +230,31 @@ def losses(layout: DeclusteredLayout, failed: frozenset[int]) -> dict[tuple[int,
     return groups
 
 
-def survivor_reads(layout: DeclusteredLayout, failed: frozenset[int], affected) -> dict[int, int]:
-    """Entries read from each surviving disk to rebuild the `losses` groups.
+def _tally(layout: DeclusteredLayout, failed, affected, plans: dict) -> list[int]:
+    """Per disk, the entries read to rebuild the `losses` groups `affected`
+    (a failed disk's count is not a read).
 
-    The groups' masks are pooled per (read count, position read that often)
-    of their plans; they are disjoint, so a disk's count for a pool is the
-    size of its overlap with that position's `position_masks`, scaled by
-    r * rows. A read count that covers every surviving position reads whole
-    placements, one unit per disk, so it is pooled per count alone and met
-    with every disk's `member_masks` in one C-level pass per pool; only the
-    other pools, which the single and rotations families have, take a loop
-    per surviving disk.
+    The groups' masks are pooled by their lost tuples' plans' `pools`, read
+    off each plan's own `by_rows`. The plans come from `plans` ({lost tuple:
+    plan}), which a sweep shares across its sets, so each lost tuple's plan
+    is asked for once. The masks are disjoint, so a disk's count for a pool
+    is the size of its overlap with that position's `position_masks`, scaled
+    by r * rows. A pool of whole placements is met with every disk's
+    `member_masks` in one C-level pass; only the other pools, which the
+    single and rotations families have, take a loop per surviving disk.
     """
     group = layout.group
     whole: dict[int, int] = {}
     pooled: dict[tuple[int, int], int] = {}
     for lost, mask in affected.items():
-        for rows, positions in reconstruction_plan(group, lost).by_rows.items():
-            if len(positions) + len(lost) == group.k:
-                whole[rows] = whole.get(rows, 0) | mask
-            else:
-                for pos in positions:
-                    pooled[rows, pos] = pooled.get((rows, pos), 0) | mask
+        plan = plans.get(lost)
+        if plan is None:
+            plan = plans[lost] = reconstruction_plan(group, lost)
+        rows, keys = plan.pools
+        if rows:
+            whole[rows] = whole.get(rows, 0) | mask
+        for key in keys:
+            pooled[key] = pooled.get(key, 0) | mask
     r, totals = group.r, [0] * layout.n
     for rows, mask in whole.items():
         counts = map(int.bit_count, map(mask.__and__, layout.member_masks))
@@ -261,7 +265,13 @@ def survivor_reads(layout: DeclusteredLayout, failed: frozenset[int], affected) 
                 totals[disk] += r * sum(
                     rows * (mask & at[pos]).bit_count() for (rows, pos), mask in pooled.items()
                 )
-    reads = dict(enumerate(totals))
+    return totals
+
+
+def survivor_reads(layout: DeclusteredLayout, failed: frozenset[int], affected) -> dict[int, int]:
+    """Entries read from each surviving disk to rebuild the `losses` groups:
+    `_tally`'s per-disk counts, with a memo of plans for this call alone."""
+    reads = dict(enumerate(_tally(layout, failed, affected, {})))
     for disk in failed:
         del reads[disk]
     return reads

@@ -127,11 +127,13 @@ class ReconstructionPlan:
     """How an instance rebuilds after losing the tuple of positions `lost`.
 
     reads maps each surviving position to the number of extended rows reading
-    it (r entries each), and by_rows groups the positions read by that number.
+    it (r entries each), by_rows groups the positions read by that number, and
+    pools keys them as `layout.survivor_reads` pools them.
     The decoder's view, erased, is derived on first read, one memoized rule
-    answer per extended row, and cached: until then a plan keeps no
-    per-extended-row tuple of its own. Plans are shared by every caller
-    through the group's memo: read only.
+    answer per extended row, and cached, as is each erasure pattern's
+    lost_columns: until then a plan keeps no per-extended-row tuple of its
+    own. Plans are shared by every caller through the group's memo: read
+    only.
     """
 
     lost: tuple[int, ...]
@@ -150,6 +152,16 @@ class ReconstructionPlan:
         return {rows: tuple(positions) for rows, positions in out.items()}
 
     @cached_property
+    def pools(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """by_rows as a read tally pools it: the read count that every
+        surviving position has (whole placements, one unit per disk), or 0
+        and the (read count, position) pairs."""
+        for rows, positions in self.by_rows.items():
+            if len(positions) == len(self.reads):
+                return rows, ()
+        return 0, tuple((rows, pos) for rows, positions in self.by_rows.items() for pos in positions)
+
+    @cached_property
     def erased(self) -> tuple[tuple[int, ...], ...]:
         """Per extended row, the canonical columns the decoder is not given:
         all but those of the surviving positions whose label the rule names."""
@@ -159,6 +171,16 @@ class ReconstructionPlan:
             given = {columns[pos] for pos in self.reads if row[pos] in need}
             out.append(tuple(c for c in range(len(columns)) if c not in given))
         return tuple(out)
+
+    @cached_property
+    def lost_columns(self) -> dict[tuple[int, ...], frozenset[int]]:
+        """Per erasure pattern of `erased`, the canonical columns the lost
+        positions hold in the extended rows decoded with it: the erased
+        columns a rebuild writes back. The others are unread survivors."""
+        out: dict[tuple[int, ...], set[int]] = {}
+        for erased, columns in zip(self.erased, self.columns):
+            out.setdefault(erased, set()).update(map(columns.__getitem__, self.lost))
+        return {erased: frozenset(lost) for erased, lost in out.items()}
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,12 @@ A layout becomes an array of n byte vectors (one byte per unit). Every group
 instance holds its own codewords, but the simulator moves them in bulk: a
 cell handed to the codec packs one byte per (extended row, instance) pair,
 a lane, so one encode call fills every instance at once. Reads are tallied by
-the same function as the analysis's enumeration (`layout.survivor_reads`), so
-they match it unit for unit; what backs them is the check, on every decode
-call, that the decoder read exactly the columns the memoized reconstruction
-plan names.
+the same count as the analysis's enumeration (`layout._tally`, which
+`survivor_reads` wraps), so they match it unit for unit; a sweep keeps that
+count's memo of each lost tuple's plan across its sets, so it asks for each
+distinct lost tuple's plan once. What backs the reads is the check, on
+every decode call, that the decoder read exactly the columns the memoized
+reconstruction plan names.
 
 The fill, a single rebuild and an exhaustive sweep share one lane layout,
 column space: one buffer per (canonical column, inner row) whose lane e*L + x
@@ -21,20 +23,22 @@ A single rebuild's lanes are the failure set's affected instances in
 lost-tuple order (`layout.losses`), so each (extended row, lost tuple) is
 one run of lanes, gathered from the caller's disks with each failed disk
 read as zeros. Each canonical erasure pattern is decoded by one call over
-the runs whose plan leaves it and written back run by run; the lost
-positions are then scattered onto fresh replacement disks. Decoding every
-pattern over all lanes instead would decode about 15 times the lanes on
-RS(6,2).
+the runs whose plan leaves it, and only the columns those runs lost are
+written back, run by run; the lost positions are then scattered onto fresh
+replacement disks. Decoding every pattern over all lanes instead would
+decode about 15 times the lanes on RS(6,2).
 
 An exhaustive sweep's cells are the fill's encoded ints, so it builds no disk.
 Each canonical erasure pattern that the sets' lost tuples leave is decoded by
-one call over all lanes, and each erased cell is compared with its stored int
-by one `==`; lanes are walked only on a mismatch. Every plan
-reads k - delta columns per extended row, so each pattern erases exactly
-delta columns; an instance's rebuilt units depend only on its own stored
-bytes and the positions it lost, and all sets start from the same array, so
-each is decoded once however many sets produce it. A lane that no (lost
-tuple, extended row) uses is decoded too, but its cells fail no set.
+one call over all lanes (through the pattern's memoized program: for RDP,
+the checks' syndromes first, then each erased cell from those), and each
+erased cell is compared with its stored int by one `==`; lanes are walked
+only on a mismatch. Every plan reads k - delta columns per extended row, so
+each pattern erases exactly delta columns; an instance's rebuilt units
+depend only on its own stored bytes and the positions it lost, and all sets
+start from the same array, so each is decoded once however many sets
+produce it. A lane that no (lost tuple, extended row) uses is decoded too,
+but its cells fail no set.
 
 Data bytes come from a 64-bit xorshift stream (shifts 13, 7, 17; low byte of
 each state is emitted), so fixtures are portable: same seed, same array.
@@ -54,13 +58,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections import deque
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import getitem, itemgetter, setitem
+from operator import getitem, itemgetter, mul, setitem
 
 from .designs import MAX_ARRAY_BYTES, _check_ints, check_budget
 from .errors import InvariantError, ParamError
 from .layout import (
     DeclusteredLayout,
     _split,
+    _tally,
     check_failed,
     check_index,
     losses,
@@ -132,9 +137,9 @@ class DiskArray:
     def __post_init__(self) -> None:
         n, rows = self.layout.n, self.layout.rows_per_disk
         needs = f"the layout needs {n} disks of {rows} bytes"
-        try:
-            sizes = list(map(len, self.disks))
-        except TypeError:  # the disks, or one of them, have no length
+        try:  # one C-level pass; a disk that is not bytes-like has no memoryview
+            sizes = list(map(len, map(memoryview, self.disks)))
+        except TypeError:  # the disks are not iterable, or a disk is not bytes-like
             raise ParamError(f"{needs}, got {self.disks!r:.80}") from None
         if sizes != [rows] * n:
             raise ParamError(f"{needs}, got disks of {sizes}")
@@ -282,10 +287,12 @@ def _checked_decode(code, grid, erased: tuple[int, ...]) -> list[list[int]]:
     return out
 
 
-def _decode_runs(code, cells, erased: tuple[int, ...], runs: list[slice]) -> None:
+def _decode_runs(code, cells, erased: tuple[int, ...], runs: list[slice], wanted) -> None:
     """Decode one erasure pattern over its runs of lanes (slices of every
-    column buffer, see _column_cells) in one call, and write each erased
-    column's decoded cells back into its buffers, run by run."""
+    column buffer, see _column_cells) in one call, and write the decoded cells
+    of the `wanted` columns, those some run lost, back into their buffers,
+    run by run. An erased column no run lost is one the rule left unread on
+    a surviving disk, which the scatter never cuts out, so it is not written."""
     grid: list[list[int | None]] = [[None] * code.k for _ in range(code.r)]
     for c in (c for c in range(code.k) if c not in erased):
         for j, cell in enumerate(map(memoryview, cells[c])):
@@ -293,7 +300,7 @@ def _decode_runs(code, cells, erased: tuple[int, ...], runs: list[slice]) -> Non
     out = _checked_decode(code, grid, erased)
     ends = list(accumulate(run.stop - run.start for run in runs))
     pieces = list(map(slice, [0, *ends[:-1]], ends))
-    for c in erased:
+    for c in wanted:
         for j, cell in enumerate(map(memoryview, cells[c])):
             decoded = out[j][c].to_bytes(ends[-1], "little")
             deque(map(setitem, repeat(cell), runs, map(decoded.__getitem__, pieces)), maxlen=0)
@@ -334,8 +341,9 @@ def fail_and_reconstruct(array: DiskArray, failed) -> tuple[DiskArray, IOStats]:
 
     The affected instances' units are gathered into column space from the
     caller's disks, each failed disk read as one shared zero buffer; each
-    canonical erasure pattern is decoded over the runs whose plan leaves it
-    (_decode_runs), and only the replacement disks are scattered back out.
+    canonical erasure pattern is decoded over the runs whose plan leaves it,
+    and the columns they lost are written back (_decode_runs); only the
+    replacement disks are scattered back out.
     Returns a new array (the replacements plus copies of the survivors) and
     per-disk read/write unit counts. Instances that lost no column are never
     touched, and `array` is left as it was.
@@ -350,14 +358,22 @@ def fail_and_reconstruct(array: DiskArray, failed) -> tuple[DiskArray, IOStats]:
         layout, [zeros if d in failed else disk for d, disk in enumerate(array.disks)], lanes
     )
     # calls[erased]: the runs of lanes decoded with that pattern, one per (extended
-    # row, lost tuple), cut after the gather and freed as each pattern is decoded.
-    width, stop, calls = len(lanes), 0, {}
+    # row, lost tuple), cut after the gather and freed as each pattern is
+    # decoded; wanted[erased]: the columns those runs lost.
+    width, stop, calls, wanted = len(lanes), 0, {}, {}
     for lost, mask in affected.items():
         start, stop = stop, stop + mask.bit_count()
-        for e, erased in enumerate(reconstruction_plan(group, lost).erased):
+        plan = reconstruction_plan(group, lost)
+        for e, erased in enumerate(plan.erased):
             calls.setdefault(erased, []).append(slice(e * width + start, e * width + stop))
+        if len(lost) == group.delta:  # its runs lost every column of their patterns
+            wanted.update(plan.lost_columns)
+        else:
+            for erased, columns in plan.lost_columns.items():
+                wanted[erased] = wanted.get(erased, frozenset()) | columns
     while calls:
-        _decode_runs(group.code, cells, *calls.popitem())
+        erased, runs = calls.popitem()
+        _decode_runs(group.code, cells, erased, runs, wanted[erased])
     rebuilt = dict(zip(failed, _scatter(layout, cells, lanes, failed)))
     disks = [rebuilt[d] if d in failed else bytearray(disk) for d, disk in enumerate(array.disks)]
     return DiskArray(layout, disks), IOStats(reads, dict.fromkeys(failed, layout.rows_per_disk))
@@ -414,27 +430,30 @@ def exhaustive_verify(layout: DeclusteredLayout, s: int, seed: int = 1) -> Verif
     """Rebuild every size-s failure set of one seeded fill and check each.
 
     The sets' lost groups come from one depth-first walk (_failure_walk),
-    which splits each shared prefix once; their reads are tallied set by set
-    (`layout.survivor_reads`). The sets share one decode per canonical
-    erasure pattern that their lost tuples' plans leave, over every lane of
-    the fill's encoded cells (see _codewords and _check_pattern). No disk is
-    built and no rebuilt byte outlives its pattern's call; a wrong cell fails
-    every set with an instance whose plan decodes it in that row and lost its
-    column, found by a second walk that runs only then. A set whose
-    instances lost other than s disks' worth of column-units fails too, as
-    some unit it lost was never rebuilt. Each set keeps only its read range
-    and lost-unit count; the sweep is uniform when every set reads the same
-    count from every survivor. Results are in sorted failure-set order.
+    which splits each shared prefix once; their reads are tallied set by
+    set (`layout._tally`, the count `survivor_reads` gives) through one memo
+    of each distinct lost tuple's plan, so each plan is asked for once per
+    sweep, and the pattern checks take their plans from it. The sets share
+    one decode per canonical erasure pattern that their lost tuples' plans
+    leave, over every lane of the fill's encoded cells (see _codewords and
+    _check_pattern). No disk is built and no rebuilt byte outlives its
+    pattern's call; a wrong cell fails every set with an instance whose plan
+    decodes it in that row and lost its column, found by a second walk that
+    runs only then. A set whose instances lost other than s disks' worth of
+    column-units fails too, as some unit it lost was never rebuilt. Each set
+    keeps only its read range and lost-unit count; the sweep is uniform when
+    every set reads the same count from every survivor. Results are in
+    sorted failure-set order.
     """
     check_size("s", s, layout.group.delta, low=0)
-    lost_tuples, tallies = set(), []
+    plans, tallies = {}, []  # plans: _tally's memo, one plan per distinct lost tuple
     for failed, affected in _failure_walk(layout, s):
-        reads = survivor_reads(layout, frozenset(failed), affected).values()
-        lost_tuples.update(affected)
-        lost_units = sum(len(lost) * mask.bit_count() for lost, mask in affected.items())
+        reads = _tally(layout, failed, affected, plans)
+        for disk in reversed(failed):
+            del reads[disk]
+        lost_units = sum(map(mul, map(len, affected), map(int.bit_count, affected.values())))
         tallies.append((failed, min(reads), max(reads), lost_units))
     wrong: dict[tuple[int, ...], int] = {}  # lost tuple -> instances rebuilt wrong with it
-    plans = {lost: reconstruction_plan(layout.group, lost) for lost in lost_tuples}
     cells = _codewords(layout, seed)
     for erased in sorted(set().union(*(plan.erased for plan in plans.values()))):
         _check_pattern(layout, cells, erased, plans, wrong)

@@ -251,6 +251,10 @@ def test_round_half_up_rejects_negatives():
     for decimals in (None, 1.5, True):
         with pytest.raises(ParamError, match="^decimals must be an int"):
             round_half_up(Fraction(1, 3), decimals)
+    # Refused before 10**decimals is computed, or printed past 4,300 digits.
+    for decimals in (2**70, 5000):
+        with pytest.raises(ParamError, match=f"^decimals = {decimals} digits exceeds the limit"):
+            round_half_up(1.25, decimals)
 
 
 # ---------------------------------------------------------- counterexample

@@ -1,8 +1,9 @@
 """Encode/decode round-trips and the label-level reconstruction rule."""
 
+import operator
 import random
 import re
-from itertools import combinations, product
+from itertools import combinations, product, repeat
 
 import pytest
 
@@ -334,6 +335,69 @@ def test_decode_turns_each_read_cell_into_bytes_at_most_once(k, delta, monkeypat
     assert total < len(products)
 
 
+
+def one_stage(code, erased):
+    """The pattern's memoized decode program as one stage: each decoded cell's
+    coefficient per read cell, composed through any intermediate steps."""
+    read, program, _ = erasure_codes._decode_matrix(code, erased)
+    values = [{n: 1} for n in range(len(read) * code.r)]
+    direct = []
+    for cell, terms in program:
+        total = {}
+        for n, coeff in terms:
+            for m, inner in values[n].items():
+                total[m] = total.get(m, 0) ^ gf256.gf_mul(coeff, inner)
+        values.append({m: coeff for m, coeff in total.items() if coeff})
+        if cell is not None:
+            direct.append((cell, tuple(sorted(values[-1].items()))))
+    return direct
+
+
+def xors(program):
+    """XORs a program applies: one fewer than its terms, per step."""
+    return sum(len(terms) - 1 for _, terms in program if terms)
+
+
+def costs(program):
+    """A program's GF(2^8) products and the values it turns into bytes."""
+    scaled = [n for _, terms in program for n, coeff in terms if coeff != 1]
+    return len(scaled), len(set(scaled))
+
+
+@pytest.mark.parametrize("p, direct, bound", [(7, 4_590, 2_430), (11, 47_430, 18_030)])
+def test_rdp_programs_sum_syndromes_first_with_fewer_xors(p, direct, bound):
+    # Each RDP decoded cell is a chain of row and diagonal checks, so summing
+    # each check's known part once and the cells from those syndromes beats
+    # summing every cell from the read cells: at p=7, 97-212 terms a pattern.
+    code = rdp_code(p)
+    patterns = list(combinations(range(p + 1), 2))
+    programs = [erasure_codes._decode_matrix(code, erased)[1] for erased in patterns]
+    assert sum(map(xors, map(one_stage, repeat(code), patterns))) == direct
+    assert sum(map(xors, programs)) <= bound
+    assert all(any(cell is None for cell, _ in program) for program in programs)
+
+
+@pytest.mark.parametrize("k,delta", [(6, 2), (8, 3), (8, 4), (9, 4)])
+def test_rs_programs_make_no_more_products_or_conversions_than_one_stage(k, delta):
+    code = rs_code(k, delta)
+    for size in range(1, delta + 1):
+        for erased in combinations(range(k), size):
+            program = erasure_codes._decode_matrix(code, erased)[1]
+            assert all(map(operator.le, costs(program), costs(one_stage(code, erased)))), erased
+
+
+def test_rdp_11_multi_lane_round_trips_every_pattern():
+    # Cells of several lanes, so the two-stage program's syndromes are wide ints.
+    code = rdp_code(11)
+    singles = [code.encode(random_data(10, 10, seed=f"rdp11-{lane}")) for lane in range(5)]
+    packed = pack(singles)
+    for size in range(3):
+        for erased in combinations(range(12), size):
+            out, reads = code.decode(erase(packed, erased), erased)
+            assert unpack(out, len(singles)) == singles, erased
+            assert sorted(reads) == expected_reads(code, erased)
+
+
 # ------------------------------------------------------------------- rule
 
 @pytest.mark.parametrize(
@@ -386,6 +450,9 @@ def test_rule_rejects_bad_losses():
     for delta, lost in [(2, 5), (2, None), (True, (DATA,)), (2.0, (DATA,)), ([2], (DATA,))]:
         with pytest.raises(ParamError):
             reconstruction_rule(delta, lost)
+    # A delta no code has is refused before its parity indices are built.
+    with pytest.raises(ParamError, match=f"^delta = {2**70} parity columns exceeds the limit of 254"):
+        reconstruction_rule(2**70, (DATA,))
 
 
 def test_canonical_labels_order():

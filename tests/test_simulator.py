@@ -882,6 +882,64 @@ def test_sweep_splits_each_shared_prefix_once(make_code, make_design, monkeypatc
             assert len(made) == 35  # not 2 * 28 = 56
 
 
+
+@pytest.mark.parametrize("make_code, make_design", [
+    pytest.param(lambda: rdp_code(3), lambda: hadamard_3design(8), id="rdp3-hadamard8"),
+    pytest.param(
+        lambda: rs_code(5, 3), lambda: complete_design(7, 5, 4), id="rs(5,3)-complete(7,5,4)"
+    ),
+])
+def test_sweep_reads_each_lost_tuples_plan_once(make_code, make_design, monkeypatch):
+    # The per-set tally keeps one memo of plans and pool keys for the whole
+    # sweep, and the pattern checks take their plans from it, so a lost
+    # tuple's plan is asked for once however many sets lose it.
+    import declustr.layout as layout_module
+
+    layout = build_layout(group_family(make_code(), "full"), make_design())
+    plan = layout_module.reconstruction_plan
+    for s in range(layout.group.delta + 1):
+        asked = Counter()
+
+        def counting(group, lost):
+            asked[lost] += 1
+            return plan(group, lost)
+
+        monkeypatch.setattr(layout_module, "reconstruction_plan", counting)
+        monkeypatch.setattr(simulator, "reconstruction_plan", counting)
+        summary = exhaustive_verify(layout, s, seed=3)
+        monkeypatch.undo()
+        assert summary.passed == summary.total == comb(layout.n, s)
+        distinct = {
+            lost for failed in combinations(range(layout.n), s)
+            for lost in losses(layout, frozenset(failed))
+        }
+        assert set(asked) == distinct and set(asked.values()) <= {1}, s
+
+
+def test_rebuild_writes_back_only_the_columns_its_runs_lost(monkeypatch):
+    # A pattern's unread surviving column is decoded but never scattered, so
+    # a one-disk RDP p=7 rebuild writes back one column for each (data, P2)
+    # pattern and both columns only of (P1, P2), which a lost P1 or P2 uses.
+    layout = build_layout(group_family(rdp_code(7), "full"), hadamard_3design(16))
+    array = materialize(layout, 4)
+    decode_runs, calls = simulator._decode_runs, []
+
+    def recording(code, cells, erased, runs, wanted):
+        calls.append((erased, set(wanted)))
+        return decode_runs(code, cells, erased, runs, wanted)
+
+    monkeypatch.setattr(simulator, "_decode_runs", recording)
+    for failed in [(3,), (0, 9)]:
+        calls.clear()
+        rebuilt, _ = fail_and_reconstruct(array, failed)
+        assert rebuilt.disks == array.disks, failed
+        assert all(wanted and wanted <= set(erased) for erased, wanted in calls), failed
+        if len(failed) == 1:
+            assert len(calls) == 5 and all(
+                wanted == ({6, 7} if erased == (6, 7) else {erased[0]}) for erased, wanted in calls
+            )
+
+
 def _warm_peak(layout, call):
     """call's result and the tracemalloc peak of its second run (the first
     warms every memo) over the bytes of an array of `layout`."""
@@ -1047,6 +1105,8 @@ def test_disk_array_refuses_a_shape_its_layout_does_not_give(reference_layout):
         "none": [],
         "not a list": None,
         "not disks": [5] * 8,
+        "lists": [[0] * 168] * 8,
+        "strs": ["x" * 168] * 8,
     }
     for what, bad in shapes.items():
         with pytest.raises(ParamError, match=r"^the layout needs 8 disks of 168 bytes, got "):
