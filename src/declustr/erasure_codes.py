@@ -315,15 +315,13 @@ def _decode(code: HorizontalCode, rows, erased) -> tuple[list[list[int]], tuple[
     values = [row[c] for c in read for row in rows]
     if None in values:
         raise ParamError(f"column {read[values.index(None) // code.r]} must be readable but holds None")
-    # A value that some product scales is turned into bytes once per call.
-    raw = {n: _cell_bytes(values[n]) for n in scaled if n < len(values)}
+    # A read cell that some product scales is turned into bytes once per call.
+    raw = {n: _cell_bytes(values[n]) for n in scaled}
     out = [list(row) for row in rows]
     for cell, terms in program:
         acc = 0
         for n, coeff in terms:
             acc ^= values[n] if coeff == 1 else _scaled(coeff, raw[n])
-        if len(values) in scaled:
-            raw[len(values)] = _cell_bytes(acc)
         values.append(acc)
         if cell is not None:
             out[cell[0]][cell[1]] = acc
@@ -351,15 +349,9 @@ def _parity_checks(code: HorizontalCode) -> list[dict[tuple[int, int], int]]:
     ]
 
 
-def _cost(program) -> tuple[int, int, frozenset[int]]:
-    """A decode program's terms, GF(2^8) products, and the values it scales."""
-    scaled = [n for _, terms in program for n, coeff in terms if coeff != 1]
-    return sum(len(terms) for _, terms in program), len(scaled), frozenset(scaled)
-
-
 @lru_cache(maxsize=1024)
 def _decode_matrix(code: HorizontalCode, erased: tuple[int, ...]):
-    """One erasure pattern's read columns, decode program and scaled values.
+    """One erasure pattern's read columns, decode program and scaled read cells.
 
     The program's steps (cell, terms) each sum (n, coefficient) terms, value
     n being read cell n (inner row n % r of read column n // r), then each
@@ -368,7 +360,8 @@ def _decode_matrix(code: HorizontalCode, erased: tuple[int, ...]):
     each unread cell from the read cells; the factored form first sums each
     used check's known part (its syndrome), then each unread cell from those
     with the inverse's coefficients. The factored form is kept only when it
-    has fewer terms and no more products or scaled values.
+    has fewer terms and no GF(2^8) products, so only read cells are ever
+    scaled.
     """
     r, labels = code.r, code.labels
     need = reconstruction_rule(code.delta, [labels[c] for c in erased])
@@ -397,7 +390,7 @@ def _decode_matrix(code: HorizontalCode, erased: tuple[int, ...]):
         (cell, tuple((slot[q], factor) for q, factor in enumerate(row) if factor and q in slot))
         for cell, row in zip(unknown, inverse)
     ]
-    f, d = _cost(factored), _cost(direct)
-    if f[0] < d[0] and f[1] <= d[1] and len(f[2]) <= len(d[2]):
-        return read, tuple(factored), f[2]
-    return read, tuple(direct), d[2]
+    coeffs = [coeff for _, terms in factored for _, coeff in terms]
+    if len(coeffs) < sum(len(terms) for _, terms in direct) and all(c == 1 for c in coeffs):
+        return read, tuple(factored), frozenset()
+    return read, tuple(direct), frozenset(n for _, terms in direct for n, c in terms if c != 1)

@@ -366,11 +366,8 @@ def fail_and_reconstruct(array: DiskArray, failed) -> tuple[DiskArray, IOStats]:
         plan = reconstruction_plan(group, lost)
         for e, erased in enumerate(plan.erased):
             calls.setdefault(erased, []).append(slice(e * width + start, e * width + stop))
-        if len(lost) == group.delta:  # its runs lost every column of their patterns
-            wanted.update(plan.lost_columns)
-        else:
-            for erased, columns in plan.lost_columns.items():
-                wanted[erased] = wanted.get(erased, frozenset()) | columns
+        for erased, columns in plan.lost_columns.items():
+            wanted[erased] = wanted.get(erased, frozenset()) | columns
     while calls:
         erased, runs = calls.popitem()
         _decode_runs(group.code, cells, erased, runs, wanted[erased])
