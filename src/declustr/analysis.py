@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .designs import Design, DesignParams, _check_ints, check_budget, count_lambda
+from .designs import Design, DesignParams, check_budget, check_ints, count_lambda
 from .errors import ParamError
 from .layout import (
     DeclusteredLayout,
@@ -32,9 +32,9 @@ from .layout import (
 )
 from .parity_groups import ParityGroup, reconstruction_plan, tau
 
-# Most decimals round_half_up renders, refused before it computes 10**decimals;
-# Python prints no int of more than 4,300 digits.
-MAX_DECIMALS = 1000
+# Most decimals round_half_up renders, refused before it computes 10**decimals, and most
+# bits of its whole part (3,011 digits): with both, under the 4,300 digits Python prints.
+MAX_DECIMALS, MAX_WHOLE_BITS = 1000, 10_000
 
 #: Named (k -> lambda) tables for the trade-off report. The "fig13" preset is
 #: fixture data: the smallest published design index for each k at n=20,
@@ -136,12 +136,7 @@ def closed_form_workload(params: DesignParams, group: ParityGroup, s: int) -> in
     s <= min(delta, t-1). tau raises UnbalancedGroup when the group's
     arrangement family has no single tau_j.
     """
-    top = min(group.delta, params.t - 1)
-    if isinstance(s, bool) or not isinstance(s, int) or not 1 <= s <= top:
-        raise ParamError(
-            f"closed-form workload needs an int s in 1..min(delta, t-1) = {top}, "
-            f"got s={s!r} with delta={group.delta}, t={params.t}"
-        )
+    check_ints(s=s, low=1, high=min(group.delta, params.t - 1))
     if group.k != params.k:
         raise ParamError(
             f"group size k={group.k} does not match design block size k={params.k}"
@@ -160,17 +155,16 @@ def tradeoff_table(n: int, rows) -> list[TradeoffRow]:
     2n/k (two-parity groups); depth_over_m is the per-disk column-unit count
     lambda*(n-1)(n-2)/((k-1)(k-2)).
     """
-    _check_ints(n=n)
+    check_ints(n=n)
     try:
         rows = [(k, lam) for k, lam in rows]
     except (TypeError, ValueError):
         raise ParamError(f"rows must be (k, lambda) pairs, got {rows!r}") from None
     table = []
     for k, lam in rows:
-        _check_ints(k=k)
+        check_ints(k=k, lam=lam)
         if not 3 <= k <= n:
             raise ParamError(f"need 3 <= k <= n, got k={k}, n={n}")
-        _check_ints(lam=lam)
         if lam < 1:
             raise ParamError(f"lambda must be >= 1, got {lam}")
         table.append(
@@ -198,10 +192,11 @@ def round_half_up(value, decimals: int = 1) -> str:
         raise ParamError(f"display rounding expects a rational value, got {value!r}") from None
     if frac < 0:
         raise ParamError(f"display rounding expects nonnegative values, got {frac}")
-    _check_ints(decimals=decimals)
+    check_ints(decimals=decimals)
     if decimals < 0:
         raise ParamError(f"decimals must be >= 0, got {decimals}")
     check_budget("decimals", decimals, "digits", MAX_DECIMALS)
+    check_budget("the whole part", int(frac).bit_length(), "bits", MAX_WHOLE_BITS)
     num = frac.numerator * 10**decimals
     den = frac.denominator
     q = (2 * num + den) // (2 * den)

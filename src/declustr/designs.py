@@ -67,11 +67,20 @@ def _check_comb_budget(what: str, n: int, k: int, unit: str) -> None:
             )
 
 
-def _check_ints(**sizes) -> None:
-    """Refuse a size that is not an int; a bool compares like 0 or 1 but is no size."""
-    for name, value in sizes.items():
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ParamError(f"{name} must be an int, got {value!r}")
+def check_ints(*, low: int | None = None, high: int | None = None, **values) -> None:
+    """Refuse a value that is not an exact int (no bool) or, with bounds, not in low..high."""
+    span = "" if low is None else f" in {low}..{high}"
+    for name, value in values.items():
+        if type(value) is not int or span and not low <= value <= high:
+            raise ParamError(f"{name} must be an int{span}, got {value!r}")
+
+
+def check_iterable(name: str, value, what: str, error: type = ParamError) -> tuple:
+    """value's items as a tuple; refuse a value that is not iterable."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise error(f"{name} must be an iterable of {what}, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -84,7 +93,7 @@ class DesignParams:
     lam: int
 
     def __post_init__(self):
-        _check_ints(t=self.t, n=self.n, k=self.k, lam=self.lam)
+        check_ints(t=self.t, n=self.n, k=self.k, lam=self.lam)
         if not (1 <= self.t <= self.k <= self.n):
             raise ParamError(
                 f"need 1 <= t <= k <= n, got t={self.t}, k={self.k}, n={self.n}"
@@ -144,10 +153,7 @@ def validate_design(blocks, t: int, n: int, k: int, lam: int) -> Design:
     """
     params = DesignParams(t=t, n=n, k=k, lam=lam)
     check_budget(f"validating C({n},{t})", comb(n, t), f"{t}-subsets")
-    try:
-        blocks, rows = list(blocks), []
-    except TypeError:
-        raise ParamError(f"blocks must be an iterable of blocks, got {blocks!r}") from None
+    blocks, rows = check_iterable("blocks", blocks, "blocks"), []
     try:
         rows.extend(map(tuple, blocks))
     except TypeError:
@@ -194,7 +200,7 @@ def complete_design(n: int, k: int, t: int) -> Design:
 
     More than MAX_COVERAGE_SUBSETS blocks are refused before any is built.
     """
-    _check_ints(n=n, k=k, t=t)
+    check_ints(n=n, k=k, t=t)
     if not (1 <= t <= k <= n):
         raise ParamError(f"need 1 <= t <= k <= n, got t={t}, k={k}, n={n}")
     _check_comb_budget("building", n, k, "blocks")
@@ -210,7 +216,7 @@ def hadamard_3design(n: int) -> Design:
     each contribute one block, giving 2(n-1) blocks of n(n-1) points in all;
     more than MAX_COVERAGE_SUBSETS points are refused before any is built.
     """
-    _check_ints(n=n)
+    check_ints(n=n)
     if n < 8 or n & (n - 1) != 0:
         raise ParamError(f"order must be a power of two >= 8, got {n}")
     check_budget(f"building {n}*{n - 1}", n * (n - 1), "points")
@@ -229,7 +235,7 @@ def count_lambda(params: DesignParams, i: int, j: int) -> int:
     The value lam * C(n-i-j, k-i) / C(n-t, k-t) is the same for every choice
     of the two disjoint point sets.
     """
-    _check_ints(i=i, j=j)
+    check_ints(i=i, j=j)
     if i < 0 or j < 0 or i + j > params.t:
         raise ParamError(f"need i >= 0, j >= 0, i + j <= t, got i={i}, j={j}")
     value, rest = divmod(
@@ -246,7 +252,7 @@ def count_lambda(params: DesignParams, i: int, j: int) -> int:
 
 def reduce_design(design: Design, s: int) -> Design:
     """Reinterpret a t-design as an s-design (s <= t) with the induced lambda."""
-    _check_ints(s=s)
+    check_ints(s=s)
     if not (1 <= s <= design.t):
         raise ParamError(f"need 1 <= s <= t={design.t}, got s={s}")
     lam_s = count_lambda(design.params, s, 0)

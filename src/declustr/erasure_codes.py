@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
-from .designs import _check_ints, check_budget
+from .designs import check_budget, check_ints, check_iterable
 from .errors import InvariantError, ParamError, TooManyErasures
 from .gf256 import gf_div, gf_inv, gf_mat_inv, gf_mul, gf_mul_table
 
@@ -84,6 +84,9 @@ def parity_index(label: str) -> int | None:
 
 def canonical_labels(k: int, delta: int) -> tuple[str, ...]:
     """k-delta data labels followed by P1..Pdelta."""
+    check_ints(k=k)
+    check_budget("k", k, "labels")
+    check_ints(delta=delta, low=0, high=k)
     return (DATA,) * (k - delta) + tuple(parity_label(i) for i in range(1, delta + 1))
 
 
@@ -109,7 +112,7 @@ class HorizontalCode:
     def __post_init__(self):
         if not isinstance(self.kind, str) or self.kind not in CODE_KINDS:
             raise ParamError(f"unknown code kind {self.kind!r}, not one of {', '.join(CODE_KINDS)}")
-        _check_ints(k=self.k, delta=self.delta, r=self.r)
+        check_ints(k=self.k, delta=self.delta, r=self.r)
         if self.kind == "rdp":
             if not is_prime(self.k - 1) or self.k < 4:
                 raise ParamError(f"rdp needs a prime p >= 3, got {self.k - 1}")
@@ -142,7 +145,7 @@ class HorizontalCode:
 
 
 def rdp_code(p: int) -> HorizontalCode:
-    _check_ints(p=p)
+    check_ints(p=p)
     return HorizontalCode(kind="rdp", k=p + 1, delta=2, r=p - 1)
 
 
@@ -176,7 +179,7 @@ def reconstruction_rule(delta: int, lost) -> frozenset[str]:
 # typed: a bool or float delta must be refused, not get an equal int delta's answer.
 @lru_cache(maxsize=4096, typed=True)
 def _rule(delta: int, lost: tuple[str, ...]) -> frozenset[str]:
-    _check_ints(delta=delta)
+    check_ints(delta=delta)
     # Refused before the delta parity indices are built: no code has more parities.
     check_budget("delta", delta, "parity columns", MAX_DELTA)
     if len(lost) > delta:
@@ -297,10 +300,7 @@ def _decode(code: HorizontalCode, rows, erased) -> tuple[list[list[int]], tuple[
     Input cells in erased or unread columns may be None; only the columns the
     reconstruction rule names are consulted.
     """
-    try:
-        erased = tuple(erased)
-    except TypeError:
-        raise ParamError(f"erased columns must be an iterable of ints, got {erased!r}") from None
+    erased = check_iterable("erased columns", erased, "ints")
     if any(type(c) is not int for c in erased):  # exact ints only; sorted cannot order None and 0
         raise ParamError(f"erased columns out of range: {list(erased)}")
     erased = tuple(sorted(set(erased)))

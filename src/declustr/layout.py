@@ -41,6 +41,7 @@ from .designs import (
     Design,
     check_budget,
     check_fields,
+    check_iterable,
     count_lambda,
     design_from_json,
     design_to_json,
@@ -82,11 +83,12 @@ class DeclusteredLayout:
             raise MismatchError(
                 f"group size k={group.k} does not match design block size k={design.k}"
             )
-        if len(placements) != len(design.blocks):
-            raise InvariantError(f"{len(placements)} placements for {len(design.blocks)} blocks")
         # Blocks are sorted ints, so the blocks themselves match; True or 1.0 == 1 is no disk.
-        # One C-level pass decides; the loop only names the first offender.
+        # One C-level pass decides; the count and the loop only name the first offender.
         if placements is not design.blocks and not _holds_blocks(placements, design.blocks):
+            placements = check_iterable("placements", placements, "disk tuples", InvariantError)
+            if len(placements) != len(design.blocks):
+                raise InvariantError(f"{len(placements)} placements for {len(design.blocks)} blocks")
             for index, (disks, block) in enumerate(zip(placements, design.blocks)):
                 if not _holds_blocks((disks,), (block,)):
                     raise InvariantError(f"placement {index} disks {disks} do not match block {block}")
@@ -170,12 +172,9 @@ class LayoutGeometry:
 def check_failed(layout: DeclusteredLayout, failed) -> frozenset[int]:
     """Validate a failure set against the layout's disks and tolerance."""
     # Entries are checked before frozenset hashes them, so a list entry is a ParamError too.
-    try:
-        entries = tuple(failed)
-    except TypeError:
-        raise ParamError(f"failed disks must be an iterable of disks, got {failed!r}") from None
+    entries = check_iterable("failed disks", failed, "disks")
     n, delta = layout.n, layout.group.delta
-    if any(isinstance(d, bool) or not isinstance(d, int) or not 0 <= d < n for d in entries):
+    if any(type(d) is not int or not 0 <= d < n for d in entries):
         # Ints in order, then anything else by repr: sorted cannot order None against 0.
         shown = sorted(entries, key=lambda d: (type(d) is not int, d if type(d) is int else repr(d)))
         raise ParamError(f"failed disks must be in 0..{n - 1}, got {shown}")
@@ -183,12 +182,6 @@ def check_failed(layout: DeclusteredLayout, failed) -> frozenset[int]:
     if len(failed) > delta:
         raise TooManyFailures(f"{len(failed)} failed disks exceed the tolerance delta={delta}")
     return failed
-
-
-def check_index(name: str, value, size: int) -> None:
-    """Refuse anything but an int in 0..size-1; a bool indexes like 0 or 1 but is neither."""
-    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < size:
-        raise ParamError(f"{name} must be an int in 0..{size - 1}, got {value!r}")
 
 
 def placement_indices(mask: int):

@@ -29,7 +29,7 @@ from itertools import combinations, permutations, repeat
 from math import comb, factorial
 from operator import contains
 
-from .designs import check_budget
+from .designs import check_budget, check_ints
 from .erasure_codes import (
     DATA,
     HorizontalCode,
@@ -280,7 +280,7 @@ def reconstruction_plan(group: ParityGroup, lost: tuple[int, ...]) -> Reconstruc
     position: how many rows' needs hold the label that position's column has.
     Entries must be exact ints, on a memo hit too: (True,) and (1.0,) are
     equal keys to (1,). A key that cannot be hashed (a list, or a tuple
-    holding one) is refused like any other malformed tuple.
+    holding one) and, on a miss, any other non-tuple ("") are refused too.
     """
     try:
         plan, exact = group._plans.get(lost), True
@@ -291,8 +291,8 @@ def reconstruction_plan(group: ParityGroup, lost: tuple[int, ...]) -> Reconstruc
     if exact and plan is not None:
         return plan
     k = group.k
-    if not exact or list(lost) != sorted(set(lost) & set(range(k))):
-        raise ParamError(f"lost positions must be sorted and distinct in 0..{k - 1}, got {lost}")
+    if not exact or type(lost) is not tuple or list(lost) != sorted(set(lost) & set(range(k))):
+        raise ParamError(f"lost positions must be sorted and distinct in 0..{k - 1}, got {lost!r}")
     columns, rows = group.label_columns, len(group.extended_rows)
     # Each row's lost labels; zip over no columns would yield no rows at all.
     lost_labels = zip(*map(columns.__getitem__, lost)) if lost else repeat((), rows)
@@ -306,7 +306,7 @@ def reconstruction_plan(group: ParityGroup, lost: tuple[int, ...]) -> Reconstruc
 
 def check_size(name: str, s, delta: int, low: int = 1) -> None:
     """Refuse a failure size that is not an int in low..delta; a bool is not a size."""
-    if isinstance(s, bool) or not isinstance(s, int) or not low <= s <= delta:
+    if type(s) is not int or not low <= s <= delta:
         raise ParamError(f"need {low} <= {name} <= delta={delta}, got {s!r}")
 
 
@@ -350,10 +350,9 @@ def arrangement_counts(group: ParityGroup, i: int, j: int) -> ArrangementCounts:
     """Tally (label at i, label at j) patterns over the extended rows, delta=2 only."""
     if group.delta != 2:
         raise ParamError(f"arrangement counts are defined for delta=2, got {group.delta}")
+    check_ints(i=i, j=j, low=0, high=group.k - 1)
     if i == j:
         raise ParamError("need two distinct columns")
-    if any(isinstance(c, bool) or not isinstance(c, int) or not 0 <= c < group.k for c in (i, j)):
-        raise ParamError(f"columns must be ints in 0..{group.k - 1}, got {i!r}, {j!r}")
     p1, p2 = parity_label(1), parity_label(2)
     pairs = Counter(zip(group.label_columns[i], group.label_columns[j]))
     return ArrangementCounts(r_dq=pairs[DATA, p2], r_pq=pairs[p1, p2], r_qp=pairs[p2, p1])

@@ -60,14 +60,13 @@ from collections import deque
 from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import getitem, itemgetter, mul, setitem
 
-from .designs import MAX_ARRAY_BYTES, _check_ints, check_budget
+from .designs import MAX_ARRAY_BYTES, check_budget, check_ints
 from .errors import InvariantError, ParamError
 from .layout import (
     DeclusteredLayout,
     _split,
     _tally,
     check_failed,
-    check_index,
     losses,
     placement_indices,
     survivor_reads,
@@ -87,6 +86,7 @@ _TAPS = (
 
 def byte_stream(seed: int):
     """Endless deterministic byte generator (xorshift64, low byte)."""
+    check_ints(seed=seed)
     state = seed & _MASK64
     while True:
         state ^= (state << 13) & _MASK64
@@ -138,9 +138,12 @@ class DiskArray:
         n, rows = self.layout.n, self.layout.rows_per_disk
         needs = f"the layout needs {n} disks of {rows} bytes"
         try:  # one C-level pass; a disk that is not bytes-like has no memoryview
-            sizes = list(map(len, map(memoryview, self.disks)))
+            views = list(map(memoryview, self.disks))
         except TypeError:  # the disks are not iterable, or a disk is not bytes-like
             raise ParamError(f"{needs}, got {self.disks!r:.80}") from None
+        # In bytes; wider items are refused too, as the rebuild slices disks by byte offset.
+        sizes = [v.nbytes if v.itemsize == 1 else f"{v.nbytes} in {v.itemsize}-byte items"
+                 for v in views]
         if sizes != [rows] * n:
             raise ParamError(f"{needs}, got disks of {sizes}")
 
@@ -203,7 +206,7 @@ def _codewords(layout: DeclusteredLayout, seed: int) -> list[list[int]]:
     instance, as ints. The seed must be an int; it is taken mod 2^64. An array
     of more than MAX_ARRAY_BYTES bytes is refused before anything is allocated.
     """
-    _check_ints(seed=seed)
+    check_ints(seed=seed)
     n, rows = layout.n, layout.rows_per_disk
     check_budget(f"an array of {n}*{rows}", n * rows, "bytes", MAX_ARRAY_BYTES)
     group = layout.group
@@ -476,8 +479,8 @@ def exhaustive_verify(layout: DeclusteredLayout, s: int, seed: int = 1) -> Verif
 def unit_provenance(layout: DeclusteredLayout, disk: int, offset: int) -> UnitProvenance:
     """Group coordinates of the byte at (disk, offset)."""
     group = layout.group
-    check_index("disk", disk, layout.n)
-    check_index("offset", offset, layout.rows_per_disk)
+    check_ints(disk=disk, low=0, high=layout.n - 1)
+    check_ints(offset=offset, low=0, high=layout.rows_per_disk - 1)
     stack_index, rem = divmod(offset, group.m)
     e, j = divmod(rem, group.r)
     block_index, pos = layout.stacks[disk][stack_index]

@@ -255,6 +255,10 @@ def test_round_half_up_rejects_negatives():
     for decimals in (2**70, 5000):
         with pytest.raises(ParamError, match=f"^decimals = {decimals} digits exceeds the limit"):
             round_half_up(1.25, decimals)
+    # A whole part past 4,300 digits once leaked str()'s ValueError; 1,000 digits render.
+    with pytest.raises(ParamError, match="^the whole part = 16610 bits exceeds the limit"):
+        round_half_up(10**5000)
+    assert round_half_up(10**999) == "1" + "0" * 999 + ".0"
 
 
 # ---------------------------------------------------------- counterexample

@@ -459,6 +459,16 @@ def test_canonical_labels_order():
     assert canonical_labels(6, 2) == (DATA, DATA, DATA, DATA, P1, P2)
 
 
+def test_canonical_labels_refuse_a_delta_outside_0_to_k():
+    # k is bounded by the label budget, not by 255: rdp with p = 257 has k = 258.
+    assert canonical_labels(258, 2) == (DATA,) * 256 + (P1, P2)
+    for k, delta in ((5, -1), (4, 5)):
+        with pytest.raises(ParamError, match=rf"^delta must be an int in 0\.\.{k}, got {delta}$"):
+            canonical_labels(k, delta)
+    with pytest.raises(ParamError, match="^k = 1180591620717411303424 labels exceeds the limit"):
+        canonical_labels(2**70, 2)
+
+
 def rule_by_definition(delta, lost):
     """All surviving data plus the d lowest-indexed surviving parities, d data lost."""
     if not lost:

@@ -26,7 +26,7 @@ from declustr.errors import (
     MismatchError,
     ParamError,
 )
-from declustr import erasure_codes
+from declustr import designs, erasure_codes
 from declustr import layout as layout_module
 from declustr import parity_groups
 from declustr.cli import run
@@ -62,7 +62,7 @@ def test_groups_stack_in_block_order(reference_layout):
 @pytest.mark.parametrize("disk", [True, 1.5, "1", 8, 99, -1])
 def test_check_index_rejects_bad_disks(reference_layout, disk):
     with pytest.raises(ParamError, match=r"^disk must be an int in 0\.\.7, got "):
-        layout_module.check_index("disk", disk, reference_layout.n)
+        designs.check_ints(disk=disk, low=0, high=reference_layout.n - 1)
 
 
 def walked_bits(mask):

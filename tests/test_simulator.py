@@ -4,6 +4,7 @@ import hashlib
 import operator
 import random
 import tracemalloc
+from array import array
 from collections import Counter
 from itertools import combinations, islice, product
 from math import comb
@@ -1107,10 +1108,16 @@ def test_disk_array_refuses_a_shape_its_layout_does_not_give(reference_layout):
         "not disks": [5] * 8,
         "lists": [[0] * 168] * 8,
         "strs": ["x" * 168] * 8,
+        # Counted in bytes, not items: 168 two-byte items are 336 bytes, and 168
+        # bytes of two-byte items would be sliced by item in the rebuild.
+        "wide": [array("H", bytes(336))] * 8,
+        "wide items": [array("H", disk) for disk in disks],
     }
     for what, bad in shapes.items():
         with pytest.raises(ParamError, match=r"^the layout needs 8 disks of 168 bytes, got "):
             simulator.DiskArray(reference_layout, bad)
+    with pytest.raises(ParamError, match=r"got disks of \['336 in 2-byte items', "):
+        simulator.DiskArray(reference_layout, shapes["wide"])
 
 
 def test_seed_is_taken_mod_2_64(reference_layout):
