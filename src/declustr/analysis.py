@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import comb
 
 from .designs import Design, DesignParams, check_budget, check_ints, count_lambda
-from .errors import ParamError
+from .errors import ParamError, shown
 from .layout import (
     DeclusteredLayout,
     build_layout,
@@ -159,14 +159,14 @@ def tradeoff_table(n: int, rows) -> list[TradeoffRow]:
     try:
         rows = [(k, lam) for k, lam in rows]
     except (TypeError, ValueError):
-        raise ParamError(f"rows must be (k, lambda) pairs, got {rows!r}") from None
+        raise ParamError(f"rows must be (k, lambda) pairs, got {shown(rows)}") from None
     table = []
     for k, lam in rows:
         check_ints(k=k, lam=lam)
         if not 3 <= k <= n:
-            raise ParamError(f"need 3 <= k <= n, got k={k}, n={n}")
+            raise ParamError(f"need 3 <= k <= n, got k={shown(k)}, n={n}")
         if lam < 1:
-            raise ParamError(f"lambda must be >= 1, got {lam}")
+            raise ParamError(f"lambda must be >= 1, got {shown(lam)}")
         table.append(
             TradeoffRow(
                 k=k,
@@ -189,7 +189,7 @@ def round_half_up(value, decimals: int = 1) -> str:
     try:
         frac = Fraction(value)
     except (TypeError, ValueError, OverflowError):  # not a number, a bad string, NaN, infinity
-        raise ParamError(f"display rounding expects a rational value, got {value!r}") from None
+        raise ParamError(f"display rounding expects a rational value, got {shown(value)}") from None
     if frac < 0:
         raise ParamError(f"display rounding expects nonnegative values, got {frac}")
     check_ints(decimals=decimals)

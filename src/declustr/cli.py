@@ -19,6 +19,7 @@ import sys
 from pathlib import Path
 from typing import NamedTuple
 
+from . import _stats
 from .analysis import (
     TRADEOFF_LAMBDA_PRESETS,
     counterexample_report,
@@ -463,6 +464,23 @@ def _cmd_analyze_counterexample(args) -> Result:
 # ---------------------------------------------------------------- simulate
 
 def _cmd_simulate(args) -> Result:
+    """simulate, with its run stats written as JSON to --stats FILE (- is stderr)."""
+    if args.stats is None:
+        return _simulate(args)
+    _stats.recorder = _stats.Recorder()
+    try:
+        result = _simulate(args)
+        text = dump_json(_stats.recorder.report())
+    finally:
+        _stats.recorder = None
+    if args.stats == "-":
+        sys.stderr.write(text)
+    else:
+        _write(args.stats, text)
+    return result
+
+
+def _simulate(args) -> Result:
     if (args.fail is None) == (args.exhaustive is None):
         raise UsageError("simulate needs exactly one of --fail or --exhaustive")
     layout = _load_layout(args.layout)
@@ -604,6 +622,7 @@ def build_parser() -> argparse.ArgumentParser:
         fail={"help": _FAIL_HELP},
         exhaustive={"type": int, "help": "sweep all failure sets of this size"},
         seed={"type": int, "default": 1},
+        stats={"metavar": "FILE", "help": "write run stats as JSON to FILE (- for stderr)"},
     )
     return parser
 

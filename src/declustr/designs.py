@@ -22,7 +22,7 @@ from itertools import chain, combinations, repeat
 from json.encoder import encode_basestring_ascii
 from math import comb
 
-from .errors import BlockSizeError, CoverageError, FormatError, ParamError
+from .errors import BlockSizeError, CoverageError, FormatError, ParamError, shown
 
 # Field kinds for check_fields; each is also the phrase its message uses.
 INT = "an integer"
@@ -48,7 +48,7 @@ MAX_ARRAY_BYTES = 2**26
 
 def check_budget(what: str, count: int, unit: str, limit: int = MAX_COVERAGE_SUBSETS) -> None:
     if count > limit:
-        raise ParamError(f"{what} = {count} {unit} exceeds the limit of {limit}")
+        raise ParamError(f"{what} = {shown(count)} {unit} exceeds the limit of {limit}")
 
 
 def _check_comb_budget(what: str, n: int, k: int, unit: str) -> None:
@@ -63,7 +63,7 @@ def _check_comb_budget(what: str, n: int, k: int, unit: str) -> None:
         count = count * (n - i) // (i + 1)
         if count > MAX_COVERAGE_SUBSETS:
             raise ParamError(
-                f"{what} C({n},{k}) {unit} exceeds the limit of {MAX_COVERAGE_SUBSETS}"
+                f"{what} C({shown(n)},{shown(k)}) {unit} exceeds the limit of {MAX_COVERAGE_SUBSETS}"
             )
 
 
@@ -72,7 +72,7 @@ def check_ints(*, low: int | None = None, high: int | None = None, **values) -> 
     span = "" if low is None else f" in {low}..{high}"
     for name, value in values.items():
         if type(value) is not int or span and not low <= value <= high:
-            raise ParamError(f"{name} must be an int{span}, got {value!r}")
+            raise ParamError(f"{name} must be an int{span}, got {shown(value)}")
 
 
 def check_iterable(name: str, value, what: str, error: type = ParamError) -> tuple:
@@ -80,7 +80,7 @@ def check_iterable(name: str, value, what: str, error: type = ParamError) -> tup
     try:
         return tuple(value)
     except TypeError:
-        raise error(f"{name} must be an iterable of {what}, got {value!r}") from None
+        raise error(f"{name} must be an iterable of {what}, got {shown(value)}") from None
 
 
 @dataclass(frozen=True)
@@ -96,20 +96,20 @@ class DesignParams:
         check_ints(t=self.t, n=self.n, k=self.k, lam=self.lam)
         if not (1 <= self.t <= self.k <= self.n):
             raise ParamError(
-                f"need 1 <= t <= k <= n, got t={self.t}, k={self.k}, n={self.n}"
+                f"need 1 <= t <= k <= n, got t={shown(self.t)}, k={shown(self.k)}, n={shown(self.n)}"
             )
         if self.lam < 1:
-            raise ParamError(f"lambda must be >= 1, got {self.lam}")
+            raise ParamError(f"lambda must be >= 1, got {shown(self.lam)}")
         bits = min(self.t, self.n - self.t) * self.n.bit_length()
         if bits > MAX_COUNT_BITS:
             raise ParamError(
-                f"C({self.n},{self.t}) {self.t}-subsets may take up to {bits} bits, "
+                f"C({shown(self.n)},{self.t}) {self.t}-subsets may take up to {bits} bits, "
                 f"over the limit of {MAX_COUNT_BITS}"
             )
         if (self.lam * comb(self.n, self.t)) % comb(self.k, self.t) != 0:
             raise ParamError(
                 f"block count lam*C(n,t)/C(k,t) is not an integer for "
-                f"t={self.t}, n={self.n}, k={self.k}, lambda={self.lam}"
+                f"t={self.t}, n={self.n}, k={self.k}, lambda={shown(self.lam)}"
             )
 
 
@@ -163,10 +163,10 @@ def validate_design(blocks, t: int, n: int, k: int, lam: int) -> Design:
         for block in rows:
             # type, not isinstance: a bool is an int but is no point.
             if any(type(x) is not int or not 0 <= x < n for x in block):
-                raise BlockSizeError(f"block {block} has points that are not ints in 0..{n - 1}")
+                raise BlockSizeError(f"block {shown(block)} has points that are not ints in 0..{n - 1}")
             if len(block) != k or len(set(block)) != k:
-                raise BlockSizeError(f"block {block} is not a {k}-subset")
-        raise BlockSizeError(f"block {blocks[len(rows)]} is not a {k}-subset")
+                raise BlockSizeError(f"block {shown(block)} is not a {k}-subset")
+        raise BlockSizeError(f"block {shown(blocks[len(rows)])} is not a {k}-subset")
     # Coverage is the authoritative check: a wrong block count always breaks
     # coverage somewhere, and the first deviating subset is the useful report.
     counts = Counter(chain.from_iterable(map(combinations, normalized, repeat(t))))
@@ -202,7 +202,7 @@ def complete_design(n: int, k: int, t: int) -> Design:
     """
     check_ints(n=n, k=k, t=t)
     if not (1 <= t <= k <= n):
-        raise ParamError(f"need 1 <= t <= k <= n, got t={t}, k={k}, n={n}")
+        raise ParamError(f"need 1 <= t <= k <= n, got t={shown(t)}, k={shown(k)}, n={shown(n)}")
     _check_comb_budget("building", n, k, "blocks")
     params = DesignParams(t=t, n=n, k=k, lam=comb(n - t, k - t))
     return Design(params=params, blocks=tuple(combinations(range(n), k)))
@@ -218,7 +218,7 @@ def hadamard_3design(n: int) -> Design:
     """
     check_ints(n=n)
     if n < 8 or n & (n - 1) != 0:
-        raise ParamError(f"order must be a power of two >= 8, got {n}")
+        raise ParamError(f"order must be a power of two >= 8, got {shown(n)}")
     check_budget(f"building {n}*{n - 1}", n * (n - 1), "points")
     blocks = []
     for row in range(1, n):
@@ -237,7 +237,7 @@ def count_lambda(params: DesignParams, i: int, j: int) -> int:
     """
     check_ints(i=i, j=j)
     if i < 0 or j < 0 or i + j > params.t:
-        raise ParamError(f"need i >= 0, j >= 0, i + j <= t, got i={i}, j={j}")
+        raise ParamError(f"need i >= 0, j >= 0, i + j <= t, got i={shown(i)}, j={shown(j)}")
     value, rest = divmod(
         params.lam * comb(params.n - i - j, params.k - i),
         comb(params.n - params.t, params.k - params.t),
@@ -254,7 +254,7 @@ def reduce_design(design: Design, s: int) -> Design:
     """Reinterpret a t-design as an s-design (s <= t) with the induced lambda."""
     check_ints(s=s)
     if not (1 <= s <= design.t):
-        raise ParamError(f"need 1 <= s <= t={design.t}, got s={s}")
+        raise ParamError(f"need 1 <= s <= t={design.t}, got s={shown(s)}")
     lam_s = count_lambda(design.params, s, 0)
     params = DesignParams(t=s, n=design.n, k=design.k, lam=lam_s)
     return Design(params=params, blocks=design.blocks)
@@ -339,7 +339,7 @@ def check_fields(what: str, obj, fields: dict, optional: tuple = ()) -> None:
     for name, kind in fields.items():
         if name in obj and kind is not None and (bad := _misfits(obj[name], kind)):
             expected = kind if isinstance(kind, str) else f"one of {', '.join(kind)}"
-            raise FormatError(f"{what} field {name!r} must be {expected}, got {bad[0]!r}")
+            raise FormatError(f"{what} field {name!r} must be {expected}, got {shown(bad[0])}")
     unknown = sorted(str(f) for f in obj if f not in fields)
     if unknown:
         warnings.warn(f"ignoring unknown {what} fields: {', '.join(unknown)}", stacklevel=3)

@@ -53,8 +53,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
-from .designs import check_budget, check_ints, check_iterable
-from .errors import InvariantError, ParamError, TooManyErasures
+from .designs import MAX_COVERAGE_SUBSETS, check_budget, check_ints, check_iterable
+from .errors import InvariantError, ParamError, TooManyErasures, shown
 from .gf256 import gf_div, gf_inv, gf_mat_inv, gf_mul, gf_mul_table
 
 DATA = "D"
@@ -64,6 +64,7 @@ MAX_DELTA = 254
 
 
 def parity_label(index: int) -> str:
+    check_ints(index=index, low=1, high=MAX_COVERAGE_SUBSETS)
     return f"P{index}"
 
 
@@ -79,7 +80,7 @@ def parity_index(label: str) -> int | None:
     digits = label[1:] if type(label) is str and label[:1] == "P" else ""
     if digits.isdigit() and digits.isascii() and digits[0] != "0":
         return int(digits)
-    raise ParamError(f"unknown column label {label!r}")
+    raise ParamError(f"unknown column label {shown(label)}")
 
 
 def canonical_labels(k: int, delta: int) -> tuple[str, ...]:
@@ -111,21 +112,23 @@ class HorizontalCode:
 
     def __post_init__(self):
         if not isinstance(self.kind, str) or self.kind not in CODE_KINDS:
-            raise ParamError(f"unknown code kind {self.kind!r}, not one of {', '.join(CODE_KINDS)}")
+            raise ParamError(f"unknown code kind {shown(self.kind)}, not one of {', '.join(CODE_KINDS)}")
         check_ints(k=self.k, delta=self.delta, r=self.r)
         if self.kind == "rdp":
             if not is_prime(self.k - 1) or self.k < 4:
-                raise ParamError(f"rdp needs a prime p >= 3, got {self.k - 1}")
+                raise ParamError(f"rdp needs a prime p >= 3, got {shown(self.k - 1)}")
             shape = (2, self.k - 2)
         else:
             if not 2 <= self.k <= 255:
-                raise ParamError(f"rs needs 2 <= k <= 255, got k={self.k}")
+                raise ParamError(f"rs needs 2 <= k <= 255, got k={shown(self.k)}")
             if not 1 <= self.delta < self.k:
-                raise ParamError(f"rs needs 1 <= delta < k, got delta={self.delta}")
+                raise ParamError(f"rs needs 1 <= delta < k, got delta={shown(self.delta)}")
             shape = (self.delta, 1)
-        got = (self.delta, self.r)
-        if got != shape:
-            raise ParamError(f"{self.kind} with k={self.k} needs (delta, r) = {shape}, got {got}")
+        if (self.delta, self.r) != shape:
+            raise ParamError(
+                f"{self.kind} with k={self.k} needs (delta, r) = {shape}, "
+                f"got ({shown(self.delta)}, {shown(self.r)})"
+            )
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -172,7 +175,7 @@ def reconstruction_rule(delta: int, lost) -> frozenset[str]:
         return _rule(delta, tuple(lost))
     except TypeError:  # lost not iterable, or delta or a label unhashable
         raise ParamError(
-            f"the rule needs an int delta and an iterable of labels, got {delta!r}, {lost!r}"
+            f"the rule needs an int delta and an iterable of labels, got {shown(delta)}, {shown(lost)}"
         ) from None
 
 
@@ -192,7 +195,7 @@ def _rule(delta: int, lost: tuple[str, ...]) -> frozenset[str]:
             data_losses += 1
         else:
             if not 1 <= idx <= delta:
-                raise ParamError(f"label {label!r} outside P1..P{delta}")
+                raise ParamError(f"label {shown(label)} outside P1..P{delta}")
             if idx in lost_parities:
                 raise ParamError(f"parity column {label} lost twice")
             lost_parities.append(idx)

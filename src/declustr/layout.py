@@ -18,7 +18,7 @@ splits a failure's affected instances off it into one mask per lost-position
 tuple, one failed disk at a time (`_split`, which the simulator's sweep walks
 prefix by prefix). `survivor_reads` pools the masks by what their
 reconstruction plans read and counts each pool on every disk with ANDs and
-bit counts, one C-level pass over the disks per pool of whole placements;
+bit counts, one comprehension over the disks per pool of whole placements;
 the analysis and the simulator share that one tally (`_tally`, whose memo of
 each lost tuple's plan a sweep keeps across its sets).
 
@@ -33,8 +33,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial, reduce
 from itertools import chain, compress, count
-from operator import add, mul, or_
+from operator import mul, or_
 
+from . import _stats
 from .designs import (
     INT,
     INT_LISTS,
@@ -57,6 +58,7 @@ from .errors import (
     MismatchError,
     ParamError,
     TooManyFailures,
+    shown,
 )
 from .parity_groups import FAMILIES, ParityGroup, group_family, reconstruction_plan
 
@@ -78,20 +80,26 @@ class DeclusteredLayout:
     def __post_init__(self):
         design, group, placements = self.design, self.group, self.placements
         if type(self.n) is not int or self.n != design.n:
-            raise InvariantError(f"layout n={self.n} but design has n={design.n}")
+            raise InvariantError(f"layout n={shown(self.n)} but design has n={design.n}")
         if group.k != design.k:
             raise MismatchError(
                 f"group size k={group.k} does not match design block size k={design.k}"
             )
         # Blocks are sorted ints, so the blocks themselves match; True or 1.0 == 1 is no disk.
+        # The placements are read once, and an iterator's are kept as the tuple read.
         # One C-level pass decides; the count and the loop only name the first offender.
-        if placements is not design.blocks and not _holds_blocks(placements, design.blocks):
-            placements = check_iterable("placements", placements, "disk tuples", InvariantError)
+        if placements is design.blocks:
+            return
+        taken = check_iterable("placements", placements, "disk tuples", InvariantError)
+        if iter(placements) is placements:
+            object.__setattr__(self, "placements", taken)
+        placements = taken
+        if not _holds_blocks(placements, design.blocks):
             if len(placements) != len(design.blocks):
                 raise InvariantError(f"{len(placements)} placements for {len(design.blocks)} blocks")
             for index, (disks, block) in enumerate(zip(placements, design.blocks)):
                 if not _holds_blocks((disks,), (block,)):
-                    raise InvariantError(f"placement {index} disks {disks} do not match block {block}")
+                    raise InvariantError(f"placement {index} disks {shown(disks)} do not match block {block}")
 
     @property
     def units_per_disk(self) -> int:
@@ -176,8 +184,8 @@ def check_failed(layout: DeclusteredLayout, failed) -> frozenset[int]:
     n, delta = layout.n, layout.group.delta
     if any(type(d) is not int or not 0 <= d < n for d in entries):
         # Ints in order, then anything else by repr: sorted cannot order None against 0.
-        shown = sorted(entries, key=lambda d: (type(d) is not int, d if type(d) is int else repr(d)))
-        raise ParamError(f"failed disks must be in 0..{n - 1}, got {shown}")
+        ordered = sorted(entries, key=lambda d: (type(d) is not int, d if type(d) is int else shown(d)))
+        raise ParamError(f"failed disks must be in 0..{n - 1}, got {shown(ordered)}")
     failed = frozenset(entries)
     if len(failed) > delta:
         raise TooManyFailures(f"{len(failed)} failed disks exceed the tolerance delta={delta}")
@@ -233,8 +241,9 @@ def _tally(layout: DeclusteredLayout, failed, affected, plans: dict) -> list[int
     is asked for once. The masks are disjoint, so a disk's count for a pool
     is the size of its overlap with that position's `position_masks`, scaled
     by r * rows. A pool of whole placements is met with every disk's
-    `member_masks` in one C-level pass; only the other pools, which the
-    single and rotations families have, take a loop per surviving disk.
+    `member_masks` in one comprehension, an AND, a bit count and a multiply-add
+    per disk; only the other pools, which the single and rotations families
+    have, take a loop per surviving disk.
     """
     group = layout.group
     whole: dict[int, int] = {}
@@ -242,16 +251,21 @@ def _tally(layout: DeclusteredLayout, failed, affected, plans: dict) -> list[int
     for lost, mask in affected.items():
         plan = plans.get(lost)
         if plan is None:
+            if rec := _stats.recorder:
+                rec.mark("layout.tally_s")
+                rec.add("layout.plan_memo_misses")
             plan = plans[lost] = reconstruction_plan(group, lost)
+            if rec:
+                rec.mark("parity_groups.plan_s")
         rows, keys = plan.pools
         if rows:
             whole[rows] = whole.get(rows, 0) | mask
         for key in keys:
             pooled[key] = pooled.get(key, 0) | mask
-    r, totals = group.r, [0] * layout.n
+    r, totals, members = group.r, [0] * layout.n, layout.member_masks
     for rows, mask in whole.items():
-        counts = map(int.bit_count, map(mask.__and__, layout.member_masks))
-        totals = list(map(add, totals, map((r * rows).__mul__, counts)))
+        w = r * rows
+        totals = [t + w * (mask & m).bit_count() for t, m in zip(totals, members)]
     if pooled:
         for disk, at in enumerate(layout.position_masks):
             if disk not in failed:

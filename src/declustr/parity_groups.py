@@ -38,7 +38,7 @@ from .erasure_codes import (
     parity_label,
     reconstruction_rule,
 )
-from .errors import ParamError, UnbalancedGroup
+from .errors import ParamError, UnbalancedGroup, shown
 
 @dataclass(frozen=True)
 class ParityGroup:
@@ -57,12 +57,12 @@ class ParityGroup:
             raise ParamError(f"a parity group needs a HorizontalCode, got {self.code!r}")
         if not isinstance(self.extended_rows, tuple) or not self.extended_rows:
             raise ParamError(
-                f"a parity group needs a tuple of arrangements, got {self.extended_rows!r}"
+                f"a parity group needs a tuple of arrangements, got {shown(self.extended_rows)}"
             )
         parities = canonical_labels(self.k, self.delta)[self.k - self.delta :]
         for row in self.extended_rows:
             if not isinstance(row, tuple) or len(row) != self.k:
-                raise ParamError(f"arrangement {row!r} is not a tuple of {self.k} labels")
+                raise ParamError(f"arrangement {shown(row)} is not a tuple of {self.k} labels")
             if row.count(DATA) != self.k - self.delta or any(row.count(x) != 1 for x in parities):
                 raise ParamError(
                     f"arrangement {row} must place each of P1..P{self.delta} exactly once"
@@ -266,7 +266,7 @@ FAMILIES = {
 def group_family(code: HorizontalCode, family: str) -> ParityGroup:
     """The named family's group, its family name already cached: no second build."""
     if not isinstance(family, str) or family not in FAMILIES:
-        raise ParamError(f"unknown arrangement family {family!r}")
+        raise ParamError(f"unknown arrangement family {shown(family)}")
     group = FAMILIES[family](code)
     vars(group)["family"] = family
     return group
@@ -292,7 +292,7 @@ def reconstruction_plan(group: ParityGroup, lost: tuple[int, ...]) -> Reconstruc
         return plan
     k = group.k
     if not exact or type(lost) is not tuple or list(lost) != sorted(set(lost) & set(range(k))):
-        raise ParamError(f"lost positions must be sorted and distinct in 0..{k - 1}, got {lost!r}")
+        raise ParamError(f"lost positions must be sorted and distinct in 0..{k - 1}, got {shown(lost)}")
     columns, rows = group.label_columns, len(group.extended_rows)
     # Each row's lost labels; zip over no columns would yield no rows at all.
     lost_labels = zip(*map(columns.__getitem__, lost)) if lost else repeat((), rows)
@@ -307,7 +307,7 @@ def reconstruction_plan(group: ParityGroup, lost: tuple[int, ...]) -> Reconstruc
 def check_size(name: str, s, delta: int, low: int = 1) -> None:
     """Refuse a failure size that is not an int in low..delta; a bool is not a size."""
     if type(s) is not int or not low <= s <= delta:
-        raise ParamError(f"need {low} <= {name} <= delta={delta}, got {s!r}")
+        raise ParamError(f"need {low} <= {name} <= delta={delta}, got {shown(s)}")
 
 
 def _read_counts(group: ParityGroup, s: int) -> tuple[int, ...]:

@@ -50,18 +50,26 @@ every output bit obeys one 24-tap XOR recurrence of degree 64, and so does
 every block of S bytes when S is a power of two. Each block after the first
 64 is the XOR of 24 earlier ones, and those 64 blocks are themselves filled
 the same way at half the block size, down to a head of at most 512 bytes
-drawn from `byte_stream`.
+drawn from `byte_stream`. No tap is under 8, so blocks under 512 bytes are
+made 8 at a time, as one int from 24 XORs and 7 shifts; larger blocks, where
+a shift costs more than the XORs it saves, are made one at a time.
+
+With a recorder installed (`_stats`, which `simulate --stats` turns on), a
+fill, rebuild or sweep records its phase times and counts; with none, each
+phase boundary costs one `if`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from collections import deque
+from functools import reduce
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import getitem, itemgetter, mul, setitem
+from operator import getitem, itemgetter, mul, setitem, xor
 
+from . import _stats
 from .designs import MAX_ARRAY_BYTES, check_budget, check_ints
-from .errors import InvariantError, ParamError
+from .errors import InvariantError, ParamError, shown
 from .layout import (
     DeclusteredLayout,
     _split,
@@ -82,6 +90,11 @@ _MASK64 = (1 << 64) - 1
 _TAPS = (
     8, 11, 12, 13, 14, 15, 17, 18, 20, 22, 25, 27, 31, 32, 34, 36, 37, 41, 44, 48, 51, 52, 55, 64
 )
+# Block size in bytes from which the fill steps one block at a time, not 8
+# (see _fill_bytes). Per 64 blocks on CPython 3.10-3.13 (2 cores), 8-block
+# steps take 0.73-0.83 of the time at 256 bytes, 0.88-0.97 at 512 and
+# 1.04-1.08 at 1,024; whole fills run within 3 % of each other at either cut.
+_ONE_BLOCK_STEPS = 512
 
 
 def byte_stream(seed: int):
@@ -108,8 +121,15 @@ def _fill_bytes(seed: int, length: int) -> bytes:
     The head, blocks 0..63, is itself a fill: of 64 * S bytes, at half the
     block size, and so on down until a head of at most 512 bytes is drawn
     from `byte_stream`. Block q >= 64, read as an int, is the XOR of blocks
-    q - j for j in _TAPS. Only the last 64 blocks are kept as ints; the bytes
-    go straight into one preallocated buffer.
+    q - j for j in _TAPS. Every tap is at least 8, so blocks q..q+7 depend
+    only on blocks before q: blocks under _ONE_BLOCK_STEPS bytes are made P =
+    8 to a step c, as one int W_c (block 8c + i at byte i * S). With each tap
+    j = Pa + b, let G_b be the XOR of the steps W_(c-a) over the taps with
+    residue b, and H_c the XOR of G_b << 8*S*b. Then W_c is the low 8*P*S
+    bits of H_c XOR the bits of H_(c-1) above them (`carry`): 24 XORs and 7
+    shifts per 8 blocks, not 192 XORs. Larger blocks step with P = 1, b = 0
+    alone, which is 24 XORs per block and no shift. The ring keeps the last
+    64 blocks as ints; the bytes go straight into one preallocated buffer.
     """
     size = _block_size(length)
     head = 64 * size
@@ -117,13 +137,29 @@ def _fill_bytes(seed: int, length: int) -> bytes:
         return bytes(islice(byte_stream(seed), length))
     out = bytearray(length)
     out[:head] = _fill_bytes(seed, head)
-    ring = [int.from_bytes(out[q * size : (q + 1) * size], "little") for q in range(64)]
-    for q, start in enumerate(range(head, length, size), 64):
-        block = 0
-        for j in _TAPS:
-            block ^= ring[(q - j) & 63]
-        ring[q & 63] = block
-        out[start : start + size] = block.to_bytes(size, "little")[: length - start]
+    per = 1 if size >= _ONE_BLOCK_STEPS else 8  # blocks per step
+    width, bits = per * size, 8 * per * size  # one step's bytes and bits
+    ring = [int.from_bytes(out[c * width : (c + 1) * width], "little") for c in range(64 // per)]
+    # lags[b]: ring index -a of each tap j = per * a + b; the others are shifted b blocks up.
+    lags = [[-(j // per) for j in _TAPS if j % per == b] for b in range(per)]
+    shifted = [(8 * size * b, lags[b]) for b in range(1, per)]
+    # H_(c-1)'s high bits for the first step: only taps with b > 0 reach past a step.
+    carry = reduce(xor, (ring[-1 - j // per] >> 8 * size * (per - j % per) for j in _TAPS if j % per), 0)
+    mask = (1 << bits) - 1
+    for start in range(head, length, width):
+        word = 0
+        for a in lags[0]:
+            word ^= ring[a]
+        if shifted:
+            for shift, lag in shifted:
+                g = 0
+                for a in lag:
+                    g ^= ring[a]
+                word ^= g << shift
+            word, carry = word & mask ^ carry, word >> bits
+        ring.append(word)
+        del ring[0]
+        out[start : start + width] = word.to_bytes(width, "little")[: length - start]
     return bytes(out)
 
 
@@ -140,7 +176,7 @@ class DiskArray:
         try:  # one C-level pass; a disk that is not bytes-like has no memoryview
             views = list(map(memoryview, self.disks))
         except TypeError:  # the disks are not iterable, or a disk is not bytes-like
-            raise ParamError(f"{needs}, got {self.disks!r:.80}") from None
+            raise ParamError(f"{needs}, got {shown(self.disks):.80}") from None
         # In bytes; wider items are refused too, as the rebuild slices disks by byte offset.
         sizes = [v.nbytes if v.itemsize == 1 else f"{v.nbytes} in {v.itemsize}-byte items"
                  for v in views]
@@ -213,6 +249,8 @@ def _codewords(layout: DeclusteredLayout, seed: int) -> list[list[int]]:
     data_cols, r = group.k - group.delta, group.r
     step, per_instance = r * data_cols, group.m * data_cols  # data bytes per row, per instance
     fill = _fill_bytes(seed, len(layout.placements) * per_instance)
+    if rec := _stats.recorder:
+        rec.mark("simulator.fill_s")
     # Byte s = j*data_cols + c of instance x's extended row e, at x*per_instance +
     # e*step + s, is lane e*L + x of data column c, inner row j.
     starts = range(0, per_instance, step)
@@ -221,7 +259,11 @@ def _codewords(layout: DeclusteredLayout, seed: int) -> list[list[int]]:
         for s in range(step)
     ]
     del fill
-    return group.code.encode([data[j * data_cols : (j + 1) * data_cols] for j in range(r)])
+    coded = group.code.encode([data[j * data_cols : (j + 1) * data_cols] for j in range(r)])
+    if rec:
+        rec.mark("erasure_codes.encode_s")
+        rec.add("erasure_codes.encode_calls")
+    return coded
 
 
 def materialize(layout: DeclusteredLayout, seed: int) -> DiskArray:
@@ -231,13 +273,19 @@ def materialize(layout: DeclusteredLayout, seed: int) -> DiskArray:
     bottom, inner rows in order, data slots left to right. A disk stacks its
     column-units contiguously in ascending block index, m bytes each.
     """
+    if rec := _stats.recorder:
+        rec.start()
     coded, group, lanes = _codewords(layout, seed), layout.group, len(layout.placements)
     width = len(group.extended_rows) * lanes
     # Each int is popped as its bytes are made, into a list the scatter empties.
-    return DiskArray(layout, _scatter(
+    array = DiskArray(layout, _scatter(
         layout, [[row.pop(0).to_bytes(width, "little") for row in coded] for _ in range(group.k)],
         range(lanes), range(layout.n),
     ))
+    if rec:
+        rec.mark("simulator.scatter_s")
+        rec.end("simulator.materialize_s")
+    return array
 
 
 def check_parity_invariant(array: DiskArray) -> bool:
@@ -351,15 +399,21 @@ def fail_and_reconstruct(array: DiskArray, failed) -> tuple[DiskArray, IOStats]:
     per-disk read/write unit counts. Instances that lost no column are never
     touched, and `array` is left as it was.
     """
+    if rec := _stats.recorder:
+        rec.start()
     layout, group = array.layout, array.layout.group
     failed = check_failed(layout, failed)
     affected = losses(layout, failed)
     reads = survivor_reads(layout, failed, affected)
+    if rec:
+        rec.mark("layout.tally_s")
     lanes = list(chain.from_iterable(map(placement_indices, affected.values())))
     zeros = bytes(layout.rows_per_disk)
     cells = _column_cells(
         layout, [zeros if d in failed else disk for d, disk in enumerate(array.disks)], lanes
     )
+    if rec:
+        rec.mark("simulator.gather_s")
     # calls[erased]: the runs of lanes decoded with that pattern, one per (extended
     # row, lost tuple), cut after the gather and freed as each pattern is
     # decoded; wanted[erased]: the columns those runs lost.
@@ -371,12 +425,23 @@ def fail_and_reconstruct(array: DiskArray, failed) -> tuple[DiskArray, IOStats]:
             calls.setdefault(erased, []).append(slice(e * width + start, e * width + stop))
         for erased, columns in plan.lost_columns.items():
             wanted[erased] = wanted.get(erased, frozenset()) | columns
+    if rec:
+        rec.mark("parity_groups.plan_s")
     while calls:
         erased, runs = calls.popitem()
         _decode_runs(group.code, cells, erased, runs, wanted[erased])
+        if rec:
+            rec.mark("erasure_codes.decode_s")
+            _count_decode(rec, erased, sum(run.stop - run.start for run in runs))
     rebuilt = dict(zip(failed, _scatter(layout, cells, lanes, failed)))
     disks = [rebuilt[d] if d in failed else bytearray(disk) for d, disk in enumerate(array.disks)]
-    return DiskArray(layout, disks), IOStats(reads, dict.fromkeys(failed, layout.rows_per_disk))
+    stats = IOStats(reads, dict.fromkeys(failed, layout.rows_per_disk))
+    if rec:
+        rec.mark("simulator.scatter_s")
+        rec.end("simulator.reconstruct_s")
+        rec.add("simulator.instances_touched", width)
+        _count_units(rec, stats.reads.items(), stats.writes.items())
+    return DiskArray(layout, disks), stats
 
 
 def _check_pattern(layout: DeclusteredLayout, cells, erased: tuple[int, ...], plans, wrong) -> None:
@@ -391,6 +456,9 @@ def _check_pattern(layout: DeclusteredLayout, cells, erased: tuple[int, ...], pl
     group, b = layout.group, len(layout.placements)
     grid = [[None if c in erased else cell for c, cell in enumerate(row)] for row in cells]
     out, users = _checked_decode(group.code, grid, erased), None
+    if rec := _stats.recorder:
+        rec.mark("erasure_codes.decode_s")
+        _count_decode(rec, erased, len(group.extended_rows) * b)
     for c in erased:
         for j, stored in enumerate(row[c] for row in cells):
             if out[j][c] == stored:
@@ -407,6 +475,23 @@ def _check_pattern(layout: DeclusteredLayout, cells, erased: tuple[int, ...], pl
                 for lost in users[e]:
                     if pos in lost:
                         wrong[lost] = wrong.get(lost, 0) | 1 << i
+    if rec:
+        rec.mark("simulator.compare_s")
+
+
+def _count_decode(rec, erased: tuple[int, ...], lanes: int) -> None:
+    """Record one decode call of pattern `erased` over `lanes` lanes."""
+    rec.add("erasure_codes.decode_calls")
+    rec.add("erasure_codes.decode_calls_by_pattern", by=erased)
+    rec.add("erasure_codes.decode_lanes_by_pattern", lanes, by=erased)
+
+
+def _count_units(rec, reads, writes) -> None:
+    """Record (disk, units) pairs read from survivors and written to replacements."""
+    for disk, units in reads:
+        rec.add("simulator.units_read_by_disk", units, by=disk)
+    for disk, units in writes:
+        rec.add("simulator.units_written_by_disk", units, by=disk)
 
 
 def _failure_walk(layout: DeclusteredLayout, s: int):
@@ -415,12 +500,16 @@ def _failure_walk(layout: DeclusteredLayout, s: int):
     split (`layout._split`) once for all of them: C(n - s + j, j) splits at
     depth j."""
 
+    rec = _stats.recorder
+
     def walk(prefix, groups):
         if len(prefix) == s:
             groups.pop((), None)
             yield prefix, groups
             return
         for disk in range(prefix[-1] + 1 if prefix else 0, layout.n - s + len(prefix) + 1):
+            if rec:
+                rec.add("layout.splits_by_depth", by=len(prefix) + 1)
             yield from walk((*prefix, disk), _split(layout, groups, disk))
 
     return walk((), {(): (1 << len(layout.placements)) - 1})
@@ -445,14 +534,23 @@ def exhaustive_verify(layout: DeclusteredLayout, s: int, seed: int = 1) -> Verif
     every set reads the same count from every survivor. Results are in
     sorted failure-set order.
     """
+    if rec := _stats.recorder:
+        rec.start()
     check_size("s", s, layout.group.delta, low=0)
-    plans, tallies = {}, []  # plans: _tally's memo, one plan per distinct lost tuple
+    plans, tallies, lookups = {}, [], 0  # plans: _tally's memo, one plan per distinct lost tuple
     for failed, affected in _failure_walk(layout, s):
         reads = _tally(layout, failed, affected, plans)
+        if rec:
+            lookups += len(affected)
+            _count_units(rec, ((d, n) for d, n in enumerate(reads) if d not in failed),
+                         ((d, layout.rows_per_disk) for d in failed))
         for disk in reversed(failed):
             del reads[disk]
         lost_units = sum(map(mul, map(len, affected), map(int.bit_count, affected.values())))
         tallies.append((failed, min(reads), max(reads), lost_units))
+    if rec:
+        rec.mark("layout.tally_s")
+        rec.add("layout.plan_memo_hits", lookups - len(plans))
     wrong: dict[tuple[int, ...], int] = {}  # lost tuple -> instances rebuilt wrong with it
     cells = _codewords(layout, seed)
     for erased in sorted(set().union(*(plan.erased for plan in plans.values()))):
@@ -470,6 +568,10 @@ def exhaustive_verify(layout: DeclusteredLayout, s: int, seed: int = 1) -> Verif
         for failed, low, high, lost_units in tallies
     )
     low, high = min(tally[1] for tally in tallies), max(tally[2] for tally in tallies)
+    if rec:
+        rec.mark("simulator.compare_s")
+        rec.end("simulator.sweep_s")
+        rec.add("simulator.instances_touched", len(layout.placements))
     return VerifySummary(
         s=s, total=len(results), passed=sum(result.recovered for result in results),
         results=results, min_reads=low, max_reads=high, uniform=low == high,

@@ -134,6 +134,12 @@ def test_build_rejects_size_mismatch(reference_design):
             "group size k=5 does not match design block size k=4",
         ),
         ({"placements": REFERENCE_BLOCKS_3_8_4_1[1:]}, InvariantError, "13 placements for 14 blocks"),
+        # Read once: a generator is counted as given, not after a check has consumed it.
+        (
+            {"placements": (disks for disks in REFERENCE_BLOCKS_3_8_4_1[1:])},
+            InvariantError,
+            "13 placements for 14 blocks",
+        ),
         # Placement 0 equal to block 1: a layout reconstruction_workload once
         # reported as non-uniform, and whose saved file the loader refused.
         (
@@ -163,7 +169,7 @@ def test_build_rejects_size_mismatch(reference_design):
         ),
     ],
     ids=[
-        "n", "float-n", "k", "too-few", "other-block", "repeated-disk", "too-many",
+        "n", "float-n", "k", "too-few", "too-few-generator", "other-block", "repeated-disk", "too-many",
         "bool-disk", "float-disk",
     ],
 )

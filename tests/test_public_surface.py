@@ -11,6 +11,7 @@ from types import ModuleType
 import pytest
 
 import declustr as dc
+from declustr.errors import shown
 
 # Helpers that only their own tests used; their properties are now asserted
 # directly (see test_simulator, test_designs, test_layout, test_parity_groups
@@ -71,7 +72,7 @@ OBJECT_TYPED = {"array", "code", "design", "group", "layout", "params"}
 # Each value replaces each value argument in turn.
 MALFORMED = (
     None, 5, -1, 2**70, 1.5, True, "x", "", [], [5], [[0]], {}, {"a": 1}, (None,),
-    float("nan"), b"x", object(), set(), (1.0,), ("P1",), [[None]],
+    float("nan"), b"x", object(), set(), (1.0,), ("P1",), [[None]], 10**5000, (10**5000,),
 )
 
 # Rows whose call is not the exported name itself: a generator refuses at its first next.
@@ -173,9 +174,9 @@ def test_malformed_values_raise_only_declustr_errors(rows):
                     except dc.DeclustrError:
                         pass
                     except Overrun:
-                        escaped.append(f"{name}({arg}={value!r}) ran past {LIMIT_S} s")
+                        escaped.append(f"{name}({arg}={shown(value)}) ran past {LIMIT_S} s")
                     except Exception as exc:  # any other escape is what the fuzz looks for
-                        escaped.append(f"{name}({arg}={value!r}): {type(exc).__name__}: {exc}")
+                        escaped.append(f"{name}({arg}={shown(value)}): {type(exc).__name__}: {exc}")
                     finally:
                         signal.setitimer(signal.ITIMER_REAL, 0)
     finally:

@@ -66,12 +66,19 @@ FILL_BLOCK_SIZES = sorted({simulator._block_size(n) for n in range(1, 1 << 20, 9
 def _fill_lengths(limit: int) -> list[int]:
     """0, 1, and 64·S - 1, 64·S, 64·S + 1 and 128·S - 1, 128·S, 128·S + 1 at
     every block size S (where the head and the block size change), lengths
-    that are not multiples of the block size, and the 110,880-byte
-    complete(12,6,3) + RS(6,2) fill, up to `limit`."""
+    that are not multiples of the block size, lengths that end part-way
+    through an 8-block step at every S that steps 8 blocks at a time, lengths
+    part-way through a step on each side of the size from which blocks step
+    one at a time, and the 110,880-byte complete(12,6,3) + RS(6,2) fill, up
+    to `limit`."""
     lengths = {0, 1, 7, 100, 1000, 5000, 8200, 20_001, 50_000, 110_880, 131_075, 524_293}
     for size in FILL_BLOCK_SIZES:
         lengths |= {64 * size - 1, 64 * size, 64 * size + 1}
         lengths |= {128 * size - 1, 128 * size, 128 * size + 1}
+        if size < simulator._ONE_BLOCK_STEPS:  # 3 blocks and 5 bytes, and 5 blocks, into a step
+            lengths |= {131 * size + 5, 133 * size}
+    one_block = 128 * simulator._ONE_BLOCK_STEPS  # the shortest fill of single-block steps
+    lengths |= {one_block - 2051, one_block + 1543}
     return sorted(n for n in lengths if n <= limit)
 
 
