@@ -227,7 +227,7 @@ def counterexample_report(
     units_accessed = {d: 0 for d in range(layout.n) if d not in failed}
     for lost, mask in affected.items():
         for positions in reconstruction_plan(group, lost).by_rows.values():
-            for index in placement_indices(mask):
+            for index in placement_indices(layout, mask):
                 placement = placements[index]
                 for pos in positions:
                     accessed[index, placement[pos]] = True

@@ -62,6 +62,9 @@ DATA = "D"
 # Most parity columns a code has: rs with k = 255 and delta = k - 1.
 MAX_DELTA = 254
 
+# Most digits a parity label's index has: parity_label writes at most MAX_COVERAGE_SUBSETS.
+_LABEL_DIGITS = len(str(MAX_COVERAGE_SUBSETS))
+
 
 def parity_label(index: int) -> str:
     check_ints(index=index, low=1, high=MAX_COVERAGE_SUBSETS)
@@ -73,12 +76,13 @@ def parity_index(label: str) -> int | None:
 
     The index is written as parity_label writes it, in ASCII digits with no
     leading zero: "P01" and "P\u0661", which int reads as 1, are refused like
-    a non-str.
+    a non-str, and so is an index longer than any parity_label writes, before
+    int reads it.
     """
     if label == DATA:
         return None
     digits = label[1:] if type(label) is str and label[:1] == "P" else ""
-    if digits.isdigit() and digits.isascii() and digits[0] != "0":
+    if digits.isdigit() and digits.isascii() and digits[0] != "0" and len(digits) <= _LABEL_DIGITS:
         return int(digits)
     raise ParamError(f"unknown column label {shown(label)}")
 
@@ -143,8 +147,10 @@ class HorizontalCode:
     def encode(self, data: list[list[int]]) -> list[list[int]]:
         return (rdp_encode if self.kind == "rdp" else rs_encode)(self, data)
 
-    def decode(self, rows: list[list[int]], erased) -> tuple[list[list[int]], tuple[int, ...]]:
-        return _decode(self, rows, erased)
+    def decode(
+        self, rows: list[list[int]], erased, wanted=None
+    ) -> tuple[list[list[int]], tuple[int, ...]]:
+        return _decode(self, rows, erased, wanted)
 
 
 def rdp_code(p: int) -> HorizontalCode:
@@ -297,11 +303,15 @@ def rs_encode(code: HorizontalCode, data: list[list[int]]) -> list[list[int]]:
     ]
 
 
-def _decode(code: HorizontalCode, rows, erased) -> tuple[list[list[int]], tuple[int, ...]]:
+def _decode(
+    code: HorizontalCode, rows, erased, wanted=None
+) -> tuple[list[list[int]], tuple[int, ...]]:
     """Recover up to delta erased columns; returns (codeword, columns read).
 
     Input cells in erased or unread columns may be None; only the columns the
-    reconstruction rule names are consulted.
+    reconstruction rule names are consulted. With `wanted`, some of the
+    erased columns, only their cells are decoded, by the pattern's program
+    pruned to them, and the other unread cells are returned as given.
     """
     erased = check_iterable("erased columns", erased, "ints")
     if any(type(c) is not int for c in erased):  # exact ints only; sorted cannot order None and 0
@@ -311,10 +321,17 @@ def _decode(code: HorizontalCode, rows, erased) -> tuple[list[list[int]], tuple[
         raise TooManyErasures(f"{code.kind} recovers at most {code.delta} columns, got {len(erased)}")
     if any(not 0 <= c < code.k for c in erased):
         raise ParamError(f"erased columns out of range: {list(erased)}")
+    if wanted is not None:
+        wanted = check_iterable("wanted columns", wanted, "erased columns")
+        if not all(type(c) is int and c in erased for c in wanted):
+            raise ParamError(
+                f"wanted columns must be erased columns {list(erased)}, got {shown(wanted)}"
+            )
+        wanted = tuple(sorted(set(wanted)))
     _check_grid(rows, code.r, code.k)
     if not erased:
         return [list(row) for row in rows], ()
-    read, program, scaled = _decode_matrix(code, erased)
+    read, program, scaled = _decode_matrix(code, erased, wanted)
     values = [row[c] for c in read for row in rows]
     if None in values:
         raise ParamError(f"column {read[values.index(None) // code.r]} must be readable but holds None")
@@ -353,7 +370,9 @@ def _parity_checks(code: HorizontalCode) -> list[dict[tuple[int, int], int]]:
 
 
 @lru_cache(maxsize=1024)
-def _decode_matrix(code: HorizontalCode, erased: tuple[int, ...]):
+def _decode_matrix(
+    code: HorizontalCode, erased: tuple[int, ...], wanted: tuple[int, ...] | None = None
+):
     """One erasure pattern's read columns, decode program and scaled read cells.
 
     The program's steps (cell, terms) each sum (n, coefficient) terms, value
@@ -364,7 +383,8 @@ def _decode_matrix(code: HorizontalCode, erased: tuple[int, ...]):
     used check's known part (its syndrome), then each unread cell from those
     with the inverse's coefficients. The factored form is kept only when it
     has fewer terms and no GF(2^8) products, so only read cells are ever
-    scaled.
+    scaled. With `wanted` (sorted erased columns), both forms are pruned to
+    the cells of those columns and the syndromes they use.
     """
     r, labels = code.r, code.labels
     need = reconstruction_rule(code.delta, [labels[c] for c in erased])
@@ -379,19 +399,22 @@ def _decode_matrix(code: HorizontalCode, erased: tuple[int, ...]):
         ) from None
     at = {(i, c): x * r + i for x, c in enumerate(read) for i in range(r)}
     known = [[(at[cell], coeff) for cell, coeff in check.items() if cell in at] for check in checks]
+    targets = [  # the unread cells to decode, each with its row of the inverse
+        (cell, row) for cell, row in zip(unknown, inverse) if wanted is None or cell[1] in wanted
+    ]
     direct = []
-    for cell, row in zip(unknown, inverse):
+    for cell, row in targets:
         terms = [0] * len(at)
         for factor, check in zip(row, known):
             for n, coeff in check if factor else ():
                 terms[n] ^= coeff if factor == 1 else gf_mul(factor, coeff)
         direct.append((cell, tuple((n, coeff) for n, coeff in enumerate(terms) if coeff)))
-    # A check with no known cell has syndrome 0, and one no cell uses is skipped.
-    used = [q for q, check in enumerate(known) if check and any(row[q] for row in inverse)]
+    # A check with no known cell has syndrome 0, and one no decoded cell uses is skipped.
+    used = [q for q, check in enumerate(known) if check and any(row[q] for _, row in targets)]
     slot = {q: len(at) + x for x, q in enumerate(used)}
     factored = [(None, tuple(known[q])) for q in used] + [
         (cell, tuple((slot[q], factor) for q, factor in enumerate(row) if factor and q in slot))
-        for cell, row in zip(unknown, inverse)
+        for cell, row in targets
     ]
     coeffs = [coeff for _, terms in factored for _, coeff in terms]
     if len(coeffs) < sum(len(terms) for _, terms in direct) and all(c == 1 for c in coeffs):

@@ -14,19 +14,29 @@ reconstruction plan names.
 The fill, a single rebuild and an exhaustive sweep share one lane layout,
 column space: one buffer per (canonical column, inner row) whose lane e*L + x
 holds lane x's byte of that column in extended row e (L lanes, one per
-instance). `_column_cells` gathers each position's units over the lanes once;
-`_scatter`, its inverse, cuts disks back out. A fill's lanes are every
-instance: its data cells are cut from the stream's bytes and encoded by one
-call (`_codewords`).
+instance). Disks and column space meet in one unit-major buffer per
+position, lane x's unit at bytes x*m..(x+1)*m. `_column_cells` gathers each
+with one pick of its lanes' (disk, slice) pairs out of a per-layout table
+(`layout.position_units`) and one join, then cuts column space out of it by
+strided slices; `_scatter`, its inverse, moves column space into it along
+the shorter axis (m strided writes when m < L, else L strided slices) and
+joins each disk from runs of it, stretches of its stack at one position in
+consecutive lanes, which one cutter makes (`layout.stack_runs`). A fill's
+lanes are every instance, so its runs are the layout's (`layout.unit_runs`:
+1,385 on complete(12,6,3), where one slice per unit made 5,544); its data
+cells are cut from the stream's bytes and encoded by one call
+(`_codewords`).
 
 A single rebuild's lanes are the failure set's affected instances in
 lost-tuple order (`layout.losses`), so each (extended row, lost tuple) is
 one run of lanes, gathered from the caller's disks with each failed disk
 read as zeros. Each canonical erasure pattern is decoded by one call over
-the runs whose plan leaves it, and only the columns those runs lost are
-written back, run by run; the lost positions are then scattered onto fresh
-replacement disks. Decoding every pattern over all lanes instead would
-decode about 15 times the lanes on RS(6,2).
+the runs whose plan leaves it, through its program pruned to the columns
+those runs lost, and only those are written back, run by run; the lost
+positions are then scattered onto fresh replacement disks, whose runs are
+cut from their stacks by the lanes. Decoding every pattern over all lanes
+instead would decode about 15 times the lanes on RS(6,2). The plans come
+from the read tally's memo, so each lost tuple's plan is asked for once.
 
 An exhaustive sweep's cells are the fill's encoded ints, so it builds no disk.
 Each canonical erasure pattern that the sets' lost tuples leave is decoded by
@@ -63,7 +73,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections import deque
-from functools import reduce
+from functools import partial, reduce
 from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import getitem, itemgetter, mul, setitem, xor
 
@@ -77,9 +87,10 @@ from .layout import (
     check_failed,
     losses,
     placement_indices,
+    stack_runs,
     survivor_reads,
 )
-from .parity_groups import check_size, reconstruction_plan
+from .parity_groups import check_size
 
 _MASK64 = (1 << 64) - 1
 
@@ -275,12 +286,12 @@ def materialize(layout: DeclusteredLayout, seed: int) -> DiskArray:
     """
     if rec := _stats.recorder:
         rec.start()
-    coded, group, lanes = _codewords(layout, seed), layout.group, len(layout.placements)
-    width = len(group.extended_rows) * lanes
+    coded, group = _codewords(layout, seed), layout.group
+    width = len(group.extended_rows) * len(layout.placements)
     # Each int is popped as its bytes are made, into a list the scatter empties.
     array = DiskArray(layout, _scatter(
         layout, [[row.pop(0).to_bytes(width, "little") for row in coded] for _ in range(group.k)],
-        range(lanes), range(layout.n),
+        None, range(layout.n),
     ))
     if rec:
         rec.mark("simulator.scatter_s")
@@ -308,16 +319,19 @@ def _column_cells(layout: DeclusteredLayout, disks: list, lanes) -> list[list[by
     row, lane) pair, lane e*L + x holding lanes[x]'s stored byte in extended
     row e (L lanes, layout indices), read from `disks`.
 
-    Each position's units over the lanes are gathered once. Plane e*r + j of
-    a position's units (byte e*r + j of every lane's unit) is one strided
-    slice, and a column's cell joins, row by row, the planes of the positions
-    holding it: one C-level join per cell.
+    Each position's units over the lanes are gathered once, into one
+    unit-major buffer (lane x's unit at bytes x*m..(x+1)*m): one pick of the
+    lanes' (disk, slice) pairs out of `layout.position_units` and one join.
+    Plane e*r + j of a position's units (byte e*r + j of every lane's unit)
+    is one strided slice, and a column's cell joins, row by row, the planes
+    of the positions holding it: one C-level join per cell.
     """
-    group, at = layout.group, layout.unit_offsets
+    group = layout.group
     m, r = group.m, group.r
+    pick = itemgetter(*lanes) if len(lanes) > 1 else lambda seq: tuple(map(seq.__getitem__, lanes))
     units = [
-        b"".join([disks[layout.placements[i][pos]][at[i][pos] : at[i][pos] + m] for i in lanes])
-        for pos in range(group.k)
+        b"".join(map(getitem, map(disks.__getitem__, pick(on)), pick(cuts)))
+        for on, cuts in layout.position_units
     ]
     # planes[j][e] cuts inner row j of extended row e out of a position's units;
     # holders[c][e] is the position holding column c in extended row e.
@@ -329,9 +343,9 @@ def _column_cells(layout: DeclusteredLayout, disks: list, lanes) -> list[list[by
     ]
 
 
-def _checked_decode(code, grid, erased: tuple[int, ...]) -> list[list[int]]:
+def _checked_decode(code, grid, erased: tuple[int, ...], wanted=None) -> list[list[int]]:
     """code.decode, checked to read exactly the columns the plans left unerased."""
-    out, decoder_reads = code.decode(grid, erased)
+    out, decoder_reads = code.decode(grid, erased, wanted)
     planned = [c for c in range(code.k) if c not in erased]
     if sorted(decoder_reads) != planned:
         raise InvariantError(f"decoder read columns {sorted(decoder_reads)}, planned {planned}")
@@ -343,12 +357,13 @@ def _decode_runs(code, cells, erased: tuple[int, ...], runs: list[slice], wanted
     column buffer, see _column_cells) in one call, and write the decoded cells
     of the `wanted` columns, those some run lost, back into their buffers,
     run by run. An erased column no run lost is one the rule left unread on
-    a surviving disk, which the scatter never cuts out, so it is not written."""
+    a surviving disk, which the scatter never cuts out, so the decoder is
+    asked for the wanted columns alone (its program pruned to them)."""
     grid: list[list[int | None]] = [[None] * code.k for _ in range(code.r)]
     for c in (c for c in range(code.k) if c not in erased):
         for j, cell in enumerate(map(memoryview, cells[c])):
             grid[j][c] = int.from_bytes(b"".join(map(cell.__getitem__, runs)), "little")
-    out = _checked_decode(code, grid, erased)
+    out = _checked_decode(code, grid, erased, wanted)
     ends = list(accumulate(run.stop - run.start for run in runs))
     pieces = list(map(slice, [0, *ends[:-1]], ends))
     for c in wanted:
@@ -357,33 +372,56 @@ def _decode_runs(code, cells, erased: tuple[int, ...], runs: list[slice], wanted
             deque(map(setitem, repeat(cell), runs, map(decoded.__getitem__, pieces)), maxlen=0)
 
 
-def _scatter(layout: DeclusteredLayout, cells: list, lanes, disks) -> list[bytearray]:
-    """`disks` cut out of column space (see _column_cells), lane x being instance lanes[x].
-
-    The gather's inverse: each position those disks hold gets its m planes
-    one after another, plane e*r + j cut from extended row e's lanes of the
-    column it holds there, one join per extended row (joining all m at once
-    would hold m small slices). A lane's unit there is every L-th byte from
-    the lane on, and each disk is one join of its stack's units. Consumes
-    `cells`: the list is emptied before any disk is joined.
+def _unit_major(layout: DeclusteredLayout, cells: list, pos: int, width: int) -> bytearray:
+    """Position pos's units over `width` lanes out of column space (see
+    _column_cells), lane x's unit at bytes x*m..(x+1)*m. Its plane e*r + j,
+    byte e*r + j of every lane's unit, is extended row e's lanes of inner row
+    j of the column the position holds there. The bytes move along the
+    shorter axis: m strided writes, one per plane, when m < width, else
+    `width` strided slices, one per lane, of the planes laid end to end (one
+    join per extended row: joining all m at once would hold m small slices).
+    The m strided writes alone made the hadamard16 + RDP p=7 fill (m = 336,
+    30 lanes) 1.16 times as slow.
     """
-    group, width = layout.group, len(lanes)
-    joined, block = {}, group.r * width  # block: one extended row's planes
-    for pos in {pos for d in disks for _, pos in layout.stacks[d]}:
-        planes = joined[pos] = bytearray(group.m * width)
-        for e, columns in enumerate(group.canonical_columns):
-            row, at = slice(e * width, e * width + width), e * block
-            planes[at : at + block] = bytearray().join([cell[row] for cell in cells[columns[pos]]])
+    group = layout.group
+    m, block = group.m, group.r * width  # block: one extended row's planes
+    rows = ((cells[columns[pos]], slice(e * width, (e + 1) * width))
+            for e, columns in enumerate(group.canonical_columns))
+    units = bytearray(m * width)
+    if m < width:
+        for p, plane in enumerate(cell[row] for column, row in rows for cell in column):
+            units[p::m] = plane
+        return units
+    planes = bytearray(m * width)
+    for at, (column, row) in zip(range(0, m * width, block), rows):
+        planes[at : at + block] = bytearray().join([cell[row] for cell in column])
+    for x, at in enumerate(range(0, m * width, m)):
+        units[at : at + m] = planes[x::width]
+    return units
+
+
+def _scatter(layout: DeclusteredLayout, cells: list, lanes, disks) -> list[bytearray]:
+    """`disks` cut out of column space (see _column_cells), lane x being
+    instance lanes[x], or instance x when `lanes` is None (a fill).
+
+    The gather's inverse: each position those disks hold gets one unit-major
+    buffer over the lanes (_unit_major), and each disk is one join of its
+    runs of those buffers (`stack_runs`): a fill's are the layout's
+    (`layout.unit_runs`), a rebuild's are cut from the disk's stack by its
+    lanes. Consumes `cells`: the list is emptied before any disk is joined.
+    """
+    if lanes is None:
+        width, runs = len(layout.placements), [layout.unit_runs[d] for d in disks]
+    else:
+        width, lane_of = len(lanes), [0] * len(layout.placements)
+        deque(map(setitem, repeat(lane_of), lanes, count()), maxlen=0)
+        runs = [stack_runs(layout.stacks[d], lane_of, layout.group.m) for d in disks]
+    held = {pos for positions, _ in runs for pos in positions}
+    units = {pos: _unit_major(layout, cells, pos, width) for pos in held}
     cells.clear()
-    unit_of = [None] * len(layout.placements)  # instance i's unit in a position's planes
-    for x, i in enumerate(lanes):
-        unit_of[i] = slice(x, None, width)
     return [
-        bytearray().join(map(
-            getitem, map(joined.__getitem__, map(itemgetter(1), layout.stacks[d])),
-            map(unit_of.__getitem__, map(itemgetter(0), layout.stacks[d])),
-        ))
-        for d in disks
+        bytearray().join(map(getitem, map(units.__getitem__, positions), cuts))
+        for positions, cuts in runs
     ]
 
 
@@ -392,9 +430,10 @@ def fail_and_reconstruct(array: DiskArray, failed) -> tuple[DiskArray, IOStats]:
 
     The affected instances' units are gathered into column space from the
     caller's disks, each failed disk read as one shared zero buffer; each
-    canonical erasure pattern is decoded over the runs whose plan leaves it,
-    and the columns they lost are written back (_decode_runs); only the
-    replacement disks are scattered back out.
+    canonical erasure pattern is decoded over the runs whose plan (from the
+    read tally's memo) leaves it, for the columns they lost alone, which are
+    written back (_decode_runs); only the replacement disks are scattered
+    back out.
     Returns a new array (the replacements plus copies of the survivors) and
     per-disk read/write unit counts. Instances that lost no column are never
     touched, and `array` is left as it was.
@@ -404,10 +443,11 @@ def fail_and_reconstruct(array: DiskArray, failed) -> tuple[DiskArray, IOStats]:
     layout, group = array.layout, array.layout.group
     failed = check_failed(layout, failed)
     affected = losses(layout, failed)
-    reads = survivor_reads(layout, failed, affected)
+    plans: dict = {}  # the tally's memo of each lost tuple's plan, which the runs reuse
+    reads = survivor_reads(layout, failed, affected, plans)
     if rec:
         rec.mark("layout.tally_s")
-    lanes = list(chain.from_iterable(map(placement_indices, affected.values())))
+    lanes = list(chain.from_iterable(map(partial(placement_indices, layout), affected.values())))
     zeros = bytes(layout.rows_per_disk)
     cells = _column_cells(
         layout, [zeros if d in failed else disk for d, disk in enumerate(array.disks)], lanes
@@ -420,7 +460,7 @@ def fail_and_reconstruct(array: DiskArray, failed) -> tuple[DiskArray, IOStats]:
     width, stop, calls, wanted = len(lanes), 0, {}, {}
     for lost, mask in affected.items():
         start, stop = stop, stop + mask.bit_count()
-        plan = reconstruction_plan(group, lost)
+        plan = plans[lost]
         for e, erased in enumerate(plan.erased):
             calls.setdefault(erased, []).append(slice(e * width + start, e * width + stop))
         for erased, columns in plan.lost_columns.items():

@@ -11,6 +11,7 @@ from declustr import (
     DATA,
     HorizontalCode,
     canonical_labels,
+    parity_index,
     parity_label,
     rdp_code,
     reconstruction_rule,
@@ -98,6 +99,59 @@ def test_rdp_decode_makes_no_gf256_products(monkeypatch):
         for erased in combinations(range(8), size):
             assert code.decode(erase(codeword, erased), erased)[0] == codeword
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "code", [rdp_code(3), rdp_code(5), rs_code(6, 2), rs_code(8, 4)], ids=["rdp3", "rdp5", "rs6,2", "rs8,4"]
+)
+def test_decoding_some_erased_columns_gives_the_full_decodes_cells(code):
+    # Asked for some of the erased columns, the decoder reads what the rule
+    # names, as a full decode does, and returns those columns' cells of the
+    # codeword; every other erased cell stays None and every unread
+    # surviving one stays as given.
+    codeword = code.encode(random_data(code.r, code.k - code.delta, seed=code.k))
+    for size in range(1, code.delta + 1):
+        for erased in combinations(range(code.k), size):
+            given = erase(codeword, erased)
+            for n in range(1, size + 1):
+                for wanted in combinations(erased, n):
+                    out, reads = code.decode(given, erased, wanted)
+                    assert sorted(reads) == expected_reads(code, erased)
+                    assert out == [
+                        [cell if c in wanted or c not in erased else None for c, cell in enumerate(row)]
+                        for row in codeword
+                    ], (erased, wanted)
+
+
+@pytest.mark.parametrize(
+    "code,erased,wanted,full,pruned",
+    [
+        (rs_code(8, 4), (0, 5, 6, 7), (0,), 16, 4),
+        (rs_code(6, 2), (0, 5), (0,), 8, 4),
+        (rdp_code(7), (0, 7), (0,), 84, 36),
+        (rdp_code(5), (0, 5), (0,), 40, 16),
+        (rdp_code(7), (6, 7), (6, 7), 84, 84),
+    ],
+    ids=["rs8,4", "rs6,2", "rdp7", "rdp5", "rdp7 both"],
+)
+def test_decode_programs_pruned_to_the_wanted_columns(code, erased, wanted, full, pruned):
+    # Timing-free: the terms a decode call applies, full and pruned to one
+    # lost data column. RDP's full programs are two-stage (syndromes, then
+    # cells); pruned to column 0 the one-stage form has fewer terms.
+    def terms(program):
+        return sum(len(step) for _, step in program)
+
+    assert terms(erasure_codes._decode_matrix(code, erased)[1]) == full
+    assert terms(erasure_codes._decode_matrix(code, erased, wanted)[1]) == pruned
+
+
+def test_parity_index_reads_no_more_digits_than_parity_label_writes():
+    # A longer index is refused before int reads it: past 4,300 digits int
+    # itself would raise ValueError.
+    assert parity_index(parity_label(10**6)) == 10**6
+    for label in ("P" + "1" * 8, "P" + "1" * 5000):
+        with pytest.raises(ParamError, match="^unknown column label"):
+            parity_index(label)
 
 
 def test_singular_check_system_is_an_invariant_error(monkeypatch):
@@ -239,9 +293,22 @@ def test_codes_refuse_malformed_fields_when_built(make, args, message):
         (lambda: rs_code(4, 2).encode(5), "data rows must have 2 symbols"),
         (lambda: rs_code(4, 2).encode([5]), "data rows must have 2 symbols"),
         (lambda: rdp_code(3).decode(5, (0,)), "expected a 2 x 4 grid"),
+        (
+            lambda: rs_code(4, 2).decode([[1, None, 3, 4]], (1,), (2,)),
+            "wanted columns must be erased columns [1], got (2,)",
+        ),
+        (
+            lambda: rs_code(4, 2).decode([[1, None, 3, 4]], (1,), [True]),
+            "wanted columns must be erased columns [1], got (True,)",
+        ),
+        (
+            lambda: rs_code(4, 2).decode([[1, None, 3, 4]], (1,), 1),
+            "wanted columns must be an iterable of erased columns, got 1",
+        ),
     ],
     ids=["erased high", "erased low", "None read", "rs grid", "rdp grid", "rdp data",
-         "rs data", "rs p", "rdp int data", "rs int data", "rs int row", "rdp int grid"],
+         "rs data", "rs p", "rdp int data", "rs int data", "rs int row", "rdp int grid",
+         "wanted unerased", "wanted bool", "wanted int"],
 )
 def test_codec_refuses_malformed_calls(call, message):
     with pytest.raises(ParamError, match=f"^{re.escape(message)}$"):

@@ -2,6 +2,7 @@
 
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -75,8 +76,9 @@ def test_placement_indices_match_a_bit_walk():
     rng = random.Random("placement_indices")
     masks = [0, 1 << 1709, (1 << 1710) - 1] + [1 << i for i in range(70)]
     masks += [rng.getrandbits(rng.randrange(1, 1711)) for _ in range(200)]
+    layout = SimpleNamespace(indices=tuple(range(1710)))  # all it reads of a layout
     for mask in masks:
-        assert list(placement_indices(mask)) == walked_bits(mask), hex(mask)
+        assert list(placement_indices(layout, mask)) == walked_bits(mask), hex(mask)
 
 
 def test_columns_map_to_sorted_block_elements(reference_layout):

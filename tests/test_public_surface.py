@@ -73,6 +73,7 @@ OBJECT_TYPED = {"array", "code", "design", "group", "layout", "params"}
 MALFORMED = (
     None, 5, -1, 2**70, 1.5, True, "x", "", [], [5], [[0]], {}, {"a": 1}, (None,),
     float("nan"), b"x", object(), set(), (1.0,), ("P1",), [[None]], 10**5000, (10**5000,),
+    "P" + "1" * 5000,
 )
 
 # Rows whose call is not the exported name itself: a generator refuses at its first next.

@@ -127,7 +127,7 @@ def test_grouped_losses_match_a_per_placement_walk(name, family):
     for s in range(code.delta + 1):
         for failed in combinations(range(layout.n), s):
             grouped = {
-                lost: tuple(placement_indices(mask))
+                lost: tuple(placement_indices(layout, mask))
                 for lost, mask in losses(layout, frozenset(failed)).items()
             }
             assert grouped == walked_losses(layout, failed), failed

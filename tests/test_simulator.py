@@ -6,7 +6,7 @@ import random
 import tracemalloc
 from array import array
 from collections import Counter
-from itertools import combinations, islice, product
+from itertools import combinations, count, islice, pairwise, product
 from math import comb
 
 import pytest
@@ -36,7 +36,7 @@ from declustr import (
 )
 import declustr.simulator as simulator
 from declustr.designs import MAX_ARRAY_BYTES
-from declustr.layout import losses
+from declustr.layout import losses, placement_indices, stack_runs
 from declustr.simulator import SetResult, VerifySummary
 from declustr.errors import InvariantError, ParamError, TooManyFailures
 from test_reconstruction_plan import CASES, naive_reads, relabeled
@@ -433,9 +433,9 @@ def test_rebuild_decodes_once_per_erasure_pattern(monkeypatch):
     calls = []
     decode = HorizontalCode.decode
 
-    def counting(self, rows, erased):
+    def counting(self, rows, erased, wanted=None):
         calls.append(tuple(erased))
-        return decode(self, rows, erased)
+        return decode(self, rows, erased, wanted)
 
     monkeypatch.setattr(HorizontalCode, "decode", counting)
     rebuilt, _ = fail_and_reconstruct(array, failed)
@@ -525,8 +525,8 @@ def test_decoder_reading_other_columns_is_an_invariant_error(reference_layout, m
     array = materialize(reference_layout, 7)
     decode = HorizontalCode.decode
 
-    def misreporting(self, rows, erased):
-        out, read = decode(self, rows, erased)
+    def misreporting(self, rows, erased, wanted=None):
+        out, read = decode(self, rows, erased, wanted)
         return out, read[1:]
 
     monkeypatch.setattr(HorizontalCode, "decode", misreporting)
@@ -633,8 +633,8 @@ def test_sweep_fails_exactly_the_sets_whose_rebuild_hits_a_faulty_pattern(monkey
     assert 0 < len(users[faulty]) < len(sets)
     decode = HorizontalCode.decode
 
-    def flipping(self, rows, erased):
-        out, read = decode(self, rows, erased)
+    def flipping(self, rows, erased, wanted=None):
+        out, read = decode(self, rows, erased, wanted)
         if tuple(erased) == faulty:
             # Flip the low bit of inner row 0 of one rebuilt column in each
             # lane the cells span, so the instances decoded with this pattern
@@ -705,9 +705,9 @@ def test_sweep_gathers_each_stored_unit_once(monkeypatch):
             return real(*args)
         return call
 
-    def counting_decode(self, rows, erased):
+    def counting_decode(self, rows, erased, wanted=None):
         decodes.append(tuple(erased))
-        return decode(self, rows, erased)
+        return decode(self, rows, erased, wanted)
 
     for name in ("materialize", "_column_cells", "_scatter"):
         monkeypatch.setattr(simulator, name, counting(name, getattr(simulator, name)))
@@ -760,13 +760,13 @@ def test_sweep_decodes_each_pattern_in_calls_of_at_most_one_array(
     calls = []
     decode = HorizontalCode.decode
 
-    def measuring_decode(self, rows, erased):
+    def measuring_decode(self, rows, erased, wanted=None):
         width = max((cell.bit_length() + 7) // 8 for row in rows for cell in row if cell)
         calls.append((tuple(erased), width * len(rows) * len(rows[0])))
         # Every column the decoder is given holds every lane's stored byte.
         for j, row in enumerate(rows):
             assert all(row[c] == stored[c][j] for c in range(self.k) if c not in erased)
-        return decode(self, rows, erased)
+        return decode(self, rows, erased, wanted)
 
     monkeypatch.setattr(HorizontalCode, "decode", measuring_decode)
     summary = exhaustive_verify(layout, 2, seed=5)
@@ -806,8 +806,8 @@ def test_sweep_maps_a_wrong_lane_to_exactly_the_sets_that_use_it(name, family, m
         c = group.canonical_columns[e][rng.choice(lost)]
         assert c in pattern
 
-        def flipping(self, rows, erased):
-            out, read = decode(self, rows, erased)
+        def flipping(self, rows, erased, wanted=None):
+            out, read = decode(self, rows, erased, wanted)
             if tuple(erased) == pattern:
                 out[j][c] ^= 1 << 8 * (e * b + index)
             return out, read
@@ -913,7 +913,7 @@ def test_sweep_reads_each_lost_tuples_plan_once(make_code, make_design, monkeypa
             return plan(group, lost)
 
         monkeypatch.setattr(layout_module, "reconstruction_plan", counting)
-        monkeypatch.setattr(simulator, "reconstruction_plan", counting)
+        monkeypatch.setattr(simulator, "reconstruction_plan", counting, raising=False)
         summary = exhaustive_verify(layout, s, seed=3)
         monkeypatch.undo()
         assert summary.passed == summary.total == comb(layout.n, s)
@@ -946,6 +946,108 @@ def test_rebuild_writes_back_only_the_columns_its_runs_lost(monkeypatch):
             assert len(calls) == 5 and all(
                 wanted == ({6, 7} if erased == (6, 7) else {erased[0]}) for erased, wanted in calls
             )
+
+
+def test_rebuild_asks_for_each_lost_tuples_plan_once(monkeypatch):
+    # The run loop takes its plans from the read tally's memo, so a rebuild
+    # asks for each distinct lost tuple's plan once, not once for the tally
+    # and again for the runs.
+    import declustr.layout as layout_module
+
+    layout = build_layout(group_family(rs_code(6, 2), "full"), complete_design(9, 6, 3))
+    array = materialize(layout, 7)
+    plan = layout_module.reconstruction_plan
+    for failed in [(2,), (2, 5), (0, 8)]:
+        asked = Counter()
+
+        def counting(group, lost):
+            asked[lost] += 1
+            return plan(group, lost)
+
+        monkeypatch.setattr(layout_module, "reconstruction_plan", counting)
+        monkeypatch.setattr(simulator, "reconstruction_plan", counting, raising=False)
+        rebuilt, _ = fail_and_reconstruct(array, failed)
+        monkeypatch.undo()
+        assert rebuilt.disks == array.disks
+        assert asked == dict.fromkeys(losses(layout, frozenset(failed)), 1), failed
+
+
+@pytest.mark.parametrize("make_code, make_design, runs", [
+    pytest.param(lambda: rdp_code(7), lambda: hadamard_3design(16), 225, id="rdp7-hadamard16"),
+    pytest.param(
+        lambda: rs_code(6, 2), lambda: complete_design(12, 6, 3), 1385, id="rs(6,2)-complete(12,6,3)"
+    ),
+])
+def test_fill_joins_each_disk_from_its_runs(make_code, make_design, runs, monkeypatch):
+    # Timing-free: a fill cuts one slice per run of a disk's stack (the
+    # longest stretch of consecutive instances at one position) out of the
+    # position's unit-major buffer, where one slice per unit made 5,544 on
+    # complete(12,6,3). Each disk's runs, laid end to end, are its stack.
+    layout = build_layout(group_family(make_code(), "full"), make_design())
+    m = layout.group.m
+    for stack, (positions, cuts) in zip(layout.stacks, layout.unit_runs):
+        assert tuple(
+            (i, pos) for pos, cut in zip(positions, cuts) for i in range(cut.start // m, cut.stop // m)
+        ) == stack
+    reference = materialize(layout, 7)
+    cut = []
+    monkeypatch.setattr(simulator, "getitem", lambda units, run: cut.append(run) or units[run])
+    assert materialize(layout, 7).disks == reference.disks
+    assert len(cut) == sum(len(cuts) for _, cuts in layout.unit_runs) == runs
+
+
+def test_a_rebuilds_runs_lay_out_each_failed_disks_stack():
+    # A rebuild's lanes are its affected instances in lost-tuple order; each
+    # failed disk's runs, laid end to end, walk its stack in order, each run
+    # at one position over consecutive lanes, and no two neighbours could
+    # have been one run. A run may span placements that are not on the disk:
+    # failing (2, 7), 30 of disk 7's 87 runs do.
+    layout = build_layout(group_family(rs_code(6, 2), "full"), complete_design(12, 6, 3))
+    m = layout.group.m
+    for failed in [(0,), (2, 7), (5, 11)]:
+        affected = losses(layout, frozenset(failed))
+        lanes = [i for mask in affected.values() for i in placement_indices(layout, mask)]
+        lane_of = dict(zip(lanes, count()))
+        for disk in failed:
+            positions, cuts = stack_runs(layout.stacks[disk], lane_of, m)
+            walked = tuple(
+                (lanes[x], pos) for pos, cut in zip(positions, cuts)
+                for x in range(cut.start // m, cut.stop // m)
+            )
+            assert walked == layout.stacks[disk]
+            for (pos, cut), (after, nxt) in pairwise(zip(positions, cuts)):
+                assert (pos, cut.stop) != (after, nxt.start)
+
+
+def test_one_disk_rebuild_decodes_only_the_lost_columns(monkeypatch):
+    # Timing-free: each decode call of a one-disk rebuild runs its pattern's
+    # program pruned to the columns its runs lost: one data column's pattern
+    # applies 4 terms, not the full program's 16, for (0, 5, 6, 7) on RS(8,4),
+    # and 36, not 84, for (0, 7) on RDP p=7.
+    from declustr import erasure_codes
+
+    applied = []
+    program = erasure_codes._decode_matrix
+
+    def recording(code, erased, wanted=None):
+        out = program(code, erased, wanted)
+        applied.append((code.kind, erased, wanted, sum(len(terms) for _, terms in out[1])))
+        return out
+
+    monkeypatch.setattr(erasure_codes, "_decode_matrix", recording)
+    cases = [
+        (rs_code(8, 4), complete_design(9, 8, 5), (0, 5, 6, 7), 4),
+        (rdp_code(7), hadamard_3design(16), (0, 7), 36),
+    ]
+    for code, design, pattern, terms in cases:
+        layout = build_layout(group_family(code, "full"), design)
+        array = materialize(layout, 3)
+        applied.clear()
+        rebuilt, _ = fail_and_reconstruct(array, (1,))
+        assert rebuilt.disks == array.disks
+        assert (code.kind, pattern, (pattern[0],), terms) in applied
+        full = sum(len(step) for _, step in program(code, pattern)[1])
+        assert terms < full, (pattern, full)
 
 
 def _warm_peak(layout, call):
@@ -984,8 +1086,10 @@ def test_materialize_memory_stays_within_a_few_arrays():
     # The tracemalloc peak of one warm materialize against the array's bytes.
     # Holding the fill through the disk joins peaked at 3.92 arrays on
     # complete(12,6,3) and 2.98 on hadamard16; freeing it first, 3.25 and 2.23.
+    # Cutting disks from unit-major buffers instead of one slice per unit,
+    # 2.35 and 2.21.
     cases = [
-        (rs_code(6, 2), complete_design(12, 6, 3), 3.5),
+        (rs_code(6, 2), complete_design(12, 6, 3), 2.75),
         (rdp_code(7), hadamard_3design(16), 2.5),
     ]
     for code, design, bound in cases:
