@@ -50,19 +50,10 @@ start from the same array, so each is decoded once however many sets
 produce it. A lane that no (lost tuple, extended row) uses is decoded too,
 but its cells fail no set.
 
-Data bytes come from a 64-bit xorshift stream (shifts 13, 7, 17; low byte of
-each state is emitted), so fixtures are portable: same seed, same array.
-Seed 0 is the generator's fixed point and yields the all-zero fill.
-`byte_stream` is the reference, one byte per step. `materialize` takes the
-same bytes from the stream's linear recurrence instead: the xorshift step is
-linear over GF(2) (Marsaglia, "Xorshift RNGs", J. Stat. Softw. 2003), so
-every output bit obeys one 24-tap XOR recurrence of degree 64, and so does
-every block of S bytes when S is a power of two. Each block after the first
-64 is the XOR of 24 earlier ones, and those 64 blocks are themselves filled
-the same way at half the block size, down to a head of at most 512 bytes
-drawn from `byte_stream`. No tap is under 8, so blocks under 512 bytes are
-made 8 at a time, as one int from 24 XORs and 7 shifts; larger blocks, where
-a shift costs more than the XORs it saves, are made one at a time.
+Data bytes are the SHAKE-128 output (FIPS 202) of the seed mod 2^64, written
+as 8 little-endian bytes, so fixtures are portable: same seed, same array,
+and seed 0 is an ordinary seed. `byte_stream` yields that stream;
+`materialize` takes its first bytes in one call (`_fill_bytes`).
 
 With a recorder installed (`_stats`, which `simulate --stats` turns on), a
 fill, rebuild or sweep records its phase times and counts; with none, each
@@ -73,9 +64,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections import deque
-from functools import partial, reduce
-from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import getitem, itemgetter, mul, setitem, xor
+from functools import partial
+from itertools import accumulate, chain, compress, count, repeat
+from operator import getitem, itemgetter, mul, setitem
 
 from . import _stats
 from .designs import MAX_ARRAY_BYTES, check_budget, check_ints
@@ -94,84 +85,27 @@ from .parity_groups import check_size
 
 _MASK64 = (1 << 64) - 1
 
-# Exponents of the stream's characteristic polynomial p(x) = 1 + sum x^j
-# (found by Berlekamp-Massey on its output bits): y_i = XOR of y_{i-j} for j
-# in _TAPS, for every bit of every byte. Over GF(2), p(x)^S = p(x^S) when S
-# is a power of two, so S-byte blocks obey the same taps.
-_TAPS = (
-    8, 11, 12, 13, 14, 15, 17, 18, 20, 22, 25, 27, 31, 32, 34, 36, 37, 41, 44, 48, 51, 52, 55, 64
-)
-# Block size in bytes from which the fill steps one block at a time, not 8
-# (see _fill_bytes). Per 64 blocks on CPython 3.10-3.13 (2 cores), 8-block
-# steps take 0.73-0.83 of the time at 256 bytes, 0.88-0.97 at 512 and
-# 1.04-1.08 at 1,024; whole fills run within 3 % of each other at either cut.
-_ONE_BLOCK_STEPS = 512
+
+def _fill_bytes(seed: int, length: int) -> bytes:
+    """The first `length` bytes of the stream: SHAKE-128 of the seed mod
+    2^64, written as 8 little-endian bytes."""
+    # Imported here: hashlib costs every CLI process about 3.5 ms at start-up,
+    # and most never fill an array.
+    from hashlib import shake_128
+
+    return shake_128((seed & _MASK64).to_bytes(8, "little")).digest(length)
 
 
 def byte_stream(seed: int):
-    """Endless deterministic byte generator (xorshift64, low byte)."""
+    """Endless deterministic byte generator: SHAKE-128 of the seed mod 2^64,
+    whose first bytes `_fill_bytes` returns. A longer SHAKE-128 output
+    extends a shorter one, so each chunk is a digest twice the size of the
+    last, less the bytes already yielded."""
     check_ints(seed=seed)
-    state = seed & _MASK64
+    done, size = 0, 4096
     while True:
-        state ^= (state << 13) & _MASK64
-        state ^= state >> 7
-        state ^= (state << 17) & _MASK64
-        yield state & 0xFF
-
-
-def _block_size(length: int) -> int:
-    """Recurrence block size for a fill of `length` bytes: the largest power
-    of two S with 128 * S <= length, at least 8, so the 64-block head is at
-    most half the fill."""
-    return 1 << max(3, (length >> 7).bit_length() - 1)
-
-
-def _fill_bytes(seed: int, length: int) -> bytes:
-    """The first `length` bytes of `byte_stream(seed)`, block by block.
-
-    The head, blocks 0..63, is itself a fill: of 64 * S bytes, at half the
-    block size, and so on down until a head of at most 512 bytes is drawn
-    from `byte_stream`. Block q >= 64, read as an int, is the XOR of blocks
-    q - j for j in _TAPS. Every tap is at least 8, so blocks q..q+7 depend
-    only on blocks before q: blocks under _ONE_BLOCK_STEPS bytes are made P =
-    8 to a step c, as one int W_c (block 8c + i at byte i * S). With each tap
-    j = Pa + b, let G_b be the XOR of the steps W_(c-a) over the taps with
-    residue b, and H_c the XOR of G_b << 8*S*b. Then W_c is the low 8*P*S
-    bits of H_c XOR the bits of H_(c-1) above them (`carry`): 24 XORs and 7
-    shifts per 8 blocks, not 192 XORs. Larger blocks step with P = 1, b = 0
-    alone, which is 24 XORs per block and no shift. The ring keeps the last
-    64 blocks as ints; the bytes go straight into one preallocated buffer.
-    """
-    size = _block_size(length)
-    head = 64 * size
-    if length <= head:
-        return bytes(islice(byte_stream(seed), length))
-    out = bytearray(length)
-    out[:head] = _fill_bytes(seed, head)
-    per = 1 if size >= _ONE_BLOCK_STEPS else 8  # blocks per step
-    width, bits = per * size, 8 * per * size  # one step's bytes and bits
-    ring = [int.from_bytes(out[c * width : (c + 1) * width], "little") for c in range(64 // per)]
-    # lags[b]: ring index -a of each tap j = per * a + b; the others are shifted b blocks up.
-    lags = [[-(j // per) for j in _TAPS if j % per == b] for b in range(per)]
-    shifted = [(8 * size * b, lags[b]) for b in range(1, per)]
-    # H_(c-1)'s high bits for the first step: only taps with b > 0 reach past a step.
-    carry = reduce(xor, (ring[-1 - j // per] >> 8 * size * (per - j % per) for j in _TAPS if j % per), 0)
-    mask = (1 << bits) - 1
-    for start in range(head, length, width):
-        word = 0
-        for a in lags[0]:
-            word ^= ring[a]
-        if shifted:
-            for shift, lag in shifted:
-                g = 0
-                for a in lag:
-                    g ^= ring[a]
-                word ^= g << shift
-            word, carry = word & mask ^ carry, word >> bits
-        ring.append(word)
-        del ring[0]
-        out[start : start + width] = word.to_bytes(width, "little")[: length - start]
-    return bytes(out)
+        yield from _fill_bytes(seed, size)[done:]
+        done, size = size, 2 * size
 
 
 @dataclass
@@ -577,6 +511,7 @@ def exhaustive_verify(layout: DeclusteredLayout, s: int, seed: int = 1) -> Verif
     if rec := _stats.recorder:
         rec.start()
     check_size("s", s, layout.group.delta, low=0)
+    cells = _codewords(layout, seed)  # first, so a bad seed or size is refused before the walk
     plans, tallies, lookups = {}, [], 0  # plans: _tally's memo, one plan per distinct lost tuple
     for failed, affected in _failure_walk(layout, s):
         reads = _tally(layout, failed, affected, plans)
@@ -592,7 +527,6 @@ def exhaustive_verify(layout: DeclusteredLayout, s: int, seed: int = 1) -> Verif
         rec.mark("layout.tally_s")
         rec.add("layout.plan_memo_hits", lookups - len(plans))
     wrong: dict[tuple[int, ...], int] = {}  # lost tuple -> instances rebuilt wrong with it
-    cells = _codewords(layout, seed)
     for erased in sorted(set().union(*(plan.erased for plan in plans.values()))):
         _check_pattern(layout, cells, erased, plans, wrong)
     broken = {

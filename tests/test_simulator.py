@@ -51,42 +51,15 @@ def test_byte_stream_is_deterministic():
     assert all(0 <= b <= 255 for b in first)
 
 
-def test_byte_stream_seed_zero_is_all_zero():
-    assert list(islice(byte_stream(0), 16)) == [0] * 16
-
-
 def test_byte_stream_seeds_differ():
     assert list(islice(byte_stream(1), 32)) != list(islice(byte_stream(2), 32))
 
 
-# Every block size the fill picks for lengths up to 1 MiB.
-FILL_BLOCK_SIZES = sorted({simulator._block_size(n) for n in range(1, 1 << 20, 97)})
-
-
-def _fill_lengths(limit: int) -> list[int]:
-    """0, 1, and 64·S - 1, 64·S, 64·S + 1 and 128·S - 1, 128·S, 128·S + 1 at
-    every block size S (where the head and the block size change), lengths
-    that are not multiples of the block size, lengths that end part-way
-    through an 8-block step at every S that steps 8 blocks at a time, lengths
-    part-way through a step on each side of the size from which blocks step
-    one at a time, and the 110,880-byte complete(12,6,3) + RS(6,2) fill, up
-    to `limit`."""
-    lengths = {0, 1, 7, 100, 1000, 5000, 8200, 20_001, 50_000, 110_880, 131_075, 524_293}
-    for size in FILL_BLOCK_SIZES:
-        lengths |= {64 * size - 1, 64 * size, 64 * size + 1}
-        lengths |= {128 * size - 1, 128 * size, 128 * size + 1}
-        if size < simulator._ONE_BLOCK_STEPS:  # 3 blocks and 5 bytes, and 5 blocks, into a step
-            lengths |= {131 * size + 5, 133 * size}
-    one_block = 128 * simulator._ONE_BLOCK_STEPS  # the shortest fill of single-block steps
-    lengths |= {one_block - 2051, one_block + 1543}
-    return sorted(n for n in lengths if n <= limit)
-
-
-def _fill_depth(n: int) -> int:
-    """How many heads a fill of n bytes builds by recurrence before the one
-    drawn from `byte_stream`."""
-    head = 64 * simulator._block_size(n)
-    return 0 if n <= head else 1 + _fill_depth(head)
+@pytest.mark.parametrize("seed", [0, 7, -1, 2**64 + 5, 10**30])
+def test_byte_stream_is_shake_128_of_the_seed(seed):
+    # The seed mod 2^64, as 8 little-endian bytes, is the whole input.
+    digest = hashlib.shake_128((seed % 2**64).to_bytes(8, "little")).digest(10_000)
+    assert bytes(islice(byte_stream(seed), 10_000)) == digest
 
 
 @pytest.mark.parametrize(
@@ -98,59 +71,14 @@ def _fill_depth(n: int) -> int:
     ],
 )
 def test_fill_bytes_equals_the_byte_stream(seed, limit):
-    lengths = _fill_lengths(limit)
+    # Lengths on each side of the stream's chunk edges (4096 * 2^i bytes),
+    # and the 110,880-byte complete(12,6,3) + RS(6,2) fill, up to `limit`.
+    edges = [4096 << i for i in range(9)]
+    lengths = {0, 1, 7, 110_880} | {edge + d for edge in edges for d in (-1, 0, 1)}
+    lengths = sorted(n for n in lengths if n <= limit)
     reference = bytes(islice(byte_stream(seed), lengths[-1]))
     for n in lengths:
         assert simulator._fill_bytes(seed, n) == reference[:n], n
-
-
-def test_fill_lengths_run_the_recurrence_at_every_block_size():
-    # Each block size the fill can pick is exercised past its first 64
-    # blocks, and so is every depth of heads built from smaller blocks.
-    lengths = _fill_lengths(1 << 20)
-    deep = {
-        simulator._block_size(n)
-        for n in lengths
-        if n > 64 * simulator._block_size(n)
-    }
-    assert FILL_BLOCK_SIZES == [8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096]
-    assert deep == set(FILL_BLOCK_SIZES)
-    # Each head is at most half its fill, so 1 MiB needs at most 10 levels.
-    assert {_fill_depth(n) for n in lengths} == set(range(11))
-    assert _fill_depth(110_880) == 7
-
-
-def _berlekamp_massey(bits: list[int]) -> list[int]:
-    """Shortest connection polynomial c (c[0] = 1) with
-    bits[i] = XOR of c[j] & bits[i - j], j = 1..L, over GF(2)."""
-    c, b = [1], [1]
-    length, shift = 0, 1
-    for n, bit in enumerate(bits):
-        discrepancy = bit
-        for j in range(1, length + 1):
-            discrepancy ^= c[j] & bits[n - j]
-        if not discrepancy:
-            shift += 1
-            continue
-        previous = c[:]
-        c += [0] * (len(b) + shift - len(c))
-        for j, coefficient in enumerate(b):
-            c[j + shift] ^= coefficient
-        if 2 * length <= n:
-            length, b, shift = n + 1 - length, previous, 1
-        else:
-            shift += 1
-    return c[: length + 1]
-
-
-def test_fill_taps_are_the_streams_recurrence():
-    # 256 output bits fix a degree-64 recurrence uniquely; every bit of the
-    # byte gives the same one.
-    stream = list(islice(byte_stream(0x9E3779B97F4A7C15), 256))
-    for bit in range(8):
-        c = _berlekamp_massey([byte >> bit & 1 for byte in stream])
-        assert len(c) == 65
-        assert tuple(j for j in range(1, 65) if c[j]) == simulator._TAPS
 
 
 def _count_byte_stream(monkeypatch) -> list[int]:
@@ -166,22 +94,22 @@ def _count_byte_stream(monkeypatch) -> list[int]:
     return drawn
 
 
-def test_materialize_draws_at_most_1024_bytes_byte_by_byte(monkeypatch):
-    # Timing-free guard: the 110,880-byte fill takes only its last head from
-    # the per-byte generator.
+def test_materialize_draws_no_byte_byte_by_byte(monkeypatch):
+    # Timing-free guard: the 110,880-byte fill takes its bytes in one call,
+    # none from the per-byte generator.
     layout = build_layout(group_family(rs_code(6, 2), "full"), complete_design(12, 6, 3))
     group = layout.group
     length = len(layout.placements) * group.m * (group.k - group.delta)
     assert length == 110_880
     drawn = _count_byte_stream(monkeypatch)
     materialize(layout, 7)
-    assert 0 < drawn[0] <= 1024
+    assert drawn[0] == 0
 
 
-def test_fill_of_1_mib_draws_at_most_1024_bytes_byte_by_byte(monkeypatch):
+def test_fill_of_1_mib_draws_no_byte_byte_by_byte(monkeypatch):
     drawn = _count_byte_stream(monkeypatch)
     assert len(simulator._fill_bytes(5, 1 << 20)) == 1 << 20
-    assert 0 < drawn[0] <= 1024
+    assert drawn[0] == 0
 
 
 # ------------------------------------------------------------------- fill
@@ -195,39 +123,40 @@ def test_materialize_shape_and_determinism(reference_layout):
     assert materialize(reference_layout, 8).disks != array.disks
 
 
-def test_materialize_seed_zero_yields_zero_disks(reference_layout):
+def test_materialize_seed_zero_fills_nonzero_bytes(reference_layout):
+    # Seed 0 is an ordinary seed, not the all-zero fill.
     array = materialize(reference_layout, 0)
-    assert all(set(disk) == {0} for disk in array.disks)
+    assert all(any(disk) for disk in array.disks)
     assert check_parity_invariant(array)
 
 
-# sha256 of the concatenated disks of materialize(layout, 7). The digests
-# pin the fill order: instances in block order, extended rows, inner rows,
-# data slots, drawn from one xorshift stream.
+# sha256 of the concatenated disks of materialize(layout, 7), filled from the
+# SHAKE-128 stream: any change to the stored bytes shows here. The fill order
+# itself is pinned by test_materialize_matches_unit_by_unit_placement.
 @pytest.mark.parametrize(
     "build,digest",
     [
         (
             lambda ref: ref,
-            "23ef85145949ee18e5c2b73eba1467ae559cbce0411ba3b483d0f0c8a9015995",
+            "2e5bef37801a3144f8c19a65cdf4a1b7921a287d5438cd87c27358c010b2d6e0",
         ),
         (
             lambda ref: build_layout(
                 group_family(rs_code(6, 2), "full"), complete_design(9, 6, 3)
             ),
-            "ddc27b8f1669c590deef37038c0638362e27285a6dec9bf9eb83c5fe441ea25f",
+            "e61904272d1397b2eeae20b4e066306c49134a626b53e4a0158eb6b35548fce8",
         ),
         (
             lambda ref: build_layout(
                 group_family(rs_code(5, 3), "full"), complete_design(7, 5, 4)
             ),
-            "0075cd29cdc9a01d4e08793e799768e63aa88357782ebb240958a6654fe2e255",
+            "cd3b7510abfff92cd108cb001b754e24ba7043a9cbdaf368be7a7f275d7a3c10",
         ),
         (
             lambda ref: build_layout(
                 group_family(rs_code(6, 2), "full"), complete_design(12, 6, 3)
             ),
-            "56c7aad266616aaea46fd9b3aa87de00dbd9a825fe35f701e264e4268bb55bd4",
+            "c62ab81de3e22d7e4592dd55e26a6c45c3be090540570e5833aed02606813297",
         ),
     ],
     ids=[
@@ -1202,6 +1131,26 @@ def test_materialize_refuses_an_array_over_the_byte_budget(monkeypatch):
         materialize(layout, 1)
     with pytest.raises(ParamError, match=message):
         exhaustive_verify(layout, 2)
+
+
+def test_sweep_refuses_a_bad_seed_or_size_before_walking(monkeypatch):
+    # The fill is the sweep's first step, so neither refusal waits for the
+    # walk over all 120 failure sets.
+    layout = build_layout(group_family(rdp_code(7), "full"), hadamard_3design(16))
+    walked, walk = [0], simulator._failure_walk
+
+    def counting(*args):
+        for found in walk(*args):
+            walked[0] += 1
+            yield found
+
+    monkeypatch.setattr(simulator, "_failure_walk", counting)
+    with pytest.raises(ParamError, match="seed"):
+        exhaustive_verify(layout, 2, seed="1")
+    monkeypatch.setattr(simulator, "MAX_ARRAY_BYTES", 1000)
+    with pytest.raises(ParamError, match="exceeds the limit of 1000$"):
+        exhaustive_verify(layout, 2)
+    assert walked == [0]
 
 
 def test_disk_array_refuses_a_shape_its_layout_does_not_give(reference_layout):

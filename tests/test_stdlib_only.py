@@ -1,6 +1,8 @@
 """The runtime imports only the standard library and declustr itself."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -24,3 +26,14 @@ def test_absolute_imports_are_stdlib_or_declustr(path):
             roots.add(node.module.partition(".")[0])
     foreign = sorted(roots - sys.stdlib_module_names - {"declustr"})
     assert not foreign, f"{path.name} imports {foreign}"
+
+
+def test_importing_the_cli_leaves_hashlib_unloaded():
+    # hashlib costs every process about 3.5 ms; only a fill needs it, and imports it then.
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, declustr.cli; print('hashlib' in sys.modules)"],
+        capture_output=True, text=True, timeout=60, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.stdout.strip() == "False"
