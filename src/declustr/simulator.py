@@ -23,9 +23,10 @@ the shorter axis (m strided writes when m < L, else L strided slices) and
 joins each disk from runs of it, stretches of its stack at one position in
 consecutive lanes, which one cutter makes (`layout.stack_runs`). A fill's
 lanes are every instance, so its runs are the layout's (`layout.unit_runs`:
-1,385 on complete(12,6,3), where one slice per unit made 5,544); its data
-cells are cut from the stream's bytes and encoded by one call
-(`_codewords`).
+1,385 on complete(12,6,3), where one slice per unit made 5,544). Its data
+cells are r*(k - delta) consecutive cuts of the stream, inner row j of data
+column c being cut j*(k - delta) + c (`_data_cells`), so only the parity
+cells, which one encode call makes (`_codewords`), go from int to bytes.
 
 A single rebuild's lanes are the failure set's affected instances in
 lost-tuple order (`layout.losses`), so each (extended row, lost tuple) is
@@ -40,9 +41,10 @@ from the read tally's memo, so each lost tuple's plan is asked for once.
 
 An exhaustive sweep's cells are the fill's encoded ints, so it builds no disk.
 Each canonical erasure pattern that the sets' lost tuples leave is decoded by
-one call over all lanes (through the pattern's memoized program: for RDP,
-the checks' syndromes first, then each erased cell from those), and each
-erased cell is compared with its stored int by one `==`; lanes are walked
+one call over all lanes, for the erased columns some lost tuple lost with it
+alone (through the pattern's memoized program pruned to them: for RDP, the
+checks' syndromes first, then each wanted cell from those), and each of
+those cells is compared with its stored int by one `==`; lanes are walked
 only on a mismatch. Every plan reads k - delta columns per extended row, so
 each pattern erases exactly delta columns; an instance's rebuilt units
 depend only on its own stored bytes and the positions it lost, and all sets
@@ -52,8 +54,8 @@ but its cells fail no set.
 
 Data bytes are the SHAKE-128 output (FIPS 202) of the seed mod 2^64, written
 as 8 little-endian bytes, so fixtures are portable: same seed, same array,
-and seed 0 is an ordinary seed. `byte_stream` yields that stream;
-`materialize` takes its first bytes in one call (`_fill_bytes`).
+and seed 0 is an ordinary seed. `byte_stream` yields that stream; a fill
+takes its first bytes in one call (`_fill_bytes`).
 
 With a recorder installed (`_stats`, which `simulate --stats` turns on), a
 fill, rebuild or sweep records its phase times and counts; with none, each
@@ -182,51 +184,58 @@ class UnitProvenance:
     label: str
 
 
-def _codewords(layout: DeclusteredLayout, seed: int) -> list[list[int]]:
-    """The seeded fill's encoded r x k grid of column-space cells over every
-    instance, as ints. The seed must be an int; it is taken mod 2^64. An array
-    of more than MAX_ARRAY_BYTES bytes is refused before anything is allocated.
-    """
+def _data_cells(layout: DeclusteredLayout, seed: int) -> list[memoryview]:
+    """The seeded fill's data cells as r*(k - delta) cuts of the stream:
+    cell s = j*(k - delta) + c (inner row j, data column c) is stream bytes
+    [s*E*L, (s+1)*E*L), lane e*L + x holding instance x's byte in extended
+    row e (E extended rows, L instances). The seed must be an int, taken mod
+    2^64; an array over MAX_ARRAY_BYTES bytes is refused before any fill."""
     check_ints(seed=seed)
     n, rows = layout.n, layout.rows_per_disk
     check_budget(f"an array of {n}*{rows}", n * rows, "bytes", MAX_ARRAY_BYTES)
     group = layout.group
-    data_cols, r = group.k - group.delta, group.r
-    step, per_instance = r * data_cols, group.m * data_cols  # data bytes per row, per instance
-    fill = _fill_bytes(seed, len(layout.placements) * per_instance)
+    width = len(group.extended_rows) * len(layout.placements)
+    fill = memoryview(_fill_bytes(seed, group.r * (group.k - group.delta) * width))
     if rec := _stats.recorder:
         rec.mark("simulator.fill_s")
-    # Byte s = j*data_cols + c of instance x's extended row e, at x*per_instance +
-    # e*step + s, is lane e*L + x of data column c, inner row j.
-    starts = range(0, per_instance, step)
-    data = [
-        int.from_bytes(b"".join([fill[start + s :: per_instance] for start in starts]), "little")
-        for s in range(step)
-    ]
-    del fill
-    coded = group.code.encode([data[j * data_cols : (j + 1) * data_cols] for j in range(r)])
-    if rec:
+    return [fill[at : at + width] for at in range(0, len(fill), width)]
+
+
+def _codewords(layout: DeclusteredLayout, seed: int, data=None) -> list[list[int]]:
+    """The seeded fill's encoded r x k grid of column-space cells over every
+    instance, as ints, made by one encode call from its data cells: `data`
+    if the caller has cut them, else _data_cells, freed before the call."""
+    group = layout.group
+    ints = [int.from_bytes(cell, "little") for cell in data or _data_cells(layout, seed)]
+    step = group.k - group.delta
+    coded = group.code.encode([ints[at : at + step] for at in range(0, len(ints), step)])
+    if rec := _stats.recorder:
         rec.mark("erasure_codes.encode_s")
         rec.add("erasure_codes.encode_calls")
     return coded
 
 
 def materialize(layout: DeclusteredLayout, seed: int) -> DiskArray:
-    """Fill every instance from the seeded stream and encode it (_codewords).
+    """Fill every instance from the seeded stream and encode it.
 
-    Fill order is fixed: instances in block order, extended rows top to
-    bottom, inner rows in order, data slots left to right. A disk stacks its
+    Fill order is fixed, in column space (_data_cells): the stream is cut
+    into data cells, inner rows top to bottom and data columns left to
+    right within each; a cell's bytes run over the instances in block order,
+    one extended row after another. Those cuts are the data cells' bytes, so
+    only the parity cells go from int to bytes. A disk stacks its
     column-units contiguously in ascending block index, m bytes each.
     """
     if rec := _stats.recorder:
         rec.start()
-    coded, group = _codewords(layout, seed), layout.group
-    width = len(group.extended_rows) * len(layout.placements)
-    # Each int is popped as its bytes are made, into a list the scatter empties.
-    array = DiskArray(layout, _scatter(
-        layout, [[row.pop(0).to_bytes(width, "little") for row in coded] for _ in range(group.k)],
-        None, range(layout.n),
-    ))
+    group, data = layout.group, _data_cells(layout, seed)
+    data_cols = group.k - group.delta
+    parity = [row[data_cols:] for row in _codewords(layout, seed, data)]  # drops the data ints
+    # Each parity int is popped as its bytes are made, into a list the scatter empties.
+    cells = [data[c::data_cols] for c in range(data_cols)] + [
+        [row.pop(0).to_bytes(len(data[0]), "little") for row in parity] for _ in range(group.delta)
+    ]
+    del data  # the cells alone hold the stream, so the scatter frees it
+    array = DiskArray(layout, _scatter(layout, cells, None, range(layout.n)))
     if rec:
         rec.mark("simulator.scatter_s")
         rec.end("simulator.materialize_s")
@@ -389,16 +398,13 @@ def fail_and_reconstruct(array: DiskArray, failed) -> tuple[DiskArray, IOStats]:
     if rec:
         rec.mark("simulator.gather_s")
     # calls[erased]: the runs of lanes decoded with that pattern, one per (extended
-    # row, lost tuple), cut after the gather and freed as each pattern is
-    # decoded; wanted[erased]: the columns those runs lost.
-    width, stop, calls, wanted = len(lanes), 0, {}, {}
+    # row, lost tuple), cut after the gather and freed as each pattern is decoded.
+    width, stop, calls = len(lanes), 0, {}
     for lost, mask in affected.items():
         start, stop = stop, stop + mask.bit_count()
-        plan = plans[lost]
-        for e, erased in enumerate(plan.erased):
+        for e, erased in enumerate(plans[lost].erased):
             calls.setdefault(erased, []).append(slice(e * width + start, e * width + stop))
-        for erased, columns in plan.lost_columns.items():
-            wanted[erased] = wanted.get(erased, frozenset()) | columns
+    wanted = _lost_columns(plans)
     if rec:
         rec.mark("parity_groups.plan_s")
     while calls:
@@ -418,9 +424,20 @@ def fail_and_reconstruct(array: DiskArray, failed) -> tuple[DiskArray, IOStats]:
     return DiskArray(layout, disks), stats
 
 
-def _check_pattern(layout: DeclusteredLayout, cells, erased: tuple[int, ...], plans, wrong) -> None:
-    """Decode one erasure pattern over every lane of the stored grid (see
-    _codewords) and compare each erased cell with its stored int by one compare.
+def _lost_columns(plans) -> dict[tuple[int, ...], frozenset[int]]:
+    """Per erasure pattern of the plans (lost tuple -> plan), the union of
+    their `lost_columns` with it: the erased columns a reader uses."""
+    wanted: dict[tuple[int, ...], frozenset[int]] = {}
+    for plan in plans.values():
+        for erased, columns in plan.lost_columns.items():
+            wanted[erased] = wanted.get(erased, frozenset()) | columns
+    return wanted
+
+
+def _check_pattern(layout: DeclusteredLayout, cells, erased: tuple, wanted, plans, wrong) -> None:
+    """Decode the `wanted` columns of one erasure pattern, those some plan
+    lost with it, over every lane of the stored grid (see _codewords), and
+    compare each of their cells with its stored int by one compare.
 
     Lanes are walked only on a mismatch: wrong lane e*b + i is ORed into
     wrong[lost] as instance i for each lost tuple whose plan erases this
@@ -429,11 +446,11 @@ def _check_pattern(layout: DeclusteredLayout, cells, erased: tuple[int, ...], pl
     """
     group, b = layout.group, len(layout.placements)
     grid = [[None if c in erased else cell for c, cell in enumerate(row)] for row in cells]
-    out, users = _checked_decode(group.code, grid, erased), None
+    out, users = _checked_decode(group.code, grid, erased, wanted), None
     if rec := _stats.recorder:
         rec.mark("erasure_codes.decode_s")
         _count_decode(rec, erased, len(group.extended_rows) * b)
-    for c in erased:
+    for c in wanted:
         for j, stored in enumerate(row[c] for row in cells):
             if out[j][c] == stored:
                 continue
@@ -498,7 +515,8 @@ def exhaustive_verify(layout: DeclusteredLayout, s: int, seed: int = 1) -> Verif
     of each distinct lost tuple's plan, so each plan is asked for once per
     sweep, and the pattern checks take their plans from it. The sets share
     one decode per canonical erasure pattern that their lost tuples' plans
-    leave, over every lane of the fill's encoded cells (see _codewords and
+    leave, over every lane of the fill's encoded cells, of the union of the
+    columns those tuples lost with it (see _codewords, _lost_columns and
     _check_pattern). No disk is built and no rebuilt byte outlives its
     pattern's call; a wrong cell fails every set with an instance whose plan
     decodes it in that row and lost its column, found by a second walk that
@@ -527,8 +545,9 @@ def exhaustive_verify(layout: DeclusteredLayout, s: int, seed: int = 1) -> Verif
         rec.mark("layout.tally_s")
         rec.add("layout.plan_memo_hits", lookups - len(plans))
     wrong: dict[tuple[int, ...], int] = {}  # lost tuple -> instances rebuilt wrong with it
-    for erased in sorted(set().union(*(plan.erased for plan in plans.values()))):
-        _check_pattern(layout, cells, erased, plans, wrong)
+    wanted = _lost_columns(plans)
+    for erased in sorted(wanted):
+        _check_pattern(layout, cells, erased, wanted[erased], plans, wrong)
     broken = {
         failed for failed, affected in (_failure_walk(layout, s) if wrong else ())
         if any(wrong.get(lost, 0) & hit for lost, hit in affected.items())

@@ -11,7 +11,7 @@ keeps the design a design and so must keep every count.
 
 import random
 from functools import cache
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -195,3 +195,38 @@ def test_workload_attaches_the_closed_form_only_below_strength_t(bibd_design):
     assert reconstruction_workload(layout, {0}).closed_form == 24
     # Two failures on a 2-design: no closed form, and no error either.
     assert reconstruction_workload(layout, {0, 1}).closed_form is None
+
+
+def _random_base_block(seed: int) -> tuple[int, tuple[int, ...]]:
+    """A seeded draw of q in {5, 7, 11} and a k-subset of its projective
+    line, k in {4, 5, 6}: the base block of a random 3-design (pgl_orbit)."""
+    rng = random.Random(seed)
+    q, k = rng.choice((5, 7, 11)), rng.choice((4, 5, 6))
+    return q, tuple(sorted(rng.sample(range(q + 1), k)))
+
+
+@pytest.mark.parametrize(
+    "seed", [pytest.param(seed, id=f"seed={seed}") for seed in range(24)]
+)
+def test_random_3_designs_agree_in_closed_form_enumeration_and_sweep(seed):
+    # A seeded base block's PGL(2,q) orbit is a random 3-(q+1, k, lambda)
+    # design. With RS(k,2), and RDP p when k = p + 1, the full family's
+    # closed form must equal the enumeration and the sweep's reads at s=1
+    # and s=2, and every set must recover in every family. Balance is
+    # sufficient for uniform reads, not necessary, so the other families'
+    # reads are not asserted non-uniform.
+    q, base = _random_base_block(seed)
+    blocks, k = pgl_orbit(q, base), len(base)
+    if len(blocks) == 1 or k == q + 1:
+        pytest.skip(f"degenerate draw: {len(blocks)} block(s) of {k} on {q + 1} points")
+    design = orbit_design(q, base)
+    codes = [rs_code(k, 2), *([rdp_code(k - 1)] if k in (4, 6) else [])]
+    for code, family in product(codes, FAMILIES):
+        layout = build_layout(group_family(code, family), design)
+        for s in (1, 2):
+            sweep = exhaustive_verify(layout, s, seed=seed)
+            assert sweep.passed == sweep.total, (code, family, s)
+            if family == "full":
+                closed = closed_form_workload(design.params, layout.group, s)
+                assert enumerated_reads(layout, s) == {closed}, (code, s)
+                assert sweep.uniform and sweep.reads_per_disk == closed, (code, s)

@@ -131,32 +131,33 @@ def test_materialize_seed_zero_fills_nonzero_bytes(reference_layout):
 
 
 # sha256 of the concatenated disks of materialize(layout, 7), filled from the
-# SHAKE-128 stream: any change to the stored bytes shows here. The fill order
-# itself is pinned by test_materialize_matches_unit_by_unit_placement.
+# SHAKE-128 stream in column-space order: any change to the stored bytes shows
+# here. Each equals the sha256 of the unit-by-unit oracle _placed_unit_by_unit,
+# which test_materialize_matches_unit_by_unit_placement checks on more layouts.
 @pytest.mark.parametrize(
     "build,digest",
     [
         (
             lambda ref: ref,
-            "2e5bef37801a3144f8c19a65cdf4a1b7921a287d5438cd87c27358c010b2d6e0",
+            "eb7635233f87aed8171a2991583c87022f9a4d6f46323f30e02322a57af36c4c",
         ),
         (
             lambda ref: build_layout(
                 group_family(rs_code(6, 2), "full"), complete_design(9, 6, 3)
             ),
-            "e61904272d1397b2eeae20b4e066306c49134a626b53e4a0158eb6b35548fce8",
+            "6ccf6c36668c7932ee8204cf27acda3ceee6e248dd75e2e82873d96b3c4a799f",
         ),
         (
             lambda ref: build_layout(
                 group_family(rs_code(5, 3), "full"), complete_design(7, 5, 4)
             ),
-            "cd3b7510abfff92cd108cb001b754e24ba7043a9cbdaf368be7a7f275d7a3c10",
+            "fbe7aee51d3fe7125298b562ec2c8927ed373cd4d6e99bd0a99f5f8a326c97e9",
         ),
         (
             lambda ref: build_layout(
                 group_family(rs_code(6, 2), "full"), complete_design(12, 6, 3)
             ),
-            "c62ab81de3e22d7e4592dd55e26a6c45c3be090540570e5833aed02606813297",
+            "4f1f7cc64fa98c7873d5b5b9f98781fb4d60c45c4bc7b30ded0bfe1a7579e266",
         ),
     ],
     ids=[
@@ -175,19 +176,20 @@ def test_materialize_bytes_are_pinned(reference_layout, build, digest):
 def _placed_unit_by_unit(layout, seed) -> list[bytearray]:
     """Oracle for materialize: encode each instance's codewords on its own
     from the reference stream, then place its column-units one slice
-    assignment at a time (the placement loop materialize used to run)."""
+    assignment at a time (the placement loop materialize used to run).
+    Data byte (inner row j, data column c) of instance i's extended row e
+    is stream byte ((j*(k - delta) + c)*E + e)*b + i: E extended rows, b
+    instances."""
     group = layout.group
     k, delta, r, m = group.k, group.delta, group.r, group.m
-    data_cols = k - delta
-    per_instance = m * data_cols
-    fill = bytes(islice(byte_stream(seed), len(layout.placements) * per_instance))
+    data_cols, rows, b = k - delta, len(group.extended_rows), len(layout.placements)
+    fill = bytes(islice(byte_stream(seed), r * data_cols * rows * b))
     disks = [bytearray(layout.rows_per_disk) for _ in range(layout.n)]
     for index, (placement, offsets) in enumerate(zip(layout.placements, layout.unit_offsets)):
-        base = index * per_instance
         units = [bytearray(m) for _ in range(k)]
         for e, columns in enumerate(group.canonical_columns):
             data = [
-                [fill[base + (e * r + j) * data_cols + s] for s in range(data_cols)]
+                [fill[((j * data_cols + c) * rows + e) * b + index] for c in range(data_cols)]
                 for j in range(r)
             ]
             codeword = group.code.encode(data)
@@ -261,6 +263,45 @@ def test_fill_encodes_once_and_only_the_scatter_makes_disks(make_code, make_desi
         assert all(rebuilt.disks[d] is disk for d, disk in zip(disks, out))
         assert rebuilt.disks == array.disks
     assert len(encodes) == 1
+
+
+@pytest.mark.parametrize("make_code, make_design, cuts", [
+    pytest.param(lambda: rdp_code(7), lambda: hadamard_3design(16), 36, id="rdp7-hadamard16"),
+    pytest.param(
+        lambda: rs_code(6, 2), lambda: complete_design(12, 6, 3), 4, id="rs(6,2)-complete(12,6,3)"
+    ),
+])
+def test_fill_data_cells_are_consecutive_cuts_of_the_stream(
+    make_code, make_design, cuts, monkeypatch
+):
+    # Timing-free: data cell s = j*(k - delta) + c (inner row j, data column
+    # c) is the stream's bytes [s*E*b, (s+1)*E*b), one cut of the fill made
+    # in place, where the instance-major fill joined r*(k - delta)*E strided
+    # slices (2,016 and 120 here). The scatter gets those cuts as the data
+    # cells' bytes, and the sweep's stored ints are their ints.
+    layout = build_layout(group_family(make_code(), "full"), make_design())
+    group = layout.group
+    data_cols, width = group.k - group.delta, len(group.extended_rows) * len(layout.placements)
+    assert group.r * data_cols == cuts
+    stream = bytes(islice(byte_stream(7), cuts * width))
+    expected = [stream[at : at + width] for at in range(0, len(stream), width)]
+    scattered, scatter = [], simulator._scatter
+
+    def recording(layout, cells, lanes, disks):
+        scattered.append([cell for column in cells[:data_cols] for cell in column])
+        return scatter(layout, cells, lanes, disks)
+
+    monkeypatch.setattr(simulator, "_scatter", recording)
+    array = materialize(layout, 7)
+    assert array.disks == _placed_unit_by_unit(layout, 7)
+    [data] = scattered
+    assert all(isinstance(cell, memoryview) and cell.obj is data[0].obj for cell in data)
+    # data lists column c's cells, inner rows in order: cell s sits at c*r + j.
+    assert [data[c * group.r + j] for j in range(group.r) for c in range(data_cols)] == expected
+    coded = simulator._codewords(layout, 7)
+    assert [cell for row in coded for cell in row[:data_cols]] == [
+        int.from_bytes(cut, "little") for cut in expected
+    ]
 
 
 def test_parity_invariant_detects_corruption(reference_layout):
@@ -977,6 +1018,40 @@ def test_one_disk_rebuild_decodes_only_the_lost_columns(monkeypatch):
         assert (code.kind, pattern, (pattern[0],), terms) in applied
         full = sum(len(step) for _, step in program(code, pattern)[1])
         assert terms < full, (pattern, full)
+
+
+def test_sweep_decodes_only_the_columns_its_sets_lost(monkeypatch):
+    # Timing-free: a sweep decodes each pattern for the union of the columns
+    # its lost tuples lost with it. On hadamard16 + RDP p=7 at s=1 that is
+    # data column c alone of (c, 7) (P2 is unread), applying 36 terms for
+    # (0, 7), not the full program's 84, and both columns of (6, 7), which
+    # a lost P1 and a lost P2 each use; at s=2 every call wants both.
+    from declustr import erasure_codes
+
+    layout = build_layout(group_family(rdp_code(7), "full"), hadamard_3design(16))
+    code, calls, applied = layout.group.code, [], {}
+    decode, program = HorizontalCode.decode, erasure_codes._decode_matrix
+
+    def recording_decode(self, rows, erased, wanted=None):
+        calls.append((tuple(erased), None if wanted is None else tuple(sorted(wanted))))
+        return decode(self, rows, erased, wanted)
+
+    def recording_program(code, erased, wanted=None):
+        out = program(code, erased, wanted)
+        applied[erased] = sum(len(terms) for _, terms in out[1])
+        return out
+
+    monkeypatch.setattr(HorizontalCode, "decode", recording_decode)
+    monkeypatch.setattr(erasure_codes, "_decode_matrix", recording_program)
+    summary = exhaustive_verify(layout, 1, seed=3)
+    assert summary.passed == summary.total == 16
+    assert sorted(calls) == [((c, 7), (c,)) for c in range(6)] + [((6, 7), (6, 7))]
+    assert applied[(0, 7)] == 36
+    assert sum(len(terms) for _, terms in program(code, (0, 7))[1]) == 84
+    calls.clear()
+    summary = exhaustive_verify(layout, 2, seed=3)
+    assert summary.passed == summary.total == 120
+    assert calls and all(wanted == erased for erased, wanted in calls)
 
 
 def _warm_peak(layout, call):
