@@ -22,16 +22,17 @@ columns it read. The rule depends only on delta and the lost labels, so its
 answers are memoized per label tuple: a reconstruction plan asks it once per
 extended row, and all but the first few asks are cache hits.
 
-One decoder serves both codes; rdp_decode and rs_decode are two names for
-it. Each kind states its r*delta parity checks, sums over its r x k cells
-that are zero on every codeword: rdp's row and diagonal checks, rs's
-parity-matrix rows. The rule leaves delta columns unread, so per erasure
-pattern the checks make a square system in the unread cells. Its inverse,
-memoized as a decode program, writes each as a sum of coefficient * read
-cell, or in two stages when that has fewer terms: each check's syndrome over
-the read cells, then each unread cell from the syndromes, which roughly
-halves rdp's XORs. rdp's coefficients are all 0 or 1 and a product by 1 is
-skipped, so rdp decodes with XOR alone.
+One decoder serves both codes, and encodes rdp too: encoding is decoding
+with the delta parity columns erased. Each kind states its r*delta parity
+checks, sums over its r x k cells that are zero on every codeword: rdp's row
+and diagonal checks, which are all of its definition, and rs's parity-matrix
+rows. The rule leaves delta columns unread, so per erasure pattern the
+checks make a square system in the unread cells. Its inverse, memoized as a
+decode program, writes each as a sum of coefficient * read cell, or in two
+stages when that has fewer terms: each check's syndrome over the read cells,
+then each unread cell from the syndromes, which roughly halves rdp's XORs.
+rdp's coefficients are all 0 or 1 and a product by 1 is skipped, so rdp
+encodes and decodes with XOR alone.
 
 Every entry point takes a HorizontalCode, whose fields are checked once,
 when it is built. Grids are lists of rows; erasures are given as column
@@ -40,7 +41,7 @@ i (little-endian), so one call encodes or decodes many independent codewords
 that share an erasure pattern: the simulator batches every instance with the
 same pattern into one call. Adding cells is XOR; multiplying a wider cell by
 a GF(2^8) constant translates its bytes through that constant's table (a
-decode call turns each read cell into bytes at most once), and encode
+decode call turns each read cell into bytes at most once), and rs_encode
 multiplies a plain byte, the 1-lane case, with gf_mul. Neither code
 needs to know the lane count: lanes above a cell's highest set byte are
 zero, and zero stays zero under every product. The RS parity matrix is
@@ -145,7 +146,7 @@ class HorizontalCode:
         return self.k - 1
 
     def encode(self, data: list[list[int]]) -> list[list[int]]:
-        return (rdp_encode if self.kind == "rdp" else rs_encode)(self, data)
+        return (rs_encode if self.kind == "rs" else _encode)(self, data)
 
     def decode(
         self, rows: list[list[int]], erased, wanted=None
@@ -226,27 +227,6 @@ def _check_grid(rows, r: int, k: int):
         raise ParamError(f"expected a {r} x {k} grid")
 
 
-def rdp_encode(code: HorizontalCode, data: list[list[int]]) -> list[list[int]]:
-    """Encode a (p-1) x (p-1) data grid into a (p-1) x (p+1) codeword."""
-    p = code.p
-    _check_grid(data, p - 1, p - 1)
-    rows = [list(row) + [0, 0] for row in data]
-    for row in rows:
-        acc = 0
-        for value in row[: p - 1]:
-            acc ^= value
-        row[p - 1] = acc
-    # Diagonal d gathers cells (i, j) over columns 0..p-1 with (i+j) mod p == d;
-    # diagonal p-1 has no parity cell.
-    diag = [0] * p
-    for i in range(p - 1):
-        for j in range(p):
-            diag[(i + j) % p] ^= rows[i][j]
-    for i in range(p - 1):
-        rows[i][p] = diag[i]
-    return rows
-
-
 def rs_parity_matrix(k: int, delta: int) -> list[list[int]]:
     """delta x (k-delta) Cauchy matrix, column-normalized so row one is all-ones.
 
@@ -272,7 +252,7 @@ def _combine(coeffs, cells) -> int:
     """Sum of coeffs[j] * cells[j] over GF(2^8), lane by lane."""
     acc = 0
     for coeff, cell in zip(coeffs, cells):
-        if cell < 256:
+        if 0 <= cell < 256:  # a negative cell falls through, so a product by it raises
             acc ^= gf_mul(coeff, cell)
         elif coeff == 1:
             acc ^= cell
@@ -282,8 +262,8 @@ def _combine(coeffs, cells) -> int:
 
 
 def _cell_bytes(cell: int) -> bytes:
-    """A cell's bytes, lane 0 first, up to its highest nonzero lane."""
-    return cell.to_bytes((cell.bit_length() + 7) // 8, "little")
+    """A cell's bytes, lane 0 first, up to its highest nonzero lane; TypeError if it is no int."""
+    return int.to_bytes(cell, (int.bit_length(cell) + 7) // 8, "little")
 
 
 def _scaled(coeff: int, raw: bytes) -> int:
@@ -297,10 +277,16 @@ def rs_encode(code: HorizontalCode, data: list[list[int]]) -> list[list[int]]:
     if not _is_grid(data, None, data_cols):
         raise ParamError(f"data rows must have {data_cols} symbols")
     matrix = _cached_parity_matrix(code.k, code.delta)
-    return [
-        list(row) + [_combine(coeffs, row) for coeffs in matrix]
-        for row in data
-    ]
+    try:
+        return [list(row) + [_combine(coeffs, row) for coeffs in matrix] for row in data]
+    except (TypeError, OverflowError):
+        raise _bad_cell(((i, c), cell) for i, row in enumerate(data) for c, cell in enumerate(row)) from None
+
+
+def _bad_cell(cells) -> ParamError:
+    """Refuse cells a sum could not take, naming the first ((row, column), cell) not a non-negative int."""
+    (i, c), cell = next((at, cell) for at, cell in cells if not isinstance(cell, int) or cell < 0)
+    return ParamError(f"the cell in row {i}, column {c} must be a non-negative int, got {shown(cell)}")
 
 
 def _decode(
@@ -315,12 +301,12 @@ def _decode(
     """
     erased = check_iterable("erased columns", erased, "ints")
     if any(type(c) is not int for c in erased):  # exact ints only; sorted cannot order None and 0
-        raise ParamError(f"erased columns out of range: {list(erased)}")
+        raise ParamError(f"erased columns out of range: {shown(list(erased))}")
     erased = tuple(sorted(set(erased)))
     if len(erased) > code.delta:
         raise TooManyErasures(f"{code.kind} recovers at most {code.delta} columns, got {len(erased)}")
     if any(not 0 <= c < code.k for c in erased):
-        raise ParamError(f"erased columns out of range: {list(erased)}")
+        raise ParamError(f"erased columns out of range: {shown(list(erased))}")
     if wanted is not None:
         wanted = check_iterable("wanted columns", wanted, "erased columns")
         if not all(type(c) is int and c in erased for c in wanted):
@@ -335,21 +321,34 @@ def _decode(
     values = [row[c] for c in read for row in rows]
     if None in values:
         raise ParamError(f"column {read[values.index(None) // code.r]} must be readable but holds None")
-    # A read cell that some product scales is turned into bytes once per call.
-    raw = {n: _cell_bytes(values[n]) for n in scaled}
     out = [list(row) for row in rows]
-    for cell, terms in program:
-        acc = 0
-        for n, coeff in terms:
-            acc ^= values[n] if coeff == 1 else _scaled(coeff, raw[n])
-        values.append(acc)
-        if cell is not None:
-            out[cell[0]][cell[1]] = acc
+    try:
+        # A read cell that some product scales is turned into bytes once per call.
+        raw = {n: _cell_bytes(values[n]) for n in scaled}
+        for cell, terms in program:
+            acc = 0
+            for n, coeff in terms:
+                acc ^= values[n] if coeff == 1 else _scaled(coeff, raw[n])
+            values.append(acc)
+            if cell is not None:
+                out[cell[0]][cell[1]] = acc
+    except (TypeError, OverflowError):  # only a read cell can be no int, or negative
+        raise _bad_cell(((i, c), row[c]) for c in read for i, row in enumerate(rows)) from None
     return out, read
 
 
-# Kept while perfbench's tracer spans these names rather than HorizontalCode.decode.
+def _encode(code: HorizontalCode, data: list[list[int]]) -> list[list[int]]:
+    """Encode an r x (k-delta) data grid by decoding it with the parity columns erased.
+
+    rdp_encode names it while perfbench's tracer spans that name, not HorizontalCode.encode."""
+    _check_grid(data, code.r, code.k - code.delta)
+    erased = range(code.k - code.delta, code.k)
+    return _decode(code, [list(row) + [None] * code.delta for row in data], erased)[0]
+
+
+# Kept while perfbench's tracer spans these names rather than HorizontalCode's methods.
 rdp_decode = rs_decode = _decode
+rdp_encode = _encode
 
 
 def _parity_checks(code: HorizontalCode) -> list[dict[tuple[int, int], int]]:

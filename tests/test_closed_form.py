@@ -10,12 +10,10 @@ keeps the design a design and so must keep every count.
 """
 
 import random
-from functools import cache
 from itertools import combinations, product
-from math import comb
 
 import pytest
-from test_mathieu_designs import INF, witt_blocks
+from constructions import orbit_design, pgl_orbit, witt_4_5_11, witt_5_6_12
 from test_reconstruction_plan import relabeled
 
 from declustr import (
@@ -30,54 +28,10 @@ from declustr import (
     reconstruction_workload,
     reduce_design,
     rs_code,
-    validate_design,
 )
 from declustr.errors import UnbalancedGroup
 
 FAMILIES = ("full", "single", "rotations")
-
-
-def pgl_orbit(q: int, base) -> list[tuple[int, ...]]:
-    """Orbit of a subset of the projective line GF(q) u {inf} under PGL(2,q).
-
-    Point q stands for infinity. Each map x -> (ax+b)/(cx+d) with ad-bc != 0
-    is taken once, normalised to d=1 when c=0 and to c=1 otherwise. PGL(2,q)
-    is sharply 3-transitive, so the orbit of a k-subset is a 3-(q+1,k,lambda)
-    design. Blocks are returned sorted, in lexicographic order.
-    """
-    inf = q
-
-    def image(a, b, c, d, x):
-        if x == inf:
-            return inf if c == 0 else a * pow(c, -1, q) % q
-        den = (c * x + d) % q
-        if den == 0:
-            return inf
-        return (a * x + b) * pow(den, -1, q) % q
-
-    maps = [(a, b, 0, 1) for a in range(1, q) for b in range(q)]
-    maps += [
-        (a, b, 1, d)
-        for a in range(q) for b in range(q) for d in range(q)
-        if (a * d - b) % q
-    ]
-    return sorted({tuple(sorted(image(*m, x) for x in base)) for m in maps})
-
-
-def orbit_design(q: int, base):
-    blocks = pgl_orbit(q, base)
-    n, k = q + 1, len(base)
-    return validate_design(blocks, 3, n, k, len(blocks) * comb(k, 3) // comb(n, 3))
-
-
-@cache
-def witt_5_6_12():
-    return validate_design(witt_blocks(), t=5, n=12, k=6, lam=1)
-
-
-def witt_4_5_11():
-    derived = [tuple(x for x in b if x != INF) for b in witt_5_6_12().blocks if INF in b]
-    return validate_design(derived, t=4, n=11, k=5, lam=1)
 
 
 # name -> (code, design, families). The Mathieu designs and hadamard(16) run

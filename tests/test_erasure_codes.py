@@ -70,6 +70,48 @@ def test_rdp_single_nonzero_symbol():
     assert sum(1 for value in diagonal_parity if value) == 1
 
 
+def _rdp_by_hand(p, data):
+    """RDP's row and diagonal parities by direct loops, apart from the codec's
+    parity checks: an oracle that a wrong check cannot share."""
+    rows = [list(row) + [0, 0] for row in data]
+    for row in rows:
+        acc = 0
+        for value in row[: p - 1]:
+            acc ^= value
+        row[p - 1] = acc
+    # Diagonal d gathers cells (i, j) over columns 0..p-1 with (i+j) mod p == d;
+    # diagonal p-1 has no parity cell.
+    diag = [0] * p
+    for i in range(p - 1):
+        for j in range(p):
+            diag[(i + j) % p] ^= rows[i][j]
+    for i in range(p - 1):
+        rows[i][p] = diag[i]
+    return rows
+
+
+@pytest.mark.parametrize("lanes", [1, 5, 64])
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_rdp_encode_equals_the_loops_by_hand(p, lanes):
+    # Encode and decode share the parity checks, so round trips alone would
+    # pass a wrong check; the loops above state RDP independently.
+    rng = random.Random(f"rdp-by-hand-{p}-{lanes}")
+    data = [[rng.getrandbits(8 * lanes) for _ in range(p - 1)] for _ in range(p - 1)]
+    assert rdp_code(p).encode(data) == _rdp_by_hand(p, data)
+
+
+@pytest.mark.parametrize("lanes", [1, 3, 40])
+def test_encoding_through_the_decoder_equals_rs_encode(lanes):
+    # Every RS code with k <= 12, so routing RS's encode through the decoder
+    # is checked before it is made.
+    rng = random.Random(f"rs-through-decoder-{lanes}")
+    for k in range(2, 13):
+        for delta in range(1, k):
+            code = rs_code(k, delta)
+            data = [[rng.getrandbits(8 * lanes) for _ in range(k - delta)]]
+            assert erasure_codes._encode(code, data) == erasure_codes.rs_encode(code, data), (k, delta)
+
+
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_rdp_round_trip_all_erasure_sets(p):
     code = rdp_code(p)
@@ -272,6 +314,12 @@ def test_codes_refuse_malformed_fields_when_built(make, args, message):
         make(*args)
 
 
+def cell_message(row, column, shown):
+    """A cell a sum could not take is refused by its row and column, after the sum
+    raised: a valid call pays for no scan."""
+    return f"the cell in row {row}, column {column} must be a non-negative int, got {shown}"
+
+
 @pytest.mark.parametrize(
     "call,message",
     [
@@ -279,6 +327,10 @@ def test_codes_refuse_malformed_fields_when_built(make, args, message):
         (
             lambda: rs_code(4, 2).decode([[1, 2, 3, 4]], (-1, 0)),
             "erased columns out of range: [-1, 0]",
+        ),
+        (
+            lambda: rs_code(4, 2).decode([[1, 2, 3, 4]], (10**5000,)),
+            "erased columns out of range: a list holding an int too long to show",
         ),
         (
             lambda: rs_code(4, 2).decode([[None, None, 3, 4]], (0,)),
@@ -305,10 +357,26 @@ def test_codes_refuse_malformed_fields_when_built(make, args, message):
             lambda: rs_code(4, 2).decode([[1, None, 3, 4]], (1,), 1),
             "wanted columns must be an iterable of erased columns, got 1",
         ),
+        (lambda: rdp_code(3).encode([["x", 1], [2, 3]]), cell_message(0, 0, "'x'")),
+        (lambda: rdp_code(3).encode([[1.5, 1], [2, 3]]), cell_message(0, 0, "1.5")),
+        (lambda: rdp_code(3).encode([[0, 1], [2, b"x"]]), cell_message(1, 1, "b'x'")),
+        (lambda: rs_code(4, 2).encode([[None, 1]]), cell_message(0, 0, "None")),
+        (lambda: rs_code(4, 2).encode([[1.5, 1]]), cell_message(0, 0, "1.5")),
+        (lambda: rs_code(4, 2).encode([[-1, 300]]), cell_message(0, 0, "-1")),
+        (lambda: rs_code(4, 2).encode([[0, "x"]]), cell_message(0, 1, "'x'")),
+        (
+            lambda: rdp_code(3).decode([["x", 1, None, None], [2, 3, None, None]], (2, 3)),
+            cell_message(0, 0, "'x'"),
+        ),
+        (lambda: rs_code(4, 2).decode([[-1, 300, None, None]], (2, 3)), cell_message(0, 0, "-1")),
+        (lambda: rs_code(4, 2).decode([[1, "x", None, None]], (2, 3)), cell_message(0, 1, "'x'")),
+        (lambda: rdp_code(3).encode([[None, 1], [2, 3]]), "column 0 must be readable but holds None"),
     ],
-    ids=["erased high", "erased low", "None read", "rs grid", "rdp grid", "rdp data",
+    ids=["erased high", "erased low", "erased huge", "None read", "rs grid", "rdp grid", "rdp data",
          "rs data", "rs p", "rdp int data", "rs int data", "rs int row", "rdp int grid",
-         "wanted unerased", "wanted bool", "wanted int"],
+         "wanted unerased", "wanted bool", "wanted int",
+         "rdp str", "rdp float", "rdp bytes", "rs None", "rs float", "rs negative", "rs second cell",
+         "rdp decode str", "rs decode negative", "rs decode str", "rdp None"],
 )
 def test_codec_refuses_malformed_calls(call, message):
     with pytest.raises(ParamError, match=f"^{re.escape(message)}$"):

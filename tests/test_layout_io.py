@@ -13,7 +13,7 @@ import re
 import sys
 
 import pytest
-from test_closed_form import orbit_design
+from constructions import orbit_design
 
 from declustr import (
     build_layout,

@@ -20,7 +20,8 @@ from math import comb
 
 import pytest
 from conftest import BIBD_BLOCKS_2_5_4_3, REFERENCE_BLOCKS_3_8_4_1
-from test_closed_form import CASES, orbit_design, witt_4_5_11, witt_5_6_12
+from constructions import orbit_design, witt_4_5_11, witt_5_6_12
+from test_closed_form import CASES
 
 from declustr import (
     BlockSizeError,

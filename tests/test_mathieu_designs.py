@@ -7,9 +7,8 @@ with the full family: every set recovers and reads the same from every
 survivor, the counts below.
 """
 
-from itertools import product
-
 import pytest
+from constructions import witt_4_5_11, witt_5_6_12
 
 from declustr import (
     build_layout,
@@ -20,39 +19,15 @@ from declustr import (
     validate_design,
 )
 
-INF = 11  # the point at infinity of GF(11) + {inf}
-SQUARES = frozenset(x * x % 11 for x in range(1, 11))
-
-
-def _mobius(a: int, b: int, c: int, d: int, x: int) -> int:
-    """x -> (ax + b) / (cx + d) on GF(11) + {inf}."""
-    if x == INF:
-        return INF if c == 0 else a * pow(c, -1, 11) % 11
-    den = (c * x + d) % 11
-    return INF if den == 0 else (a * x + b) * pow(den, -1, 11) % 11
-
-
-def witt_blocks() -> list[tuple[int, ...]]:
-    """The 132 hexads of S(5,6,12): the base hexad's images under every
-    Mobius map whose determinant is a nonzero square, i.e. under PSL(2,11)."""
-    base = (INF, 1, 3, 4, 5, 9)
-    orbit = {
-        tuple(sorted(_mobius(a, b, c, d, x) for x in base))
-        for a, b, c, d in product(range(11), repeat=4)
-        if (a * d - b * c) % 11 in SQUARES
-    }
-    return sorted(orbit)
-
 
 @pytest.fixture(scope="module")
 def s_5_6_12():
-    return validate_design(witt_blocks(), t=5, n=12, k=6, lam=1)
+    return witt_5_6_12()
 
 
 @pytest.fixture(scope="module")
-def s_4_5_11(s_5_6_12):
-    derived = [tuple(x for x in block if x != INF) for block in s_5_6_12.blocks if INF in block]
-    return validate_design(derived, t=4, n=11, k=5, lam=1)
+def s_4_5_11():
+    return witt_4_5_11()
 
 
 @pytest.fixture(scope="module")

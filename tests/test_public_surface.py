@@ -5,6 +5,7 @@ import copy
 import importlib
 import importlib.util
 import signal
+from itertools import combinations
 from pathlib import Path
 from types import ModuleType
 
@@ -159,27 +160,76 @@ def test_every_public_callable_has_a_fuzz_row_or_is_a_record(rows):
     assert set(rows) | RECORDS == callables
 
 
-def test_malformed_values_raise_only_declustr_errors(rows):
+@pytest.fixture
+def alarm():
+    """SIGALRM raises Overrun while the test runs."""
+    previous = signal.signal(signal.SIGALRM, _overrun)
+    yield
+    signal.signal(signal.SIGALRM, previous)
+
+
+def _escape(what: str, call) -> str | None:
+    """What escapes call() other than a DeclustrError, as one line, or None."""
+    signal.setitimer(signal.ITIMER_REAL, LIMIT_S)
+    try:
+        call()
+    except dc.DeclustrError:
+        pass
+    except Overrun:
+        return f"{what} ran past {LIMIT_S} s"
+    except Exception as exc:  # any other escape is what the fuzz looks for
+        return f"{what}: {type(exc).__name__}: {exc}"
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+    return None
+
+
+def test_malformed_values_raise_only_declustr_errors(rows, alarm):
     # Nothing is drawn: every value meets every value argument of every row.
     escaped = []
-    previous = signal.signal(signal.SIGALRM, _overrun)
-    try:
-        for name, valid in rows.items():
-            call = CALLS.get(name, getattr(dc, name))
-            call(**valid)
-            for arg in sorted(set(valid) - OBJECT_TYPED):
-                for value in MALFORMED:
-                    signal.setitimer(signal.ITIMER_REAL, LIMIT_S)
-                    try:
-                        call(**{**valid, arg: copy.deepcopy(value)})
-                    except dc.DeclustrError:
-                        pass
-                    except Overrun:
-                        escaped.append(f"{name}({arg}={shown(value)}) ran past {LIMIT_S} s")
-                    except Exception as exc:  # any other escape is what the fuzz looks for
-                        escaped.append(f"{name}({arg}={shown(value)}): {type(exc).__name__}: {exc}")
-                    finally:
-                        signal.setitimer(signal.ITIMER_REAL, 0)
-    finally:
-        signal.signal(signal.SIGALRM, previous)
-    assert not escaped, "\n".join(escaped)
+    for name, valid in rows.items():
+        call = CALLS.get(name, getattr(dc, name))
+        call(**valid)
+        for arg in sorted(set(valid) - OBJECT_TYPED):
+            for value in MALFORMED:
+                bad = {**valid, arg: copy.deepcopy(value)}
+                escaped.append(_escape(f"{name}({arg}={shown(value)})", lambda: call(**bad)))
+    assert not any(escaped), "\n".join(filter(None, escaped))
+
+
+def _placed(grid, value):
+    """(where, grid) with value as each cell in turn, then as each row, then as the grid."""
+    for i, row in enumerate(grid):
+        for j in range(len(row)):
+            yield f"cell ({i}, {j})", [
+                [value if (a, b) == (i, j) else cell for b, cell in enumerate(other)]
+                for a, other in enumerate(grid)
+            ]
+    for i in range(len(grid)):
+        yield f"row {i}", [value if a == i else other for a, other in enumerate(grid)]
+    yield "grid", value
+
+
+@pytest.mark.parametrize("code", [dc.rdp_code(3), dc.rs_code(4, 2)], ids=["rdp3", "rs4,2"])
+def test_codec_methods_raise_only_declustr_errors(code, alarm):
+    # HorizontalCode's methods take grids of cells, which the rows above do
+    # not reach: each value goes in as a cell, a row and the whole grid, into
+    # encode's data and into decode's codeword under every erasure pattern,
+    # and as decode's erased and wanted columns.
+    data = [[(7 * i + j + 1) % 256 for j in range(code.k - code.delta)] for i in range(code.r)]
+    codeword = code.encode(data)
+    calls = [("encode", data, code.encode)]
+    for size in range(1, code.delta + 1):
+        for erased in combinations(range(code.k), size):
+            given = [[None if c in erased else cell for c, cell in enumerate(row)] for row in codeword]
+            calls.append((f"decode {erased}", given, lambda rows, erased=erased: code.decode(rows, erased)))
+    escaped = []
+    for value in MALFORMED:
+        for name, grid, call in calls:
+            for where, bad in _placed(grid, value):
+                what = f"{code.kind} {name} with {where} = {shown(value)}"
+                escaped.append(_escape(what, lambda: call(copy.deepcopy(bad))))
+        for args in ((codeword, value), (codeword, (0,), value)):
+            what = f"{code.kind} decode with {shown(args[1:])} after the codeword"
+            escaped.append(_escape(what, lambda: code.decode(*copy.deepcopy(args))))
+    assert not any(escaped), "\n".join(filter(None, escaped))
