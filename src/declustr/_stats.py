@@ -1,8 +1,9 @@
 """Run stats: where a run's time went and what it did, kept only when asked.
 
 `recorder` is None unless a caller installs a Recorder (the CLI does, for
-`simulate --stats`), so with stats off the core pays one `if` per phase
-boundary and reads no clock. The core is timed only at phase boundaries:
+`simulate --stats` and `analyze workload --stats`), so with stats off the
+core pays one `if` per phase boundary and reads no clock. The core is timed
+only at phase boundaries:
 `mark(key)` adds the time since the previous mark, or since `start`, to
 phase `key`, and `end(key)` adds the time from `start` to the last mark.
 Keys are the benchmark's per-layer names, module.metric. A key ending in

@@ -8,7 +8,8 @@ one placement bit mask per lost-position tuple (`layout.losses`) and applies
 the group's memoized plan once per mask (`layout.survivor_reads`, which the
 simulator shares); the closed form combines the design's block-counting
 numbers with the group's per-instance read counts, memoized per failure
-size, in one sum for every s <= min(delta, t-1), and must agree exactly.
+size, in one sum for every s <= min(delta, t-1), and must agree exactly. A
+query attaches it from the layout's memo, one entry per failure size.
 
 All arithmetic is in exact integers and Fractions; rounding happens only in
 display helpers.
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
+from . import _stats
 from .designs import Design, DesignParams, check_budget, check_ints, count_lambda
 from .errors import ParamError, shown
 from .layout import (
@@ -96,31 +98,43 @@ class CounterexampleReport:
 def reconstruction_workload(layout: DeclusteredLayout, failed) -> WorkloadReport:
     """Count units read per surviving disk, by exhaustive enumeration.
 
-    When a two-parity group of the fully stacked family loses 1 <= s < t
-    disks, the closed form for s is attached for comparison; the fraction
-    field is the uniform per-disk count over the disk size.
+    The enumeration is the query's only work: its lost groups are split
+    through the group's memo of extended lost tuples (`layout._split`) and
+    tallied through the group's memo of plans (`survivor_reads`). When a
+    two-parity group of the fully stacked family loses 1 <= s < t disks,
+    the closed form for s is attached for comparison, taken from the
+    layout's memo of one per failure size; the fraction field is the
+    uniform per-disk count over the disk size.
     """
+    if rec := _stats.recorder:
+        rec.start()
     group = layout.group
     failed = check_failed(layout, failed)
     reads = survivor_reads(layout, failed, losses(layout, failed))
+    if rec:
+        rec.mark("layout.tally_s")
     counts = set(reads.values())
     uniform = len(counts) <= 1
     fraction = (
         Fraction(counts.pop(), layout.rows_per_disk) if uniform and reads else None
     )
-    closed_form = None
     # closed_form_workload covers every s <= min(delta, t-1) of any balanced
     # group, but it is attached only at delta=2 for now: attaching it at other
     # delta would change the CLI's golden bytes and the benchmark's analyze
     # oracle. s < t holds on every build_layout layout (t = delta+1) and keeps
     # a hand-built layout over a weaker design from raising.
-    if 0 < len(failed) < layout.design.t and group.delta == 2 and group.family == "full":
-        closed_form = closed_form_workload(layout.design.params, group, len(failed))
+    s, closed_forms = len(failed), layout._closed_forms
+    if s not in closed_forms:
+        attached = 0 < s < layout.design.t and group.delta == 2 and group.family == "full"
+        closed_forms[s] = closed_form_workload(layout.design.params, group, s) if attached else None
+    if rec:
+        rec.mark("analysis.closed_form_s")
+        rec.end("analysis.workload_s")
     return WorkloadReport(
         failed=failed,
         reads=reads,
         uniform=uniform,
-        closed_form=closed_form,
+        closed_form=closed_forms[s],
         fraction=fraction,
     )
 

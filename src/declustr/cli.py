@@ -7,7 +7,8 @@ Subcommands: design {validate|complete|hadamard|reduce}, group
 payload. Each handler computes one Result (JSON payload, CSV header and
 rows, table lines, exit code) and never prints; `_emit` is the only code
 that reads the format. Exit codes: 0 success, 1 domain error (or failed
-verification), 2 usage error.
+verification), 2 usage error. `analyze workload` and `simulate` take
+--stats FILE (- is stderr): their run stats as JSON, never on stdout.
 """
 
 from __future__ import annotations
@@ -463,21 +464,25 @@ def _cmd_analyze_counterexample(args) -> Result:
 
 # ---------------------------------------------------------------- simulate
 
-def _cmd_simulate(args) -> Result:
-    """simulate, with its run stats written as JSON to --stats FILE (- is stderr)."""
-    if args.stats is None:
-        return _simulate(args)
-    _stats.recorder = _stats.Recorder()
-    try:
-        result = _simulate(args)
-        text = dump_json(_stats.recorder.report())
-    finally:
-        _stats.recorder = None
-    if args.stats == "-":
-        sys.stderr.write(text)
-    else:
-        _write(args.stats, text)
-    return result
+def _with_stats(handler):
+    """`handler`, with its run stats written as JSON to --stats FILE (- is stderr)."""
+
+    def run(args) -> Result:
+        if args.stats is None:
+            return handler(args)
+        _stats.recorder = _stats.Recorder()
+        try:
+            result = handler(args)
+            text = dump_json(_stats.recorder.report())
+        finally:
+            _stats.recorder = None
+        if args.stats == "-":
+            sys.stderr.write(text)
+        else:
+            _write(args.stats, text)
+        return result
+
+    return run
 
 
 def _simulate(args) -> Result:
@@ -538,6 +543,7 @@ def _simulate(args) -> Result:
 _REQUIRED = {"required": True}
 _REQUIRED_INT = {"type": int, "required": True}
 _FAIL_HELP = "comma-separated disk indices"
+_STATS = {"metavar": "FILE", "help": "write run stats as JSON to FILE (- for stderr)"}
 _CODE_FLAGS = {
     "code": {"choices": tuple(CODE_KINDS), "required": True},
     "p": {"type": int, "help": "rdp prime (k = p+1)"},
@@ -601,8 +607,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = tool("analyze", "reconstruction-workload reports")
     _command(
-        analyze, "workload", _cmd_analyze_workload, "per-disk reads for one failure set",
-        layout=_REQUIRED, fail={"required": True, "help": _FAIL_HELP},
+        analyze, "workload", _with_stats(_cmd_analyze_workload),
+        "per-disk reads for one failure set",
+        layout=_REQUIRED, fail={"required": True, "help": _FAIL_HELP}, stats=_STATS,
     )
     _command(
         analyze, "tradeoff", _cmd_analyze_tradeoff, "k-versus-cost table for fixed n",
@@ -617,12 +624,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     _command(
-        top, "simulate", _cmd_simulate, "byte-level failure and recovery",
+        top, "simulate", _with_stats(_simulate), "byte-level failure and recovery",
         layout=_REQUIRED,
         fail={"help": _FAIL_HELP},
         exhaustive={"type": int, "help": "sweep all failure sets of this size"},
         seed={"type": int, "default": 1},
-        stats={"metavar": "FILE", "help": "write run stats as JSON to FILE (- for stderr)"},
+        stats=_STATS,
     )
     return parser
 

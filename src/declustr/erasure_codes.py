@@ -52,6 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from math import isqrt
 
 from .designs import MAX_COVERAGE_SUBSETS, check_budget, check_ints, check_iterable
@@ -62,6 +63,9 @@ DATA = "D"
 
 # Most parity columns a code has: rs with k = 255 and delta = k - 1.
 MAX_DELTA = 254
+
+# The one type a cell may have: a set of the cells' types equal to it admits no bool.
+_CELL_TYPES = frozenset((int,))
 
 # Most digits a parity label's index has: parity_label writes at most MAX_COVERAGE_SUBSETS.
 _LABEL_DIGITS = len(str(MAX_COVERAGE_SUBSETS))
@@ -252,7 +256,7 @@ def _combine(coeffs, cells) -> int:
     """Sum of coeffs[j] * cells[j] over GF(2^8), lane by lane."""
     acc = 0
     for coeff, cell in zip(coeffs, cells):
-        if 0 <= cell < 256:  # a negative cell falls through, so a product by it raises
+        if cell < 256:
             acc ^= gf_mul(coeff, cell)
         elif coeff == 1:
             acc ^= cell
@@ -262,7 +266,7 @@ def _combine(coeffs, cells) -> int:
 
 
 def _cell_bytes(cell: int) -> bytes:
-    """A cell's bytes, lane 0 first, up to its highest nonzero lane; TypeError if it is no int."""
+    """A cell's bytes, lane 0 first, up to its highest nonzero lane."""
     return int.to_bytes(cell, (int.bit_length(cell) + 7) // 8, "little")
 
 
@@ -276,16 +280,16 @@ def rs_encode(code: HorizontalCode, data: list[list[int]]) -> list[list[int]]:
     data_cols = code.k - code.delta
     if not _is_grid(data, None, data_cols):
         raise ParamError(f"data rows must have {data_cols} symbols")
+    cells = list(chain.from_iterable(data))
+    if cells and (set(map(type, cells)) != _CELL_TYPES or min(cells) < 0):
+        raise _bad_cell(((i, c), cell) for i, row in enumerate(data) for c, cell in enumerate(row))
     matrix = _cached_parity_matrix(code.k, code.delta)
-    try:
-        return [list(row) + [_combine(coeffs, row) for coeffs in matrix] for row in data]
-    except (TypeError, OverflowError):
-        raise _bad_cell(((i, c), cell) for i, row in enumerate(data) for c, cell in enumerate(row)) from None
+    return [list(row) + [_combine(coeffs, row) for coeffs in matrix] for row in data]
 
 
 def _bad_cell(cells) -> ParamError:
-    """Refuse cells a sum could not take, naming the first ((row, column), cell) not a non-negative int."""
-    (i, c), cell = next((at, cell) for at, cell in cells if not isinstance(cell, int) or cell < 0)
+    """Refuse cells a sum must not take, naming the first ((row, column), cell) not an exact non-negative int."""
+    (i, c), cell = next((at, cell) for at, cell in cells if type(cell) is not int or cell < 0)
     return ParamError(f"the cell in row {i}, column {c} must be a non-negative int, got {shown(cell)}")
 
 
@@ -319,21 +323,22 @@ def _decode(
         return [list(row) for row in rows], ()
     read, program, scaled = _decode_matrix(code, erased, wanted)
     values = [row[c] for c in read for row in rows]
-    if None in values:
-        raise ParamError(f"column {read[values.index(None) // code.r]} must be readable but holds None")
+    # One set of the read cells' types and one min, at C level, refuse all but exact non-negative ints.
+    types = set(map(type, values))
+    if types != _CELL_TYPES or min(values) < 0:
+        if type(None) in types:
+            raise ParamError(f"column {read[values.index(None) // code.r]} must be readable but holds None")
+        raise _bad_cell(((i, c), row[c]) for c in read for i, row in enumerate(rows))
     out = [list(row) for row in rows]
-    try:
-        # A read cell that some product scales is turned into bytes once per call.
-        raw = {n: _cell_bytes(values[n]) for n in scaled}
-        for cell, terms in program:
-            acc = 0
-            for n, coeff in terms:
-                acc ^= values[n] if coeff == 1 else _scaled(coeff, raw[n])
-            values.append(acc)
-            if cell is not None:
-                out[cell[0]][cell[1]] = acc
-    except (TypeError, OverflowError):  # only a read cell can be no int, or negative
-        raise _bad_cell(((i, c), row[c]) for c in read for i, row in enumerate(rows)) from None
+    # A read cell that some product scales is turned into bytes once per call.
+    raw = {n: _cell_bytes(values[n]) for n in scaled}
+    for cell, terms in program:
+        acc = 0
+        for n, coeff in terms:
+            acc ^= values[n] if coeff == 1 else _scaled(coeff, raw[n])
+        values.append(acc)
+        if cell is not None:
+            out[cell[0]][cell[1]] = acc
     return out, read
 
 

@@ -16,12 +16,14 @@ Each layout caches one bit-mask index: per disk and position, an int whose
 bit i is set when placement i puts that position on that disk. `losses`
 splits a failure's affected instances off it into one mask per lost-position
 tuple, one failed disk at a time (`_split`, which the simulator's sweep walks
-prefix by prefix). `survivor_reads` pools the masks by what their
-reconstruction plans read and counts each pool on every disk with ANDs and
-bit counts, one comprehension over the disks per pool of whole placements;
-the analysis and the simulator share that one tally (`_tally`, whose memo of
-each lost tuple's plan a sweep keeps across its sets, and a rebuild reuses
-for its decode runs).
+prefix by prefix), starting from the layout's memo of each single disk's
+split; each extended lost tuple is built once per group (its `_splits` memo).
+`survivor_reads` pools the masks by what their reconstruction plans read and
+counts each pool on every disk with ANDs and bit counts, one comprehension
+over the disks per pool of whole placements; the analysis and the simulator
+share that one tally (`_tally`). A query takes its plans from the group's
+memo; a sweep keeps its own across its sets, and a rebuild its own for its
+decode runs.
 
 Each layout also caches the tables through which the simulator moves units
 between disks and its unit-major position buffers: each placement's (disk,
@@ -36,7 +38,7 @@ an optional cyclic rotation step to even out parity placement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial, reduce
 from itertools import chain, compress, count, repeat
@@ -83,6 +85,11 @@ class DeclusteredLayout:
     design: Design
     group: ParityGroup
     placements: tuple[tuple[int, ...], ...]
+    # losses' memo of each disk's split of every placement, and reconstruction_workload's
+    # of the closed form it attaches, per failure size: derived from the fields above,
+    # so they take no part in equality or hashing.
+    _first_splits: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _closed_forms: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         design, group, placements = self.design, self.group, self.placements
@@ -108,11 +115,11 @@ class DeclusteredLayout:
                 if not _holds_blocks((disks,), (block,)):
                     raise InvariantError(f"placement {index} disks {shown(disks)} do not match block {block}")
 
-    @property
+    @cached_property
     def units_per_disk(self) -> int:
         return count_lambda(self.design.params, 1, 0)
 
-    @property
+    @cached_property
     def rows_per_disk(self) -> int:
         return self.group.m * self.units_per_disk
 
@@ -267,12 +274,21 @@ def stack_runs(stack, lane_of, m: int) -> tuple[tuple[int, ...], tuple[slice, ..
 def _split(layout: DeclusteredLayout, groups: dict, disk: int) -> dict[tuple[int, ...], int]:
     """`groups` ({lost tuple: placement mask}) split by the failure of `disk`:
     one AND per group and position with the disk's `position_masks`. Members
-    the disk does not hold, the () group's too, stay where they were."""
+    the disk does not hold, the () group's too, stay where they were.
+
+    Each extended lost tuple comes from the group's memo `_splits` ({lost
+    tuple: per position, that tuple with the position added, sorted}),
+    filled one (lost tuple, position) pair at a time: a warm split sorts
+    nothing and builds no tuple."""
     split: dict[tuple[int, ...], int] = {}
+    memo, k = layout.group._splits, layout.group.k
     for lost, mask in groups.items():
+        extended = memo.get(lost) or memo.setdefault(lost, [None] * k)
         for pos, at in enumerate(layout.position_masks[disk]):
             if hit := mask & at:
-                key = tuple(sorted((*lost, pos)))
+                key = extended[pos]
+                if key is None:
+                    key = extended[pos] = tuple(sorted((*lost, pos)))
                 split[key] = split.get(key, 0) | hit
                 mask ^= hit
         if mask:
@@ -286,10 +302,17 @@ def losses(layout: DeclusteredLayout, failed: frozenset[int]) -> dict[tuple[int,
 
     Every placement starts in one group that lost nothing, and each failed
     disk in ascending order splits the groups (`_split`, the one splitting
-    rule: the sweep walks it prefix by prefix).
+    rule: the sweep walks it prefix by prefix). The first disk's split comes
+    from the layout's memo of one per disk (`_first_splits`): read only.
     """
-    everything = {(): (1 << len(layout.placements)) - 1}
-    groups = reduce(partial(_split, layout), sorted(failed), everything)
+    if not failed:
+        return {}
+    first, *rest = sorted(failed)
+    groups = layout._first_splits.get(first)
+    if groups is None:
+        everything = {(): (1 << len(layout.placements)) - 1}
+        groups = layout._first_splits[first] = _split(layout, everything, first)
+    groups = reduce(partial(_split, layout), rest, groups) if rest else dict(groups)
     groups.pop((), None)
     return groups
 
@@ -300,24 +323,25 @@ def _tally(layout: DeclusteredLayout, failed, affected, plans: dict) -> list[int
 
     The groups' masks are pooled by their lost tuples' plans' `pools`, read
     off each plan's own `by_rows`. The plans come from `plans` ({lost tuple:
-    plan}), which a sweep shares across its sets, so each lost tuple's plan
-    is asked for once. The masks are disjoint, so a disk's count for a pool
-    is the size of its overlap with that position's `position_masks`, scaled
+    plan}): a sweep's, shared across its sets, or the group's own `_plans`,
+    so each lost tuple's plan is asked for once. The masks are disjoint, so a
+    disk's count for a pool is the size of its overlap with that position's
+    `position_masks`, scaled
     by r * rows. A pool of whole placements is met with every disk's
     `member_masks` in one comprehension, an AND, a bit count and a multiply-add
     per disk; only the other pools, which the single and rotations families
     have, take a loop per surviving disk.
     """
-    group = layout.group
+    group, rec, misses = layout.group, _stats.recorder, 0
     whole: dict[int, int] = {}
     pooled: dict[tuple[int, int], int] = {}
     for lost, mask in affected.items():
         plan = plans.get(lost)
         if plan is None:
-            if rec := _stats.recorder:
+            if rec:
                 rec.mark("layout.tally_s")
-                rec.add("layout.plan_memo_misses")
             plan = plans[lost] = reconstruction_plan(group, lost)
+            misses += 1
             if rec:
                 rec.mark("parity_groups.plan_s")
         rows, keys = plan.pools
@@ -335,6 +359,9 @@ def _tally(layout: DeclusteredLayout, failed, affected, plans: dict) -> list[int
                 totals[disk] += r * sum(
                     rows * (mask & at[pos]).bit_count() for (rows, pos), mask in pooled.items()
                 )
+    if rec:
+        rec.add("layout.plan_memo_misses", misses)
+        rec.add("layout.plan_memo_hits", len(affected) - misses)
     return totals
 
 
@@ -343,8 +370,11 @@ def survivor_reads(
 ) -> dict[int, int]:
     """Entries read from each surviving disk to rebuild the `losses` groups:
     `_tally`'s per-disk counts, through the caller's memo of plans `plans`
-    (which a rebuild reuses) or one for this call alone."""
-    reads = dict(enumerate(_tally(layout, failed, affected, {} if plans is None else plans)))
+    (which a rebuild keeps to itself, to learn its own lost tuples' erasure
+    patterns) or else the group's own memo, so a query asks
+    `reconstruction_plan` only for a lost tuple the group has not planned."""
+    plans = layout.group._plans if plans is None else plans
+    reads = dict(enumerate(_tally(layout, failed, affected, plans)))
     for disk in failed:
         del reads[disk]
     return reads

@@ -46,11 +46,12 @@ class ParityGroup:
 
     code: HorizontalCode
     extended_rows: tuple[tuple[str, ...], ...]
-    # reconstruction_plan's and _read_counts' memos: derived from the fields above, so
-    # they take no part in equality or hashing. Concurrent misses may build an
-    # entry twice.
+    # reconstruction_plan's, _read_counts' and layout._split's memos: derived from the
+    # fields above, so they take no part in equality or hashing. Concurrent misses may
+    # build an entry twice.
     _plans: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _taus: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _splits: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.code, HorizontalCode):

@@ -530,11 +530,10 @@ def exhaustive_verify(layout: DeclusteredLayout, s: int, seed: int = 1) -> Verif
         rec.start()
     check_size("s", s, layout.group.delta, low=0)
     cells = _codewords(layout, seed)  # first, so a bad seed or size is refused before the walk
-    plans, tallies, lookups = {}, [], 0  # plans: _tally's memo, one plan per distinct lost tuple
+    plans, tallies = {}, []  # plans: _tally's memo, one plan per distinct lost tuple
     for failed, affected in _failure_walk(layout, s):
         reads = _tally(layout, failed, affected, plans)
         if rec:
-            lookups += len(affected)
             _count_units(rec, ((d, n) for d, n in enumerate(reads) if d not in failed),
                          ((d, layout.rows_per_disk) for d in failed))
         for disk in reversed(failed):
@@ -543,7 +542,6 @@ def exhaustive_verify(layout: DeclusteredLayout, s: int, seed: int = 1) -> Verif
         tallies.append((failed, min(reads), max(reads), lost_units))
     if rec:
         rec.mark("layout.tally_s")
-        rec.add("layout.plan_memo_hits", lookups - len(plans))
     wrong: dict[tuple[int, ...], int] = {}  # lost tuple -> instances rebuilt wrong with it
     wanted = _lost_columns(plans)
     for erased in sorted(wanted):

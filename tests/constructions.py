@@ -5,6 +5,9 @@ inf. PGL(2,q) is sharply 3-transitive on it, so the orbit of any k-subset is
 a 3-(q+1, k, lambda) design. Witt's S(5,6,12) is one hexad's orbit under
 PSL(2,11), and its derived design at inf is 4-(11,5,1). One Mobius map
 serves both groups.
+
+The Golay octads are the 759 weight-8 words of the extended binary Golay
+code, whose supports are Witt's S(5,8,24).
 """
 
 from functools import cache
@@ -67,3 +70,29 @@ def witt_5_6_12():
 def witt_4_5_11():
     derived = [tuple(x for x in b if x != INF) for b in witt_5_6_12().blocks if INF in b]
     return validate_design(derived, t=4, n=11, k=5, lam=1)
+
+
+# The binary cyclic Golay code of length 23 is generated by
+# g(x) = x^11 + x^10 + x^6 + x^5 + x^4 + x^2 + 1, bit i holding x^i.
+GOLAY_GENERATOR = 0b110001110101
+
+
+def golay_octads() -> list[tuple[int, ...]]:
+    """The supports of the extended Golay code's weight-8 words, sorted.
+
+    Each of the 4,096 codewords is m(x) * g(x) for one m of degree < 12, a
+    carry-less product, extended by an overall parity bit at point 23."""
+    octads = []
+    for m in range(1 << 12):
+        word = 0
+        for i in range(12):
+            if m >> i & 1:
+                word ^= GOLAY_GENERATOR << i
+        word |= (word.bit_count() & 1) << 23
+        if word.bit_count() == 8:
+            octads.append(tuple(i for i in range(24) if word >> i & 1))
+    return sorted(octads)
+
+
+def golay_5_8_24():
+    return validate_design(golay_octads(), t=5, n=24, k=8, lam=1)

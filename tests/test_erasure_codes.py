@@ -315,8 +315,8 @@ def test_codes_refuse_malformed_fields_when_built(make, args, message):
 
 
 def cell_message(row, column, shown):
-    """A cell a sum could not take is refused by its row and column, after the sum
-    raised: a valid call pays for no scan."""
+    """A cell that is not an exact non-negative int (a bool is not one) is refused
+    by its row and column; a valid call pays one set of its cells' types and one min."""
     return f"the cell in row {row}, column {column} must be a non-negative int, got {shown}"
 
 
@@ -371,12 +371,26 @@ def cell_message(row, column, shown):
         (lambda: rs_code(4, 2).decode([[-1, 300, None, None]], (2, 3)), cell_message(0, 0, "-1")),
         (lambda: rs_code(4, 2).decode([[1, "x", None, None]], (2, 3)), cell_message(0, 1, "'x'")),
         (lambda: rdp_code(3).encode([[None, 1], [2, 3]]), "column 0 must be readable but holds None"),
+        (lambda: rdp_code(3).encode([[-1, 1], [2, 3]]), cell_message(0, 0, "-1")),
+        (lambda: rs_code(5, 1).encode([[-1, 0, 0, 0]]), cell_message(0, 0, "-1")),
+        (lambda: rdp_code(3).encode([[1, 1], [2, True]]), cell_message(1, 1, "True")),
+        (
+            lambda: rdp_code(3).decode([[-1, 1, None, None], [2, 3, None, None]], (2, 3)),
+            cell_message(0, 0, "-1"),
+        ),
+        (lambda: rs_code(5, 1).decode([[-1, 0, 0, 0, None]], (4,)), cell_message(0, 0, "-1")),
+        (
+            lambda: rdp_code(3).decode([[1, 1, None, None], [2, True, None, None]], (2, 3)),
+            cell_message(1, 1, "True"),
+        ),
     ],
     ids=["erased high", "erased low", "erased huge", "None read", "rs grid", "rdp grid", "rdp data",
          "rs data", "rs p", "rdp int data", "rs int data", "rs int row", "rdp int grid",
          "wanted unerased", "wanted bool", "wanted int",
          "rdp str", "rdp float", "rdp bytes", "rs None", "rs float", "rs negative", "rs second cell",
-         "rdp decode str", "rs decode negative", "rs decode str", "rdp None"],
+         "rdp decode str", "rs decode negative", "rs decode str", "rdp None",
+         "rdp negative", "rs xor negative", "rdp bool",
+         "rdp decode negative", "rs xor decode negative", "rdp decode bool"],
 )
 def test_codec_refuses_malformed_calls(call, message):
     with pytest.raises(ParamError, match=f"^{re.escape(message)}$"):

@@ -4,11 +4,12 @@ S(5,6,12) is the orbit of the hexad {inf,1,3,4,5,9} on GF(11) + {inf} under
 PSL(2,11); its derived design at inf is a 4-(11,5,1) design, and read as a
 4-design it is 4-(12,6,4). Each is validated, then swept at every s <= delta
 with the full family: every set recovers and reads the same from every
-survivor, the counts below.
+survivor, the counts below. S(5,8,24), the extended Golay code's octads, is
+only validated here: its sweeps take seconds.
 """
 
 import pytest
-from constructions import witt_4_5_11, witt_5_6_12
+from constructions import golay_octads, witt_4_5_11, witt_5_6_12
 
 from declustr import (
     build_layout,
@@ -41,6 +42,14 @@ def test_witt_designs_validate(s_5_6_12, s_4_5_11, d_4_6_12):
     assert (d_4_6_12.t, d_4_6_12.n, d_4_6_12.k, d_4_6_12.lam) == (4, 12, 6, 4)
     # reduce_design keeps the blocks; check that they cover as it claims.
     assert validate_design(d_4_6_12.blocks, t=4, n=12, k=6, lam=4).blocks == d_4_6_12.blocks
+
+
+def test_golay_octads_validate_as_s_5_8_24():
+    octads = golay_octads()
+    assert len(octads) == len(set(octads)) == 759
+    assert {len(octad) for octad in octads} == {8}
+    design = validate_design(octads, t=5, n=24, k=8, lam=1)
+    assert design.blocks == tuple(octads)
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ from itertools import combinations
 
 import pytest
 
+import declustr.analysis as analysis_module
 import declustr.layout as layout_module
 import declustr.parity_groups as parity_groups
 from declustr import (
@@ -136,24 +137,101 @@ def test_grouped_losses_match_a_per_placement_walk(name, family):
 def test_a_query_plans_each_lost_tuple_once_and_tau_once_per_size(monkeypatch):
     layout = build_layout(group_family(rs_code(6, 2), "full"), complete_design(12, 6, 3))
     group = layout.group
-    lookups = []
+    asked = {"tally": [], "tau": []}
     plan = parity_groups.reconstruction_plan
 
-    def counting(group, lost):
-        lookups.append(lost)
-        return plan(group, lost)
+    def counting(name):
+        def ask(group, lost):
+            asked[name].append(lost)
+            return plan(group, lost)
+        return ask
 
-    monkeypatch.setattr(layout_module, "reconstruction_plan", counting)
-    monkeypatch.setattr(parity_groups, "reconstruction_plan", counting)
-    # tau enumerates each size once: C(6,1) + C(6,2) lookups, then none.
-    for _ in range(3):
-        assert closed_form_workload(layout.design.params, group, 2) > 0
-        assert len(lookups) == 6 + 15
-    for failed in [(3,), (3, 8), (0, 11), (5,)]:
-        lookups.clear()
+    monkeypatch.setattr(layout_module, "reconstruction_plan", counting("tally"))
+    monkeypatch.setattr(parity_groups, "reconstruction_plan", counting("tau"))
+    # The tally reads the group's memo, so the first query of a set asks only
+    # for the lost tuples the group has not planned, each once; the attached
+    # closed form enumerates tau's sizes once: C(6,1), then C(6,2), then none.
+    taus = {(3,): 6, (3, 8): 15, (0, 11): 0, (5,): 0}
+    for failed, tau_asks in taus.items():
+        unplanned = set(losses(layout, frozenset(failed))) - group._plans.keys()
         report = reconstruction_workload(layout, failed)
         assert report.closed_form is not None
-        assert sorted(lookups) == sorted(losses(layout, frozenset(failed)))
+        assert sorted(asked["tally"]) == sorted(unplanned), failed
+        assert len(asked["tau"]) == tau_asks, failed
+        # A repeat of the query asks nothing.
+        asked["tally"].clear(), asked["tau"].clear()
+        assert reconstruction_workload(layout, failed) == report
+        assert asked == {"tally": [], "tau": []}, failed
+    assert closed_form_workload(layout.design.params, group, 1) == report.closed_form
+    assert asked == {"tally": [], "tau": []}
+
+
+def test_a_second_query_of_a_size_makes_no_count_lambda_call(monkeypatch):
+    layout = build_layout(group_family(rs_code(6, 2), "full"), complete_design(12, 6, 3))
+    calls = []
+    count_lambda = analysis_module.count_lambda
+
+    def counting(*args):
+        calls.append(args)
+        return count_lambda(*args)
+
+    monkeypatch.setattr(analysis_module, "count_lambda", counting)
+    monkeypatch.setattr(layout_module, "count_lambda", counting)
+    for first, second in [((3,), (5,)), ((3, 8), (0, 11))]:
+        calls.clear()
+        report = reconstruction_workload(layout, first)
+        assert report.closed_form is not None and calls
+        calls.clear()
+        again = reconstruction_workload(layout, second)
+        assert again.closed_form == report.closed_form
+        assert calls == []
+
+
+def split_pairs(layout, sets):
+    """The (lost tuple, position) pairs that splitting each failure set's
+    groups, one failed disk at a time in ascending order, extends: a
+    per-placement walk."""
+    pairs = set()
+    for failed in sets:
+        for placement in layout.placements:
+            lost = ()
+            for disk in sorted(failed):
+                if disk in placement:
+                    pos = placement.index(disk)
+                    pairs.add((lost, pos))
+                    lost = tuple(sorted((*lost, pos)))
+    return pairs
+
+
+@pytest.mark.parametrize("family", ["full", "rotations"])
+def test_a_warm_split_builds_no_new_tuple(family, monkeypatch):
+    layout = build_layout(group_family(rs_code(5, 3), family), complete_design(7, 5, 4))
+    sorts = []
+
+    def counting(items):
+        sorts.append(1)
+        return sorted(items)
+
+    monkeypatch.setattr(layout_module, "sorted", counting, raising=False)
+    memo = layout.group._splits
+    sets = [frozenset(failed) for s in (1, 2, 3) for failed in combinations(range(layout.n), s)]
+    cold = [losses(layout, failed) for failed in sets]
+    # One sort per failure set (losses orders it) and one per memo miss: each
+    # distinct (lost tuple, position) pair is extended once.
+    filled = {
+        (lost, pos) for lost, extended in memo.items() for pos, key in enumerate(extended) if key
+    }
+    assert filled == split_pairs(layout, sets)
+    assert len(sorts) == len(sets) + len(filled)
+    sorts.clear()
+    entries = {id(key) for extended in memo.values() for key in extended if key}
+    warm = [losses(layout, failed) for failed in sets]
+    assert warm == cold
+    assert len(sorts) == len(sets)
+    assert all(id(lost) in entries for groups in warm for lost in groups)
+    # The sweep's depth-first walk shares the memo and misses nothing.
+    assert exhaustive_verify(layout, 3, seed=2).passed == 35
+    assert len(sorts) == len(sets)
 
 
 def test_rule_calls_depend_on_lost_tuples_not_blocks(monkeypatch):
@@ -204,11 +282,17 @@ def test_memo_takes_no_part_in_equality_hash_or_layout_json():
     verify_balance(used, 2)
     reconstruction_workload(layout, (1, 6))
     assert used._plans and not fresh._plans
+    assert used._splits and not fresh._splits
+    assert layout._closed_forms == {2: 88} and list(layout._first_splits) == [1]
     assert used == fresh
     assert hash(used) == hash(fresh)
     assert repr(used) == repr(fresh)
     assert serialize_layout(layout) == before
-    assert build_layout(fresh, design) == layout
+    unused = build_layout(fresh, design)
+    assert not unused._closed_forms and not unused._first_splits
+    assert unused == layout
+    assert hash(unused) == hash(layout)
+    assert repr(unused) == repr(layout)
 
 
 def test_threads_filling_a_cold_memo_agree_with_a_serial_sweep():

@@ -1,4 +1,5 @@
-"""Run stats (`simulate --stats`): what they count, and that they cost no clock read when off."""
+"""Run stats (`simulate --stats`, `analyze workload --stats`): what they count, and that
+they cost no clock read when off."""
 
 import contextlib
 import io
@@ -20,6 +21,9 @@ from test_simulator import _canonical_erasure_patterns
 # The README's sweep, `simulate --layout layout.json --exhaustive 2 --seed 7`
 # on hadamard_3design(8) + RDP p=3: its stats with every time masked.
 STATS_GOLDEN = Path(__file__).parent / "data" / "simulate_exhaustive_2_seed_7.stats.json"
+# The README's query, `analyze workload --layout layout.json --fail 0,1`, likewise.
+WORKLOAD_GOLDEN = Path(__file__).parent / "data" / "analyze_workload_0_1.stats.json"
+WORKLOAD = ["analyze", "workload", "--layout", "layout.json", "--fail", "0,1"]
 
 
 def _masked(stats: dict) -> dict:
@@ -27,16 +31,20 @@ def _masked(stats: dict) -> dict:
     return {key: None if key.endswith("_s") else value for key, value in stats.items()}
 
 
-def _simulate(argv: list[str], workdir: Path) -> tuple[int, str, str]:
+def _declustr(argv: list[str], workdir: Path) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     previous = Path.cwd()
     os.chdir(workdir)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = run(["simulate", *argv])
+            code = run(argv)
     finally:
         os.chdir(previous)
     return code, out.getvalue(), err.getvalue()
+
+
+def _simulate(argv: list[str], workdir: Path) -> tuple[int, str, str]:
+    return _declustr(["simulate", *argv], workdir)
 
 
 @pytest.fixture
@@ -142,3 +150,46 @@ def test_simulate_stats_to_a_file(tmp_path):
     stats = json.loads((tmp_path / "run.json").read_text())
     assert stats["simulator.units_written_by_disk"] == {"0": 168, "1": 168}
     assert _stats.recorder is None
+
+
+def test_analyze_workload_stats_match_the_golden_file_and_leave_stdout_alone(tmp_path):
+    write_inputs(tmp_path)
+    golden = json.loads(GOLDEN.read_text())
+    code, out, err = _declustr([*WORKLOAD, "--stats", "-"], tmp_path)
+    assert (code, out) == (0, golden[" ".join(WORKLOAD) + " --format table"]["stdout"])
+    assert _masked(json.loads(err)) == json.loads(WORKLOAD_GOLDEN.read_text())
+    assert _stats.recorder is None
+    code, out, err = _declustr([*WORKLOAD, "--format", "csv", "--stats", "run.json"], tmp_path)
+    assert (code, out, err) == (0, golden[" ".join(WORKLOAD) + " --format csv"]["stdout"], "")
+    assert _masked(json.loads((tmp_path / "run.json").read_text())) == _masked(json.loads(
+        WORKLOAD_GOLDEN.read_text()
+    ))
+
+
+def test_analyze_workload_reads_no_clock_without_stats(tmp_path, monkeypatch):
+    write_inputs(tmp_path)
+    calls = []
+    monkeypatch.setattr(_stats, "perf_counter", lambda: calls.append(1) or 0.0)
+    assert _declustr(WORKLOAD, tmp_path)[0] == 0
+    assert calls == []
+    assert _declustr([*WORKLOAD, "--stats", "-"], tmp_path)[0] == 0
+    assert calls
+
+
+def test_a_repeated_query_counts_only_memo_hits(recording):
+    layout = dc.build_layout(
+        dc.group_family(dc.rs_code(6, 2), "full"), dc.complete_design(9, 6, 3)
+    )
+    failed = (2, 5)
+    lost = len(losses(layout, frozenset(failed)))
+    first = dc.reconstruction_workload(layout, failed)
+    stats = recording.report()
+    assert (stats["layout.plan_memo_misses"], stats["layout.plan_memo_hits"]) == (lost, 0)
+    assert {key for key in stats if key.endswith("_s")} == {
+        "analysis.closed_form_s", "analysis.workload_s", "layout.tally_s", "parity_groups.plan_s",
+    }
+    plan_s = stats["parity_groups.plan_s"]
+    assert dc.reconstruction_workload(layout, failed) == first
+    stats = recording.report()
+    assert (stats["layout.plan_memo_misses"], stats["layout.plan_memo_hits"]) == (lost, lost)
+    assert stats["parity_groups.plan_s"] == plan_s
