@@ -17,11 +17,11 @@ display helpers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from . import _stats
+from ._record import record
 from .designs import Design, DesignParams, check_budget, check_ints, count_lambda
 from .errors import ParamError, shown
 from .layout import (
@@ -51,7 +51,7 @@ TRADEOFF_LAMBDA_PRESETS = {
 }
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class WorkloadReport:
     """Per-surviving-disk read counts for one failure set."""
 
@@ -62,7 +62,7 @@ class WorkloadReport:
     fraction: Fraction | None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TradeoffRow:
     """One k row of the declustering trade-off report, exact rationals."""
 
@@ -74,7 +74,7 @@ class TradeoffRow:
     depth_over_m: Fraction
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CounterexampleReport:
     """Column-unit access table for one failure set, instance by instance.
 

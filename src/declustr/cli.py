@@ -18,9 +18,9 @@ import os
 import stat
 import sys
 from pathlib import Path
-from typing import NamedTuple
 
 from . import _stats
+from ._record import record
 from .analysis import (
     TRADEOFF_LAMBDA_PRESETS,
     counterexample_report,
@@ -61,7 +61,8 @@ class UsageError(Exception):
     """Bad flag combination that argparse alone cannot express."""
 
 
-class Result(NamedTuple):
+@record(frozen=True)
+class Result:
     """One command's report in every format, plus its exit code.
 
     json is the payload for --format json (a str is printed as is); header

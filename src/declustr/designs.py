@@ -17,11 +17,11 @@ from __future__ import annotations
 import json
 import warnings
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, combinations, repeat
 from json.encoder import encode_basestring_ascii
 from math import comb
 
+from ._record import record
 from .errors import BlockSizeError, CoverageError, FormatError, ParamError, shown
 
 # Field kinds for check_fields; each is also the phrase its message uses.
@@ -83,7 +83,7 @@ def check_iterable(name: str, value, what: str, error: type = ParamError) -> tup
         raise error(f"{name} must be an iterable of {what}, got {shown(value)}") from None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DesignParams:
     """Parameter quadruple of a t-(n,k,lam) design."""
 
@@ -113,7 +113,7 @@ class DesignParams:
             )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Design:
     """A validated design: params plus an ordered collection of sorted blocks."""
 

@@ -50,11 +50,11 @@ cached per (k, delta).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from math import isqrt
 
+from ._record import record
 from .designs import MAX_COVERAGE_SUBSETS, check_budget, check_ints, check_iterable
 from .errors import InvariantError, ParamError, TooManyErasures, shown
 from .gf256 import gf_div, gf_inv, gf_mat_inv, gf_mul, gf_mul_table
@@ -106,7 +106,7 @@ def is_prime(n: int) -> bool:
     return all(n % d != 0 for d in range(2, isqrt(n) + 1))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class HorizontalCode:
     """A systematic code with all-data and all-parity columns.
 

@@ -38,13 +38,13 @@ an optional cyclic rotation step to even out parity placement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial, reduce
 from itertools import chain, compress, count, repeat
 from operator import floordiv, mul, or_
 
 from . import _stats
+from ._record import record
 from .designs import (
     INT,
     INT_LISTS,
@@ -77,7 +77,10 @@ LAYOUT_JSON_FIELDS = {"n": INT, "design": None, "group": None, "placements": INT
 _DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
-@dataclass(frozen=True)
+# The memos: losses' of each disk's split of every placement, and reconstruction_workload's
+# of the closed form it attaches, per failure size. They are derived from the fields, so
+# they take no part in equality or hashing.
+@record(frozen=True, memos=("_first_splits", "_closed_forms"))
 class DeclusteredLayout:
     """n disks holding one column-unit per (block, block element) incidence."""
 
@@ -85,11 +88,6 @@ class DeclusteredLayout:
     design: Design
     group: ParityGroup
     placements: tuple[tuple[int, ...], ...]
-    # losses' memo of each disk's split of every placement, and reconstruction_workload's
-    # of the closed form it attaches, per failure size: derived from the fields above,
-    # so they take no part in equality or hashing.
-    _first_splits: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    _closed_forms: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         design, group, placements = self.design, self.group, self.placements
@@ -204,7 +202,7 @@ def _holds_blocks(placements, blocks) -> bool:
     return types <= {int} and tuple(map(tuple, map(sorted, placements))) == blocks
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LayoutGeometry:
     """Unit tallies plus the exact data/parity disk fractions."""
 

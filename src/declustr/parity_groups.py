@@ -23,12 +23,12 @@ runs no Python loop over rows times positions.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, permutations, repeat
 from math import comb, factorial
 from operator import contains
 
+from ._record import record
 from .designs import check_budget, check_ints
 from .erasure_codes import (
     DATA,
@@ -40,18 +40,15 @@ from .erasure_codes import (
 )
 from .errors import ParamError, UnbalancedGroup, shown
 
-@dataclass(frozen=True)
+# The memos: reconstruction_plan's, _read_counts' and layout._split's. They are derived
+# from the fields, so they take no part in equality or hashing. Concurrent misses may
+# build an entry twice.
+@record(frozen=True, memos=("_plans", "_taus", "_splits"))
 class ParityGroup:
     """A horizontal code plus an ordered family of label arrangements."""
 
     code: HorizontalCode
     extended_rows: tuple[tuple[str, ...], ...]
-    # reconstruction_plan's, _read_counts' and layout._split's memos: derived from the
-    # fields above, so they take no part in equality or hashing. Concurrent misses may
-    # build an entry twice.
-    _plans: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    _taus: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    _splits: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.code, HorizontalCode):
@@ -123,7 +120,7 @@ class ParityGroup:
         return tuple(out)
 
 
-@dataclass(frozen=True)
+@record(frozen=True, hidden=("delta", "rows", "columns"))
 class ReconstructionPlan:
     """How an instance rebuilds after losing the tuple of positions `lost`.
 
@@ -139,9 +136,9 @@ class ReconstructionPlan:
 
     lost: tuple[int, ...]
     reads: dict[int, int]
-    delta: int = field(repr=False)
-    rows: tuple[tuple[str, ...], ...] = field(repr=False)
-    columns: tuple[tuple[int, ...], ...] = field(repr=False)
+    delta: int
+    rows: tuple[tuple[str, ...], ...]
+    columns: tuple[tuple[int, ...], ...]
 
     @cached_property
     def by_rows(self) -> dict[int, tuple[int, ...]]:
@@ -184,7 +181,7 @@ class ReconstructionPlan:
         return {erased: frozenset(lost) for erased, lost in out.items()}
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ArrangementCounts:
     """Arrangement tallies for an ordered column pair (i, j), delta=2 only.
 
@@ -197,7 +194,7 @@ class ArrangementCounts:
     r_qp: int
 
 
-@dataclass
+@record()
 class BalanceReport:
     """Outcome of the four balance conditions up to some failure size.
 

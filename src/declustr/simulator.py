@@ -64,13 +64,13 @@ phase boundary costs one `if`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections import deque
 from functools import partial
 from itertools import accumulate, chain, compress, count, repeat
 from operator import getitem, itemgetter, mul, setitem
 
 from . import _stats
+from ._record import record
 from .designs import MAX_ARRAY_BYTES, check_budget, check_ints
 from .errors import InvariantError, ParamError, shown
 from .layout import (
@@ -110,7 +110,7 @@ def byte_stream(seed: int):
         done, size = size, 2 * size
 
 
-@dataclass
+@record()
 class DiskArray:
     """n byte vectors of equal length plus the layout that shaped them."""
 
@@ -139,7 +139,7 @@ class DiskArray:
         return self.layout.rows_per_disk
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class IOStats:
     """Units read per surviving disk and written per replacement disk."""
 
@@ -147,7 +147,7 @@ class IOStats:
     writes: dict[int, int]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SetResult:
     """One failure set's outcome inside an exhaustive sweep."""
 
@@ -157,7 +157,7 @@ class SetResult:
     max_reads: int
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class VerifySummary:
     """Aggregate of an exhaustive sweep over all size-s failure sets."""
 
@@ -174,7 +174,7 @@ class VerifySummary:
         return self.min_reads if self.uniform else None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class UnitProvenance:
     """Where one stored byte lives in group coordinates."""
 

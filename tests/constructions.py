@@ -8,6 +8,9 @@ serves both groups.
 
 The Golay octads are the 759 weight-8 words of the extended binary Golay
 code, whose supports are Witt's S(5,8,24).
+
+For a prime q = 3 mod 4, the Paley Hadamard design on GF(q) + {inf} is a
+3-(q+1, (q+1)/2, (q-3)/4) design; q = 19 gives fig13's k = 10 row.
 """
 
 from functools import cache
@@ -96,3 +99,14 @@ def golay_octads() -> list[tuple[int, ...]]:
 
 def golay_5_8_24():
     return validate_design(golay_octads(), t=5, n=24, k=8, lam=1)
+
+
+def paley_hadamard(q: int):
+    """The 2q blocks {inf} u (i + nonzero squares) and {i} u (i + non-squares),
+    for each i in GF(q), of the Paley Hadamard 3-design; q is a prime = 3 mod 4."""
+    squares = {x * x % q for x in range(1, q)}
+    blocks = []
+    for i in range(q):
+        blocks.append(tuple(sorted({q} | {(i + x) % q for x in squares})))
+        blocks.append(tuple(sorted({i} | {(i + x) % q for x in range(1, q) if x not in squares})))
+    return validate_design(blocks, 3, q + 1, (q + 1) // 2, (q - 3) // 4)

@@ -13,6 +13,7 @@ from declustr import (
     closed_form_workload,
     complete_design,
     counterexample_report,
+    layout_geometry,
     rdp_code,
     reconstruction_workload,
     round_half_up,
@@ -21,6 +22,8 @@ from declustr import (
     tradeoff_table,
 )
 from declustr.errors import ParamError, TooManyFailures
+
+from constructions import paley_hadamard
 
 
 # ------------------------------------------------------------- enumeration
@@ -156,6 +159,18 @@ def test_tradeoff_reference_rows():
     assert round_half_up(by_k[20].pct_one_failure) == "94.7"
     assert by_k[20].pct_two_failures == 100
     assert by_k[20].depth_over_m == 1
+
+
+def test_tradeoff_k10_row_is_the_paley_layouts_workload():
+    # fig13's k = 10 row, built: the Paley Hadamard 3-(20,10,4) with RS(10,2), full family.
+    design = paley_hadamard(19)
+    assert len(design.blocks) == 38 and design.params.lam == TRADEOFF_LAMBDA_PRESETS["fig13"][10]
+    layout = build_layout(balance_horizontal_code(rs_code(10, 2)), design)
+    (row,) = tradeoff_table(20, [(10, 4)])
+    assert reconstruction_workload(layout, {0}).fraction * 100 == row.pct_one_failure == Fraction(800, 19)
+    assert reconstruction_workload(layout, {0, 1}).fraction * 100 == row.pct_two_failures == Fraction(11600, 171)
+    assert layout.rows_per_disk / layout.group.m == row.depth_over_m == 19
+    assert layout_geometry(layout).parity_disks == row.parity_disks
 
 
 def test_tradeoff_values_are_exact_rationals():

@@ -1,6 +1,5 @@
 """Arrangement families and the four balance conditions."""
 
-from dataclasses import fields
 from fractions import Fraction
 from itertools import permutations
 from math import comb, factorial
@@ -277,7 +276,13 @@ def test_group_family_dispatch():
 
 def test_a_group_is_a_code_and_its_rows():
     # The family name is derived from the rows, so no caller can set it.
-    assert [f.name for f in fields(ParityGroup) if f.init] == ["code", "extended_rows"]
+    group = balance_horizontal_code(rdp_code(3))
+    assert ParityGroup(group.code, group.extended_rows) == group
+    assert ParityGroup(code=group.code, extended_rows=group.extended_rows) == group
+    with pytest.raises(TypeError):
+        ParityGroup(group.code, group.extended_rows, family="full")
+    with pytest.raises(TypeError):
+        ParityGroup(group.code, group.extended_rows, "full")
     for family in ("zigzag", ["full"], None):
         with pytest.raises(ParamError, match="unknown arrangement family"):
             group_family(rdp_code(3), family)

@@ -147,9 +147,9 @@ def test_record_semantics(cls):
         with pytest.raises(TypeError):
             cls(*bad_args, **bad_kwargs)
 
-    # Equal only within the class: a plain tuple of the values equals only a tuple.
-    assert (made == tuple(values)) is isinstance(made, tuple)
-    assert made != object()
+    # Equal only within the class: a record is no tuple, and equals no tuple of its values.
+    assert not isinstance(made, tuple)
+    assert made != tuple(values) and made != object()
 
     if cls in MUTABLE:
         assert type(made).__hash__ is None
@@ -171,6 +171,13 @@ def test_record_semantics(cls):
     assert repr(made) == f"{cls.__name__}({', '.join(f'{name}={keywords[name]!r}' for name in shown)})"
     for name in hidden + list(MEMOS.get(cls, ())):
         assert f"{name}=" not in repr(made)
+
+
+def test_a_field_default_fills_a_missing_argument():
+    assert Result({}, "h", [], []) == Result({}, "h", [], [], 0)
+    assert Result(json={}, header="h", rows=[], table=[]).code == 0
+    with pytest.raises(TypeError):
+        Result({}, "h", [], code=1)
 
 
 def test_repr_reads_as_a_call():

@@ -28,12 +28,16 @@ def test_absolute_imports_are_stdlib_or_declustr(path):
     assert not foreign, f"{path.name} imports {foreign}"
 
 
-def test_importing_the_cli_leaves_hashlib_unloaded():
-    # hashlib costs every process about 3.5 ms; only a fill needs it, and imports it then.
+def test_importing_the_cli_leaves_hashlib_dataclasses_and_inspect_unloaded():
+    # Each costs every process milliseconds. hashlib, about 3.5 ms, is imported by
+    # the fill that needs it; dataclasses, which imports inspect, ast and dis, and
+    # compiles each class's methods at import, is replaced by declustr._record.
     src = Path(__file__).resolve().parents[1] / "src"
     done = subprocess.run(
-        [sys.executable, "-c", "import sys, declustr.cli; print('hashlib' in sys.modules)"],
+        [sys.executable, "-c", "import sys, declustr.cli; print(sorted(sys.modules))"],
         capture_output=True, text=True, timeout=60, check=True,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
-    assert done.stdout.strip() == "False"
+    loaded = set(ast.literal_eval(done.stdout))
+    assert "declustr.cli" in loaded
+    assert not loaded & {"hashlib", "dataclasses", "inspect"}
