@@ -26,10 +26,10 @@ memo; a sweep keeps its own across its sets, and a rebuild its own for its
 decode runs.
 
 Each layout also caches the tables through which the simulator moves units
-between disks and its unit-major position buffers: each placement's (disk,
-byte slice) per position (`position_units`), and each disk's stack cut into
-runs of consecutive placements at one position (`unit_runs`, by
-`stack_runs`, which also cuts a rebuild's runs by its lanes).
+between disks and its unit-major position buffers: per position, each
+placement's unit as a slice of the joined disks (`unit_slices`), and each
+disk's stack cut into runs of consecutive placements at one position
+(`unit_runs`, by `stack_runs`, which also cuts a rebuild's runs by its lanes).
 
 The delta=1 path mirrors classic single-parity declustering: a one-row group
 whose parity column is last, hence placed on the largest block element, with
@@ -40,8 +40,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, partial, reduce
-from itertools import chain, compress, count, repeat
-from operator import floordiv, mul, or_
+from itertools import chain, compress
+from operator import mul, or_
 
 from . import _stats
 from ._record import record
@@ -172,17 +172,15 @@ class DeclusteredLayout:
         return tuple(offsets)
 
     @cached_property
-    def position_units(self) -> tuple[tuple[tuple[int, ...], tuple[slice, ...]], ...]:
-        """Per position, the disk of each placement's unit there and the
-        unit's byte slice on that disk: a gather picks its lanes out of both.
-        Every disk's k-th unit is at bytes k*m..(k+1)*m, so the slices are
-        shared, one per place in a stack."""
-        m = self.group.m
-        places = [slice(at, at + m) for at in range(0, self.rows_per_disk, m)]
-        return tuple(
-            (disks, tuple(map(places.__getitem__, map(floordiv, offsets, repeat(m)))))
-            for disks, offsets in zip(zip(*self.placements), zip(*self.unit_offsets))
-        )
+    def unit_slices(self) -> tuple[tuple[slice, ...], ...]:
+        """Per position, each placement's unit there as a byte slice of the
+        n disks joined in index order, for a gather to pick out of one join:
+        disk d's q-th unit is its (d*U + q)-th m bytes (U units per disk)."""
+        ends = list(range(0, self.n * self.rows_per_disk + 1, self.group.m))
+        table = [[None] * len(self.placements) for _ in range(self.group.k)]
+        for (index, pos), place in zip(chain.from_iterable(self.stacks), map(slice, ends, ends[1:])):
+            table[pos][index] = place
+        return tuple(map(tuple, table))
 
     @cached_property
     def unit_runs(self) -> tuple[tuple[tuple[int, ...], tuple[slice, ...]], ...]:

@@ -16,8 +16,8 @@ column space: one buffer per (canonical column, inner row) whose lane e*L + x
 holds lane x's byte of that column in extended row e (L lanes, one per
 instance). Disks and column space meet in one unit-major buffer per
 position, lane x's unit at bytes x*m..(x+1)*m. `_column_cells` gathers each
-with one pick of its lanes' (disk, slice) pairs out of a per-layout table
-(`layout.position_units`) and one join, then cuts column space out of it by
+by picks of its lanes' units, a bounded group at a time, out of one join of
+the disks (`layout.unit_slices`), then cuts column space out of it by
 strided slices; `_scatter`, its inverse, moves column space into it along
 the shorter axis (m strided writes when m < L, else L strided slices) and
 joins each disk from runs of it, stretches of its stack at one position in
@@ -86,6 +86,11 @@ from .layout import (
 from .parity_groups import check_size
 
 _MASK64 = (1 << 64) - 1
+
+# A gather joins at most _PICK_LANES units at once, as a join holds an 80-byte
+# record per item. _NOTHING leads a pick: itemgetter returns one item bare.
+_PICK_LANES = 64
+_NOTHING = slice(0, 0)
 
 
 def _fill_bytes(seed: int, length: int) -> bytes:
@@ -263,8 +268,8 @@ def _column_cells(layout: DeclusteredLayout, disks: list, lanes) -> list[list[by
     row e (L lanes, layout indices), read from `disks`.
 
     Each position's units over the lanes are gathered once, into one
-    unit-major buffer (lane x's unit at bytes x*m..(x+1)*m): one pick of the
-    lanes' (disk, slice) pairs out of `layout.position_units` and one join.
+    unit-major buffer (lane x's unit at bytes x*m..(x+1)*m), picked by their
+    `layout.unit_slices` out of one join of the disks, freed before any cut.
     Plane e*r + j of a position's units (byte e*r + j of every lane's unit)
     is one strided slice, and a column's cell joins, row by row, the planes
     of the positions holding it: one C-level join per cell.
@@ -272,10 +277,14 @@ def _column_cells(layout: DeclusteredLayout, disks: list, lanes) -> list[list[by
     group = layout.group
     m, r = group.m, group.r
     pick = itemgetter(*lanes) if len(lanes) > 1 else lambda seq: tuple(map(seq.__getitem__, lanes))
-    units = [
-        b"".join(map(getitem, map(disks.__getitem__, pick(on)), pick(cuts)))
-        for on, cuts in layout.position_units
-    ]
+    joined, units = b"".join(disks), [bytearray(len(lanes) * m) for _ in range(group.k)]
+    del disks  # the caller's list: a failed disk's zero buffer goes with it
+    for unit, picked in zip(units, map(pick, layout.unit_slices)):
+        for at in range(0, len(lanes), _PICK_LANES):
+            unit[at * m : (at + _PICK_LANES) * m] = b"".join(
+                itemgetter(_NOTHING, *picked[at : at + _PICK_LANES])(joined)
+            )
+    del joined
     # planes[j][e] cuts inner row j of extended row e out of a position's units;
     # holders[c][e] is the position holding column c in extended row e.
     planes = [[slice(x, None, m) for x in range(j, m, r)] for j in range(r)]
@@ -298,21 +307,24 @@ def _checked_decode(code, grid, erased: tuple[int, ...], wanted=None) -> list[li
 def _decode_runs(code, cells, erased: tuple[int, ...], runs: list[slice], wanted) -> None:
     """Decode one erasure pattern over its runs of lanes (slices of every
     column buffer, see _column_cells) in one call, and write the decoded cells
-    of the `wanted` columns, those some run lost, back into their buffers,
+    of the `wanted` columns, those some run lost, back into their buffers: one
+    pick of its runs per read cell, and of its pieces per written cell, set
     run by run. An erased column no run lost is one the rule left unread on
     a surviving disk, which the scatter never cuts out, so the decoder is
     asked for the wanted columns alone (its program pruned to them)."""
+    runs = [_NOTHING, *runs]
+    read = itemgetter(*runs)
     grid: list[list[int | None]] = [[None] * code.k for _ in range(code.r)]
     for c in (c for c in range(code.k) if c not in erased):
-        for j, cell in enumerate(map(memoryview, cells[c])):
-            grid[j][c] = int.from_bytes(b"".join(map(cell.__getitem__, runs)), "little")
+        for j, cell in enumerate(cells[c]):
+            grid[j][c] = int.from_bytes(b"".join(read(cell)), "little")
     out = _checked_decode(code, grid, erased, wanted)
     ends = list(accumulate(run.stop - run.start for run in runs))
-    pieces = list(map(slice, [0, *ends[:-1]], ends))
-    for c in wanted:
+    pieces = itemgetter(*map(slice, [0, *ends[:-1]], ends))
+    for c in wanted:  # a memoryview takes a slice assignment faster than its bytearray
         for j, cell in enumerate(map(memoryview, cells[c])):
             decoded = out[j][c].to_bytes(ends[-1], "little")
-            deque(map(setitem, repeat(cell), runs, map(decoded.__getitem__, pieces)), maxlen=0)
+            deque(map(setitem, repeat(cell), runs, pieces(decoded)), maxlen=0)
 
 
 def _unit_major(layout: DeclusteredLayout, cells: list, pos: int, width: int) -> bytearray:
@@ -391,10 +403,10 @@ def fail_and_reconstruct(array: DiskArray, failed) -> tuple[DiskArray, IOStats]:
     if rec:
         rec.mark("layout.tally_s")
     lanes = list(chain.from_iterable(map(partial(placement_indices, layout), affected.values())))
-    zeros = bytes(layout.rows_per_disk)
-    cells = _column_cells(
-        layout, [zeros if d in failed else disk for d, disk in enumerate(array.disks)], lanes
-    )
+    # Failed disks read as one zero buffer, unnamed here so the gather frees it.
+    cells = _column_cells(layout, list(map(
+        dict.fromkeys(failed, bytes(layout.rows_per_disk)).get, range(layout.n), array.disks
+    )), lanes)
     if rec:
         rec.mark("simulator.gather_s")
     # calls[erased]: the runs of lanes decoded with that pattern, one per (extended

@@ -23,7 +23,7 @@ from declustr import (
 )
 from declustr.errors import ParamError, TooManyFailures
 
-from constructions import paley_hadamard
+from constructions import orbit_design, paley_hadamard
 
 
 # ------------------------------------------------------------- enumeration
@@ -170,6 +170,18 @@ def test_tradeoff_k10_row_is_the_paley_layouts_workload():
     assert reconstruction_workload(layout, {0}).fraction * 100 == row.pct_one_failure == Fraction(800, 19)
     assert reconstruction_workload(layout, {0, 1}).fraction * 100 == row.pct_two_failures == Fraction(11600, 171)
     assert layout.rows_per_disk / layout.group.m == row.depth_over_m == 19
+    assert layout_geometry(layout).parity_disks == row.parity_disks
+
+
+def test_tradeoff_k5_row_is_the_pgl_orbit_layouts_workload():
+    # fig13's k = 5 row, built: the PGL(2,19) orbit 3-(20,5,6) with RS(5,2), full family.
+    design = orbit_design(19, (0, 1, 3, 5, 6))
+    assert len(design.blocks) == 684 and design.params.lam == TRADEOFF_LAMBDA_PRESETS["fig13"][5]
+    layout = build_layout(balance_horizontal_code(rs_code(5, 2)), design)
+    (row,) = tradeoff_table(20, [(5, 6)])
+    assert reconstruction_workload(layout, {0}).fraction * 100 == row.pct_one_failure == Fraction(300, 19)
+    assert reconstruction_workload(layout, {0, 1}).fraction * 100 == row.pct_two_failures == Fraction(1700, 57)
+    assert layout.rows_per_disk / layout.group.m == row.depth_over_m == 171
     assert layout_geometry(layout).parity_disks == row.parity_disks
 
 
