@@ -32,7 +32,7 @@ from .layout import (
     placement_indices,
     survivor_reads,
 )
-from .parity_groups import ParityGroup, reconstruction_plan, tau
+from .parity_groups import ParityGroup, tau
 
 # Most decimals round_half_up renders, refused before it computes 10**decimals, and most
 # bits of its whole part (3,011 digits): with both, under the 4,300 digits Python prints.
@@ -40,8 +40,8 @@ MAX_DECIMALS, MAX_WHOLE_BITS = 1000, 10_000
 
 #: Named (k -> lambda) tables for the trade-off report. The "fig13" preset is
 #: fixture data: the smallest published design index for each k at n=20,
-#: taken from a design-table handbook. This package does not construct those
-#: designs; the preset exists so the trade-off report can be reproduced.
+#: taken from a design-table handbook. complete_design builds five of those
+#: designs (k = 3 and 17..20), and the test suite builds all 18.
 TRADEOFF_LAMBDA_PRESETS = {
     "fig13": {
         3: 1, 4: 1, 5: 6, 6: 10, 7: 35, 8: 14, 9: 28, 10: 4, 11: 55,
@@ -238,15 +238,15 @@ def counterexample_report(
         for pos, disk in enumerate(placement):
             labels[index, disk] = label_at[pos]
             accessed[index, disk] = disk in failed
+    entries_read = survivor_reads(layout, failed, affected)
     units_accessed = {d: 0 for d in range(layout.n) if d not in failed}
     for lost, mask in affected.items():
-        for positions in reconstruction_plan(group, lost).by_rows.values():
+        for positions in group._plans[lost].by_rows.values():
             for index in placement_indices(layout, mask):
                 placement = placements[index]
                 for pos in positions:
                     accessed[index, placement[pos]] = True
                     units_accessed[placement[pos]] += 1
-    entries_read = survivor_reads(layout, failed, affected)
     return CounterexampleReport(
         failed=failed,
         n=layout.n,

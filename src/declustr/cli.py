@@ -233,9 +233,12 @@ def _cmd_design_reduce(args) -> Result:
 # -------------------------------------------------------------- group cmds
 
 def _code_summary(code) -> str:
-    if code.kind == "rdp":
-        return f"rdp p={code.p} (k={code.k}, delta={code.delta}, r={code.r})"
-    return f"rs k={code.k} delta={code.delta} (r={code.r})"
+    """The code's kind and parameters (CODE_KINDS), then its other shape numbers."""
+    names = CODE_KINDS[code.kind][1]
+    return (
+        f"{code.kind} {' '.join(f'{n}={getattr(code, n)}' for n in names)} "
+        f"({', '.join(f'{f}={getattr(code, f)}' for f in ('k', 'delta', 'r') if f not in names)})"
+    )
 
 
 def _cmd_group_build(args) -> Result:

@@ -41,8 +41,10 @@ MAX_COVERAGE_SUBSETS = 10**6
 MAX_COUNT_BITS = 14_000
 
 # Most bytes materialize fills, n * rows_per_disk, refused before the fill. Warm
-# tracemalloc peaks, in arrays: a fill up to 3.0, an s=2 sweep up to 2.6 (pinned at
-# 3), a two-disk rebuild with the array it returns up to 2.2 (pinned at 2.5).
+# tracemalloc peaks, in arrays, on complete(12,6,3) + RS(6,2) and hadamard16 + RDP p=7:
+# a fill up to 2.35 (pinned at 2.75 and 2.5), an s=2 sweep up to 2.53 (pinned at 3),
+# a one-disk rebuild up to 1.7 and a two-disk one, with the array it returns, up to
+# 2.15 (both pinned at 2.5). So this limit bounds a process at about 160 MiB.
 MAX_ARRAY_BYTES = 2**26
 
 

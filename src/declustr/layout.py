@@ -21,9 +21,7 @@ split; each extended lost tuple is built once per group (its `_splits` memo).
 `survivor_reads` pools the masks by what their reconstruction plans read and
 counts each pool on every disk with ANDs and bit counts, one comprehension
 over the disks per pool of whole placements; the analysis and the simulator
-share that one tally (`_tally`). A query takes its plans from the group's
-memo; a sweep keeps its own across its sets, and a rebuild its own for its
-decode runs.
+share that one tally (`_tally`), which takes each plan from the group's memo.
 
 Each layout also caches the tables through which the simulator moves units
 between disks and its unit-major position buffers: per position, each
@@ -313,22 +311,22 @@ def losses(layout: DeclusteredLayout, failed: frozenset[int]) -> dict[tuple[int,
     return groups
 
 
-def _tally(layout: DeclusteredLayout, failed, affected, plans: dict) -> list[int]:
+def _tally(layout: DeclusteredLayout, failed, affected) -> list[int]:
     """Per disk, the entries read to rebuild the `losses` groups `affected`
     (a failed disk's count is not a read).
 
     The groups' masks are pooled by their lost tuples' plans' `pools`, read
-    off each plan's own `by_rows`. The plans come from `plans` ({lost tuple:
-    plan}): a sweep's, shared across its sets, or the group's own `_plans`,
-    so each lost tuple's plan is asked for once. The masks are disjoint, so a
-    disk's count for a pool is the size of its overlap with that position's
-    `position_masks`, scaled
-    by r * rows. A pool of whole placements is met with every disk's
+    off each plan's own `by_rows`. The plans come from the group's memo
+    `_plans`, so `reconstruction_plan` is asked only for a lost tuple the
+    group has not planned. The masks are disjoint, so a disk's count for a
+    pool is the size of its overlap with that position's `position_masks`,
+    scaled by r * rows. A pool of whole placements is met with every disk's
     `member_masks` in one comprehension, an AND, a bit count and a multiply-add
     per disk; only the other pools, which the single and rotations families
     have, take a loop per surviving disk.
     """
     group, rec, misses = layout.group, _stats.recorder, 0
+    plans = group._plans
     whole: dict[int, int] = {}
     pooled: dict[tuple[int, int], int] = {}
     for lost, mask in affected.items():
@@ -336,7 +334,7 @@ def _tally(layout: DeclusteredLayout, failed, affected, plans: dict) -> list[int
         if plan is None:
             if rec:
                 rec.mark("layout.tally_s")
-            plan = plans[lost] = reconstruction_plan(group, lost)
+            plan = reconstruction_plan(group, lost)
             misses += 1
             if rec:
                 rec.mark("parity_groups.plan_s")
@@ -361,16 +359,10 @@ def _tally(layout: DeclusteredLayout, failed, affected, plans: dict) -> list[int
     return totals
 
 
-def survivor_reads(
-    layout: DeclusteredLayout, failed: frozenset[int], affected, plans: dict | None = None
-) -> dict[int, int]:
+def survivor_reads(layout: DeclusteredLayout, failed: frozenset[int], affected) -> dict[int, int]:
     """Entries read from each surviving disk to rebuild the `losses` groups:
-    `_tally`'s per-disk counts, through the caller's memo of plans `plans`
-    (which a rebuild keeps to itself, to learn its own lost tuples' erasure
-    patterns) or else the group's own memo, so a query asks
-    `reconstruction_plan` only for a lost tuple the group has not planned."""
-    plans = layout.group._plans if plans is None else plans
-    reads = dict(enumerate(_tally(layout, failed, affected, plans)))
+    `_tally`'s per-disk counts, through the group's memo of plans."""
+    reads = dict(enumerate(_tally(layout, failed, affected)))
     for disk in failed:
         del reads[disk]
     return reads

@@ -5,11 +5,10 @@ instance holds its own codewords, but the simulator moves them in bulk: a
 cell handed to the codec packs one byte per (extended row, instance) pair,
 a lane, so one encode call fills every instance at once. Reads are tallied by
 the same count as the analysis's enumeration (`layout._tally`, which
-`survivor_reads` wraps), so they match it unit for unit; a sweep keeps that
-count's memo of each lost tuple's plan across its sets, so it asks for each
-distinct lost tuple's plan once. What backs the reads is the check, on
-every decode call, that the decoder read exactly the columns the memoized
-reconstruction plan names.
+`survivor_reads` wraps), so they match it unit for unit, and every plan comes
+from the group's memo, so each distinct lost tuple's plan is built once.
+What backs the reads is the check, on every decode call, that the decoder
+read exactly the columns the memoized reconstruction plan names.
 
 The fill, a single rebuild and an exhaustive sweep share one lane layout,
 column space: one buffer per (canonical column, inner row) whose lane e*L + x
@@ -36,8 +35,7 @@ the runs whose plan leaves it, through its program pruned to the columns
 those runs lost, and only those are written back, run by run; the lost
 positions are then scattered onto fresh replacement disks, whose runs are
 cut from their stacks by the lanes. Decoding every pattern over all lanes
-instead would decode about 15 times the lanes on RS(6,2). The plans come
-from the read tally's memo, so each lost tuple's plan is asked for once.
+instead would decode about 15 times the lanes on RS(6,2).
 
 An exhaustive sweep's cells are the fill's encoded ints, so it builds no disk.
 Each canonical erasure pattern that the sets' lost tuples leave is decoded by
@@ -385,10 +383,9 @@ def fail_and_reconstruct(array: DiskArray, failed) -> tuple[DiskArray, IOStats]:
 
     The affected instances' units are gathered into column space from the
     caller's disks, each failed disk read as one shared zero buffer; each
-    canonical erasure pattern is decoded over the runs whose plan (from the
-    read tally's memo) leaves it, for the columns they lost alone, which are
-    written back (_decode_runs); only the replacement disks are scattered
-    back out.
+    canonical erasure pattern is decoded over the runs whose plan leaves it,
+    for the columns they lost alone, which are written back (_decode_runs);
+    only the replacement disks are scattered back out.
     Returns a new array (the replacements plus copies of the survivors) and
     per-disk read/write unit counts. Instances that lost no column are never
     touched, and `array` is left as it was.
@@ -398,8 +395,7 @@ def fail_and_reconstruct(array: DiskArray, failed) -> tuple[DiskArray, IOStats]:
     layout, group = array.layout, array.layout.group
     failed = check_failed(layout, failed)
     affected = losses(layout, failed)
-    plans: dict = {}  # the tally's memo of each lost tuple's plan, which the runs reuse
-    reads = survivor_reads(layout, failed, affected, plans)
+    reads = survivor_reads(layout, failed, affected)
     if rec:
         rec.mark("layout.tally_s")
     lanes = list(chain.from_iterable(map(partial(placement_indices, layout), affected.values())))
@@ -411,12 +407,12 @@ def fail_and_reconstruct(array: DiskArray, failed) -> tuple[DiskArray, IOStats]:
         rec.mark("simulator.gather_s")
     # calls[erased]: the runs of lanes decoded with that pattern, one per (extended
     # row, lost tuple), cut after the gather and freed as each pattern is decoded.
-    width, stop, calls = len(lanes), 0, {}
+    width, stop, calls, plans = len(lanes), 0, {}, group._plans
     for lost, mask in affected.items():
         start, stop = stop, stop + mask.bit_count()
         for e, erased in enumerate(plans[lost].erased):
             calls.setdefault(erased, []).append(slice(e * width + start, e * width + stop))
-    wanted = _lost_columns(plans)
+    wanted = _lost_columns(map(plans.__getitem__, affected))
     if rec:
         rec.mark("parity_groups.plan_s")
     while calls:
@@ -437,23 +433,23 @@ def fail_and_reconstruct(array: DiskArray, failed) -> tuple[DiskArray, IOStats]:
 
 
 def _lost_columns(plans) -> dict[tuple[int, ...], frozenset[int]]:
-    """Per erasure pattern of the plans (lost tuple -> plan), the union of
-    their `lost_columns` with it: the erased columns a reader uses."""
+    """Per erasure pattern of the plans (an iterable), the union of their
+    `lost_columns` with it: the erased columns a reader uses."""
     wanted: dict[tuple[int, ...], frozenset[int]] = {}
-    for plan in plans.values():
+    for plan in plans:
         for erased, columns in plan.lost_columns.items():
             wanted[erased] = wanted.get(erased, frozenset()) | columns
     return wanted
 
 
-def _check_pattern(layout: DeclusteredLayout, cells, erased: tuple, wanted, plans, wrong) -> None:
+def _check_pattern(layout: DeclusteredLayout, cells, erased: tuple, wanted, touched, wrong) -> None:
     """Decode the `wanted` columns of one erasure pattern, those some plan
     lost with it, over every lane of the stored grid (see _codewords), and
     compare each of their cells with its stored int by one compare.
 
     Lanes are walked only on a mismatch: wrong lane e*b + i is ORed into
-    wrong[lost] as instance i for each lost tuple whose plan erases this
-    pattern in extended row e and lost the position holding the column
+    wrong[lost] as instance i for each `touched` lost tuple whose plan erases
+    this pattern in extended row e and lost the position holding the column
     there. Any other lane's cells are never used, so they cannot fail a set.
     """
     group, b = layout.group, len(layout.placements)
@@ -468,7 +464,7 @@ def _check_pattern(layout: DeclusteredLayout, cells, erased: tuple, wanted, plan
                 continue
             if users is None:  # per extended row, the lost tuples decoded with this pattern
                 users = [
-                    [lost for lost, plan in plans.items() if plan.erased[e] == erased]
+                    [lost for lost in touched if group._plans[lost].erased[e] == erased]
                     for e in range(len(group.extended_rows))
                 ]
             diff = (out[j][c] ^ stored).to_bytes(len(users) * b, "little")
@@ -523,9 +519,8 @@ def exhaustive_verify(layout: DeclusteredLayout, s: int, seed: int = 1) -> Verif
 
     The sets' lost groups come from one depth-first walk (_failure_walk),
     which splits each shared prefix once; their reads are tallied set by
-    set (`layout._tally`, the count `survivor_reads` gives) through one memo
-    of each distinct lost tuple's plan, so each plan is asked for once per
-    sweep, and the pattern checks take their plans from it. The sets share
+    set (`layout._tally`, the count `survivor_reads` gives), and the lost
+    tuples they touched are kept for the pattern checks. The sets share
     one decode per canonical erasure pattern that their lost tuples' plans
     leave, over every lane of the fill's encoded cells, of the union of the
     columns those tuples lost with it (see _codewords, _lost_columns and
@@ -542,9 +537,10 @@ def exhaustive_verify(layout: DeclusteredLayout, s: int, seed: int = 1) -> Verif
         rec.start()
     check_size("s", s, layout.group.delta, low=0)
     cells = _codewords(layout, seed)  # first, so a bad seed or size is refused before the walk
-    plans, tallies = {}, []  # plans: _tally's memo, one plan per distinct lost tuple
+    touched, tallies = set(), []  # touched: every lost tuple of every set
     for failed, affected in _failure_walk(layout, s):
-        reads = _tally(layout, failed, affected, plans)
+        reads = _tally(layout, failed, affected)
+        touched.update(affected)
         if rec:
             _count_units(rec, ((d, n) for d, n in enumerate(reads) if d not in failed),
                          ((d, layout.rows_per_disk) for d in failed))
@@ -555,9 +551,9 @@ def exhaustive_verify(layout: DeclusteredLayout, s: int, seed: int = 1) -> Verif
     if rec:
         rec.mark("layout.tally_s")
     wrong: dict[tuple[int, ...], int] = {}  # lost tuple -> instances rebuilt wrong with it
-    wanted = _lost_columns(plans)
+    wanted = _lost_columns(map(layout.group._plans.__getitem__, touched))
     for erased in sorted(wanted):
-        _check_pattern(layout, cells, erased, wanted[erased], plans, wrong)
+        _check_pattern(layout, cells, erased, wanted[erased], touched, wrong)
     broken = {
         failed for failed, affected in (_failure_walk(layout, s) if wrong else ())
         if any(wrong.get(lost, 0) & hit for lost, hit in affected.items())

@@ -11,10 +11,14 @@ code, whose supports are Witt's S(5,8,24).
 
 For a prime q = 3 mod 4, the Paley Hadamard design on GF(q) + {inf} is a
 3-(q+1, (q+1)/2, (q-3)/4) design; q = 19 gives fig13's k = 10 row.
+
+A Steiner quadruple system SQS(v) is a 3-(v,4,1) design. Hanani's doubling
+makes SQS(20), fig13's k = 4 row, from SQS(10). The complements of a
+3-design's blocks form a 3-design again.
 """
 
 from functools import cache
-from itertools import product
+from itertools import combinations, product
 from math import comb
 
 from declustr import validate_design
@@ -110,3 +114,50 @@ def paley_hadamard(q: int):
         blocks.append(tuple(sorted({q} | {(i + x) % q for x in squares})))
         blocks.append(tuple(sorted({i} | {(i + x) % q for x in range(1, q) if x not in squares})))
     return validate_design(blocks, 3, q + 1, (q + 1) // 2, (q - 3) // 4)
+
+
+def sqs10_blocks() -> list[tuple[int, ...]]:
+    """The 30 blocks of an SQS(10), by an exact-cover search over the 120
+    triples: the smallest uncovered triple takes the first fourth point
+    whose block covers only uncovered triples."""
+    covered, blocks = set(), []
+
+    def search() -> bool:
+        triple = next((t for t in combinations(range(10), 3) if t not in covered), None)
+        if triple is None:
+            return True
+        for x in range(10):
+            block = tuple(sorted({*triple, x}))
+            triples = set(combinations(block, 3))
+            if len(block) == 4 and covered.isdisjoint(triples):
+                covered.update(triples)
+                blocks.append(block)
+                if search():
+                    return True
+                covered.difference_update(triples)
+                blocks.pop()
+        return False
+
+    search()
+    return sorted(blocks)
+
+
+def sqs20():
+    """SQS(20) by Hanani's doubling: each SQS(10) block on both halves, 0..9
+    and 10..19, plus {x, y, z+10, w+10} for every ordered pair of edges
+    {x,y}, {z,w} of one factor of K10's round-robin 1-factorization. Point 9
+    is fixed, and factor i is {9,i} plus {(i+j) mod 9, (i-j) mod 9} for
+    j = 1..4: 60 + 9*25 = 285 blocks."""
+    blocks = [half for block in sqs10_blocks() for half in (block, tuple(x + 10 for x in block))]
+    for i in range(9):
+        factor = [(9, i)] + [((i + j) % 9, (i - j) % 9) for j in range(1, 5)]
+        pairs = product(factor, repeat=2)
+        blocks += [tuple(sorted((x, y, z + 10, w + 10))) for (x, y), (z, w) in pairs]
+    return validate_design(sorted(blocks), 3, 20, 4, 1)
+
+
+def complement_design(design):
+    """The 3-design of the complements of a 3-design's blocks."""
+    n, k = design.n, design.n - design.k
+    blocks = sorted(tuple(x for x in range(n) if x not in block) for block in design.blocks)
+    return validate_design(blocks, 3, n, k, len(blocks) * comb(k, 3) // comb(n, 3))

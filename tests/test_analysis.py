@@ -23,7 +23,7 @@ from declustr import (
 )
 from declustr.errors import ParamError, TooManyFailures
 
-from constructions import orbit_design, paley_hadamard
+from constructions import complement_design, orbit_design, paley_hadamard, sqs20
 
 
 # ------------------------------------------------------------- enumeration
@@ -182,6 +182,41 @@ def test_tradeoff_k5_row_is_the_pgl_orbit_layouts_workload():
     assert reconstruction_workload(layout, {0}).fraction * 100 == row.pct_one_failure == Fraction(300, 19)
     assert reconstruction_workload(layout, {0, 1}).fraction * 100 == row.pct_two_failures == Fraction(1700, 57)
     assert layout.rows_per_disk / layout.group.m == row.depth_over_m == 171
+    assert layout_geometry(layout).parity_disks == row.parity_disks
+
+
+# Base blocks of PGL(2,19) orbits at fig13's lambda, stabilizers of order 12, 6, 24 and
+# 18 for k = 6..9; k = 11..15 take the complements of the k = 9..5 orbits.
+FIG13_BASES = {
+    5: (0, 1, 3, 5, 6),
+    6: (0, 1, 2, 3, 11, 19),
+    7: (0, 1, 2, 3, 9, 11, 19),
+    8: (0, 1, 2, 5, 12, 13, 15, 19),
+    9: (0, 1, 2, 3, 5, 6, 16, 17, 19),
+}
+
+
+def _fig13_design(k: int):
+    if k in (3, 17, 18, 19, 20):  # lambda = C(17, k - 3)
+        return complete_design(20, k, 3)
+    if k in (4, 16):
+        return sqs20() if k == 4 else complement_design(sqs20())
+    if k in FIG13_BASES:
+        return orbit_design(19, FIG13_BASES[k])
+    return complement_design(orbit_design(19, FIG13_BASES[20 - k]))
+
+
+@pytest.mark.parametrize("k", [3, 4, 6, 7, 8, 9, *range(11, 21)])
+def test_tradeoff_row_is_the_built_layouts_workload(k):
+    # fig13's other rows, built at the preset lambda with RS(k,2), full family.
+    lam = TRADEOFF_LAMBDA_PRESETS["fig13"][k]
+    design = _fig13_design(k)
+    assert design.params.lam == lam
+    layout = build_layout(balance_horizontal_code(rs_code(k, 2)), design)
+    (row,) = tradeoff_table(20, [(k, lam)])
+    assert reconstruction_workload(layout, {0}).fraction * 100 == row.pct_one_failure
+    assert reconstruction_workload(layout, {0, 1}).fraction * 100 == row.pct_two_failures
+    assert layout.rows_per_disk / layout.group.m == row.depth_over_m
     assert layout_geometry(layout).parity_disks == row.parity_disks
 
 

@@ -927,30 +927,33 @@ def test_sweep_splits_each_shared_prefix_once(make_code, make_design, monkeypatc
     ),
 ])
 def test_sweep_reads_each_lost_tuples_plan_once(make_code, make_design, monkeypatch):
-    # The per-set tally keeps one memo of plans and pool keys for the whole
-    # sweep, and the pattern checks take their plans from it, so a lost
-    # tuple's plan is asked for once however many sets lose it.
+    # The per-set tally and the pattern checks take their plans from the
+    # group's memo, so a sweep asks once for each lost tuple's plan the group
+    # has not planned, however many sets lose it, and a repeated sweep asks
+    # for none.
     import declustr.layout as layout_module
 
     layout = build_layout(group_family(make_code(), "full"), make_design())
     plan = layout_module.reconstruction_plan
     for s in range(layout.group.delta + 1):
-        asked = Counter()
-
-        def counting(group, lost):
-            asked[lost] += 1
-            return plan(group, lost)
-
-        monkeypatch.setattr(layout_module, "reconstruction_plan", counting)
-        monkeypatch.setattr(simulator, "reconstruction_plan", counting, raising=False)
-        summary = exhaustive_verify(layout, s, seed=3)
-        monkeypatch.undo()
-        assert summary.passed == summary.total == comb(layout.n, s)
         distinct = {
             lost for failed in combinations(range(layout.n), s)
             for lost in losses(layout, frozenset(failed))
         }
-        assert set(asked) == distinct and set(asked.values()) <= {1}, s
+        for repeat_ in range(2):
+            asked, planned = Counter(), set(layout.group._plans)
+
+            def counting(group, lost):
+                asked[lost] += 1
+                return plan(group, lost)
+
+            monkeypatch.setattr(layout_module, "reconstruction_plan", counting)
+            monkeypatch.setattr(simulator, "reconstruction_plan", counting, raising=False)
+            summary = exhaustive_verify(layout, s, seed=3)
+            monkeypatch.undo()
+            assert summary.passed == summary.total == comb(layout.n, s)
+            assert asked == dict.fromkeys(distinct - planned, 1), (s, repeat_)
+            assert not repeat_ or not asked, s
 
 
 def test_rebuild_writes_back_only_the_columns_its_runs_lost(monkeypatch):
@@ -978,27 +981,31 @@ def test_rebuild_writes_back_only_the_columns_its_runs_lost(monkeypatch):
 
 
 def test_rebuild_asks_for_each_lost_tuples_plan_once(monkeypatch):
-    # The run loop takes its plans from the read tally's memo, so a rebuild
-    # asks for each distinct lost tuple's plan once, not once for the tally
-    # and again for the runs.
+    # The tally and the run loop take their plans from the group's memo, so
+    # a rebuild asks once for each lost tuple's plan the group has not
+    # planned, not once for the tally and again for the runs, and a repeated
+    # rebuild asks for none.
     import declustr.layout as layout_module
 
     layout = build_layout(group_family(rs_code(6, 2), "full"), complete_design(9, 6, 3))
     array = materialize(layout, 7)
     plan = layout_module.reconstruction_plan
     for failed in [(2,), (2, 5), (0, 8)]:
-        asked = Counter()
+        distinct = set(losses(layout, frozenset(failed)))
+        for repeat_ in range(2):
+            asked, planned = Counter(), set(layout.group._plans)
 
-        def counting(group, lost):
-            asked[lost] += 1
-            return plan(group, lost)
+            def counting(group, lost):
+                asked[lost] += 1
+                return plan(group, lost)
 
-        monkeypatch.setattr(layout_module, "reconstruction_plan", counting)
-        monkeypatch.setattr(simulator, "reconstruction_plan", counting, raising=False)
-        rebuilt, _ = fail_and_reconstruct(array, failed)
-        monkeypatch.undo()
-        assert rebuilt.disks == array.disks
-        assert asked == dict.fromkeys(losses(layout, frozenset(failed)), 1), failed
+            monkeypatch.setattr(layout_module, "reconstruction_plan", counting)
+            monkeypatch.setattr(simulator, "reconstruction_plan", counting, raising=False)
+            rebuilt, _ = fail_and_reconstruct(array, failed)
+            monkeypatch.undo()
+            assert rebuilt.disks == array.disks
+            assert asked == dict.fromkeys(distinct - planned, 1), (failed, repeat_)
+            assert not repeat_ or not asked, failed
 
 
 @pytest.mark.parametrize("make_code, make_design, runs", [
