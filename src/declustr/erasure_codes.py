@@ -28,11 +28,11 @@ checks, sums over its r x k cells that are zero on every codeword: rdp's row
 and diagonal checks, which are all of its definition, and rs's parity-matrix
 rows. The rule leaves delta columns unread, so per erasure pattern the
 checks make a square system in the unread cells. Its inverse, memoized as a
-decode program, writes each as a sum of coefficient * read cell, or in two
-stages when that has fewer terms: each check's syndrome over the read cells,
-then each unread cell from the syndromes, which roughly halves rdp's XORs.
-rdp's coefficients are all 0 or 1 and a product by 1 is skipped, so rdp
-encodes and decodes with XOR alone.
+decode program, writes each as a sum of coefficient * read cell. A code whose
+checks are plain XORs (rdp, and rs with delta=1) is peeled instead, as RDP's
+own chains are: each cell from a check in which it is the last unknown, which
+cuts rdp's XORs by about a third. rdp's coefficients are all 0 or 1 and a
+product by 1 is skipped, so rdp encodes and decodes with XOR alone.
 
 Every entry point takes a HorizontalCode, whose fields are checked once,
 when it is built. Grids are lists of rows; erasures are given as column
@@ -50,9 +50,10 @@ cached per (k, delta).
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import chain
+from functools import lru_cache, reduce
+from itertools import chain, repeat
 from math import isqrt
+from operator import xor
 
 from ._record import record
 from .designs import MAX_COVERAGE_SUBSETS, check_budget, check_ints, check_iterable
@@ -373,6 +374,38 @@ def _parity_checks(code: HorizontalCode) -> list[dict[tuple[int, int], int]]:
     ]
 
 
+def _peel(checks, at: dict, wanted: list):
+    """An XOR code's program for the wanted unread cells, or None if peeling stalls.
+
+    Each step writes the last unknown cell of a check from its other cells,
+    until every wanted cell is written; an unwanted one written on the way is
+    an intermediate (cell None). Each value's read cells, as a bit set, give
+    the direct form, which is returned instead if it has fewer terms.
+    """
+    unknown = [[cell for cell in check if cell not in at] for check in checks]
+    holders = {cell: [q for q, cells in enumerate(unknown) if cell in cells] for cell in chain(*unknown)}
+    ready = [q for q, cells in enumerate(unknown) if len(cells) == 1]  # a queue: the loop visits appends too
+    slot, sums, peeled, left = dict(at), [1 << n for n in range(len(at))], [], set(wanted)
+    for q in ready:
+        if left and unknown[q]:  # else done, or another check wrote q's last unknown
+            (cell,) = unknown[q]
+            terms = sorted(slot[other] for other in checks[q] if other != cell)
+            slot[cell] = len(sums)
+            sums.append(reduce(xor, [sums[n] for n in terms]))
+            peeled.append((cell if cell in left else None, tuple(zip(terms, repeat(1)))))
+            left.discard(cell)
+            for other in holders[cell]:
+                unknown[other].remove(cell)
+                if len(unknown[other]) == 1:
+                    ready.append(other)
+    if left:
+        return None
+    if sum(len(terms) for _, terms in peeled) <= sum(sums[slot[cell]].bit_count() for cell in wanted):
+        return peeled
+    bits = {cell: bin(sums[slot[cell]])[:1:-1] for cell in wanted}  # bit n at index n
+    return [(cell, tuple((n, 1) for n, bit in enumerate(bits[cell]) if bit == "1")) for cell in wanted]
+
+
 @lru_cache(maxsize=1024)
 def _decode_matrix(
     code: HorizontalCode, erased: tuple[int, ...], wanted: tuple[int, ...] | None = None
@@ -383,12 +416,10 @@ def _decode_matrix(
     n being read cell n (inner row n % r of read column n // r), then each
     earlier step's value in turn. A step decodes its unread cell (i, c), or
     with cell None makes an intermediate value. The direct form is one stage,
-    each unread cell from the read cells; the factored form first sums each
-    used check's known part (its syndrome), then each unread cell from those
-    with the inverse's coefficients. The factored form is kept only when it
-    has fewer terms and no GF(2^8) products, so only read cells are ever
-    scaled. With `wanted` (sorted erased columns), both forms are pruned to
-    the cells of those columns and the syndromes they use.
+    each unread cell from the read cells by the inverse of the checks over
+    the unread cells; an XOR code, one whose check coefficients are all 1,
+    peels instead when that has no more terms (_peel). With `wanted`
+    (sorted erased columns), only the cells of those columns are written.
     """
     r, labels = code.r, code.labels
     need = reconstruction_rule(code.delta, [labels[c] for c in erased])
@@ -402,10 +433,13 @@ def _decode_matrix(
             f"{code} cannot decode erasures {erased}: its parity checks are singular there"
         ) from None
     at = {(i, c): x * r + i for x, c in enumerate(read) for i in range(r)}
-    known = [[(at[cell], coeff) for cell, coeff in check.items() if cell in at] for check in checks]
     targets = [  # the unread cells to decode, each with its row of the inverse
         (cell, row) for cell, row in zip(unknown, inverse) if wanted is None or cell[1] in wanted
     ]
+    xor_code = all(coeff == 1 for check in checks for coeff in check.values())
+    if xor_code and (program := _peel(checks, at, [cell for cell, _ in targets])) is not None:
+        return read, tuple(program), frozenset()
+    known = [[(at[cell], coeff) for cell, coeff in check.items() if cell in at] for check in checks]
     direct = []
     for cell, row in targets:
         terms = [0] * len(at)
@@ -413,14 +447,4 @@ def _decode_matrix(
             for n, coeff in check if factor else ():
                 terms[n] ^= coeff if factor == 1 else gf_mul(factor, coeff)
         direct.append((cell, tuple((n, coeff) for n, coeff in enumerate(terms) if coeff)))
-    # A check with no known cell has syndrome 0, and one no decoded cell uses is skipped.
-    used = [q for q, check in enumerate(known) if check and any(row[q] for _, row in targets)]
-    slot = {q: len(at) + x for x, q in enumerate(used)}
-    factored = [(None, tuple(known[q])) for q in used] + [
-        (cell, tuple((slot[q], factor) for q, factor in enumerate(row) if factor and q in slot))
-        for cell, row in targets
-    ]
-    coeffs = [coeff for _, terms in factored for _, coeff in terms]
-    if len(coeffs) < sum(len(terms) for _, terms in direct) and all(c == 1 for c in coeffs):
-        return read, tuple(factored), frozenset()
     return read, tuple(direct), frozenset(n for _, terms in direct for n, c in terms if c != 1)

@@ -40,8 +40,8 @@ instead would decode about 15 times the lanes on RS(6,2).
 An exhaustive sweep's cells are the fill's encoded ints, so it builds no disk.
 Each canonical erasure pattern that the sets' lost tuples leave is decoded by
 one call over all lanes, for the erased columns some lost tuple lost with it
-alone (through the pattern's memoized program pruned to them: for RDP, the
-checks' syndromes first, then each wanted cell from those), and each of
+alone (through the pattern's memoized program pruned to them: for RDP, each
+wanted cell from a check it is the last unknown of), and each of
 those cells is compared with its stored int by one `==`; lanes are walked
 only on a mismatch. Every plan reads k - delta columns per extended row, so
 each pattern erases exactly delta columns; an instance's rebuilt units

@@ -1,6 +1,7 @@
 """Print, as one JSON object, the bytes this interpreter makes: every
 `$ declustr` command of the README transcript in table, csv and json, the
-sha256 of the four pinned fills, and one s=2 sweep.
+sha256 of the four pinned fills, and two s=2 sweeps: RDP p=3 on 3-(8,4,1)
+and RDP p=7 on hadamard16, whose programs peel.
 
 Needs no pytest, so any supported CPython can run it:
     PYTHONPATH=src python tests/interpreter_probe.py
@@ -67,10 +68,12 @@ def fill_digests() -> list[str]:
 
 def main() -> None:
     layout = build_layout(balance_horizontal_code(rdp_code(3)), hadamard_3design(8))
+    rdp7 = build_layout(group_family(rdp_code(7), "full"), hadamard_3design(16))
     probe = {
         "cli": cli_outputs(),
         "fill digests": fill_digests(),
         "s=2 sweep": repr(exhaustive_verify(layout, 2, seed=7)),
+        "s=2 sweep rdp7": repr(exhaustive_verify(rdp7, 2, seed=7)),
     }
     sys.stdout.write(json.dumps(probe, indent=1, sort_keys=True))
 

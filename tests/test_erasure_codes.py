@@ -170,16 +170,17 @@ def test_decoding_some_erased_columns_gives_the_full_decodes_cells(code):
     [
         (rs_code(8, 4), (0, 5, 6, 7), (0,), 16, 4),
         (rs_code(6, 2), (0, 5), (0,), 8, 4),
-        (rdp_code(7), (0, 7), (0,), 84, 36),
-        (rdp_code(5), (0, 5), (0,), 40, 16),
-        (rdp_code(7), (6, 7), (6, 7), 84, 84),
+        (rdp_code(7), (0, 7), (0,), 72, 36),
+        (rdp_code(5), (0, 5), (0,), 32, 16),
+        (rdp_code(7), (6, 7), (6, 7), 72, 72),
     ],
     ids=["rs8,4", "rs6,2", "rdp7", "rdp5", "rdp7 both"],
 )
 def test_decode_programs_pruned_to_the_wanted_columns(code, erased, wanted, full, pruned):
     # Timing-free: the terms a decode call applies, full and pruned to one
-    # lost data column. RDP's full programs are two-stage (syndromes, then
-    # cells); pruned to column 0 the one-stage form has fewer terms.
+    # lost data column. RDP's full programs peel, each cell from the one
+    # check it is the last unknown of: p - 1 terms a cell. Pruned to column
+    # 0, only the row checks are used.
     def terms(program):
         return sum(len(step) for _, step in program)
 
@@ -485,10 +486,10 @@ def test_decode_turns_each_read_cell_into_bytes_at_most_once(k, delta, monkeypat
 
 
 
-def one_stage(code, erased):
+def one_stage(code, erased, wanted=None):
     """The pattern's memoized decode program as one stage: each decoded cell's
     coefficient per read cell, composed through any intermediate steps."""
-    read, program, _ = erasure_codes._decode_matrix(code, erased)
+    read, program, _ = erasure_codes._decode_matrix(code, erased, wanted)
     values = [{n: 1} for n in range(len(read) * code.r)]
     direct = []
     for cell, terms in program:
@@ -513,17 +514,87 @@ def costs(program):
     return len(scaled), len(set(scaled))
 
 
-@pytest.mark.parametrize("p, direct, bound", [(7, 4_590, 2_430), (11, 47_430, 18_030)])
-def test_rdp_programs_sum_syndromes_first_with_fewer_xors(p, direct, bound):
-    # Each RDP decoded cell is a chain of row and diagonal checks, so summing
-    # each check's known part once and the cells from those syndromes beats
-    # summing every cell from the read cells: at p=7, 97-212 terms a pattern.
+@pytest.mark.parametrize("p, direct, bound", [(7, 4_590, 1_680), (11, 47_430, 11_880)])
+def test_rdp_programs_peel_with_fewer_xors(p, direct, bound):
+    # Each RDP decoded cell ends a chain of row and diagonal checks, so
+    # writing it from the check it is the last unknown of, whose other cells
+    # are read or already written, beats summing it from the read cells: at
+    # p=7, 72 terms a two-column pattern where one stage takes 97-212.
     code = rdp_code(p)
     patterns = list(combinations(range(p + 1), 2))
     programs = [erasure_codes._decode_matrix(code, erased)[1] for erased in patterns]
     assert sum(map(xors, map(one_stage, repeat(code), patterns))) == direct
     assert sum(map(xors, programs)) <= bound
-    assert all(any(cell is None for cell, _ in program) for program in programs)
+    assert not any(cell is None for program in programs for cell, _ in program)
+
+
+def inverse_one_stage(code, erased):
+    """Each unread cell's coefficient per read cell, from the inverse of the
+    parity checks over the unread cells (in GF(2^8), minus is plus)."""
+    read, r = expected_reads(code, erased), code.r
+    unknown = [(i, c) for c in range(code.k) if c not in read for i in range(r)]
+    checks = erasure_codes._parity_checks(code)
+    inverse = gf256.gf_mat_inv([[check.get(cell, 0) for cell in unknown] for check in checks])
+    at = {(i, c): x * r + i for x, c in enumerate(read) for i in range(r)}
+    out = {}
+    for cell, row in zip(unknown, inverse):
+        total = {}
+        for factor, check in zip(row, checks):
+            for other, coeff in check.items():
+                if other in at:
+                    total[at[other]] = total.get(at[other], 0) ^ gf256.gf_mul(factor, coeff)
+        out[cell] = tuple(sorted((n, coeff) for n, coeff in total.items() if coeff))
+    return out
+
+
+@pytest.mark.parametrize(
+    "code",
+    [rdp_code(3), rdp_code(5), rdp_code(7), rdp_code(11), rdp_code(13), rs_code(3, 1), rs_code(6, 1)],
+    ids=["rdp3", "rdp5", "rdp7", "rdp11", "rdp13", "rs3,1", "rs6,1"],
+)
+def test_xor_code_programs_decode_what_the_inverse_does_in_no_more_terms(code):
+    # Timing-free, over every pattern of at most delta columns and every
+    # wanted subset: each term is a read cell or an earlier step, the program
+    # composed to one stage writes each wanted cell as the inverse does, and
+    # peeling never costs more terms than that one stage.
+    for size in range(1, code.delta + 1):
+        for erased in combinations(range(code.k), size):
+            expected = inverse_one_stage(code, erased)
+            for n in range(1, size + 1):
+                for wanted in combinations(erased, n):
+                    read, program, scaled = erasure_codes._decode_matrix(code, erased, wanted)
+                    assert scaled == frozenset()
+                    reads = len(read) * code.r
+                    for step, (_, terms) in enumerate(program):
+                        assert all(0 <= m < reads + step and coeff == 1 for m, coeff in terms)
+                    composed = one_stage(code, erased, wanted)
+                    assert sorted(composed) == [
+                        (cell, expected[cell]) for cell in sorted(expected) if cell[1] in wanted
+                    ]
+                    assert sum(len(terms) for _, terms in program) <= sum(len(terms) for _, terms in composed)
+                    if code.kind == "rdp" and len(wanted) == 2:  # every unread cell is wanted
+                        assert all(cell is not None for cell, _ in program), (erased, wanted)
+    if code == rdp_code(7):
+        # P2 from the data alone: peeling through the row parities takes 72
+        # terms, the one stage 61, and the one stage is kept.
+        program = erasure_codes._decode_matrix(code, (7,), (7,))[1]
+        assert sum(len(terms) for _, terms in program) == 61
+
+
+def test_a_stalled_peel_decodes_by_the_inverse(monkeypatch):
+    # Three XOR checks over three erased columns, each with at least two of
+    # them: no check has one unknown left, so the inverse writes every cell.
+    checks = [{(0, 0): 1, (0, 2): 1, (0, 3): 1}, {(0, 1): 1, (0, 3): 1, (0, 4): 1}]
+    checks.append({(0, c): 1 for c in range(5)})
+    monkeypatch.setattr(erasure_codes, "_parity_checks", lambda code: checks)
+    erasure_codes._decode_matrix.cache_clear()
+    try:
+        out, reads = rs_code(5, 3).decode([[5, 9, None, None, None]], (2, 3, 4))
+        assert (out, reads) == ([[5, 9, 5, 0, 9]], (0, 1))
+        program = erasure_codes._decode_matrix(rs_code(5, 3), (2, 3, 4))[1]
+        assert [cell for cell, _ in program] == [(0, 2), (0, 3), (0, 4)]
+    finally:
+        erasure_codes._decode_matrix.cache_clear()
 
 
 @pytest.mark.parametrize("k,delta", [(6, 2), (8, 3), (8, 4), (9, 4)])
@@ -536,7 +607,7 @@ def test_rs_programs_make_no_more_products_or_conversions_than_one_stage(k, delt
 
 
 def test_rdp_11_multi_lane_round_trips_every_pattern():
-    # Cells of several lanes, so the two-stage program's syndromes are wide ints.
+    # Cells of several lanes, so the cells a peeled step writes and later steps read are wide ints.
     code = rdp_code(11)
     singles = [code.encode(random_data(10, 10, seed=f"rdp11-{lane}")) for lane in range(5)]
     packed = pack(singles)

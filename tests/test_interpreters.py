@@ -37,6 +37,7 @@ def test_probe_covers_the_readme_fills_and_sweep(own_bytes):
     assert all(code == 0 for code, _ in own_bytes["cli"].values())
     assert len(own_bytes["fill digests"]) == 4
     assert "passed=28" in own_bytes["s=2 sweep"]
+    assert "total=120, passed=120" in own_bytes["s=2 sweep rdp7"]
 
 
 @pytest.mark.parametrize("version", ["3.10", "3.12", "3.13"])

@@ -1059,7 +1059,7 @@ def test_one_disk_rebuild_decodes_only_the_lost_columns(monkeypatch):
     # Timing-free: each decode call of a one-disk rebuild runs its pattern's
     # program pruned to the columns its runs lost: one data column's pattern
     # applies 4 terms, not the full program's 16, for (0, 5, 6, 7) on RS(8,4),
-    # and 36, not 84, for (0, 7) on RDP p=7.
+    # and 36, not 72, for (0, 7) on RDP p=7.
     from declustr import erasure_codes
 
     applied = []
@@ -1090,7 +1090,7 @@ def test_sweep_decodes_only_the_columns_its_sets_lost(monkeypatch):
     # Timing-free: a sweep decodes each pattern for the union of the columns
     # its lost tuples lost with it. On hadamard16 + RDP p=7 at s=1 that is
     # data column c alone of (c, 7) (P2 is unread), applying 36 terms for
-    # (0, 7), not the full program's 84, and both columns of (6, 7), which
+    # (0, 7), not the full program's 72, and both columns of (6, 7), which
     # a lost P1 and a lost P2 each use; at s=2 every call wants both.
     from declustr import erasure_codes
 
@@ -1113,7 +1113,7 @@ def test_sweep_decodes_only_the_columns_its_sets_lost(monkeypatch):
     assert summary.passed == summary.total == 16
     assert sorted(calls) == [((c, 7), (c,)) for c in range(6)] + [((6, 7), (6, 7))]
     assert applied[(0, 7)] == 36
-    assert sum(len(terms) for _, terms in program(code, (0, 7))[1]) == 84
+    assert sum(len(terms) for _, terms in program(code, (0, 7))[1]) == 72
     calls.clear()
     summary = exhaustive_verify(layout, 2, seed=3)
     assert summary.passed == summary.total == 120
