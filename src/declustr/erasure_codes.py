@@ -29,10 +29,10 @@ and diagonal checks, which are all of its definition, and rs's parity-matrix
 rows. The rule leaves delta columns unread, so per erasure pattern the
 checks make a square system in the unread cells. Its inverse, memoized as a
 decode program, writes each as a sum of coefficient * read cell. A code whose
-checks are plain XORs (rdp, and rs with delta=1) is peeled instead, as RDP's
-own chains are: each cell from a check in which it is the last unknown, which
-cuts rdp's XORs by about a third. rdp's coefficients are all 0 or 1 and a
-product by 1 is skipped, so rdp encodes and decodes with XOR alone.
+checks are plain XORs (rdp, and rs with delta=1) is peeled, as RDP's chains
+are, wherever that has no more terms: each cell from a check in which it is
+the last unknown, cutting rdp's XORs by a third. rdp's coefficients are 0 or
+1 and a product by 1 is skipped, so rdp encodes and decodes with XOR alone.
 
 Every entry point takes a HorizontalCode, whose fields are checked once,
 when it is built. Grids are lists of rows; erasures are given as column
@@ -50,10 +50,9 @@ cached per (k, delta).
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import chain, repeat
 from math import isqrt
-from operator import xor
 
 from ._record import record
 from .designs import MAX_COVERAGE_SUBSETS, check_budget, check_ints, check_iterable
@@ -357,6 +356,7 @@ rdp_decode = rs_decode = _decode
 rdp_encode = _encode
 
 
+@lru_cache(maxsize=64)  # shared, so callers only read the checks
 def _parity_checks(code: HorizontalCode) -> list[dict[tuple[int, int], int]]:
     """The code's r*delta checks, each {(row, column): coefficient}; every codeword sums to 0."""
     r, k = code.r, code.k
@@ -375,35 +375,25 @@ def _parity_checks(code: HorizontalCode) -> list[dict[tuple[int, int], int]]:
 
 
 def _peel(checks, at: dict, wanted: list):
-    """An XOR code's program for the wanted unread cells, or None if peeling stalls.
-
-    Each step writes the last unknown cell of a check from its other cells,
-    until every wanted cell is written; an unwanted one written on the way is
-    an intermediate (cell None). Each value's read cells, as a bit set, give
-    the direct form, which is returned instead if it has fewer terms.
-    """
-    unknown = [[cell for cell in check if cell not in at] for check in checks]
-    holders = {cell: [q for q, cells in enumerate(unknown) if cell in cells] for cell in chain(*unknown)}
+    """An XOR code's steps for the wanted cells, each the last unknown of a check; None if that stalls."""
+    unknown, holders = [set(check).difference(at) for check in checks], {}
+    for q, cells in enumerate(unknown):
+        for cell in cells:
+            holders.setdefault(cell, []).append(q)
     ready = [q for q, cells in enumerate(unknown) if len(cells) == 1]  # a queue: the loop visits appends too
-    slot, sums, peeled, left = dict(at), [1 << n for n in range(len(at))], [], set(wanted)
+    slot, peeled, left = dict(at), [], set(wanted)
     for q in ready:
         if left and unknown[q]:  # else done, or another check wrote q's last unknown
             (cell,) = unknown[q]
             terms = sorted(slot[other] for other in checks[q] if other != cell)
-            slot[cell] = len(sums)
-            sums.append(reduce(xor, [sums[n] for n in terms]))
+            slot[cell] = len(at) + len(peeled)
             peeled.append((cell if cell in left else None, tuple(zip(terms, repeat(1)))))
             left.discard(cell)
             for other in holders[cell]:
-                unknown[other].remove(cell)
+                unknown[other].discard(cell)
                 if len(unknown[other]) == 1:
                     ready.append(other)
-    if left:
-        return None
-    if sum(len(terms) for _, terms in peeled) <= sum(sums[slot[cell]].bit_count() for cell in wanted):
-        return peeled
-    bits = {cell: bin(sums[slot[cell]])[:1:-1] for cell in wanted}  # bit n at index n
-    return [(cell, tuple((n, 1) for n, bit in enumerate(bits[cell]) if bit == "1")) for cell in wanted]
+    return None if left else peeled
 
 
 @lru_cache(maxsize=1024)
@@ -433,13 +423,10 @@ def _decode_matrix(
             f"{code} cannot decode erasures {erased}: its parity checks are singular there"
         ) from None
     at = {(i, c): x * r + i for x, c in enumerate(read) for i in range(r)}
+    known = [[(at[cell], coeff) for cell, coeff in check.items() if cell in at] for check in checks]
     targets = [  # the unread cells to decode, each with its row of the inverse
         (cell, row) for cell, row in zip(unknown, inverse) if wanted is None or cell[1] in wanted
     ]
-    xor_code = all(coeff == 1 for check in checks for coeff in check.values())
-    if xor_code and (program := _peel(checks, at, [cell for cell, _ in targets])) is not None:
-        return read, tuple(program), frozenset()
-    known = [[(at[cell], coeff) for cell, coeff in check.items() if cell in at] for check in checks]
     direct = []
     for cell, row in targets:
         terms = [0] * len(at)
@@ -447,4 +434,8 @@ def _decode_matrix(
             for n, coeff in check if factor else ():
                 terms[n] ^= coeff if factor == 1 else gf_mul(factor, coeff)
         direct.append((cell, tuple((n, coeff) for n, coeff in enumerate(terms) if coeff)))
+    if all(coeff == 1 for check in checks for coeff in check.values()):  # an XOR code
+        peeled = _peel(checks, at, [cell for cell, _ in targets])
+        if peeled is not None and sum(len(t) for _, t in peeled) <= sum(len(t) for _, t in direct):
+            return read, tuple(peeled), frozenset()
     return read, tuple(direct), frozenset(n for _, terms in direct for n, c in terms if c != 1)
