@@ -18,10 +18,12 @@ splits a failure's affected instances off it into one mask per lost-position
 tuple, one failed disk at a time (`_split`, which the simulator's sweep walks
 prefix by prefix), starting from the layout's memo of each single disk's
 split; each extended lost tuple is built once per group (its `_splits` memo).
-`survivor_reads` pools the masks by what their reconstruction plans read and
-counts each pool on every disk with ANDs and bit counts, one comprehension
-over the disks per pool of whole placements; the analysis and the simulator
-share that one tally (`_tally`), which takes each plan from the group's memo.
+A split ANDs each group with the failed disk's members first, so a group the
+disk does not touch is carried over whole. `survivor_reads` pools the masks
+by what their reconstruction plans read and counts each pool on every disk
+with ANDs and bit counts, one comprehension over the disks for the first two
+pools of whole placements; the analysis and the simulator share that one
+tally (`_tally`), which takes each plan from the group's memo.
 
 Each layout also caches the tables through which the simulator moves units
 between disks and its unit-major position buffers: per position, each
@@ -266,9 +268,13 @@ def stack_runs(stack, lane_of, m: int) -> tuple[tuple[int, ...], tuple[slice, ..
 
 
 def _split(layout: DeclusteredLayout, groups: dict, disk: int) -> dict[tuple[int, ...], int]:
-    """`groups` ({lost tuple: placement mask}) split by the failure of `disk`:
-    one AND per group and position with the disk's `position_masks`. Members
-    the disk does not hold, the () group's too, stay where they were.
+    """`groups` ({lost tuple: placement mask}) split by the failure of `disk`.
+
+    Each group is first ANDed with the disk's `member_masks`: a group the
+    disk does not touch is carried over whole, and the members it does hold
+    are ANDed position by position with its `position_masks` until every
+    one is placed. Members the disk does not hold, the () group's too, stay
+    where they were.
 
     Each extended lost tuple comes from the group's memo `_splits` ({lost
     tuple: per position, that tuple with the position added, sorted}),
@@ -276,15 +282,20 @@ def _split(layout: DeclusteredLayout, groups: dict, disk: int) -> dict[tuple[int
     nothing and builds no tuple."""
     split: dict[tuple[int, ...], int] = {}
     memo, k = layout.group._splits, layout.group.k
+    members, positions = layout.member_masks[disk], layout.position_masks[disk]
     for lost, mask in groups.items():
-        extended = memo.get(lost) or memo.setdefault(lost, [None] * k)
-        for pos, at in enumerate(layout.position_masks[disk]):
-            if hit := mask & at:
-                key = extended[pos]
-                if key is None:
-                    key = extended[pos] = tuple(sorted((*lost, pos)))
-                split[key] = split.get(key, 0) | hit
-                mask ^= hit
+        if held := mask & members:
+            mask ^= held
+            extended = memo.get(lost) or memo.setdefault(lost, [None] * k)
+            for pos, at in enumerate(positions):
+                if hit := held & at:
+                    key = extended[pos]
+                    if key is None:
+                        key = extended[pos] = tuple(sorted((*lost, pos)))
+                    split[key] = split.get(key, 0) | hit
+                    held ^= hit
+                    if not held:
+                        break
         if mask:
             split[lost] = split.get(lost, 0) | mask
     return split
@@ -320,10 +331,13 @@ def _tally(layout: DeclusteredLayout, failed, affected) -> list[int]:
     `_plans`, so `reconstruction_plan` is asked only for a lost tuple the
     group has not planned. The masks are disjoint, so a disk's count for a
     pool is the size of its overlap with that position's `position_masks`,
-    scaled by r * rows. A pool of whole placements is met with every disk's
-    `member_masks` in one comprehension, an AND, a bit count and a multiply-add
-    per disk; only the other pools, which the single and rotations families
-    have, take a loop per surviving disk.
+    scaled by r * rows. Pools of whole placements are met with every disk's
+    `member_masks`: the first two in one comprehension over the disks, with
+    two ANDs, bit counts and multiply-adds per disk (the full family has one
+    such pool per lost-tuple size, so two at s=2), and any further one in a
+    comprehension of its own. Only a plan with no whole pool, which the
+    single and rotations families have, adds per-position pools, which take
+    a loop per surviving disk.
     """
     group, rec, misses = layout.group, _stats.recorder, 0
     plans = group._plans
@@ -341,10 +355,14 @@ def _tally(layout: DeclusteredLayout, failed, affected) -> list[int]:
         rows, keys = plan.pools
         if rows:
             whole[rows] = whole.get(rows, 0) | mask
-        for key in keys:
-            pooled[key] = pooled.get(key, 0) | mask
-    r, totals, members = group.r, [0] * layout.n, layout.member_masks
-    for rows, mask in whole.items():
+        else:
+            for key in keys:
+                pooled[key] = pooled.get(key, 0) | mask
+    r, members, pools = group.r, layout.member_masks, iter(whole.items())
+    (a, x), (b, y) = next(pools, (0, 0)), next(pools, (0, 0))
+    a, b = r * a, r * b
+    totals = [a * (x & m).bit_count() + b * (y & m).bit_count() for m in members]
+    for rows, mask in pools:
         w = r * rows
         totals = [t + w * (mask & m).bit_count() for t, m in zip(totals, members)]
     if pooled:

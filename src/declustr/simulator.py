@@ -434,18 +434,25 @@ def fail_and_reconstruct(array: DiskArray, failed) -> tuple[DiskArray, IOStats]:
 
 def _lost_columns(plans) -> dict[tuple[int, ...], frozenset[int]]:
     """Per erasure pattern of the plans (an iterable), the union of their
-    `lost_columns` with it: the erased columns a reader uses."""
-    wanted: dict[tuple[int, ...], frozenset[int]] = {}
+    `lost_columns` with it: the erased columns a reader uses. Each pattern's
+    columns are collected in one set, frozen once all plans are read.
+    Reading a plan's `lost_columns` derives its `erased` on first use."""
+    wanted: dict[tuple[int, ...], set[int]] = {}
     for plan in plans:
         for erased, columns in plan.lost_columns.items():
-            wanted[erased] = wanted.get(erased, frozenset()) | columns
-    return wanted
+            if (have := wanted.get(erased)) is None:
+                wanted[erased] = set(columns)
+            else:
+                have |= columns
+    return {erased: frozenset(columns) for erased, columns in wanted.items()}
 
 
 def _check_pattern(layout: DeclusteredLayout, cells, erased: tuple, wanted, touched, wrong) -> None:
     """Decode the `wanted` columns of one erasure pattern, those some plan
     lost with it, over every lane of the stored grid (see _codewords), and
-    compare each of their cells with its stored int by one compare.
+    compare each of their cells with its stored int by one compare. The
+    decoder gets a copy of the stored rows with each erased cell set to None,
+    so it can read no erased column's stored int.
 
     Lanes are walked only on a mismatch: wrong lane e*b + i is ORed into
     wrong[lost] as instance i for each `touched` lost tuple whose plan erases
@@ -453,7 +460,10 @@ def _check_pattern(layout: DeclusteredLayout, cells, erased: tuple, wanted, touc
     there. Any other lane's cells are never used, so they cannot fail a set.
     """
     group, b = layout.group, len(layout.placements)
-    grid = [[None if c in erased else cell for c, cell in enumerate(row)] for row in cells]
+    grid = list(map(list.copy, cells))
+    for row in grid:
+        for c in erased:
+            row[c] = None
     out, users = _checked_decode(group.code, grid, erased, wanted), None
     if rec := _stats.recorder:
         rec.mark("erasure_codes.decode_s")
@@ -552,6 +562,8 @@ def exhaustive_verify(layout: DeclusteredLayout, s: int, seed: int = 1) -> Verif
         rec.mark("layout.tally_s")
     wrong: dict[tuple[int, ...], int] = {}  # lost tuple -> instances rebuilt wrong with it
     wanted = _lost_columns(map(layout.group._plans.__getitem__, touched))
+    if rec:
+        rec.mark("parity_groups.plan_s")
     for erased in sorted(wanted):
         _check_pattern(layout, cells, erased, wanted[erased], touched, wrong)
     broken = {

@@ -563,6 +563,34 @@ def test_decoder_reading_other_columns_is_an_invariant_error(reference_layout, m
         fail_and_reconstruct(array, (0,))
 
 
+@pytest.mark.parametrize("make_code, make_design", [
+    (lambda: rdp_code(3), lambda: hadamard_3design(8)),
+    (lambda: rs_code(6, 2), lambda: complete_design(9, 6, 3)),
+], ids=["rdp3-hadamard8", "rs62-complete9"])
+def test_decoder_gets_none_in_every_erased_cell_and_an_int_elsewhere(
+    make_code, make_design, monkeypatch
+):
+    # A decoder that skipped a wanted cell would then fail the check instead
+    # of handing back the stored value.
+    layout = build_layout(group_family(make_code(), "full"), make_design())
+    array = materialize(layout, 7)
+    grids = []
+    decode = HorizontalCode.decode
+
+    def masked(self, rows, erased, wanted=None):
+        grids.append(([list(map(type, row)) for row in rows], erased))
+        return decode(self, rows, erased, wanted)
+
+    monkeypatch.setattr(HorizontalCode, "decode", masked)
+    assert exhaustive_verify(layout, 2, seed=7).passed == comb(layout.n, 2)
+    swept = len(grids)
+    assert fail_and_reconstruct(array, (2, 5))[0].disks == array.disks
+    assert swept and len(grids) > swept
+    for types, erased in grids:
+        row = [type(None) if c in erased else int for c in range(layout.group.k)]
+        assert types == [row] * layout.group.r
+
+
 def test_empty_failure_set_is_a_no_op(reference_layout):
     array = materialize(reference_layout, 7)
     rebuilt, stats = fail_and_reconstruct(array, ())

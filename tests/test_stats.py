@@ -110,6 +110,29 @@ def test_golden_stats_agree_with_the_sweeps_decode_and_split_counts():
     assert stats["simulator.units_read_by_disk"] == {str(d): 88 * comb(n - 1, s) for d in range(n)}
 
 
+def test_sweep_books_each_phase_in_order(recording, monkeypatch):
+    # Timing-free: the order of the marks, not their times. The plans' `erased`,
+    # derived on first use when the sweep collects each pattern's columns, is
+    # plan time, not the first pattern's decode time.
+    marks = []
+    mark = _stats.Recorder.mark
+    monkeypatch.setattr(_stats.Recorder, "mark", lambda self, key: marks.append(key) or mark(self, key))
+    layout = dc.build_layout(dc.group_family(dc.rdp_code(3), "full"), dc.hadamard_3design(8))
+
+    def sweep_marks(misses):  # 6 patterns, as the golden file's decode_calls
+        return [
+            "simulator.fill_s", "erasure_codes.encode_s",
+            *["layout.tally_s", "parity_groups.plan_s"] * (misses + 1),
+            *["erasure_codes.decode_s", "simulator.compare_s"] * 6, "simulator.compare_s",
+        ]
+
+    dc.exhaustive_verify(layout, 2, seed=7)
+    assert marks == sweep_marks(10) and recording.stats["layout.plan_memo_misses"] == 10
+    marks.clear()
+    dc.exhaustive_verify(layout, 2, seed=7)  # warm: every plan from the memo
+    assert marks == sweep_marks(0)
+
+
 def test_rebuild_stats_count_one_decode_per_erasure_pattern(recording):
     # As test_rebuild_decodes_once_per_erasure_pattern counts by patching.
     layout = dc.build_layout(
