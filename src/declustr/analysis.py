@@ -4,12 +4,13 @@ Workload is counted the way the balance conditions define it: when a group
 instance loses columns, every surviving column of that instance is either
 read in full (all r rows of an extended row whose label the reconstruction
 rule names) or left untouched. Enumeration takes the affected instances as
-one placement bit mask per lost-position tuple (`layout.losses`) and applies
-the group's memoized plan once per mask (`layout.survivor_reads`, which the
-simulator shares); the closed form combines the design's block-counting
-numbers with the group's per-instance read counts, memoized per failure
-size, in one sum for every s <= min(delta, t-1), and must agree exactly. A
-query attaches it from the layout's memo, one entry per failure size.
+one placement bit mask per set of lost positions, itself keyed by a bit mask
+(`layout.losses`), and applies the group's memoized plan once per group
+(`layout.survivor_reads`, which the simulator shares); the closed form
+combines the design's block-counting numbers with the group's per-instance
+read counts, memoized per failure size, in one sum for every
+s <= min(delta, t-1), and must agree exactly. A query attaches it from the
+layout's memo, one entry per failure size.
 
 All arithmetic is in exact integers and Fractions; rounding happens only in
 display helpers.
@@ -99,8 +100,8 @@ def reconstruction_workload(layout: DeclusteredLayout, failed) -> WorkloadReport
     """Count units read per surviving disk, by exhaustive enumeration.
 
     The enumeration is the query's only work: its lost groups are split
-    through the group's memo of extended lost tuples (`layout._split`) and
-    tallied through the group's memo of plans (`survivor_reads`). When a
+    off the layout's bit-mask index (`layout.losses`) and tallied through
+    the group's memo of plans (`survivor_reads`). When a
     two-parity group of the fully stacked family loses 1 <= s < t disks,
     the closed form for s is attached for comparison, taken from the
     layout's memo of one per failure size; the fraction field is the

@@ -15,15 +15,16 @@ after a pass has refused, to name the first offender.
 Each layout caches one bit-mask index: per disk and position, an int whose
 bit i is set when placement i puts that position on that disk. `losses`
 splits a failure's affected instances off it into one mask per lost-position
-tuple, one failed disk at a time (`_split`, which the simulator's sweep walks
-prefix by prefix), starting from the layout's memo of each single disk's
-split; each extended lost tuple is built once per group (its `_splits` memo).
-A split ANDs each group with the failed disk's members first, so a group the
-disk does not touch is carried over whole. `survivor_reads` pools the masks
-by what their reconstruction plans read and counts each pool on every disk
-with ANDs and bit counts, one comprehension over the disks for the first two
-pools of whole placements; the analysis and the simulator share that one
-tally (`_tally`), which takes each plan from the group's memo.
+mask (bit p for position p): the first failed disk's groups are its
+`position_masks`, and each further one splits them (`_split`, which the
+simulator's sweep walks prefix by prefix). A split ANDs each group with the
+disk's members first, so a group the disk does not touch is carried over
+whole, and keys each position it takes as `lost | 1 << pos`.
+`survivor_reads` pools the masks by what their plans read and counts each
+pool on every disk with ANDs and bit counts, one comprehension over the
+disks for the first two pools of whole placements; the analysis and the
+simulator share that one tally (`_tally`), which takes each plan from the
+group's memo.
 
 Each layout also caches the tables through which the simulator moves units
 between disks and its unit-major position buffers: per position, each
@@ -69,7 +70,7 @@ from .errors import (
     TooManyFailures,
     shown,
 )
-from .parity_groups import FAMILIES, ParityGroup, group_family, reconstruction_plan
+from .parity_groups import FAMILIES, ParityGroup, _plan, group_family
 
 LAYOUT_JSON_FIELDS = {"n": INT, "design": None, "group": None, "placements": INT_LISTS}
 
@@ -77,10 +78,9 @@ LAYOUT_JSON_FIELDS = {"n": INT, "design": None, "group": None, "placements": INT
 _DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
-# The memos: losses' of each disk's split of every placement, and reconstruction_workload's
-# of the closed form it attaches, per failure size. They are derived from the fields, so
-# they take no part in equality or hashing.
-@record(frozen=True, memos=("_first_splits", "_closed_forms"))
+# The memo: reconstruction_workload's of the closed form it attaches, per failure size.
+# It is derived from the fields, so it takes no part in equality or hashing.
+@record(frozen=True, memos=("_closed_forms",))
 class DeclusteredLayout:
     """n disks holding one column-unit per (block, block element) incidence."""
 
@@ -267,31 +267,23 @@ def stack_runs(stack, lane_of, m: int) -> tuple[tuple[int, ...], tuple[slice, ..
     return tuple(positions), tuple(cuts)
 
 
-def _split(layout: DeclusteredLayout, groups: dict, disk: int) -> dict[tuple[int, ...], int]:
-    """`groups` ({lost tuple: placement mask}) split by the failure of `disk`.
+def _split(layout: DeclusteredLayout, groups: dict, disk: int) -> dict[int, int]:
+    """`groups` ({lost-position mask: placement mask}) split by `disk`'s failure.
 
     Each group is first ANDed with the disk's `member_masks`: a group the
     disk does not touch is carried over whole, and the members it does hold
     are ANDed position by position with its `position_masks` until every
-    one is placed. Members the disk does not hold, the () group's too, stay
-    where they were.
-
-    Each extended lost tuple comes from the group's memo `_splits` ({lost
-    tuple: per position, that tuple with the position added, sorted}),
-    filled one (lost tuple, position) pair at a time: a warm split sorts
-    nothing and builds no tuple."""
-    split: dict[tuple[int, ...], int] = {}
-    memo, k = layout.group._splits, layout.group.k
+    one is placed, each under its group's key with that position's bit set.
+    Members the disk does not hold, the 0 group's too, stay where they were.
+    """
+    split: dict[int, int] = {}
     members, positions = layout.member_masks[disk], layout.position_masks[disk]
     for lost, mask in groups.items():
         if held := mask & members:
             mask ^= held
-            extended = memo.get(lost) or memo.setdefault(lost, [None] * k)
             for pos, at in enumerate(positions):
                 if hit := held & at:
-                    key = extended[pos]
-                    if key is None:
-                        key = extended[pos] = tuple(sorted((*lost, pos)))
+                    key = lost | 1 << pos
                     split[key] = split.get(key, 0) | hit
                     held ^= hit
                     if not held:
@@ -301,24 +293,22 @@ def _split(layout: DeclusteredLayout, groups: dict, disk: int) -> dict[tuple[int
     return split
 
 
-def losses(layout: DeclusteredLayout, failed: frozenset[int]) -> dict[tuple[int, ...], int]:
-    """Affected instances grouped by lost positions: {sorted lost tuple:
-    bit mask of the placements that lost exactly those positions}.
+def losses(layout: DeclusteredLayout, failed: frozenset[int]) -> dict[int, int]:
+    """Affected instances grouped by lost positions: {lost-position mask (bit
+    p for position p): mask of the placements that lost exactly those}.
 
-    Every placement starts in one group that lost nothing, and each failed
-    disk in ascending order splits the groups (`_split`, the one splitting
-    rule: the sweep walks it prefix by prefix). The first disk's split comes
-    from the layout's memo of one per disk (`_first_splits`): read only.
+    The first failed disk in ascending order groups the placements by the
+    position it holds (its `position_masks`), the rest in a 0 group, and
+    each further one splits the groups (`_split`, the one splitting rule:
+    the sweep walks it prefix by prefix).
     """
     if not failed:
         return {}
     first, *rest = sorted(failed)
-    groups = layout._first_splits.get(first)
-    if groups is None:
-        everything = {(): (1 << len(layout.placements)) - 1}
-        groups = layout._first_splits[first] = _split(layout, everything, first)
-    groups = reduce(partial(_split, layout), rest, groups) if rest else dict(groups)
-    groups.pop((), None)
+    groups = {1 << pos: mask for pos, mask in enumerate(layout.position_masks[first]) if mask}
+    groups[0] = ((1 << len(layout.placements)) - 1) ^ layout.member_masks[first]
+    groups = reduce(partial(_split, layout), rest, groups)
+    groups.pop(0, None)
     return groups
 
 
@@ -326,18 +316,18 @@ def _tally(layout: DeclusteredLayout, failed, affected) -> list[int]:
     """Per disk, the entries read to rebuild the `losses` groups `affected`
     (a failed disk's count is not a read).
 
-    The groups' masks are pooled by their lost tuples' plans' `pools`, read
-    off each plan's own `by_rows`. The plans come from the group's memo
-    `_plans`, so `reconstruction_plan` is asked only for a lost tuple the
-    group has not planned. The masks are disjoint, so a disk's count for a
-    pool is the size of its overlap with that position's `position_masks`,
-    scaled by r * rows. Pools of whole placements are met with every disk's
+    The groups' masks are pooled by their plans' `pools`, read off each
+    plan's own `by_rows`. The plans come from the group's memo `_plans`, so
+    `_plan` is asked only for a lost-position mask the group has not
+    planned. The masks are disjoint, so a disk's count for a pool is the
+    size of its overlap with that position's `position_masks`, scaled by
+    r * rows. Pools of whole placements are met with every disk's
     `member_masks`: the first two in one comprehension over the disks, with
     two ANDs, bit counts and multiply-adds per disk (the full family has one
-    such pool per lost-tuple size, so two at s=2), and any further one in a
-    comprehension of its own. Only a plan with no whole pool, which the
-    single and rotations families have, adds per-position pools, which take
-    a loop per surviving disk.
+    such pool per number of lost positions, so two at s=2), and any further
+    one in a comprehension of its own. Only a plan with no whole pool, which
+    the single and rotations families have, adds per-position pools, which
+    take a loop per surviving disk.
     """
     group, rec, misses = layout.group, _stats.recorder, 0
     plans = group._plans
@@ -348,7 +338,7 @@ def _tally(layout: DeclusteredLayout, failed, affected) -> list[int]:
         if plan is None:
             if rec:
                 rec.mark("layout.tally_s")
-            plan = reconstruction_plan(group, lost)
+            plan = _plan(group, lost)
             misses += 1
             if rec:
                 rec.mark("parity_groups.plan_s")

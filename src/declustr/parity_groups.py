@@ -14,10 +14,10 @@ type: the same class also carries deliberately unbalanced families (a single
 arrangement, or the k cyclic rotations of the canonical one) to show skew.
 group_family caches the family name on the group it builds.
 
-A reconstruction plan, memoized per lost tuple on its group, is counted from
-the group's label columns (the rows' transpose): one memoized rule answer per
-extended row, then one C-level count per surviving position, so a cold plan
-runs no Python loop over rows times positions.
+A reconstruction plan, memoized on its group per lost-position mask, is
+counted from the group's label columns (the rows' transpose): one memoized
+rule answer per extended row, then one C-level count per surviving position,
+so a cold plan runs no Python loop over rows times positions.
 """
 
 from __future__ import annotations
@@ -40,10 +40,10 @@ from .erasure_codes import (
 )
 from .errors import ParamError, UnbalancedGroup, shown
 
-# The memos: reconstruction_plan's, _read_counts' and layout._split's. They are derived
-# from the fields, so they take no part in equality or hashing. Concurrent misses may
-# build an entry twice.
-@record(frozen=True, memos=("_plans", "_taus", "_splits"))
+# The memos: _plan's, by lost-position mask, and _read_counts'. They are derived from the
+# fields, so they take no part in equality or hashing. Concurrent misses may build an
+# entry twice.
+@record(frozen=True, memos=("_plans", "_taus"))
 class ParityGroup:
     """A horizontal code plus an ordered family of label arrangements."""
 
@@ -273,30 +273,32 @@ def group_family(code: HorizontalCode, family: str) -> ParityGroup:
 def reconstruction_plan(group: ParityGroup, lost: tuple[int, ...]) -> ReconstructionPlan:
     """The memoized plan for an instance that lost the sorted positions `lost`.
 
-    A cold plan costs one reconstruction_rule call per extended row, each a
-    memo hit after the first few, then one C-level count per surviving
-    position: how many rows' needs hold the label that position's column has.
-    Entries must be exact ints, on a memo hit too: (True,) and (1.0,) are
-    equal keys to (1,). A key that cannot be hashed (a list, or a tuple
-    holding one) and, on a miss, any other non-tuple ("") are refused too.
+    The tuple is checked on every call, a memo hit too: its entries must be
+    exact ints, sorted and distinct in 0..k-1, so (True,), (1.0,) and a list
+    are refused. The plan is then `_plan`'s for the tuple's mask.
     """
-    try:
-        plan, exact = group._plans.get(lost), True
-        for p in lost:  # a plain loop: tuples are short, and map(type, ...) costs more
-            exact = exact and type(p) is int
-    except TypeError:  # not iterable, or a list: no memo key
-        plan, exact = None, False
-    if exact and plan is not None:
-        return plan
-    k = group.k
-    if not exact or type(lost) is not tuple or list(lost) != sorted(set(lost) & set(range(k))):
+    k, ints = group.k, type(lost) is tuple and all(type(p) is int for p in lost)
+    if not ints or list(lost) != sorted(set(lost) & set(range(k))):
         raise ParamError(f"lost positions must be sorted and distinct in 0..{k - 1}, got {shown(lost)}")
-    columns, rows = group.label_columns, len(group.extended_rows)
+    return _plan(group, sum(1 << p for p in lost))
+
+
+def _plan(group: ParityGroup, mask: int) -> ReconstructionPlan:
+    """The plan for an instance that lost the positions set in `mask` (bit p
+    for position p), from the group's memo `_plans`, built there on a miss:
+    one reconstruction_rule call per extended row, each a memo hit after the
+    first few, then one C-level count per surviving position, of the rows
+    whose needs hold the label that position's column has.
+    """
+    if plan := group._plans.get(mask):
+        return plan
+    k, columns, rows = group.k, group.label_columns, len(group.extended_rows)
+    lost = tuple(pos for pos in range(k) if mask >> pos & 1)
     # Each row's lost labels; zip over no columns would yield no rows at all.
     lost_labels = zip(*map(columns.__getitem__, lost)) if lost else repeat((), rows)
     needs = tuple(map(reconstruction_rule, repeat(group.delta), lost_labels))
     reads = {pos: sum(map(contains, needs, columns[pos])) for pos in range(k) if pos not in lost}
-    plan = group._plans[lost] = ReconstructionPlan(
+    plan = group._plans[mask] = ReconstructionPlan(
         lost, reads, group.delta, group.extended_rows, group.canonical_columns
     )
     return plan

@@ -6,7 +6,7 @@ cell handed to the codec packs one byte per (extended row, instance) pair,
 a lane, so one encode call fills every instance at once. Reads are tallied by
 the same count as the analysis's enumeration (`layout._tally`, which
 `survivor_reads` wraps), so they match it unit for unit, and every plan comes
-from the group's memo, so each distinct lost tuple's plan is built once.
+from the group's memo, so each distinct lost-position mask's plan is built once.
 What backs the reads is the check, on every decode call, that the decoder
 read exactly the columns the memoized reconstruction plan names.
 
@@ -28,9 +28,9 @@ column c being cut j*(k - delta) + c (`_data_cells`), so only the parity
 cells, which one encode call makes (`_codewords`), go from int to bytes.
 
 A single rebuild's lanes are the failure set's affected instances in
-lost-tuple order (`layout.losses`), so each (extended row, lost tuple) is
-one run of lanes, gathered from the caller's disks with each failed disk
-read as zeros. Each canonical erasure pattern is decoded by one call over
+`layout.losses` group order, so each (extended row, lost mask) is one run of
+lanes, gathered from the caller's disks with each failed disk read as zeros.
+Each canonical erasure pattern is decoded by one call over
 the runs whose plan leaves it, through its program pruned to the columns
 those runs lost, and only those are written back, run by run; the lost
 positions are then scattered onto fresh replacement disks, whose runs are
@@ -38,8 +38,8 @@ cut from their stacks by the lanes. Decoding every pattern over all lanes
 instead would decode about 15 times the lanes on RS(6,2).
 
 An exhaustive sweep's cells are the fill's encoded ints, so it builds no disk.
-Each canonical erasure pattern that the sets' lost tuples leave is decoded by
-one call over all lanes, for the erased columns some lost tuple lost with it
+Each canonical erasure pattern that the sets' lost masks leave is decoded by
+one call over all lanes, for the erased columns some lost mask lost with it
 alone (through the pattern's memoized program pruned to them: for RDP, each
 wanted cell from a check it is the last unknown of), and each of
 those cells is compared with its stored int by one `==`; lanes are walked
@@ -47,7 +47,7 @@ only on a mismatch. Every plan reads k - delta columns per extended row, so
 each pattern erases exactly delta columns; an instance's rebuilt units
 depend only on its own stored bytes and the positions it lost, and all sets
 start from the same array, so each is decoded once however many sets
-produce it. A lane that no (lost tuple, extended row) uses is decoded too,
+produce it. A lane that no (lost mask, extended row) uses is decoded too,
 but its cells fail no set.
 
 Data bytes are the SHAKE-128 output (FIPS 202) of the seed mod 2^64, written
@@ -65,7 +65,7 @@ from __future__ import annotations
 from collections import deque
 from functools import partial
 from itertools import accumulate, chain, compress, count, repeat
-from operator import getitem, itemgetter, mul, setitem
+from operator import add, getitem, itemgetter, mul, setitem
 
 from . import _stats
 from ._record import record
@@ -406,7 +406,7 @@ def fail_and_reconstruct(array: DiskArray, failed) -> tuple[DiskArray, IOStats]:
     if rec:
         rec.mark("simulator.gather_s")
     # calls[erased]: the runs of lanes decoded with that pattern, one per (extended
-    # row, lost tuple), cut after the gather and freed as each pattern is decoded.
+    # row, lost mask), cut after the gather and freed as each pattern is decoded.
     width, stop, calls, plans = len(lanes), 0, {}, group._plans
     for lost, mask in affected.items():
         start, stop = stop, stop + mask.bit_count()
@@ -455,9 +455,10 @@ def _check_pattern(layout: DeclusteredLayout, cells, erased: tuple, wanted, touc
     so it can read no erased column's stored int.
 
     Lanes are walked only on a mismatch: wrong lane e*b + i is ORed into
-    wrong[lost] as instance i for each `touched` lost tuple whose plan erases
-    this pattern in extended row e and lost the position holding the column
-    there. Any other lane's cells are never used, so they cannot fail a set.
+    wrong[lost] as instance i for each `touched` lost mask whose plan erases
+    this pattern in extended row e and has the bit of the position holding
+    the column there. Any other lane's cells are never used, so they cannot
+    fail a set.
     """
     group, b = layout.group, len(layout.placements)
     grid = list(map(list.copy, cells))
@@ -472,7 +473,7 @@ def _check_pattern(layout: DeclusteredLayout, cells, erased: tuple, wanted, touc
         for j, stored in enumerate(row[c] for row in cells):
             if out[j][c] == stored:
                 continue
-            if users is None:  # per extended row, the lost tuples decoded with this pattern
+            if users is None:  # per extended row, the lost masks decoded with this pattern
                 users = [
                     [lost for lost in touched if group._plans[lost].erased[e] == erased]
                     for e in range(len(group.extended_rows))
@@ -482,7 +483,7 @@ def _check_pattern(layout: DeclusteredLayout, cells, erased: tuple, wanted, touc
                 e, i = divmod(lane, b)
                 pos = group.canonical_columns[e].index(c)
                 for lost in users[e]:
-                    if pos in lost:
+                    if lost >> pos & 1:
                         wrong[lost] = wrong.get(lost, 0) | 1 << i
     if rec:
         rec.mark("simulator.compare_s")
@@ -505,15 +506,15 @@ def _count_units(rec, reads, writes) -> None:
 
 def _failure_walk(layout: DeclusteredLayout, s: int):
     """Each size-s failure set, a sorted tuple, with its `losses` groups, in
-    lexicographic order. Depth first, each prefix that some set extends is
-    split (`layout._split`) once for all of them: C(n - s + j, j) splits at
-    depth j."""
+    lexicographic order. Depth first from one 0 group of every placement,
+    each prefix that some set extends is split (`layout._split`) once for
+    all of them: C(n - s + j, j) splits at depth j."""
 
     rec = _stats.recorder
 
     def walk(prefix, groups):
         if len(prefix) == s:
-            groups.pop((), None)
+            groups.pop(0, None)
             yield prefix, groups
             return
         for disk in range(prefix[-1] + 1 if prefix else 0, layout.n - s + len(prefix) + 1):
@@ -521,7 +522,7 @@ def _failure_walk(layout: DeclusteredLayout, s: int):
                 rec.add("layout.splits_by_depth", by=len(prefix) + 1)
             yield from walk((*prefix, disk), _split(layout, groups, disk))
 
-    return walk((), {(): (1 << len(layout.placements)) - 1})
+    return walk((), {0: (1 << len(layout.placements)) - 1})
 
 
 def exhaustive_verify(layout: DeclusteredLayout, s: int, seed: int = 1) -> VerifySummary:
@@ -530,10 +531,10 @@ def exhaustive_verify(layout: DeclusteredLayout, s: int, seed: int = 1) -> Verif
     The sets' lost groups come from one depth-first walk (_failure_walk),
     which splits each shared prefix once; their reads are tallied set by
     set (`layout._tally`, the count `survivor_reads` gives), and the lost
-    tuples they touched are kept for the pattern checks. The sets share
-    one decode per canonical erasure pattern that their lost tuples' plans
+    masks they touched are kept for the pattern checks. The sets share
+    one decode per canonical erasure pattern that their lost masks' plans
     leave, over every lane of the fill's encoded cells, of the union of the
-    columns those tuples lost with it (see _codewords, _lost_columns and
+    columns those masks lost with it (see _codewords, _lost_columns and
     _check_pattern). No disk is built and no rebuilt byte outlives its
     pattern's call; a wrong cell fails every set with an instance whose plan
     decodes it in that row and lost its column, found by a second walk that
@@ -547,20 +548,24 @@ def exhaustive_verify(layout: DeclusteredLayout, s: int, seed: int = 1) -> Verif
         rec.start()
     check_size("s", s, layout.group.delta, low=0)
     cells = _codewords(layout, seed)  # first, so a bad seed or size is refused before the walk
-    touched, tallies = set(), []  # touched: every lost tuple of every set
+    touched, tallies = set(), []  # touched: every lost mask of every set
+    read, written = [0] * layout.n, [0] * layout.n  # units per disk over the sets, if recorded
     for failed, affected in _failure_walk(layout, s):
         reads = _tally(layout, failed, affected)
         touched.update(affected)
         if rec:
-            _count_units(rec, ((d, n) for d, n in enumerate(reads) if d not in failed),
-                         ((d, layout.rows_per_disk) for d in failed))
+            read = list(map(add, read, reads))
+            for disk in failed:
+                read[disk] -= reads[disk]
+                written[disk] += layout.rows_per_disk
         for disk in reversed(failed):
             del reads[disk]
-        lost_units = sum(map(mul, map(len, affected), map(int.bit_count, affected.values())))
+        lost_units = sum(map(mul, map(int.bit_count, affected), map(int.bit_count, affected.values())))
         tallies.append((failed, min(reads), max(reads), lost_units))
-    if rec:
+    if rec:  # s < k <= n, so every disk survives some set; at s=0 none is written
+        _count_units(rec, enumerate(read), ((d, units) for d, units in enumerate(written) if units))
         rec.mark("layout.tally_s")
-    wrong: dict[tuple[int, ...], int] = {}  # lost tuple -> instances rebuilt wrong with it
+    wrong: dict[int, int] = {}  # lost mask -> instances rebuilt wrong with it
     wanted = _lost_columns(map(layout.group._plans.__getitem__, touched))
     if rec:
         rec.mark("parity_groups.plan_s")

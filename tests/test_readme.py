@@ -10,9 +10,12 @@ wrote.
 
 from __future__ import annotations
 
+import re
 import shlex
+from itertools import takewhile
 from pathlib import Path
 
+from declustr import build_layout, group_family, hadamard_3design, rdp_code
 from declustr.cli import run
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -71,3 +74,16 @@ def test_ellipsis_elides_lines_but_keeps_order():
     assert not matches(["a", "b", "c", "d"], ["...", "d", "b"])
     assert not matches(["a", "bb"], ["...", "b"])
     assert not matches(["a", "b"], ["a"])
+
+
+def test_readme_names_every_memo_and_no_other():
+    # The "Memos" bullet names each memo a group or layout is built with: a
+    # memo added or removed has to update the README with it.
+    lines = iter(README.read_text().splitlines())
+    bullet = [next(line for line in lines if line.startswith("- Memos:"))]
+    bullet += takewhile(lambda line: line.startswith("  "), lines)
+    named = set(re.findall(r"`(_\w+)`", " ".join(bullet)))
+    group = group_family(rdp_code(3), "full")
+    layout = build_layout(group, hadamard_3design(8))
+    memos = {name for record in (group, layout) for name in vars(record) if name.startswith("_")}
+    assert memos and named == memos

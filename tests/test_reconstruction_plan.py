@@ -109,13 +109,14 @@ def test_plan_consumers_match_a_naive_rule_walk(name, family):
 
 
 def walked_losses(layout, failed):
-    """Per-placement walk: affected instances grouped by sorted lost positions."""
+    """Per-placement walk: affected instances grouped by sorted lost
+    positions, each tuple then keyed by its mask (bit p for position p)."""
     groups = {}
     for index, placement in enumerate(layout.placements):
         lost = tuple(pos for pos, disk in enumerate(placement) if disk in failed)
         if lost:
             groups.setdefault(lost, []).append(index)
-    return {lost: tuple(indices) for lost, indices in groups.items()}
+    return {sum(1 << pos for pos in lost): tuple(indices) for lost, indices in groups.items()}
 
 
 @pytest.mark.parametrize("family", ["full", "single", "rotations"])
@@ -138,19 +139,20 @@ def test_a_query_plans_each_lost_tuple_once_and_tau_once_per_size(monkeypatch):
     layout = build_layout(group_family(rs_code(6, 2), "full"), complete_design(12, 6, 3))
     group = layout.group
     asked = {"tally": [], "tau": []}
-    plan = parity_groups.reconstruction_plan
+    plan = parity_groups._plan
 
     def counting(name):
-        def ask(group, lost):
-            asked[name].append(lost)
-            return plan(group, lost)
+        def ask(group, mask):
+            asked[name].append(mask)
+            return plan(group, mask)
         return ask
 
-    monkeypatch.setattr(layout_module, "reconstruction_plan", counting("tally"))
-    monkeypatch.setattr(parity_groups, "reconstruction_plan", counting("tau"))
+    monkeypatch.setattr(layout_module, "_plan", counting("tally"))
+    monkeypatch.setattr(parity_groups, "_plan", counting("tau"))
     # The tally reads the group's memo, so the first query of a set asks only
-    # for the lost tuples the group has not planned, each once; the attached
-    # closed form enumerates tau's sizes once: C(6,1), then C(6,2), then none.
+    # for the lost-position masks the group has not planned, each once; the
+    # attached closed form enumerates tau's sizes once (each lost tuple through
+    # reconstruction_plan): C(6,1), then C(6,2), then none.
     taus = {(3,): 6, (3, 8): 15, (0, 11): 0, (5,): 0}
     for failed, tau_asks in taus.items():
         unplanned = set(losses(layout, frozenset(failed))) - group._plans.keys()
@@ -187,24 +189,8 @@ def test_a_second_query_of_a_size_makes_no_count_lambda_call(monkeypatch):
         assert calls == []
 
 
-def split_pairs(layout, sets):
-    """The (lost tuple, position) pairs that splitting each failure set's
-    groups, one failed disk at a time in ascending order, extends: a
-    per-placement walk."""
-    pairs = set()
-    for failed in sets:
-        for placement in layout.placements:
-            lost = ()
-            for disk in sorted(failed):
-                if disk in placement:
-                    pos = placement.index(disk)
-                    pairs.add((lost, pos))
-                    lost = tuple(sorted((*lost, pos)))
-    return pairs
-
-
 @pytest.mark.parametrize("family", ["full", "rotations"])
-def test_a_warm_split_builds_no_new_tuple(family, monkeypatch):
+def test_no_split_sorts(family, monkeypatch):
     layout = build_layout(group_family(rs_code(5, 3), family), complete_design(7, 5, 4))
     sorts = []
 
@@ -213,23 +199,16 @@ def test_a_warm_split_builds_no_new_tuple(family, monkeypatch):
         return sorted(items)
 
     monkeypatch.setattr(layout_module, "sorted", counting, raising=False)
-    memo = layout.group._splits
     sets = [frozenset(failed) for s in (1, 2, 3) for failed in combinations(range(layout.n), s)]
+    # A split keys each group it extends by ORing in a position's bit, so the
+    # one sort is losses' ordering of each failure set, cold and warm alike.
     cold = [losses(layout, failed) for failed in sets]
-    # One sort per failure set (losses orders it) and one per memo miss: each
-    # distinct (lost tuple, position) pair is extended once.
-    filled = {
-        (lost, pos) for lost, extended in memo.items() for pos, key in enumerate(extended) if key
-    }
-    assert filled == split_pairs(layout, sets)
-    assert len(sorts) == len(sets) + len(filled)
+    assert len(sorts) == len(sets)
     sorts.clear()
-    entries = {id(key) for extended in memo.values() for key in extended if key}
     warm = [losses(layout, failed) for failed in sets]
     assert warm == cold
     assert len(sorts) == len(sets)
-    assert all(id(lost) in entries for groups in warm for lost in groups)
-    # The sweep's depth-first walk shares the memo and misses nothing.
+    # The sweep's depth-first walk sorts nothing.
     assert exhaustive_verify(layout, 3, seed=2).passed == 35
     assert len(sorts) == len(sets)
 
@@ -282,14 +261,13 @@ def test_memo_takes_no_part_in_equality_hash_or_layout_json():
     verify_balance(used, 2)
     reconstruction_workload(layout, (1, 6))
     assert used._plans and not fresh._plans
-    assert used._splits and not fresh._splits
-    assert layout._closed_forms == {2: 88} and list(layout._first_splits) == [1]
+    assert layout._closed_forms == {2: 88}
     assert used == fresh
     assert hash(used) == hash(fresh)
     assert repr(used) == repr(fresh)
     assert serialize_layout(layout) == before
     unused = build_layout(fresh, design)
-    assert not unused._closed_forms and not unused._first_splits
+    assert not unused._closed_forms
     assert unused == layout
     assert hash(unused) == hash(layout)
     assert repr(unused) == repr(layout)
@@ -349,10 +327,16 @@ def test_plan_reads_the_rule_columns_of_each_extended_row():
         assert columns[0] in erased
 
 
-@pytest.mark.parametrize("lost", [(1, 0), (0, 0), (4,), (-1,)])
+@pytest.mark.parametrize("lost", [(1, 0), (0, 0), (4,), (-1,), (True,), (1.0,), [0], ((0,),), ""])
 def test_plan_rejects_malformed_lost_tuples(lost):
+    # Refused on a cold memo and again once (0,) and (1,) are planned:
+    # (True,) and (1.0,) are equal as keys to (1,), and none is looked up.
+    group = group_family(rdp_code(3), "full")
     with pytest.raises(ParamError):
-        reconstruction_plan(group_family(rdp_code(3), "full"), lost)
+        reconstruction_plan(group, lost)
+    reconstruction_plan(group, (0,)), reconstruction_plan(group, (1,))
+    with pytest.raises(ParamError):
+        reconstruction_plan(group, lost)
 
 
 def reference_plan(group, lost):

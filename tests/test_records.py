@@ -100,7 +100,7 @@ FIELDS = {
 MUTABLE = {DiskArray, BalanceReport}
 
 # Memos: filled by queries, never part of a record's value.
-MEMOS = {ParityGroup: ("_plans", "_taus", "_splits"), DeclusteredLayout: ("_first_splits", "_closed_forms")}
+MEMOS = {ParityGroup: ("_plans", "_taus"), DeclusteredLayout: ("_closed_forms",)}
 
 
 def _fields(cls):

@@ -525,6 +525,7 @@ def test_gather_and_run_decode_match_unit_by_unit_oracles(make_code, make_design
     disks = [zeros if d in failed else disk for d, disk in enumerate(array.disks)]
     affected = losses(layout, failed)
     lost, mask = max(affected.items(), key=lambda item: item[1].bit_count())
+    lost = tuple(pos for pos in range(group.k) if lost >> pos & 1)
     lanes = list(placement_indices(layout, mask))
     every = [i for mask in affected.values() for i in placement_indices(layout, mask)]
     assert len(lanes) > 1
@@ -962,7 +963,7 @@ def test_sweep_reads_each_lost_tuples_plan_once(make_code, make_design, monkeypa
     import declustr.layout as layout_module
 
     layout = build_layout(group_family(make_code(), "full"), make_design())
-    plan = layout_module.reconstruction_plan
+    plan = layout_module._plan
     for s in range(layout.group.delta + 1):
         distinct = {
             lost for failed in combinations(range(layout.n), s)
@@ -971,12 +972,12 @@ def test_sweep_reads_each_lost_tuples_plan_once(make_code, make_design, monkeypa
         for repeat_ in range(2):
             asked, planned = Counter(), set(layout.group._plans)
 
-            def counting(group, lost):
-                asked[lost] += 1
-                return plan(group, lost)
+            def counting(group, mask):
+                asked[mask] += 1
+                return plan(group, mask)
 
-            monkeypatch.setattr(layout_module, "reconstruction_plan", counting)
-            monkeypatch.setattr(simulator, "reconstruction_plan", counting, raising=False)
+            monkeypatch.setattr(layout_module, "_plan", counting)
+            monkeypatch.setattr(simulator, "_plan", counting, raising=False)
             summary = exhaustive_verify(layout, s, seed=3)
             monkeypatch.undo()
             assert summary.passed == summary.total == comb(layout.n, s)
@@ -1017,18 +1018,18 @@ def test_rebuild_asks_for_each_lost_tuples_plan_once(monkeypatch):
 
     layout = build_layout(group_family(rs_code(6, 2), "full"), complete_design(9, 6, 3))
     array = materialize(layout, 7)
-    plan = layout_module.reconstruction_plan
+    plan = layout_module._plan
     for failed in [(2,), (2, 5), (0, 8)]:
         distinct = set(losses(layout, frozenset(failed)))
         for repeat_ in range(2):
             asked, planned = Counter(), set(layout.group._plans)
 
-            def counting(group, lost):
-                asked[lost] += 1
-                return plan(group, lost)
+            def counting(group, mask):
+                asked[mask] += 1
+                return plan(group, mask)
 
-            monkeypatch.setattr(layout_module, "reconstruction_plan", counting)
-            monkeypatch.setattr(simulator, "reconstruction_plan", counting, raising=False)
+            monkeypatch.setattr(layout_module, "_plan", counting)
+            monkeypatch.setattr(simulator, "_plan", counting, raising=False)
             rebuilt, _ = fail_and_reconstruct(array, failed)
             monkeypatch.undo()
             assert rebuilt.disks == array.disks

@@ -133,6 +133,33 @@ def test_sweep_books_each_phase_in_order(recording, monkeypatch):
     assert marks == sweep_marks(0)
 
 
+@pytest.mark.parametrize("family", ["rotations", "single"])
+@pytest.mark.parametrize("s", [0, 1, 2])
+def test_sweep_unit_counts_are_the_sums_of_its_sets_rebuilds(family, s):
+    # The sweep adds its units once, after the walk: each disk's count must be
+    # the sum of its reads (writes) over every set's own rebuild. Rotations
+    # read unevenly within a set, single over the whole sweep too (disk 7
+    # reads 0 units at s=1, and still has an entry); at s=0 nothing is written.
+    layout = dc.build_layout(dc.group_family(dc.rdp_code(3), family), dc.hadamard_3design(8))
+    array = dc.materialize(layout, 7)
+    read, written, uneven = {}, {}, False
+    for failed in combinations(range(layout.n), s):
+        stats = dc.fail_and_reconstruct(array, failed)[1]
+        uneven |= len(set(stats.reads.values())) > 1
+        for total, counts in ((read, stats.reads), (written, stats.writes)):
+            for disk, units in counts.items():
+                total[disk] = total.get(disk, 0) + units
+    assert uneven == (s > 0)
+    _stats.recorder = _stats.Recorder()
+    try:
+        dc.exhaustive_verify(layout, s, seed=7)
+        recorded = _stats.recorder.stats
+    finally:
+        _stats.recorder = None
+    assert recorded["simulator.units_read_by_disk"] == read
+    assert recorded.get("simulator.units_written_by_disk") == (written or None)
+
+
 def test_rebuild_stats_count_one_decode_per_erasure_pattern(recording):
     # As test_rebuild_decodes_once_per_erasure_pattern counts by patching.
     layout = dc.build_layout(
