@@ -82,7 +82,9 @@ _DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 # It is derived from the fields, so it takes no part in equality or hashing.
 @record(frozen=True, memos=("_closed_forms",))
 class DeclusteredLayout:
-    """n disks holding one column-unit per (block, block element) incidence."""
+    """n disks holding one column-unit per (block, block element) incidence.
+    However given, the placements are stored as a tuple of int tuples: the
+    design's blocks themselves when equal to them."""
 
     n: int
     design: Design
@@ -98,20 +100,22 @@ class DeclusteredLayout:
                 f"group size k={group.k} does not match design block size k={design.k}"
             )
         # Blocks are sorted ints, so the blocks themselves match; True or 1.0 == 1 is no disk.
-        # The placements are read once, and an iterator's are kept as the tuple read.
-        # One C-level pass decides; the count and the loop only name the first offender.
+        # Placements are read once: int tuples equal to the blocks are stored as the blocks,
+        # unsorted; others must sort to them. The count and the loop name the first offender.
         if placements is design.blocks:
             return
+        blocks = design.blocks
         taken = check_iterable("placements", placements, "disk tuples", InvariantError)
-        if iter(placements) is placements:
-            object.__setattr__(self, "placements", taken)
-        placements = taken
-        if not _holds_blocks(placements, design.blocks):
-            if len(placements) != len(design.blocks):
-                raise InvariantError(f"{len(placements)} placements for {len(design.blocks)} blocks")
-            for index, (disks, block) in enumerate(zip(placements, design.blocks)):
-                if not _holds_blocks((disks,), (block,)):
+        ints = _int_tuples(taken)
+        if ints == blocks:
+            ints = blocks
+        elif not _holds_blocks(ints, blocks):
+            if len(taken) != len(blocks):
+                raise InvariantError(f"{len(taken)} placements for {len(blocks)} blocks")
+            for index, (disks, block) in enumerate(zip(taken, blocks)):
+                if not _holds_blocks(_int_tuples((disks,)), (block,)):
                     raise InvariantError(f"placement {index} disks {shown(disks)} do not match block {block}")
+        object.__setattr__(self, "placements", ints)
 
     @cached_property
     def units_per_disk(self) -> int:
@@ -190,14 +194,19 @@ class DeclusteredLayout:
         return tuple(stack_runs(stack, self.indices, self.group.m) for stack in self.stacks)
 
 
-def _holds_blocks(placements, blocks) -> bool:
-    """Whether the placements are iterables of exact ints that sort to the
-    blocks, decided by one set of types and one sort per placement at C level."""
+def _int_tuples(placements) -> tuple[tuple[int, ...], ...]:
+    """The placements as tuples, if they are iterables of exact ints, decided
+    by one set of types at C level; else (), which no design's blocks are."""
     try:
-        types = set(map(type, chain.from_iterable(placements)))
+        taken = tuple(map(tuple, placements))
     except TypeError:
-        return False
-    return types <= {int} and tuple(map(tuple, map(sorted, placements))) == blocks
+        return ()
+    return taken if set(map(type, chain.from_iterable(taken))) <= {int} else ()
+
+
+def _holds_blocks(placements, blocks) -> bool:
+    """Whether int tuples sort to the blocks: one sort per placement at C level."""
+    return tuple(map(tuple, map(sorted, placements))) == blocks
 
 
 @record(frozen=True)
@@ -507,7 +516,6 @@ def deserialize_layout(text) -> DeclusteredLayout:
             f"group (k={code.k}, delta={code.delta}) does not fit a "
             f"{design.t}-({design.n},{design.k},{design.lam}) design"
         )
+    # As tuples, so a refusal names a placement as the design loader names a block.
     placements = tuple(map(tuple, obj["placements"]))
-    # check_fields took exact ints only, so equal placements are the checked blocks.
-    placements = design.blocks if placements == design.blocks else placements
     return DeclusteredLayout(obj["n"], design, group_family(code, family), placements)

@@ -40,10 +40,9 @@ from .erasure_codes import (
 )
 from .errors import ParamError, UnbalancedGroup, shown
 
-# The memos: _plan's, by lost-position mask, and _read_counts'. They are derived from the
-# fields, so they take no part in equality or hashing. Concurrent misses may build an
-# entry twice.
-@record(frozen=True, memos=("_plans", "_taus"))
+# The memo: _plan's, by lost-position mask. It is derived from the fields, so it takes
+# no part in equality or hashing. Concurrent misses may build a plan twice.
+@record(frozen=True, memos=("_plans",))
 class ParityGroup:
     """A horizontal code plus an ordered family of label arrangements."""
 
@@ -312,17 +311,10 @@ def check_size(name: str, s, delta: int, low: int = 1) -> None:
 
 def _read_counts(group: ParityGroup, s: int) -> tuple[int, ...]:
     """The distinct numbers of extended rows that read a surviving position,
-    over the plans of every size-s failure set, ascending.
-
-    Memoized per s on the group, which verify_balance and tau share: each
-    size is enumerated once per group.
-    """
-    counts = group._taus.get(s)
-    if counts is None:
-        plans = map(reconstruction_plan, repeat(group), combinations(range(group.k), s))
-        seen = {rows for plan in plans for rows in plan.reads.values()}
-        counts = group._taus[s] = tuple(sorted(seen))
-    return counts
+    over the plans of every size-s failure set, ascending. The plans come
+    from the group's memo (`_plan`), so a repeated size builds none."""
+    masks = (sum(1 << pos for pos in lost) for lost in combinations(range(group.k), s))
+    return tuple(sorted({rows for mask in masks for rows in _plan(group, mask).reads.values()}))
 
 
 def verify_balance(group: ParityGroup, max_s: int) -> BalanceReport:
@@ -332,7 +324,7 @@ def verify_balance(group: ParityGroup, max_s: int) -> BalanceReport:
     permutation of an MDS codeword, so the data/parity entry split is fixed
     (condition one) and any loss of at most delta columns stays decodable
     (condition two). The read-uniformity condition is checked by exhaustive
-    enumeration of failure sets (_read_counts, which tau shares), the
+    enumeration of failure sets (_read_counts, off the memoized plans), the
     parity-placement condition by the group's parity_per_column.
     """
     check_size("max_s", max_s, group.delta)
@@ -363,7 +355,7 @@ def tau(group: ParityGroup, s: int) -> int:
 
     Raises UnbalancedGroup when the count depends on the failure set or the
     column, in which case no single number exists. The read counts come from
-    _read_counts, so a size verify_balance already enumerated costs nothing.
+    _read_counts, off the memoized plans that verify_balance shares.
     """
     check_size("s", s, group.delta)
     values = _read_counts(group, s)

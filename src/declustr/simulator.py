@@ -52,8 +52,8 @@ but its cells fail no set.
 
 Data bytes are the SHAKE-128 output (FIPS 202) of the seed mod 2^64, written
 as 8 little-endian bytes, so fixtures are portable: same seed, same array,
-and seed 0 is an ordinary seed. `byte_stream` yields that stream; a fill
-takes its first bytes in one call (`_fill_bytes`).
+and seed 0 is an ordinary seed. `byte_stream` iterates over that stream; a
+fill takes its first bytes in one call (`_fill_bytes`).
 
 With a recorder installed (`_stats`, which `simulate --stats` turns on), a
 fill, rebuild or sweep records its phase times and counts; with none, each
@@ -102,20 +102,18 @@ def _fill_bytes(seed: int, length: int) -> bytes:
 
 
 def byte_stream(seed: int):
-    """Endless deterministic byte generator: SHAKE-128 of the seed mod 2^64,
-    whose first bytes `_fill_bytes` returns. A longer SHAKE-128 output
-    extends a shorter one, so each chunk is a digest twice the size of the
-    last, less the bytes already yielded."""
+    """Endless deterministic byte iterator: SHAKE-128 of the seed mod 2^64,
+    whose first bytes `_fill_bytes` returns. The seed is checked at the
+    call. A longer SHAKE-128 output extends a shorter one, so chunk i is
+    the second half of a digest of 2^i bytes (all of it for i = 0)."""
     check_ints(seed=seed)
-    done, size = 0, 4096
-    while True:
-        yield from _fill_bytes(seed, size)[done:]
-        done, size = size, 2 * size
+    return chain.from_iterable(_fill_bytes(seed, 1 << i)[1 << i >> 1 :] for i in count())
 
 
 @record()
 class DiskArray:
-    """n byte vectors of equal length plus the layout that shaped them."""
+    """n byte vectors of equal length plus the layout that shaped them; the
+    disks, given in any iterable, are stored as the list that was checked."""
 
     layout: DeclusteredLayout
     disks: list[bytearray]
@@ -124,6 +122,7 @@ class DiskArray:
         n, rows = self.layout.n, self.layout.rows_per_disk
         needs = f"the layout needs {n} disks of {rows} bytes"
         try:  # one C-level pass; a disk that is not bytes-like has no memoryview
+            self.disks = list(self.disks)
             views = list(map(memoryview, self.disks))
         except TypeError:  # the disks are not iterable, or a disk is not bytes-like
             raise ParamError(f"{needs}, got {shown(self.disks):.80}") from None

@@ -248,6 +248,8 @@ def reference_post_init(self):
                 matches = False
             if not matches:
                 raise InvariantError(f"placement {index} disks {disks} do not match block {block}")
+    # Accepted placements are stored as int tuples, however they were given.
+    object.__setattr__(self, "placements", tuple(map(tuple, self.placements)))
 
 
 class Row(list):

@@ -251,10 +251,9 @@ def test_failure_sizes_must_be_ints(size):
         tau(group, size)
     with pytest.raises(ParamError):
         verify_balance(group, size)
-    assert group._taus == {}
 
 
-def test_unbalanced_tau_keeps_raising_from_its_memo():
+def test_unbalanced_tau_keeps_raising():
     group = cyclic_rotation_group(rdp_code(5))
     for _ in range(2):
         with pytest.raises(UnbalancedGroup):

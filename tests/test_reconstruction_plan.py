@@ -135,7 +135,7 @@ def test_grouped_losses_match_a_per_placement_walk(name, family):
             assert grouped == walked_losses(layout, failed), failed
 
 
-def test_a_query_plans_each_lost_tuple_once_and_tau_once_per_size(monkeypatch):
+def test_a_query_plans_each_lost_tuple_once_and_tau_reads_the_memo(monkeypatch):
     layout = build_layout(group_family(rs_code(6, 2), "full"), complete_design(12, 6, 3))
     group = layout.group
     asked = {"tally": [], "tau": []}
@@ -151,9 +151,10 @@ def test_a_query_plans_each_lost_tuple_once_and_tau_once_per_size(monkeypatch):
     monkeypatch.setattr(parity_groups, "_plan", counting("tau"))
     # The tally reads the group's memo, so the first query of a set asks only
     # for the lost-position masks the group has not planned, each once; the
-    # attached closed form enumerates tau's sizes once (each lost tuple through
-    # reconstruction_plan): C(6,1), then C(6,2), then none.
-    taus = {(3,): 6, (3, 8): 15, (0, 11): 0, (5,): 0}
+    # closed form the layout attaches per size asks tau for each size up to
+    # it, and tau asks for every mask of its size: C(6,1), then C(6,1) +
+    # C(6,2), then none.
+    taus = {(3,): 6, (3, 8): 21, (0, 11): 0, (5,): 0}
     for failed, tau_asks in taus.items():
         unplanned = set(losses(layout, frozenset(failed))) - group._plans.keys()
         report = reconstruction_workload(layout, failed)
@@ -164,8 +165,35 @@ def test_a_query_plans_each_lost_tuple_once_and_tau_once_per_size(monkeypatch):
         asked["tally"].clear(), asked["tau"].clear()
         assert reconstruction_workload(layout, failed) == report
         assert asked == {"tally": [], "tau": []}, failed
+    # A closed form asked for directly is not the layout's: tau asks again,
+    # and each mask is a memo hit.
     assert closed_form_workload(layout.design.params, group, 1) == report.closed_form
-    assert asked == {"tally": [], "tau": []}
+    assert asked["tally"] == [] and len(asked["tau"]) == 6
+
+
+def test_balance_tau_and_queries_build_each_plan_once(monkeypatch):
+    layout = build_layout(group_family(rs_code(6, 2), "full"), complete_design(12, 6, 3))
+    group = layout.group
+    built = []
+    make = parity_groups.ReconstructionPlan
+
+    def counting(lost, *rest):
+        built.append(sum(1 << pos for pos in lost))
+        return make(lost, *rest)
+
+    monkeypatch.setattr(parity_groups, "ReconstructionPlan", counting)
+    report = verify_balance(group, group.delta)
+    for s in range(1, group.delta + 1):
+        assert tau(group, s) == report.taus[s]
+    queries = [(3,), (3, 8), (0, 11), (5,)]
+    first = [reconstruction_workload(layout, failed) for failed in queries]
+    assert all(query.closed_form is not None for query in first)
+    assert [reconstruction_workload(layout, failed) for failed in queries] == first
+    # verify_balance plans every set of 1..delta lost positions; nothing after
+    # it builds a plan, so each (group, lost mask) plan is built exactly once.
+    every = [sum(1 << pos for pos in lost)
+             for s in range(1, group.delta + 1) for lost in combinations(range(group.k), s)]
+    assert sorted(built) == sorted(every) == sorted(group._plans)
 
 
 def test_a_second_query_of_a_size_makes_no_count_lambda_call(monkeypatch):

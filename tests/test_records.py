@@ -34,6 +34,11 @@ from declustr import (
     rdp_code,
     reconstruction_plan,
     reconstruction_workload,
+    reduce_design,
+    rotate_layout,
+    rs_code,
+    serialize_layout,
+    single_arrangement_group,
     tradeoff_table,
     unit_provenance,
     validate_design,
@@ -100,7 +105,7 @@ FIELDS = {
 MUTABLE = {DiskArray, BalanceReport}
 
 # Memos: filled by queries, never part of a record's value.
-MEMOS = {ParityGroup: ("_plans", "_taus"), DeclusteredLayout: ("_closed_forms",)}
+MEMOS = {ParityGroup: ("_plans",), DeclusteredLayout: ("_closed_forms",)}
 
 
 def _fields(cls):
@@ -200,3 +205,42 @@ def test_filled_memos_take_no_part_in_value(cls):
     assert fresh == used and hash(fresh) == hash(used) and repr(fresh) == repr(used)
     # Each instance has memos of its own.
     assert all(getattr(fresh, memo) is not getattr(used, memo) for memo in MEMOS[cls])
+
+
+def _rotated_layout():
+    """A layout whose placements are not its design's blocks: each rotated
+    placement keeps its column order."""
+    design = reduce_design(REFERENCE[Design], 2)
+    return rotate_layout(build_layout(single_arrangement_group(rs_code(4, 1)), design))
+
+
+@pytest.mark.parametrize("make", [lambda: REFERENCE[DeclusteredLayout], _rotated_layout],
+                         ids=["blocks", "rotated"])
+def test_every_placement_form_builds_the_same_layout(make):
+    layout = make()
+    n, design, group, placements = layout.n, layout.design, layout.group, layout.placements
+    text = serialize_layout(layout)
+    forms = {
+        "tuple": tuple(tuple(list(disks)) for disks in placements),
+        "list of lists": [list(disks) for disks in placements],
+        "iterator of lists": (list(disks) for disks in placements),
+    }
+    for form, given in forms.items():
+        made = DeclusteredLayout(n, design, group, given)
+        assert made == layout and hash(made) == hash(layout), form
+        assert serialize_layout(made) == text, form
+        assert all(type(disks) is tuple for disks in made.placements), form
+        # Placements equal to the blocks are stored as the blocks themselves.
+        assert (made.placements is design.blocks) == (placements == design.blocks), form
+
+
+def test_every_disk_form_builds_the_same_array():
+    array = REFERENCE[DiskArray]
+    forms = {
+        "tuple": tuple(map(bytearray, array.disks)),
+        "list": list(map(bytearray, array.disks)),
+        "generator": (bytearray(disk) for disk in array.disks),
+    }
+    for form, given in forms.items():
+        made = DiskArray(array.layout, given)
+        assert made == array and type(made.disks) is list, form

@@ -51,6 +51,13 @@ def test_byte_stream_is_deterministic():
     assert all(0 <= b <= 255 for b in first)
 
 
+def test_byte_stream_refuses_a_bad_seed_at_the_call():
+    # No byte is drawn: the seed is checked before an iterator is returned.
+    for seed in ["1", 1.0, True, None]:
+        with pytest.raises(ParamError, match="seed"):
+            byte_stream(seed)
+
+
 def test_byte_stream_seeds_differ():
     assert list(islice(byte_stream(1), 32)) != list(islice(byte_stream(2), 32))
 
@@ -1352,6 +1359,20 @@ def test_disk_array_refuses_a_shape_its_layout_does_not_give(reference_layout):
             simulator.DiskArray(reference_layout, bad)
     with pytest.raises(ParamError, match=r"got disks of \['336 in 2-byte items', "):
         simulator.DiskArray(reference_layout, shapes["wide"])
+
+
+def test_disks_given_as_a_generator_check_and_rebuild_like_a_list(reference_layout):
+    # The array keeps the list it checked: a generator, read once by the
+    # check, once left the array holding the spent generator itself.
+    array = materialize(reference_layout, 7)
+    given = simulator.DiskArray(reference_layout, (bytearray(disk) for disk in array.disks))
+    assert given.disks == array.disks
+    assert check_parity_invariant(given) and check_parity_invariant(array)
+    for failed in [(0,), (2, 5)]:
+        rebuilt, stats = fail_and_reconstruct(given, failed)
+        expected, expected_stats = fail_and_reconstruct(array, failed)
+        assert rebuilt.disks == expected.disks == array.disks, failed
+        assert stats == expected_stats, failed
 
 
 def test_seed_is_taken_mod_2_64(reference_layout):
